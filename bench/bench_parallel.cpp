@@ -94,6 +94,7 @@ struct ScenarioRun {
   std::string json;
   std::uint64_t delivered = 0;
   std::uint64_t nodes = 0;
+  std::uint64_t windows = 0, cross = 0;
   int shards = 1;
   int islands = 0;
 };
@@ -109,6 +110,8 @@ ScenarioRun run_scenario(const asp::scenario::ScenarioConfig& cfg, int shards) {
   out.nodes = m.nodes;
   out.shards = m.shards;
   out.islands = m.islands;
+  out.windows = m.windows;
+  out.cross = m.cross_messages;
   return out;
 }
 
@@ -191,8 +194,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nGenerated scenario %s, %.0f ms sim:\n", cfg.name.c_str(),
               static_cast<double>(cfg.run.duration) / 1e6);
-  std::printf("%8s %10s %10s %10s %10s %12s\n", "shards", "wall ms", "speedup",
-              "delivered", "islands", "hw-limited");
+  std::printf("%8s %10s %10s %10s %10s %10s %10s %12s\n", "shards", "wall ms",
+              "speedup", "delivered", "islands", "windows", "cross msg", "hw-limited");
   double sbase = 0;
   std::string serial_json;
   for (int s : {1, 4, 16, 64}) {
@@ -213,14 +216,17 @@ int main(int argc, char** argv) {
     deterministic = deterministic && r.json == serial_json;
     const double speedup = sbase / r.ms;
     const bool row_limited = hw_limited || static_cast<unsigned>(s) > hw;
-    std::printf("%8d %10.1f %9.2fx %10llu %10d %12s\n", r.shards, r.ms, speedup,
-                static_cast<unsigned long long>(r.delivered), r.islands,
-                row_limited ? "yes" : "no");
+    std::printf("%8d %10.1f %9.2fx %10llu %10d %10llu %10llu %12s\n", r.shards, r.ms,
+                speedup, static_cast<unsigned long long>(r.delivered), r.islands,
+                static_cast<unsigned long long>(r.windows),
+                static_cast<unsigned long long>(r.cross), row_limited ? "yes" : "no");
     const std::string p =
         "bench/parallel/scenario/shards_" + std::to_string(s) + "/";
     asp::obs::registry().gauge(p + "wall_ms").set(r.ms);
     asp::obs::registry().gauge(p + "speedup").set(speedup);
     asp::obs::registry().gauge(p + "delivered").set(static_cast<double>(r.delivered));
+    asp::obs::registry().gauge(p + "windows").set(static_cast<double>(r.windows));
+    asp::obs::registry().gauge(p + "cross_messages").set(static_cast<double>(r.cross));
     asp::obs::registry().gauge(p + "hw_limited").set(row_limited ? 1 : 0);
   }
   std::printf("\ndeterminism cross-check: %s\n",

@@ -5,8 +5,8 @@
 // shard's worker thread may call any method here — there is deliberately no
 // internal locking. Cross-shard work never touches a foreign queue directly:
 // it goes through a mailbox (net/mailbox.hpp) and is scheduled into the
-// target queue by the coordinator at a window barrier, when no worker is
-// running. Single-shard programs are unaffected: one thread, one queue.
+// target queue by that queue's own shard thread after a window barrier.
+// Single-shard programs are unaffected: one thread, one queue.
 //
 // Implementation (DESIGN.md §6h): a deterministic hierarchical calendar
 // queue. Entries live in a pooled slab (chunks tagged mem::AllocTag::kEvent)

@@ -42,7 +42,49 @@ bool cuttable(const PointToPointLink& l) {
          l.end(1) != nullptr;
 }
 
+int topo(const Interface* i) { return static_cast<int>(i->node()->topo_index()); }
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
 }  // namespace
+
+mem::BoxPool<CrossShardMsg>& cross_msg_boxes() {
+  static const int slot =
+      mem::ShardPools::register_slot([](mem::ShardPools& sp) -> mem::PoolBase* {
+        return new mem::BoxPool<CrossShardMsg>("mem/" + sp.label() + "/cross_msg",
+                                               mem::AllocTag::kEvent, sp.token(),
+                                               sp.locked());
+      });
+  return *static_cast<mem::BoxPool<CrossShardMsg>*>(mem::shard().slot(slot));
+}
+
+std::uint32_t ParallelExecutor::Barrier::arrive_and_wait() {
+  // Only this thread's arrival can complete the current epoch, so the value
+  // read here is exact.
+  const std::uint32_t e = epoch.load(std::memory_order_relaxed);
+  // acq_rel: the last arriver acquires every earlier arriver's writes (slots,
+  // mailbox pushes) through the RMW chain, then releases them all with the
+  // epoch store.
+  if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == parties) {
+    arrived.store(0, std::memory_order_relaxed);
+    epoch.store(e + 1, std::memory_order_release);
+    epoch.notify_all();  // no system call unless a waiter has parked
+    return e + 1;
+  }
+  for (int i = 0; i < spin; ++i) {
+    if (epoch.load(std::memory_order_acquire) != e) return e + 1;
+    cpu_relax();
+  }
+  while (epoch.load(std::memory_order_acquire) == e)
+    epoch.wait(e, std::memory_order_acquire);
+  return e + 1;
+}
 
 ParallelExecutor::ParallelExecutor(Network& net, int shards) : net_(net) {
   partition(shards);
@@ -51,11 +93,8 @@ ParallelExecutor::ParallelExecutor(Network& net, int shards) : net_(net) {
 
 ParallelExecutor::~ParallelExecutor() {
   if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
+    stop_ = true;
+    barrier_.arrive_and_wait();  // the start barrier, with stop_ set
     for (std::thread& t : workers_) t.join();
     // Workers drained their own channels on exit; sweep anything they freed
     // back to the coordinator's shard on the way out.
@@ -76,22 +115,17 @@ ParallelExecutor::~ParallelExecutor() {
 }
 
 void ParallelExecutor::partition(int requested) {
-  const auto& nodes = net_.nodes();
-  const int n = static_cast<int>(nodes.size());
-  std::unordered_map<const Node*, int> topo;
-  topo.reserve(nodes.size());
-  for (int i = 0; i < n; ++i) topo[nodes[static_cast<std::size_t>(i)].get()] = i;
-
+  // Network::add_node numbers nodes in creation order, so topo_index() is
+  // each node's position in net_.nodes().
+  const int n = static_cast<int>(net_.nodes().size());
   UnionFind uf(static_cast<std::size_t>(n));
   for (const auto& m : net_.media()) {
     if (auto* seg = dynamic_cast<EthernetSegment*>(m.get())) {
       // Segments are never cut: every attached station shares a shard.
       const auto& ifs = seg->interfaces();
-      for (std::size_t i = 1; i < ifs.size(); ++i)
-        uf.unite(topo[ifs[0]->node()], topo[ifs[i]->node()]);
+      for (std::size_t i = 1; i < ifs.size(); ++i) uf.unite(topo(ifs[0]), topo(ifs[i]));
     } else if (auto* link = dynamic_cast<PointToPointLink*>(m.get())) {
-      if (!cuttable(*link))
-        uf.unite(topo[link->end(0)->node()], topo[link->end(1)->node()]);
+      if (!cuttable(*link)) uf.unite(topo(link->end(0)), topo(link->end(1)));
     }
   }
 
@@ -136,13 +170,12 @@ void ParallelExecutor::partition(int requested) {
   // final size in place. Nothing resizes it afterwards, so the Shard*
   // captured by cross posters stay valid.
   shards_ = std::vector<Shard>(static_cast<std::size_t>(target));
-  for (int i = 0; i < n; ++i)
-    node_shard_[nodes[static_cast<std::size_t>(i)].get()] =
-        island_shard[static_cast<std::size_t>(island_of[static_cast<std::size_t>(i)])];
+  node_shard_.resize(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < node_shard_.size(); ++i)
+    node_shard_[i] = island_shard[static_cast<std::size_t>(island_of[i])];
 }
 
 void ParallelExecutor::install() {
-  const auto& nodes = net_.nodes();
   shards_[0].queue = &net_.events();
   for (std::size_t s = 1; s < shards_.size(); ++s) {
     shards_[s].owned = std::make_unique<EventQueue>();
@@ -150,8 +183,8 @@ void ParallelExecutor::install() {
     shards_[s].queue->run_until(net_.events().now());  // sync clocks
   }
 
-  for (const auto& n : nodes)
-    n->bind_events(*shards_[static_cast<std::size_t>(node_shard_[n.get()])].queue);
+  for (const auto& n : net_.nodes())
+    n->bind_events(*shards_[static_cast<std::size_t>(node_shard_[n->topo_index()])].queue);
 
   for (const auto& m : net_.media()) {
     auto* link = dynamic_cast<PointToPointLink*>(m.get());
@@ -160,134 +193,141 @@ void ParallelExecutor::install() {
       int s = 0;
       if (auto* seg = dynamic_cast<EthernetSegment*>(m.get());
           seg != nullptr && !seg->interfaces().empty())
-        s = node_shard_[seg->interfaces()[0]->node()];
+        s = shard_at(*seg->interfaces()[0]);
       m->bind_events(*shards_[static_cast<std::size_t>(s)].queue);
       continue;
     }
-    int s0 = link->end(0) != nullptr ? node_shard_[link->end(0)->node()] : 0;
-    int s1 = link->end(1) != nullptr ? node_shard_[link->end(1)->node()] : s0;
+    int s0 = link->end(0) != nullptr ? shard_at(*link->end(0)) : 0;
+    int s1 = link->end(1) != nullptr ? shard_at(*link->end(1)) : s0;
     // Link-state flips (schedule_link_state) run on end 0's shard.
     link->bind_events(*shards_[static_cast<std::size_t>(s0)].queue);
     if (s0 == s1) continue;
 
     // Cut link: each direction posts to the receiving shard's mailbox. The
-    // poster runs on the SENDER's thread; seq is that shard's private
-    // counter, so no two messages from one sender shard ever tie on it.
+    // poster runs on the SENDER's thread: the message comes from the
+    // sender's pool and seq is the sender shard's private counter, so no two
+    // messages from one sender shard ever tie on it.
     lookahead_ = std::min(lookahead_, link->delay());
-    int shard_at[2] = {s0, s1};
+    int end_shard[2] = {s0, s1};
     for (int recv = 0; recv < 2; ++recv) {
       Node* sender = link->end(1 - recv)->node();
-      Shard* snd = &shards_[static_cast<std::size_t>(shard_at[1 - recv])];
-      Shard* dst = &shards_[static_cast<std::size_t>(shard_at[recv])];
+      Shard* snd = &shards_[static_cast<std::size_t>(end_shard[1 - recv])];
+      Shard* dst = &shards_[static_cast<std::size_t>(end_shard[recv])];
       std::uint32_t sender_topo = sender->topo_index();
       link->set_cross_poster(
           recv, [link, recv, snd, dst, sender_topo](SimTime arrival, Packet&& p) {
-            auto* m = new CrossShardMsg;
-            m->arrival = arrival;
-            m->sent = snd->queue->now();
-            m->sender_topo = sender_topo;
-            m->seq = ++snd->seq;
-            m->link = link;
-            m->end = recv;
-            m->packet = std::move(p);
-            dst->inbox.push(m);
+            snd->min_posted = std::min(snd->min_posted, arrival);
+            dst->inbox[snd->post_parity].push(cross_msg_boxes().box(
+                CrossShardMsg{.arrival = arrival,
+                              .sent = snd->queue->now(),
+                              .sender_topo = sender_topo,
+                              .seq = ++snd->seq,
+                              .link = link,
+                              .end = recv,
+                              .packet = std::move(p)}));
           });
     }
   }
 
   net_.set_run_override([this](SimTime t) { run_until(t); }, [this] { run(); });
+  if (shards_.size() == 1) return;  // serial: no workers
 
+  barrier_.parties = static_cast<int>(shards_.size());
+  // With more shard threads than cores, a spinning waiter holds the core a
+  // shard still running its window needs, so waiters park at once.
+  if (shards_.size() > std::thread::hardware_concurrency()) barrier_.spin = 0;
   for (std::size_t s = 1; s < shards_.size(); ++s)
     workers_.emplace_back([this, s] { worker_main(static_cast<int>(s)); });
 }
 
 int ParallelExecutor::shard_of(const Node& n) const {
-  auto it = node_shard_.find(&n);
-  return it == node_shard_.end() ? 0 : it->second;
-}
-
-SimTime ParallelExecutor::next_min() {
-  SimTime t = EventQueue::kNever;
-  for (Shard& s : shards_) t = std::min(t, s.queue->next_event_time());
-  return t;
+  const std::size_t i = n.topo_index();
+  const auto& nodes = net_.nodes();
+  return i < nodes.size() && nodes[i].get() == &n ? node_shard_[i] : 0;
 }
 
 void ParallelExecutor::worker_main(int shard) {
   // Pin this thread to pool set `shard`: every pool acquisition in the
-  // window body below is shard-local (mem/shard.hpp), and frees of foreign
-  // blocks ride the remote-free channels drained at the barrier.
+  // window body is shard-local (mem/shard.hpp), and frees of foreign blocks
+  // ride the remote-free channels drained at the barrier.
   mem::bind_shard(shard);
-  Shard& me = shards_[static_cast<std::size_t>(shard)];
-  std::uint64_t seen = 0;
   for (;;) {
-    SimTime cap;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] { return stop_ || gen_ != seen; });
-      if (stop_) return;
-      seen = gen_;
-      cap = target_;
-    }
-    std::uint64_t ran = me.queue->run_until(cap);
-    // Barrier drain: reclaim blocks other shards freed back to us during the
-    // window, before parking. Memory-only — event order is untouched, so
-    // serial-vs-sharded determinism is unaffected.
+    const std::uint32_t epoch = barrier_.arrive_and_wait();  // a run starts
+    if (stop_) return;
+    shard_run(shard, epoch);
+  }
+}
+
+void ParallelExecutor::schedule_merged(Shard& me) {
+  if (me.merging.empty()) return;
+  // Total deterministic order. Scheduling in sorted order hands out
+  // increasing sequence numbers, so the queue's (time, sched, rank, seq)
+  // tie-break reproduces exactly this order — matching the serial schedule.
+  std::sort(me.merging.begin(), me.merging.end(),
+            [](const CrossShardBox& a, const CrossShardBox& b) {
+              return std::tie(a->arrival, a->sent, a->sender_topo, a->seq) <
+                     std::tie(b->arrival, b->sent, b->sender_topo, b->seq);
+            });
+  for (CrossShardBox& m : me.merging) {
+    assert(m->arrival > me.queue->now() && "window safety violated");
+    // Reconstruct the canonical delivery key — (sender transmit clock,
+    // sender topo index) — that the serial path stamps in
+    // PointToPointLink::schedule_delivery, so a merged delivery sorts
+    // exactly where the serial run would have put it. Scheduled as a
+    // batchable delivery entry, boxed from this shard's own pool: merged
+    // frames take the same batch-drain path as local ones.
+    me.queue->schedule_delivery(m->arrival, m->sent, m->sender_topo, *m->link,
+                                static_cast<std::uint32_t>(m->end),
+                                packet_boxes().box(std::move(m->packet)));
+  }
+  me.cross_merged += me.merging.size();
+  me.merging.clear();  // each message recycles into its sender's pool
+}
+
+void ParallelExecutor::shard_run(int shard, std::uint32_t epoch) {
+  Shard& me = shards_[static_cast<std::size_t>(shard)];
+  // Frames posted outside any window (setup code transmitting before the
+  // run) may sit in either mailbox.
+  me.inbox[0].drain(me.merging);
+  me.inbox[1].drain(me.merging);
+  schedule_merged(me);
+  SimTime mine = me.queue->next_event_time();
+  const SimTime W = lookahead_;
+  for (;;) {
+    me.next[(epoch + 1) & 1] = mine;
+    epoch = barrier_.arrive_and_wait();
+    // The window that just closed posted into inbox[(epoch - 1) & 1]; the
+    // next one posts into the other.
+    me.inbox[(epoch - 1) & 1].drain(me.merging);
+    schedule_merged(me);
+
+    // Every slot counts the frames still in flight toward its targets, so
+    // every shard derives the same next_min — and the same decision.
+    SimTime next = EventQueue::kNever;
+    for (const Shard& s : shards_) next = std::min(next, s.next[epoch & 1]);
+    if (next == EventQueue::kNever || (bounded_ && next > target_)) break;
+    // W > 0 (cut links all have delay() > 0); W == kNever iff the shards
+    // are fully disjoint, and the overflow guard yields one unbounded window.
+    // Strict cap: any cross frame sent in the window arrives at
+    // >= next + W > cap, never AT the cap (window-edge ties would race).
+    SimTime cap = next > EventQueue::kNever - W ? EventQueue::kNever - 1 : next + W - 1;
+    if (bounded_ && cap > target_) cap = target_;
+
+    me.post_parity = static_cast<int>(epoch & 1);
+    me.min_posted = EventQueue::kNever;
+    me.events_run += me.queue->run_until(cap);
+    // Reclaim blocks other shards freed back to us during the window.
+    // Memory-only: event order is untouched.
     mem::drain_remote_frees();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      me.events_run += ran;
-      --pending_;
-    }
-    cv_done_.notify_one();
+    if (shard == 0) ++stats_.windows;
+    mine = std::min(me.queue->next_event_time(), me.min_posted);
   }
-}
-
-void ParallelExecutor::dispatch_window(SimTime cap) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    target_ = cap;
-    pending_ = static_cast<int>(workers_.size());
-    ++gen_;
+  if (bounded_) {
+    // Advance every clock to exactly t (no events remain at or before t).
+    me.events_run += me.queue->run_until(target_);
+    if (shard == 0) ++stats_.windows;
   }
-  cv_work_.notify_all();
-  shards_[0].events_run += shards_[0].queue->run_until(cap);  // coordinator = shard 0
-  mem::drain_remote_frees();  // barrier drain for the coordinator's shard
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return pending_ == 0; });
-  }
-  ++stats_.windows;
-}
-
-void ParallelExecutor::merge_mailboxes() {
-  for (Shard& sh : shards_) {
-    std::vector<CrossShardMsg*> msgs = sh.inbox.drain();
-    if (msgs.empty()) continue;
-    // Total deterministic order. Scheduling in sorted order hands out
-    // increasing sequence numbers, so the queue's (time, sched, rank, seq)
-    // tie-break reproduces exactly this order — matching the serial schedule.
-    std::sort(msgs.begin(), msgs.end(), [](const CrossShardMsg* a,
-                                           const CrossShardMsg* b) {
-      return std::tie(a->arrival, a->sent, a->sender_topo, a->seq) <
-             std::tie(b->arrival, b->sent, b->sender_topo, b->seq);
-    });
-    for (CrossShardMsg* m : msgs) {
-      assert(m->arrival > sh.queue->now() && "window safety violated");
-      PointToPointLink* link = m->link;
-      int end = m->end;
-      // Reconstruct the canonical delivery key — (sender transmit clock,
-      // sender topo index) — that the serial path stamps in
-      // PointToPointLink::schedule_delivery, so a merged delivery sorts
-      // exactly where the serial run would have put it. Scheduled as a
-      // batchable delivery entry: merged frames take the same batch-drain
-      // path as local ones.
-      sh.queue->schedule_delivery(m->arrival, m->sent, m->sender_topo, *link,
-                                  static_cast<std::uint32_t>(end),
-                                  packet_boxes().box(std::move(m->packet)));
-      delete m;
-      ++stats_.cross_messages;
-    }
-  }
+  barrier_.arrive_and_wait();  // the run ends on every shard together
 }
 
 void ParallelExecutor::window_loop(SimTime t, bool bounded) {
@@ -302,30 +342,15 @@ void ParallelExecutor::window_loop(SimTime t, bool bounded) {
     }
     return;
   }
-  // W > 0 (cut links all have delay() > 0); W == kNever iff the shards are
-  // fully disjoint, in which case the overflow guard below yields one
-  // unbounded window — which is exactly right.
-  const SimTime W = lookahead_;
-  for (;;) {
-    // Merge first: the previous window's cross frames — or frames posted by
-    // setup code that transmits before run() — live in mailboxes and must
-    // count toward next_min, or the loop would end with work in flight.
-    merge_mailboxes();
-    SimTime next = next_min();
-    if (next == EventQueue::kNever || (bounded && next > t)) break;
-    // Strict cap: any cross frame sent in the window arrives at
-    // >= next + W > cap, never AT the cap (window-edge ties would race).
-    SimTime cap = next > EventQueue::kNever - W ? EventQueue::kNever - 1 : next + W - 1;
-    if (bounded && cap > t) cap = t;
-    dispatch_window(cap);
-  }
-  if (bounded) {
-    // Advance every clock to exactly t (no events remain at or before t).
-    dispatch_window(t);
-    merge_mailboxes();
-  }
+  target_ = t;
+  bounded_ = bounded;
+  shard_run(0, barrier_.arrive_and_wait());  // the start barrier wakes the workers
   stats_.events_run = 0;
-  for (const Shard& s : shards_) stats_.events_run += s.events_run;
+  stats_.cross_messages = 0;
+  for (const Shard& s : shards_) {
+    stats_.events_run += s.events_run;
+    stats_.cross_messages += s.cross_merged;
+  }
 }
 
 void ParallelExecutor::run_until(SimTime t) { window_loop(t, true); }

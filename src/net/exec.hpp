@@ -14,9 +14,14 @@
 // next_min is the earliest pending event anywhere: any frame transmitted in
 // the window arrives at sender_now + delay >= next_min + W > cap, i.e.
 // strictly after the window, so no shard can receive an event in its past.
-// Cross-shard frames travel through lock-free mailboxes (mailbox.hpp) and are
-// merged at the window barrier, sorted by (arrival, sent, sender_topo, seq)
-// so that a run with N shards is byte-identical to the serial run.
+//
+// One window costs one barrier. Every shard thread runs the same loop: run
+// its queue to the cap, publish min(its next event, the earliest arrival it
+// posted across a cut link) in its slot, arrive at the barrier, derive the
+// same next cap from every slot, and merge its own mailbox. Cross-shard
+// frames travel through lock-free mailboxes (mailbox.hpp) and are merged
+// sorted by (arrival, sent, sender_topo, seq), so a run with N shards is
+// byte-identical to the serial run.
 //
 // Threading: construct, run_until()/run() (or net.run_until() — overrides are
 // installed), and destroy all from ONE thread. The destructor parks and joins
@@ -25,14 +30,11 @@
 // at that point are dropped — destroy the executor only after a run drains).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
-
-#include <condition_variable>
-#include <mutex>
 
 #include "net/event.hpp"
 #include "net/mailbox.hpp"
@@ -68,7 +70,7 @@ class ParallelExecutor {
   /// Cross-shard lookahead W (min delay over cut links); kNever if no link
   /// was cut (single effective shard).
   SimTime lookahead() const { return lookahead_; }
-  /// Shard owning `n`'s event queue.
+  /// Shard owning `n`'s event queue (0 for a node of another network).
   int shard_of(const Node& n) const;
   const Stats& stats() const { return stats_; }
 
@@ -76,34 +78,61 @@ class ParallelExecutor {
   struct Shard {
     EventQueue* queue = nullptr;        // shard 0: &net.events()
     std::unique_ptr<EventQueue> owned;  // shards 1..N-1
-    Mailbox inbox;
-    std::uint64_t seq = 0;  // per-shard cross-send counter (sender thread only)
+    std::vector<CrossShardBox> merging;  // drain buffer, reused every window
+    // Written by this shard's thread (posters run on the sender's thread).
+    std::uint64_t seq = 0;    // cross-send counter
+    int post_parity = 0;      // inbox parity of the window being run
+    SimTime min_posted = EventQueue::kNever;  // earliest arrival posted this window
     std::uint64_t events_run = 0;
+    std::uint64_t cross_merged = 0;
+    // Read by every shard after each barrier: min(next event, min_posted),
+    // double-buffered by barrier parity.
+    alignas(64) SimTime next[2] = {EventQueue::kNever, EventQueue::kNever};
+    // Pushed by other shards; a window posts into inbox[its parity] while
+    // the owner drains the other one.
+    Mailbox inbox[2];
+  };
+
+  // Window barrier over every shard thread: a count of completed barriers on
+  // its own cache line. Waiters spin, then park in std::atomic::wait.
+  struct Barrier {
+    // Pause iterations a waiter spins before parking. Most windows close
+    // within the spin, so a window costs no system call; a long wait (the
+    // run is idle between run_until calls, or one shard has far more work)
+    // parks instead of burning a core.
+    static constexpr int kSpinIterations = 4096;
+
+    int parties = 1;
+    int spin = kSpinIterations;  // 0 when the shard threads outnumber the cores
+    alignas(64) std::atomic<std::uint32_t> epoch{0};
+    alignas(64) std::atomic<int> arrived{0};
+    /// Returns the new epoch (the number of barriers completed so far).
+    std::uint32_t arrive_and_wait();
   };
 
   void partition(int requested);
   void install();
+  int shard_at(const Interface& i) const {
+    return node_shard_[i.node()->topo_index()];
+  }
   void window_loop(SimTime t, bool bounded);
-  void dispatch_window(SimTime cap);
-  void merge_mailboxes();
-  SimTime next_min();
+  void shard_run(int shard, std::uint32_t epoch);
+  void schedule_merged(Shard& me);
   void worker_main(int shard);
 
   Network& net_;
   std::vector<Shard> shards_;
-  std::unordered_map<const Node*, int> node_shard_;
+  std::vector<int> node_shard_;  // indexed by Node::topo_index()
   int islands_ = 0;
   SimTime lookahead_ = EventQueue::kNever;
   Stats stats_;
 
-  // Window barrier (coordinator = caller thread, workers = shards 1..N-1).
+  // Run parameters: written by the coordinator (caller thread, shard 0)
+  // before the start barrier, read by workers (shards 1..N-1) after it.
   std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t gen_ = 0;  // bumped per window; workers chase it
+  Barrier barrier_;
   SimTime target_ = 0;
-  int pending_ = 0;
+  bool bounded_ = false;
   bool stop_ = false;
 };
 

@@ -3,18 +3,25 @@
 //
 // Threading model: during a window, any shard thread whose node transmits on
 // a cut link push()es into the RECEIVING shard's mailbox. push() is lock-free
-// (a Treiber-stack CAS) and never blocks an event handler. drain() is
-// BARRIER-ONLY: the coordinator calls it after every worker has parked, so it
-// runs with no concurrent pushers. Arrival order out of drain() is
-// unspecified — the executor sorts messages by their ordering key
+// (a Treiber-stack CAS) and never blocks an event handler. drain() belongs to
+// the receiving shard's thread and runs after the window barrier; the
+// executor keeps one mailbox per window parity, so the mailbox being drained
+// has no concurrent pushers. Arrival order out of drain() is unspecified —
+// the receiver sorts messages by their ordering key
 // (arrival, sent, sender_topo, seq) before scheduling, which is what makes a
 // sharded run byte-identical to the serial one.
+//
+// Messages are pooled: the sender takes one from its own shard's pool
+// (cross_msg_boxes()), and the receiver's release rides that pool's
+// remote-free channel home (mem/pool.hpp), so a cut-link frame never touches
+// the heap in steady state.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "mem/pool.hpp"
 #include "net/packet.hpp"
 #include "net/time.hpp"
 
@@ -22,10 +29,12 @@ namespace asp::net {
 
 class PointToPointLink;
 
-/// One frame in flight across a shard boundary, plus the key the coordinator
-/// sorts on when merging a window's mailboxes.
+/// One frame in flight across a shard boundary, plus the key the receiver
+/// sorts on when merging a window's mailbox.
 struct CrossShardMsg {
-  std::atomic<CrossShardMsg*> next{nullptr};
+  // Treiber link. Plain: the head CAS (release) and the drain exchange
+  // (acquire) order every link written before the push.
+  CrossShardMsg* next = nullptr;
 
   SimTime arrival = 0;            ///< absolute delivery time at the receiver
   SimTime sent = 0;               ///< sender shard's clock at transmit
@@ -37,41 +46,51 @@ struct CrossShardMsg {
   Packet packet;
 };
 
-/// Lock-free MPSC mailbox (multi-producer push, single barrier-time consumer).
+/// Owning handle to a pooled CrossShardMsg; destroying it recycles the
+/// message into the pool it came from.
+using CrossShardBox = mem::BoxPool<CrossShardMsg>::Handle;
+
+/// The calling shard's message pool (a mem::ShardPools slot, like
+/// packet_boxes()). Owner thread only.
+mem::BoxPool<CrossShardMsg>& cross_msg_boxes();
+
+/// Lock-free MPSC mailbox (multi-producer push, single consumer drain).
 class Mailbox {
  public:
   Mailbox() = default;
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
   ~Mailbox() {
-    for (CrossShardMsg* m : drain()) delete m;
+    std::vector<CrossShardBox> left;
+    drain(left);  // recycled as `left` dies
   }
 
-  /// Any shard thread, any time during a window. Takes ownership of `m`.
-  void push(CrossShardMsg* m) {
+  /// Any shard thread, any time during a window.
+  void push(CrossShardBox box) {
+    CrossShardMsg* m = box.release();
     CrossShardMsg* h = head_.load(std::memory_order_relaxed);
     do {
-      m->next.store(h, std::memory_order_relaxed);
+      m->next = h;
     } while (!head_.compare_exchange_weak(h, m, std::memory_order_release,
                                           std::memory_order_relaxed));
   }
 
-  /// Coordinator only, at a window barrier (no concurrent pushers). Returns
-  /// every queued message in unspecified order; caller sorts and deletes.
-  std::vector<CrossShardMsg*> drain() {
-    std::vector<CrossShardMsg*> out;
+  /// Consumer only, with no concurrent pushers. Appends every queued message
+  /// to `out` in unspecified order.
+  void drain(std::vector<CrossShardBox>& out) {
     CrossShardMsg* m = head_.exchange(nullptr, std::memory_order_acquire);
     while (m != nullptr) {
-      out.push_back(m);
-      m = m->next.load(std::memory_order_relaxed);
+      CrossShardMsg* next = m->next;
+      out.emplace_back(m);
+      m = next;
     }
-    return out;
   }
 
   bool empty() const { return head_.load(std::memory_order_acquire) == nullptr; }
 
  private:
-  std::atomic<CrossShardMsg*> head_{nullptr};
+  // Own cache line: every sender shard CASes it during a window.
+  alignas(64) std::atomic<CrossShardMsg*> head_{nullptr};
 };
 
 }  // namespace asp::net

@@ -273,6 +273,18 @@ void TcpConnection::finish(bool notify) {
   if (notify && closed) closed();
 }
 
+TcpStack::~TcpStack() {
+  // Connections still open at teardown hold handlers that commonly capture
+  // shared_ptrs back to the connection itself (see finish()). Release them,
+  // or every such connection leaks with its node.
+  std::map<Key, std::shared_ptr<TcpConnection>> open = std::move(conns_);
+  for (auto& [k, c] : open) {
+    c->established_cb_ = nullptr;
+    c->data_cb_ = nullptr;
+    c->closed_cb_ = nullptr;
+  }
+}
+
 void TcpStack::listen(std::uint16_t port, AcceptHandler on_accept) {
   listeners_[port] = std::move(on_accept);
 }

@@ -135,6 +135,7 @@ class TcpStack {
   using AcceptHandler = std::function<void(std::shared_ptr<TcpConnection>)>;
 
   explicit TcpStack(Node& node) : node_(node) {}
+  ~TcpStack();
 
   /// Starts accepting connections on `port`.
   void listen(std::uint16_t port, AcceptHandler on_accept);

@@ -248,6 +248,10 @@ ScenarioMetrics Scenario::run(int shards) {
   for (const auto& ec : cache_native_) add_cache(ec->store().stats());
   m.shards = exec ? exec->shard_count() : 1;
   m.islands = exec ? exec->island_count() : 0;
+  if (exec) {
+    m.windows = exec->stats().windows;
+    m.cross_messages = exec->stats().cross_messages;
+  }
   return m;
 }
 

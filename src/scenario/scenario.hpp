@@ -53,6 +53,8 @@ struct ScenarioMetrics {
   // Execution details — NOT serialized (differ across shard counts).
   int shards = 1;
   int islands = 0;
+  std::uint64_t windows = 0;         // executor barrier iterations
+  std::uint64_t cross_messages = 0;  // frames merged across shards
 
   /// Deterministic JSON of the simulation-derived fields only.
   std::string to_json() const;

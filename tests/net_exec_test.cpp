@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -189,6 +192,68 @@ TEST(ParallelExecutor, SingleShardFallbackStillRuns) {
   pp.net.run();
   EXPECT_EQ(pp.a_times.size(), 3u);
   EXPECT_EQ(exec.stats().cross_messages, 0u);
+}
+
+// A ring of routers joined by 1 µs links. Every node starts two tokens and
+// forwards each token it receives to its successor until `stop`, recording
+// (its own clock, token) per receive. At every shard count every link is
+// cut, so W = 1 µs and the run crosses one window per hop.
+struct TinyRing {
+  static constexpr int kNodes = 8;
+  Network net;
+  std::vector<Node*> nodes;
+  std::vector<std::unique_ptr<UdpSocket>> socks;
+  std::vector<std::vector<std::pair<SimTime, std::uint8_t>>> rx;
+
+  explicit TinyRing(SimTime stop) : rx(kNodes) {
+    for (int i = 0; i < kNodes; ++i)
+      nodes.push_back(&net.add_node("r" + std::to_string(i)));
+    for (int i = 0; i < kNodes; ++i)
+      net.link(*nodes[static_cast<std::size_t>(i)], link_addr(i, 1),
+               *nodes[static_cast<std::size_t>((i + 1) % kNodes)], link_addr(i, 2), 10e9,
+               micros(1));
+    for (int i = 0; i < kNodes; ++i) {
+      Node& me = *nodes[static_cast<std::size_t>(i)];
+      socks.push_back(std::make_unique<UdpSocket>(me, 7, [this, &me, i, stop](const Packet& p) {
+        rx[static_cast<std::size_t>(i)].emplace_back(me.events().now(), p.payload.bytes()[0]);
+        if (me.events().now() < stop)
+          socks[static_cast<std::size_t>(i)]->send_to(link_addr(i, 2), 7, p.payload.bytes());
+      }));
+    }
+  }
+  // Address of end `side` (1: node i, 2: its successor) of link i.
+  static Ipv4Addr link_addr(int i, int side) {
+    return Ipv4Addr(10, 0, static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(side));
+  }
+  void kick() {
+    for (int i = 0; i < kNodes; ++i)
+      for (std::uint8_t t = 0; t < 2; ++t)
+        socks[static_cast<std::size_t>(i)]->send_to(
+            link_addr(i, 2), 7, {static_cast<std::uint8_t>(2 * i + t)});
+  }
+};
+
+TEST(ParallelExecutor, TinyWindowStress) {
+  const SimTime stop = millis(12);
+  TinyRing serial(stop);
+  serial.kick();
+  serial.net.run();
+  ASSERT_GT(serial.rx[0].size(), 10000u);
+
+  std::uint64_t windows = 0;
+  for (int shards : {2, 4, 8}) {
+    TinyRing ring(stop);
+    ParallelExecutor exec(ring.net, shards);
+    ASSERT_EQ(exec.shard_count(), shards);
+    ASSERT_EQ(exec.lookahead(), micros(1));
+    ring.kick();  // setup-time sends: merged when the run starts
+    ring.net.run();
+    EXPECT_EQ(ring.rx, serial.rx) << shards << " shards";
+    EXPECT_GE(exec.stats().windows, 10000u) << shards << " shards";
+    // The window sequence depends only on global event times and W.
+    if (windows == 0) windows = exec.stats().windows;
+    EXPECT_EQ(exec.stats().windows, windows) << shards << " shards";
+  }
 }
 
 TEST(ParallelExecutor, DisjointIslandsRunInOneWindow) {

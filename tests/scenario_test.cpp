@@ -2,6 +2,9 @@
 // determinism, island structure, the .scn parser's reject-typos policy, the
 // serial-vs-sharded determinism gate on the checked-in 1k-node scenario, and
 // the tx_time rounding regression that the 10^5-user workloads exposed.
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "net/exec.hpp"
 #include "net/network.hpp"
 #include "net/time.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/scn.hpp"
 #include "scenario/topology.hpp"
@@ -276,6 +280,74 @@ TEST(ScenarioDeterminism, SerialMatchesShardedOn1kFatTree) {
     EXPECT_GT(m.islands, 100);  // 125 switch-anchored islands
   }
   EXPECT_EQ(serial, sharded);
+}
+
+// Registry counter deltas over `fn` (the registry is process-wide, so other
+// tests' counts are subtracted out).
+std::map<std::string, std::uint64_t> counter_deltas(const std::function<void()>& fn) {
+  std::map<std::string, std::uint64_t> before;
+  for (const auto& [name, c] : obs::registry().counters()) before[name] = c.value();
+  fn();
+  std::map<std::string, std::uint64_t> delta;
+  for (const auto& [name, c] : obs::registry().counters())
+    delta[name] = c.value() - before[name];
+  return delta;
+}
+
+ScenarioConfig fat_tree_1k(net::SimTime duration) {
+  ScenarioConfig cfg;
+  std::string err;
+  EXPECT_TRUE(load_scn_file(std::string(ASP_SCENARIO_DIR) + "/fat_tree_1k.scn", cfg, err))
+      << err;
+  cfg.run.duration = duration;
+  return cfg;
+}
+
+// In a sharded run every shard thread bumps the same coarse node/_agg and
+// medium/_agg instruments: the registry totals must equal the serial run's
+// exactly.
+TEST(ScenarioDeterminism, RegistryCountersMatchSerialOn1kFatTree) {
+  const ScenarioConfig cfg = fat_tree_1k(net::millis(40));
+  const auto serial = counter_deltas([&] { Scenario(cfg).run(1); });
+  const auto sharded = counter_deltas([&] { Scenario(cfg).run(4); });
+  for (const char* name : {"node/_agg/net/rx_packets", "node/_agg/net/tx_bytes",
+                           "medium/_agg/delivered_packets",
+                           "node/_agg/net/route_cache_hits"}) {
+    EXPECT_GT(serial.at(name), 0u) << name;
+    EXPECT_EQ(sharded.at(name), serial.at(name)) << name;
+  }
+  EXPECT_EQ(sharded, serial);
+}
+
+// Repeated runs on one executor: 1 ms run_until slices at 4 shards must give
+// the metrics JSON and registry totals of one serial call. Each slice ends on
+// the end barrier and starts the next window sequence from the epoch parity
+// and posted-arrival state the last one left.
+TEST(ScenarioDeterminism, SlicedShardedRunMatchesOneSerialCallOn1kFatTree) {
+  const ScenarioConfig cfg = fat_tree_1k(net::millis(40));
+  std::string serial_json, sliced_json;
+  const auto serial = counter_deltas([&] { serial_json = Scenario(cfg).run(1).to_json(); });
+  int slices = 0;
+  const auto sliced = counter_deltas([&] {
+    Scenario sc(cfg);
+    net::Network& net = sc.network();
+    net::ParallelExecutor exec(net, 4);
+    ASSERT_EQ(exec.shard_count(), 4);
+    // Scenario::run(1) builds no executor of its own; its one run_until call
+    // lands in this override, which drives `exec` slice by slice.
+    net.set_run_override(
+        [&](net::SimTime t) {
+          while (net.now() < t) {
+            exec.run_until(std::min(t, net.now() + net::millis(1)));
+            ++slices;
+          }
+        },
+        [&] { exec.run(); });
+    sliced_json = sc.run(1).to_json();
+  });
+  EXPECT_EQ(slices, 40);
+  EXPECT_EQ(sliced_json, serial_json);
+  EXPECT_EQ(sliced, serial);
 }
 
 // Same config, two fresh instantiations, same seed => identical metrics:
