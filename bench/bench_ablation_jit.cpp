@@ -4,8 +4,8 @@
 // templates with patched constants/primitive pointers, (ii) superinstruction
 // fusion of common sequences (header projections, 1-arg primitive calls,
 // compare-against-constant). This bench isolates them:
-//   interpreter -> bytecode VM       : the value of compiling at all
-//   bytecode VM -> JIT (no fusion)   : the value of template patching
+//   interpreter -> JIT (no fusion)   : the value of compiling to patched
+//                                      templates
 //   JIT (no fusion) -> JIT (fusion)  : the value of fusion
 #include <benchmark/benchmark.h>
 
@@ -59,13 +59,6 @@ void BM_Ablation_Interp(benchmark::State& state) {
   fx.pump(state, engine);
 }
 BENCHMARK(BM_Ablation_Interp);
-
-void BM_Ablation_BytecodeVm(benchmark::State& state) {
-  Fixture fx;
-  planp::VmEngine engine(fx.compiled, fx.env);
-  fx.pump(state, engine);
-}
-BENCHMARK(BM_Ablation_BytecodeVm);
 
 void BM_Ablation_JitNoFusion(benchmark::State& state) {
   Fixture fx;

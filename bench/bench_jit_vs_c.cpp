@@ -1,11 +1,11 @@
-// §2.4: per-packet execution cost — interpreter vs bytecode VM vs run-time-
-// specialized JIT vs built-in C++.
+// §2.4: per-packet execution cost — interpreter vs run-time-specialized JIT
+// vs built-in C++.
 //
 // The paper's claims: "a PLAN-P program compiled with this JIT incurs no
 // overhead in comparison to the same program written in C", and the
 // interpreter is the slow-but-portable reference the JIT is derived from.
-// The shape to reproduce: interpreter >> bytecode > JIT, with the JIT within
-// a small constant factor of native C++ (the network-level experiments are
+// The shape to reproduce: interpreter > JIT, with the JIT within a small
+// constant factor of native C++ (the network-level experiments are
 // insensitive to that constant, as Figure 8 shows).
 #include <benchmark/benchmark.h>
 
@@ -51,10 +51,6 @@ struct GatewayFixture {
       case planp::EngineKind::kInterp:
         engine = std::make_unique<planp::Interp>(checked, env);
         break;
-      case planp::EngineKind::kBytecode:
-        compiled = planp::compile(checked);
-        engine = std::make_unique<planp::VmEngine>(compiled, env);
-        break;
       case planp::EngineKind::kJit:
         compiled = planp::compile(checked);
         engine = std::make_unique<planp::JitEngine>(compiled, env);
@@ -89,11 +85,6 @@ void BM_Gateway_Interpreter(benchmark::State& state) {
   run_engine_bench(state, planp::EngineKind::kInterp);
 }
 BENCHMARK(BM_Gateway_Interpreter);
-
-void BM_Gateway_Bytecode(benchmark::State& state) {
-  run_engine_bench(state, planp::EngineKind::kBytecode);
-}
-BENCHMARK(BM_Gateway_Bytecode);
 
 void BM_Gateway_Jit(benchmark::State& state) {
   run_engine_bench(state, planp::EngineKind::kJit);

@@ -12,8 +12,7 @@ namespace {
 const asp::net::Ipv4Addr kGroup = ip("224.1.1.1");
 }
 
-AudioExperiment::AudioExperiment(bool adaptation, planp::EngineKind engine,
-                                 AudioPolicy policy) {
+AudioExperiment::AudioExperiment(bool adaptation, AudioPolicy policy) {
   source_node_ = &net_.add_node("audio-source");
   router_node_ = &net_.add_router("router");
   client_node_ = &net_.add_node("audio-client");
@@ -40,17 +39,14 @@ AudioExperiment::AudioExperiment(bool adaptation, planp::EngineKind engine,
   loadgen_ = std::make_unique<LoadGenerator>(*loadgen_node_, sink_node_->addr());
 
   if (adaptation) {
-    planp::Protocol::Options opts;
-    opts.engine = engine;
     router_rt_ = std::make_unique<asp::runtime::AspRuntime>(*router_node_);
     router_rt_->set_monitored_medium(segment_);
     router_rt_->install(policy == AudioPolicy::kThreshold
                             ? audio_router_asp()
-                            : audio_router_hysteresis_asp(),
-                        opts);
+                            : audio_router_hysteresis_asp());
 
     client_rt_ = std::make_unique<asp::runtime::AspRuntime>(*client_node_);
-    client_rt_->install(audio_client_asp(), opts);
+    client_rt_->install(audio_client_asp());
   }
 }
 

@@ -47,7 +47,6 @@ enum class AudioPolicy {
 class AudioExperiment {
  public:
   explicit AudioExperiment(bool adaptation,
-                           planp::EngineKind engine = planp::EngineKind::kJit,
                            AudioPolicy policy = AudioPolicy::kThreshold);
 
   /// Runs for `duration_sec` with the given load schedule, sampling every

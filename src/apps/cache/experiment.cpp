@@ -59,15 +59,12 @@ void CacheExperiment::build() {
   switch (opts_.mode) {
     case CacheMode::kAspProxy: {
       rt_ = std::make_unique<asp::runtime::AspRuntime>(*proxy_);
-      planp::Protocol::Options popts;
-      popts.engine = opts_.engine;
       // Unlike the load-balancing gateway, the cache proxy passes all five
       // analyses (hit replies ride the destination-preserving `hit` channel),
       // so the default verified-download path applies.
       rt_->install(cache_proxy_asp(kOrigin, kCachePort,
                                    static_cast<int>(opts_.cache_entries),
-                                   static_cast<int>(opts_.cache_ttl_ms)),
-                   popts);
+                                   static_cast<int>(opts_.cache_ttl_ms)));
       break;
     }
     case CacheMode::kNativeProxy:

@@ -39,7 +39,6 @@ class CacheExperiment {
  public:
   struct Options {
     CacheMode mode = CacheMode::kAspProxy;
-    planp::EngineKind engine = planp::EngineKind::kJit;
     int client_machines = 4;
     int processes_per_machine = 4;
     std::size_t trace_accesses = 80'000;

@@ -95,7 +95,6 @@ bool HttpExperiment::delay_and_forward(Packet& p) {
 void HttpExperiment::install_asp_gateway() {
   gw_rt_ = std::make_unique<asp::runtime::AspRuntime>(*gateway_);
   planp::Protocol::Options popts;
-  popts.engine = opts_.engine;
   // The two-server gateway cannot be *proven* to terminate by the
   // conservative analysis (the destination alternates between two literals
   // in the abstract); it is loaded through the authenticated path, exactly

@@ -50,7 +50,6 @@ class HttpExperiment {
     int processes_per_machine = 4;
     std::size_t trace_accesses = 80'000;
     double gateway_cost_us = 80.0;  // per-packet forwarding cost
-    planp::EngineKind engine = planp::EngineKind::kJit;
     GatewayStrategy strategy = GatewayStrategy::kModulo;
     HttpServer::Options server;
   };

@@ -9,8 +9,8 @@ using asp::net::Ipv4Addr;
 using asp::net::millis;
 using asp::net::seconds;
 
-MpegExperiment::MpegExperiment(bool sharing, int clients, planp::EngineKind engine)
-    : sharing_(sharing), nclients_(clients), engine_(engine) {
+MpegExperiment::MpegExperiment(bool sharing, int clients)
+    : sharing_(sharing), nclients_(clients) {
   server_node_ = &net_.add_node("video-server");
   asp::net::Node& router = net_.add_router("router");
   net_.link(*server_node_, ip("10.0.1.1"), router, ip("10.0.1.254"), 100e6, millis(1));
@@ -25,12 +25,10 @@ MpegExperiment::MpegExperiment(bool sharing, int clients, planp::EngineKind engi
 
   server_ = std::make_unique<MpegServer>(*server_node_);
 
-  planp::Protocol::Options popts;
-  popts.engine = engine_;
   if (sharing_) {
     mon_if.set_promiscuous(true);
     monitor_rt_ = std::make_unique<asp::runtime::AspRuntime>(*monitor_node_);
-    monitor_rt_->install(mpeg_monitor_asp(server_node_->addr()), popts);
+    monitor_rt_->install(mpeg_monitor_asp(server_node_->addr()));
   }
 
   for (int c = 0; c < nclients_; ++c) {
@@ -45,14 +43,12 @@ MpegExperiment::MpegExperiment(bool sharing, int clients, planp::EngineKind engi
     if (sharing_) {
       cif.set_promiscuous(true);
       auto rt = std::make_unique<asp::runtime::AspRuntime>(n);
-      rt->install(mpeg_reply_asp(), popts);
+      rt->install(mpeg_reply_asp());
       asp::runtime::AspRuntime* rt_raw = rt.get();
       client_rts_.push_back(std::move(rt));
-      install = [rt_raw, vport, this](Ipv4Addr shared_client, std::uint16_t shared_vport) {
-        planp::Protocol::Options o;
-        o.engine = engine_;
+      install = [rt_raw, vport](Ipv4Addr shared_client, std::uint16_t shared_vport) {
         rt_raw->uninstall();
-        rt_raw->install(mpeg_capture_asp(shared_client, shared_vport, vport), o);
+        rt_raw->install(mpeg_capture_asp(shared_client, shared_vport, vport));
       };
     }
     clients_.push_back(std::make_unique<MpegClient>(

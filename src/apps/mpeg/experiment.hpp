@@ -26,8 +26,7 @@ struct MpegRunResult {
 /// reply/capture ASPs; the server is never modified.
 class MpegExperiment {
  public:
-  explicit MpegExperiment(bool sharing, int clients,
-                          planp::EngineKind engine = planp::EngineKind::kJit);
+  explicit MpegExperiment(bool sharing, int clients);
   ~MpegExperiment();
 
   /// All clients request the same file, staggered 300 ms apart; measures at
@@ -40,7 +39,6 @@ class MpegExperiment {
  private:
   bool sharing_;
   int nclients_;
-  planp::EngineKind engine_;
   asp::net::Network net_;
   asp::net::Node* server_node_ = nullptr;
   asp::net::Node* monitor_node_ = nullptr;

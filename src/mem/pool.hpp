@@ -74,7 +74,7 @@ enum class AllocTag : std::uint8_t {
   kOther = 0,
   kBuffer,  // payload / blob byte storage
   kTuple,   // PLAN-P tuple storage
-  kFrame,   // interpreter / VM / JIT execution frames
+  kFrame,   // interpreter / JIT execution frames
   kEvent,   // event-queue callbacks (oversized captures)
   kCount,
 };

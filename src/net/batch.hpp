@@ -25,8 +25,8 @@ class PacketBatch {
  public:
   using Box = mem::BoxPool<Packet>::Handle;
 
-  /// Hard size limit; EventQueue::set_batch_limit() may choose any value in
-  /// [1, kCapacity].
+  /// Hard size limit; EventQueue::set_default_batch_limit() may choose any
+  /// value in [1, kCapacity].
   static constexpr std::size_t kCapacity = 64;
 
   PacketBatch() = default;

@@ -59,27 +59,12 @@ EventQueue::EventQueue()
 
 EventQueue::~EventQueue() = default;
 
-void EventQueue::set_batch_limit(std::size_t n) { batch_limit_ = clamp_batch_limit(n); }
-
 void EventQueue::set_default_batch_limit(std::size_t n) {
   default_batch_limit_slot().store(clamp_batch_limit(n), std::memory_order_relaxed);
 }
 
 std::size_t EventQueue::default_batch_limit() {
   return default_batch_limit_slot().load(std::memory_order_relaxed);
-}
-
-void EventQueue::set_bucket_width_log2(unsigned w) {
-  assert(occupied_ == 0 && "bucket width can only change on an empty queue");
-  if (occupied_ != 0) return;
-  wlog_ = clamp_wlog(w);
-  // No entry is referenced anywhere (occupied_ == 0 means every slot was
-  // reclaimed, and a slot is only reclaimed when its key leaves its
-  // container), so re-basing the cursor is safe.
-  cur_b_ = now_ >> wlog_;
-  sorted_.clear();
-  spos_ = 0;
-  far_min_ = kNever;
 }
 
 void EventQueue::set_default_bucket_width_log2(unsigned w) {

@@ -48,11 +48,12 @@ using EventFn = mem::SmallFn<64>;
 ///
 /// Packet deliveries scheduled via schedule_delivery() additionally
 /// participate in BATCH DRAINING: when the head of the queue is a delivery,
-/// up to batch_limit() consecutive same-timestamp deliveries with the same
-/// (sink, key) are popped together and handed to the sink as one
-/// PacketBatch. The drain is order-preserving by construction — see the
-/// safety-rule comment on pop_some() — so any batch limit (including 1)
-/// produces byte-identical simulations.
+/// up to default_batch_limit() (as it was when the queue was constructed)
+/// consecutive same-timestamp deliveries with the same (sink, key) are
+/// popped together and handed to the sink as one PacketBatch. The drain is
+/// order-preserving by construction — see the safety-rule comment on
+/// pop_some() — so any batch limit (including 1) produces byte-identical
+/// simulations.
 class EventQueue {
  public:
   EventQueue();
@@ -123,28 +124,18 @@ class EventQueue {
   SimTime next_event_time();
 
   /// Maximum deliveries drained into one PacketBatch (clamped to
-  /// [1, PacketBatch::kCapacity]; 1 disables batching). Per-queue; new
-  /// queues start from default_batch_limit().
-  void set_batch_limit(std::size_t n);
-  std::size_t batch_limit() const { return batch_limit_; }
-
-  /// Process-wide default applied to queues constructed afterwards (the
-  /// parallel executor's shard queues inherit it too). Tests sweep this to
-  /// prove batched-vs-single equivalence.
+  /// [1, PacketBatch::kCapacity]; 1 disables batching), applied to queues
+  /// constructed afterwards (the parallel executor's shard queues inherit it
+  /// too). Tests sweep this to prove batched-vs-single equivalence.
   static void set_default_batch_limit(std::size_t n);
   static std::size_t default_batch_limit();
 
   /// log2 of the level-0 calendar bucket width in ns (clamped to [4, 20];
-  /// default 10 → 1.024 µs buckets, each wheel level 256× coarser). Purely a
-  /// performance knob: buckets partition time and drain in canonical order,
-  /// so any width produces byte-identical simulations — the determinism
-  /// sweep in tests/event_calendar_test.cpp proves it. Takes effect only
-  /// while the queue holds no entries (live or cancelled-undrained).
-  void set_bucket_width_log2(unsigned w);
-  unsigned bucket_width_log2() const { return wlog_; }
-
-  /// Process-wide default applied to queues constructed afterwards, like
-  /// set_default_batch_limit().
+  /// default 10 → 1.024 µs buckets, each wheel level 256× coarser), applied
+  /// to queues constructed afterwards. Purely a performance knob: buckets
+  /// partition time and drain in canonical order, so any width produces
+  /// byte-identical simulations — the determinism sweep in
+  /// tests/event_calendar_test.cpp proves it.
   static void set_default_bucket_width_log2(unsigned w);
   static unsigned default_bucket_width_log2();
 
@@ -230,8 +221,8 @@ class EventQueue {
   std::uint64_t seq_ = 1;         // canonical FIFO tie-break (old next_id_)
   std::size_t pending_ = 0;       // live (non-cancelled, not-yet-run) entries
   std::size_t occupied_ = 0;      // live + cancelled-but-undrained slots
-  std::size_t batch_limit_;
-  unsigned wlog_;
+  const std::size_t batch_limit_;  // the process defaults at construction
+  const unsigned wlog_;
 
   // Drain cursor: absolute level-0 bucket number currently sealed. Entries
   // landing at or before it go to the incursion heap.

@@ -449,7 +449,7 @@ class CostAnalysis {
   }
 
   /// Worst-case abstract work along any single execution path: every AST node
-  /// costs 1 (interpreter/VM step), primitives add their declared weight,
+  /// costs 1 (interpreter step), primitives add their declared weight,
   /// emissions add a fixed routing charge. Max over if-branches, sum over
   /// sequences; try conservatively pays protected part plus handler. Calls
   /// inline the callee's precomputed cost — the call graph is a DAG, so this

@@ -229,14 +229,8 @@ class Compiler {
         } else {
           emit_expr(*e.args[0]);
         }
-        const std::int32_t name_idx = constant(Value::of_string(e.name));
-        // Intern the channel id now so the VM's kSend never hashes the name.
-        if (out_.const_tags.size() < out_.consts.size()) {
-          out_.const_tags.resize(out_.consts.size(), 0);
-        }
-        out_.const_tags[static_cast<std::size_t>(name_idx)] =
-            net::ChannelTags::intern(e.name);
-        emit(Op::kSend, static_cast<std::int32_t>(e.send_kind), name_idx, -1);
+        emit(Op::kSend, static_cast<std::int32_t>(e.send_kind),
+             constant(Value::of_string(e.name)), -1);
         emit(Op::kConst, constant(Value::unit()), 0, +1);
         return;
       }
@@ -254,262 +248,5 @@ class Compiler {
 }  // namespace
 
 CompiledProgram compile(const CheckedProgram& prog) { return Compiler(prog).run(); }
-
-// --- VM ----------------------------------------------------------------------
-
-namespace {
-/// Bumps the engine's call depth for one scope; exception-safe.
-struct DepthGuard {
-  std::size_t& d;
-  explicit DepthGuard(std::size_t& depth) : d(depth) { ++d; }
-  ~DepthGuard() { --d; }
-};
-}  // namespace
-
-VmEngine::VmEngine(const CompiledProgram& prog, EnvApi& env) : prog_(prog), env_(env) {
-  globals_.reserve(prog_.global_inits.size());
-  auto& fr = arena_.at_depth(depth_);
-  DepthGuard g(depth_);
-  for (const CodeBlock& b : prog_.global_inits) {
-    fr.locals.clear();
-    fr.locals.resize(static_cast<std::size_t>(b.frame_slots));
-    globals_.push_back(run_block(b, fr));
-  }
-}
-
-Value VmEngine::init_state(int chan_idx) {
-  const CodeBlock& b = prog_.channel_inits.at(static_cast<std::size_t>(chan_idx));
-  if (b.code.empty()) {
-    return default_value(
-        prog_.source->channels.at(static_cast<std::size_t>(chan_idx))->ss_type);
-  }
-  auto& fr = arena_.at_depth(depth_);
-  DepthGuard g(depth_);
-  fr.locals.clear();
-  fr.locals.resize(static_cast<std::size_t>(b.frame_slots));
-  return run_block(b, fr);
-}
-
-Value VmEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
-                            const Value& packet) {
-  const CodeBlock& b = prog_.channel_bodies.at(static_cast<std::size_t>(chan_idx));
-  auto& fr = arena_.at_depth(depth_);
-  DepthGuard g(depth_);
-  fr.locals.clear();
-  fr.locals.resize(static_cast<std::size_t>(std::max(b.frame_slots, 3)));
-  fr.locals[0] = ps;
-  fr.locals[1] = ss;
-  fr.locals[2] = packet;
-  Value out = run_block(b, fr);
-  if (mem::poison_enabled()) {
-    const Value sentinel = Value::of_int(mem::kPoisonInt);
-    for (std::size_t d = 0; d < arena_.depth(); ++d) arena_.scribble(d, sentinel);
-  }
-  return out;
-}
-
-namespace {
-
-void run_binop(BinCode code, std::vector<Value>& stack) {
-  Value b = std::move(stack.back());
-  stack.pop_back();
-  Value a = std::move(stack.back());
-  stack.pop_back();
-  switch (code) {
-    case BinCode::kAdd: stack.push_back(Value::of_int(a.as_int() + b.as_int())); return;
-    case BinCode::kSub: stack.push_back(Value::of_int(a.as_int() - b.as_int())); return;
-    case BinCode::kMul: stack.push_back(Value::of_int(a.as_int() * b.as_int())); return;
-    case BinCode::kDiv:
-      if (b.as_int() == 0) throw PlanPException{"DivByZero"};
-      stack.push_back(Value::of_int(a.as_int() / b.as_int()));
-      return;
-    case BinCode::kMod:
-      if (b.as_int() == 0) throw PlanPException{"DivByZero"};
-      stack.push_back(Value::of_int(a.as_int() % b.as_int()));
-      return;
-    case BinCode::kEq: stack.push_back(Value::of_bool(a.equals(b))); return;
-    case BinCode::kNe: stack.push_back(Value::of_bool(!a.equals(b))); return;
-    case BinCode::kConcat:
-      stack.push_back(Value::of_string(a.as_string() + b.as_string()));
-      return;
-    default: {
-      int cmp;
-      if (const auto* s = std::get_if<std::string>(&a.rep())) {
-        cmp = s->compare(b.as_string());
-      } else if (const auto* c = std::get_if<char>(&a.rep())) {
-        cmp = *c - b.as_char();
-      } else {
-        std::int64_t x = a.as_int(), y = b.as_int();
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      bool r = code == BinCode::kLt   ? cmp < 0
-               : code == BinCode::kLe ? cmp <= 0
-               : code == BinCode::kGt ? cmp > 0
-                                      : cmp >= 0;
-      stack.push_back(Value::of_bool(r));
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-Value VmEngine::run_block(const CodeBlock& block, mem::FrameArena<Value>::Frame& fr) {
-  std::vector<Value>& locals = fr.locals;
-  std::vector<Value>& stack = fr.stack;
-  stack.clear();
-  if (stack.capacity() < static_cast<std::size_t>(block.max_stack)) {
-    mem::ScopedAllocTag tag(mem::AllocTag::kFrame);
-    stack.reserve(static_cast<std::size_t>(block.max_stack));
-  }
-  struct TryFrame {
-    std::int32_t handler_pc;
-    std::size_t stack_depth;
-  };
-  std::vector<TryFrame> tries;
-  std::size_t pc = 0;
-
-  for (;;) {
-    try {
-      for (;;) {
-        const Instr& in = block.code[pc];
-        ++pc;
-        switch (in.op) {
-          case Op::kConst:
-            stack.push_back(prog_.consts[static_cast<std::size_t>(in.a)]);
-            break;
-          case Op::kLoadLocal:
-            stack.push_back(locals[static_cast<std::size_t>(in.a)]);
-            break;
-          case Op::kStoreLocal:
-            locals[static_cast<std::size_t>(in.a)] = std::move(stack.back());
-            stack.pop_back();
-            break;
-          case Op::kLoadGlobal:
-            stack.push_back(globals_[static_cast<std::size_t>(in.a)]);
-            break;
-          case Op::kJump:
-            pc = static_cast<std::size_t>(in.a);
-            break;
-          case Op::kJumpIfFalse: {
-            bool c = stack.back().as_bool();
-            stack.pop_back();
-            if (!c) pc = static_cast<std::size_t>(in.a);
-            break;
-          }
-          case Op::kJumpIfTrue: {
-            bool c = stack.back().as_bool();
-            stack.pop_back();
-            if (c) pc = static_cast<std::size_t>(in.a);
-            break;
-          }
-          case Op::kPop:
-            stack.pop_back();
-            break;
-          case Op::kDup:
-            stack.push_back(stack.back());
-            break;
-          case Op::kMakeTuple: {
-            std::size_t n = static_cast<std::size_t>(in.a);
-            if (n == 2) {
-              // Scalar pairs go inline in the Value; others use pooled rep.
-              Value second = std::move(stack.back());
-              stack.pop_back();
-              Value first = std::move(stack.back());
-              stack.pop_back();
-              stack.push_back(Value::of_pair(std::move(first), std::move(second)));
-            } else {
-              TupleRep t = Value::make_tuple_storage(n);
-              t->assign(std::make_move_iterator(stack.end() - static_cast<std::ptrdiff_t>(n)),
-                        std::make_move_iterator(stack.end()));
-              stack.resize(stack.size() - n);
-              stack.push_back(Value::of_tuple_rep(std::move(t)));
-            }
-            break;
-          }
-          case Op::kProj: {
-            Value t = std::move(stack.back());
-            stack.pop_back();
-            stack.push_back(t.tuple_at(static_cast<std::size_t>(in.a)));
-            break;
-          }
-          case Op::kCallPrim: {
-            std::size_t n = static_cast<std::size_t>(in.b);
-            // Arguments are staged into the callee arena frame's args vector
-            // (warm capacity, no allocation); depth is bumped in case the
-            // primitive re-enters the engine.
-            auto& callee = arena_.at_depth(depth_);
-            DepthGuard g(depth_);
-            callee.args.assign(
-                std::make_move_iterator(stack.end() - static_cast<std::ptrdiff_t>(n)),
-                std::make_move_iterator(stack.end()));
-            stack.resize(stack.size() - n);
-            stack.push_back(Primitives::instance().at(in.a).fn(env_, callee.args));
-            break;
-          }
-          case Op::kCallFun: {
-            std::size_t n = static_cast<std::size_t>(in.b);
-            const CodeBlock& fb = prog_.functions[static_cast<std::size_t>(in.a)];
-            auto& callee = arena_.at_depth(depth_);
-            DepthGuard g(depth_);
-            callee.locals.clear();
-            callee.locals.resize(
-                static_cast<std::size_t>(std::max<int>(fb.frame_slots,
-                                                       static_cast<int>(n))));
-            for (std::size_t i = 0; i < n; ++i) {
-              callee.locals[n - 1 - i] = std::move(stack.back());
-              stack.pop_back();
-            }
-            stack.push_back(run_block(fb, callee));
-            break;
-          }
-          case Op::kBinOp:
-            run_binop(static_cast<BinCode>(in.a), stack);
-            break;
-          case Op::kNot: {
-            bool v = stack.back().as_bool();
-            stack.back() = Value::of_bool(!v);
-            break;
-          }
-          case Op::kNeg: {
-            std::int64_t v = stack.back().as_int();
-            stack.back() = Value::of_int(-v);
-            break;
-          }
-          case Op::kRaise:
-            throw PlanPException{
-                prog_.consts[static_cast<std::size_t>(in.a)].as_string()};
-          case Op::kTryPush:
-            tries.push_back(TryFrame{in.a, stack.size()});
-            break;
-          case Op::kTryPop:
-            tries.pop_back();
-            break;
-          case Op::kSend: {
-            Value pkt = std::move(stack.back());
-            stack.pop_back();
-            const std::uint32_t tag =
-                prog_.const_tags[static_cast<std::size_t>(in.b)];
-            switch (static_cast<SendKind>(in.a)) {
-              case SendKind::kOnRemote: env_.on_remote(tag, pkt); break;
-              case SendKind::kOnNeighbor: env_.on_neighbor(tag, pkt); break;
-              case SendKind::kDeliver: env_.deliver(pkt); break;
-              case SendKind::kDrop: env_.drop(); break;
-            }
-            break;
-          }
-          case Op::kReturn:
-            return std::move(stack.back());
-        }
-      }
-    } catch (const PlanPException&) {
-      if (tries.empty()) throw;
-      TryFrame t = tries.back();
-      tries.pop_back();
-      stack.resize(t.stack_depth);
-      pc = static_cast<std::size_t>(t.handler_pc);
-    }
-  }
-}
 
 }  // namespace asp::planp

@@ -1,16 +1,16 @@
-// AST -> bytecode compiler and the plain bytecode VM.
+// AST -> bytecode compiler: the front end of the run-time specializer.
 //
-// The bytecode is the intermediate form the run-time specializer (jit.hpp)
-// consumes. The VM here uses portable switch dispatch and exists both as a
-// middle performance point and as a semantics cross-check for the JIT.
+// The bytecode is the intermediate form the JIT (jit.hpp) consumes. Nothing
+// executes it directly; the interpreter (interp.hpp) remains the reference
+// semantics both engines are checked against.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "planp/interp.hpp"
 #include "planp/typecheck.hpp"
+#include "planp/value.hpp"
 
 namespace asp::planp {
 
@@ -58,11 +58,6 @@ struct CodeBlock {
 struct CompiledProgram {
   const CheckedProgram* source = nullptr;
   std::vector<Value> consts;
-  /// Interned net::ChannelTags ids, parallel to `consts`: const_tags[b] is
-  /// the tag of the channel name consts[b] names, filled at kSend emission.
-  /// The VM sends by integer id, so the packet path never hashes a name
-  /// (the JIT goes one step further and patches the id into the template).
-  std::vector<std::uint32_t> const_tags;
   std::vector<CodeBlock> global_inits;    // one per top-level val
   std::vector<CodeBlock> functions;       // per user function
   std::vector<CodeBlock> channel_bodies;  // per channel
@@ -73,30 +68,5 @@ struct CompiledProgram {
 
 /// Compiles a checked program. Pure; no EnvApi needed.
 CompiledProgram compile(const CheckedProgram& prog);
-
-/// Switch-dispatch bytecode VM.
-class VmEngine : public Engine {
- public:
-  /// Runs the global initializers immediately.
-  VmEngine(const CompiledProgram& prog, EnvApi& env);
-
-  Value init_state(int chan_idx) override;
-  Value run_channel(int chan_idx, const Value& ps, const Value& ss,
-                    const Value& packet) override;
-  const CheckedProgram& program() const override { return *prog_.source; }
-  const char* engine_name() const override { return "bytecode"; }
-
- private:
-  /// Executes `block` in arena frame `fr`: fr.locals must be prepared by the
-  /// caller; fr.stack is the operand stack (cleared here). Frames come from
-  /// the depth-indexed arena, so steady-state calls allocate nothing.
-  Value run_block(const CodeBlock& block, mem::FrameArena<Value>::Frame& fr);
-
-  const CompiledProgram& prog_;
-  EnvApi& env_;
-  std::vector<Value> globals_;
-  mem::FrameArena<Value> arena_;
-  std::size_t depth_ = 0;
-};
 
 }  // namespace asp::planp

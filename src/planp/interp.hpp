@@ -2,9 +2,8 @@
 //
 // `Engine` is the common interface: given a channel and the current states,
 // process one packet and return the (protocol state, channel state) pair.
-// Three implementations exist, mirroring the paper's architecture:
+// Two implementations exist, mirroring the paper's architecture:
 //   * Interp (this header)        — portable AST interpreter,
-//   * VmEngine (compile.hpp)      — bytecode VM, the compilation IR,
 //   * JitEngine (jit.hpp)         — run-time-specialized threaded code,
 //                                    the analog of the Tempo-generated JIT.
 #pragma once

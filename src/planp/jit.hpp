@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "planp/compile.hpp"
+#include "planp/interp.hpp"
 
 namespace asp::planp {
 

@@ -55,9 +55,9 @@ class EnvApi {
   virtual void deliver(const Value& packet) = 0;
   virtual void drop() = 0;
 
-  // Interned-id sends: the compiled engines (VM, JIT) resolve the channel
-  // name to a net::ChannelTags id once at compile/specialization time and
-  // emit through these, so the per-packet path never hashes a std::string.
+  // Interned-id sends: the JIT resolves the channel name to a
+  // net::ChannelTags id once at specialization time and emits through
+  // these, so the per-packet path never hashes a std::string.
   // The defaults round-trip through the string API for environments that
   // only implement that (tests, NullEnv); the ASP runtime overrides them.
   virtual void on_remote(std::uint32_t chan_tag, const Value& packet) {

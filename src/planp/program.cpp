@@ -61,10 +61,6 @@ std::unique_ptr<Protocol> Protocol::load(const std::string& source, EnvApi& env,
     case EngineKind::kInterp:
       proto->engine_ = std::make_unique<Interp>(proto->checked_, env);
       break;
-    case EngineKind::kBytecode:
-      proto->compiled_ = compile(proto->checked_);
-      proto->engine_ = std::make_unique<VmEngine>(proto->compiled_, env);
-      break;
     case EngineKind::kJit:
       proto->compiled_ = compile(proto->checked_);
       proto->engine_ = std::make_unique<JitEngine>(proto->compiled_, env);

@@ -13,7 +13,7 @@
 
 namespace asp::planp {
 
-enum class EngineKind { kInterp, kBytecode, kJit };
+enum class EngineKind { kInterp, kJit };
 
 /// Thrown when the verification gate rejects a program (paper §2.1: programs
 /// "should be analyzed and rejected if they cannot be shown to terminate or

@@ -37,6 +37,14 @@ std::uint64_t install_key(std::string_view body, planp::EngineKind engine,
   return h;
 }
 
+/// Parses all of `field` as an unsigned number. `istream >> std::size_t`
+/// would accept "-1" as 2^64-1 without setting failbit.
+template <typename T>
+bool parse_unsigned(std::string_view field, T& out, int base) {
+  auto [ptr, ec] = std::from_chars(field.data(), field.data() + field.size(), out, base);
+  return ec == std::errc() && ptr == field.data() + field.size();
+}
+
 }  // namespace
 
 DeployServer::DeployServer(AspRuntime& runtime, std::uint16_t port)
@@ -79,10 +87,9 @@ void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
     auto eol = s->buffer.find('\n');
     if (eol == std::string::npos) return;
     std::istringstream in(s->buffer.substr(0, eol));
-    std::string cmd, engine, sum;
+    std::string cmd, engine, len_field, sum;
     int auth = 0;
-    std::size_t len = 0;
-    in >> cmd >> engine >> auth >> len >> sum;
+    in >> cmd >> engine >> auth >> len_field >> sum;
     s->buffer.erase(0, eol + 1);
     if (cmd.rfind("DEPLOY", 0) != 0) {
       s->done = true;
@@ -96,15 +103,14 @@ void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
       reject(conn, std::string("bad-version expected ") + kDeployHeaderTag);
       return;
     }
-    if (in.fail()) {
+    std::size_t len = 0;
+    if (in.fail() || !parse_unsigned(len_field, len, 10)) {
       s->done = true;
       reject(conn, "malformed header");
       return;
     }
     if (engine == "interp") {
       s->engine = planp::EngineKind::kInterp;
-    } else if (engine == "bytecode") {
-      s->engine = planp::EngineKind::kBytecode;
     } else if (engine == "jit") {
       s->engine = planp::EngineKind::kJit;
     } else {
@@ -115,9 +121,7 @@ void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
       return;
     }
     std::uint64_t checksum = 0;
-    auto [ptr, ec] =
-        std::from_chars(sum.data(), sum.data() + sum.size(), checksum, 16);
-    if (ec != std::errc() || ptr != sum.data() + sum.size()) {
+    if (!parse_unsigned(sum, checksum, 16)) {
       s->done = true;
       reject(conn, "malformed header");
       return;
@@ -318,9 +322,7 @@ void start_attempt(const std::shared_ptr<DeployJob>& job) {
 
 void Deployer::deploy(asp::net::Ipv4Addr target, const std::string& source,
                       Callback cb, Options opts) {
-  const char* engine = opts.engine == planp::EngineKind::kInterp     ? "interp"
-                       : opts.engine == planp::EngineKind::kBytecode ? "bytecode"
-                                                                     : "jit";
+  const char* engine = opts.engine == planp::EngineKind::kInterp ? "interp" : "jit";
   auto job = std::make_shared<DeployJob>();
   job->node = &node_;
   job->target = target;

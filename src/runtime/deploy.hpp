@@ -8,15 +8,17 @@
 //
 // Wire format, version 1 (client -> server):
 //   "DEPLOY/1 <engine> <auth> <source-bytes> <fnv64-hex>\n" followed by the
-// source text. The trailing header field is an FNV-1a 64 checksum of the
+// source text, where <engine> is "interp" or "jit" and <source-bytes> is an
+// unsigned decimal. The trailing header field is an FNV-1a 64 checksum of the
 // body: our simulated TCP carries no checksum of its own, so an in-flight
 // bit flip would otherwise hand the verifier a silently different program.
 // Reply:
 //   "OK <channels> <codegen-us>\n"  or  "ERR <reason>\n".
 // A header carrying any other version token draws "ERR bad-version expected
-// DEPLOY/1"; an unknown engine token draws "ERR bad-engine <token>"; a body
-// that fails its checksum draws "ERR bad-checksum" — old/new/corrupted
-// stations fail loudly instead of misparsing.
+// DEPLOY/1"; an unknown engine token draws "ERR bad-engine <token>"; a
+// length or checksum field that is not wholly a number draws "ERR malformed
+// header"; a body that fails its checksum draws "ERR bad-checksum" —
+// old/new/corrupted stations fail loudly instead of misparsing.
 //
 // Reliability: the network between station and daemon is exactly the
 // degraded network ASPs exist for, so the client side retries. Each attempt

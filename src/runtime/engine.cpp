@@ -165,7 +165,7 @@ bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
       taken = true;
     }
     // Wall-clock handler cost (the engine runs in zero sim-time): this is
-    // where interp vs bytecode vs JIT shows up per packet.
+    // where interp vs JIT shows up per packet.
     if (timed) {
       m_handle_us_->observe(std::chrono::duration<double, std::micro>(
                                 std::chrono::steady_clock::now() - t0)

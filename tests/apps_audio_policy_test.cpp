@@ -19,7 +19,7 @@ TEST(AudioPolicy, HysteresisAspPassesAllAnalyses) {
 
 TEST(AudioPolicy, BothPoliciesDegradeUnderLargeLoad) {
   for (AudioPolicy policy : {AudioPolicy::kThreshold, AudioPolicy::kHysteresis}) {
-    AudioExperiment exp(true, planp::EngineKind::kJit, policy);
+    AudioExperiment exp(true, policy);
     auto r = exp.run(15.0, {{0.0, 0.0}, {5.0, 9.7e6}});
     EXPECT_EQ(r.series.back().level, 2) << "policy " << static_cast<int>(policy);
   }
@@ -29,9 +29,9 @@ TEST(AudioPolicy, HysteresisSuppressesMediumLoadOscillation) {
   // The threshold policy flaps when the load straddles the 85% threshold;
   // the hysteresis policy holds the degraded level until the segment calms.
   std::vector<LoadStep> schedule{{0.0, 0.0}, {5.0, 8.35e6}};
-  AudioExperiment threshold(true, planp::EngineKind::kJit, AudioPolicy::kThreshold);
+  AudioExperiment threshold(true, AudioPolicy::kThreshold);
   auto r_thresh = threshold.run(60.0, schedule);
-  AudioExperiment hysteresis(true, planp::EngineKind::kJit, AudioPolicy::kHysteresis);
+  AudioExperiment hysteresis(true, AudioPolicy::kHysteresis);
   auto r_hyst = hysteresis.run(60.0, schedule);
 
   EXPECT_GT(r_thresh.level_switches, 50) << "threshold policy should oscillate";
@@ -40,7 +40,7 @@ TEST(AudioPolicy, HysteresisSuppressesMediumLoadOscillation) {
 }
 
 TEST(AudioPolicy, HysteresisRecoversAfterLoadClears) {
-  AudioExperiment exp(true, planp::EngineKind::kJit, AudioPolicy::kHysteresis);
+  AudioExperiment exp(true, AudioPolicy::kHysteresis);
   auto r = exp.run(30.0, {{0.0, 0.0}, {5.0, 9.7e6}, {15.0, 0.0}});
   // After the load clears at t=15 and the hold period expires, full quality
   // returns.

@@ -199,8 +199,8 @@ asp::net::PacketBatch::Box boxed(std::uint8_t marker) {
 }
 
 TEST(BatchEquivalence, DrainGroupsSameSinkKeyAndTime) {
+  ScopedBatchLimit limit(32);
   EventQueue q;
-  q.set_batch_limit(32);
   RecordingSink sink;
   for (std::uint8_t m = 0; m < 5; ++m) {
     q.schedule_delivery(/*t=*/100, /*sched=*/0, /*rank=*/m, sink, /*key=*/7,
@@ -213,8 +213,8 @@ TEST(BatchEquivalence, DrainGroupsSameSinkKeyAndTime) {
 }
 
 TEST(BatchEquivalence, DrainSplitsOnKeyTimeAndLimit) {
+  ScopedBatchLimit limit(2);
   EventQueue q;
-  q.set_batch_limit(2);
   RecordingSink sink;
   // Same (sink, key, t): limit 2 splits 3 deliveries into batches of 2 + 1.
   for (std::uint8_t m = 0; m < 3; ++m) {

@@ -147,19 +147,6 @@ TEST(EventCalendar, IncursionSchedulingStaysOrdered) {
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
 }
 
-TEST(EventCalendar, WidthChangeOnEmptyQueueKeepsOrdering) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(5'000, [&] { order.push_back(0); });
-  q.run();
-  q.set_bucket_width_log2(6);
-  EXPECT_EQ(q.bucket_width_log2(), 6u);
-  q.schedule_at(6'000, [&] { order.push_back(1); });
-  q.schedule_at(5'500, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
-}
-
 }  // namespace
 }  // namespace asp::net
 

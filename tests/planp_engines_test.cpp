@@ -1,8 +1,8 @@
 // Cross-engine semantics: the interpreter is the reference implementation;
-// the bytecode VM and the run-time-specialized JIT must agree with it on
-// results, state updates, emitted packets and raised exceptions. This mirrors
-// the paper's claim that the JIT is *derived from* the interpreter and
-// preserves its semantics.
+// the run-time-specialized JIT, with and without superinstruction fusion,
+// must agree with it on results, state updates, emitted packets and raised
+// exceptions. This mirrors the paper's claim that the JIT is *derived from*
+// the interpreter and preserves its semantics.
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
@@ -14,13 +14,13 @@
 namespace asp::planp {
 namespace {
 
-enum class Which { kInterp, kVm, kJit };
+enum class Which { kInterp, kJitNoFuse, kJit };
 
 std::string which_name(Which w) {
   switch (w) {
     case Which::kInterp: return "interp";
-    case Which::kVm: return "vm";
     case Which::kJit: return "jit";
+    case Which::kJitNoFuse: return "jit_nofuse";
   }
   return "?";
 }
@@ -40,13 +40,11 @@ Loaded load(const std::string& src, Which w) {
     case Which::kInterp:
       l.engine = std::make_unique<Interp>(l.checked, *l.env);
       break;
-    case Which::kVm:
-      l.compiled = compile(l.checked);
-      l.engine = std::make_unique<VmEngine>(l.compiled, *l.env);
-      break;
     case Which::kJit:
+    case Which::kJitNoFuse:
       l.compiled = compile(l.checked);
-      l.engine = std::make_unique<JitEngine>(l.compiled, *l.env);
+      l.engine = std::make_unique<JitEngine>(l.compiled, *l.env,
+                                             /*fuse=*/w == Which::kJit);
       break;
   }
   return l;
@@ -225,14 +223,16 @@ channel c(ps : unit, ss : unit, p : ip*tcp*char*int) is
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite,
-                         ::testing::Values(Which::kInterp, Which::kVm, Which::kJit),
+                         ::testing::Values(Which::kInterp, Which::kJit,
+                                           Which::kJitNoFuse),
                          [](const ::testing::TestParamInfo<Which>& info) {
                            return which_name(info.param);
                          });
 
 // ---------------------------------------------------------------------------
-// Exhaustive differential sweep: many small expressions, three engines, one
-// packet matrix — results must be bit-identical across engines.
+// Exhaustive differential sweep: many small expressions, the interpreter and
+// the JIT with and without fusion, one packet matrix — results must be
+// bit-identical across engines.
 // ---------------------------------------------------------------------------
 
 class DifferentialSweep : public ::testing::TestWithParam<const char*> {};
@@ -245,7 +245,7 @@ TEST_P(DifferentialSweep, EnginesAgree) {
 
   std::vector<Value> results;
   std::vector<std::string> outputs;
-  for (Which w : {Which::kInterp, Which::kVm, Which::kJit}) {
+  for (Which w : {Which::kInterp, Which::kJit, Which::kJitNoFuse}) {
     Loaded l = load(src, w);
     Value acc = Value::of_int(0);
     for (int ps = -3; ps <= 3; ++ps) {
@@ -258,9 +258,9 @@ TEST_P(DifferentialSweep, EnginesAgree) {
     outputs.push_back(l.env->output);
   }
   EXPECT_TRUE(results[0].equals(results[1]))
-      << "interp=" << results[0].str() << " vm=" << results[1].str();
+      << "interp=" << results[0].str() << " jit=" << results[1].str();
   EXPECT_TRUE(results[0].equals(results[2]))
-      << "interp=" << results[0].str() << " jit=" << results[2].str();
+      << "interp=" << results[0].str() << " jit_nofuse=" << results[2].str();
   EXPECT_EQ(outputs[0], outputs[1]);
   EXPECT_EQ(outputs[0], outputs[2]);
 }

@@ -167,22 +167,25 @@ TEST(DeployChaos, CorruptBodyIsRejectedByChecksum) {
 
 TEST(DeployChaos, UnknownEngineTokenIsRefused) {
   // A typo'd engine used to fall through silently to the JIT; now it is a
-  // loud wire error.
-  ChaosRig rig;
-  std::string body = "foo";
-  std::string reply;
-  auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
-  conn->on_established([&] {
-    conn->send("DEPLOY/1 jitt 0 3 " + hex64(deploy_checksum(body)) + "\n" + body);
-  });
-  conn->on_data([&](const std::vector<std::uint8_t>& d) {
-    reply.append(d.begin(), d.end());
-  });
-  rig.net.run_until(rig.net.now() + seconds(2));
+  // loud wire error. "bytecode" named an engine that no longer exists.
+  for (const std::string token : {"jitt", "bytecode"}) {
+    ChaosRig rig;
+    std::string body = "foo";
+    std::string reply;
+    auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
+    conn->on_established([&] {
+      conn->send("DEPLOY/1 " + token + " 0 3 " + hex64(deploy_checksum(body)) + "\n" +
+                 body);
+    });
+    conn->on_data([&](const std::vector<std::uint8_t>& d) {
+      reply.append(d.begin(), d.end());
+    });
+    rig.net.run_until(rig.net.now() + seconds(2));
 
-  EXPECT_EQ(reply.rfind("ERR bad-engine jitt", 0), 0u) << reply;
-  EXPECT_FALSE(rig.rt->installed());
-  EXPECT_EQ(rig.server->rejections(), 1);
+    EXPECT_EQ(reply.rfind("ERR bad-engine " + token, 0), 0u) << reply;
+    EXPECT_FALSE(rig.rt->installed());
+    EXPECT_EQ(rig.server->rejections(), 1);
+  }
 }
 
 TEST(DeployChaos, FragmentedDeployWithTrailingBytesInstallsOnce) {

@@ -157,6 +157,25 @@ TEST(Deploy, WrongWireVersionIsRefused) {
   EXPECT_NE(parsed.error.find("bad-version"), std::string::npos);
 }
 
+TEST(Deploy, SignedSourceLengthIsRefused) {
+  // `istream >> std::size_t` reads "-1" as 2^64-1 without failing, so the
+  // daemon once accepted this header and then buffered every later byte
+  // waiting for a body that never ends. The length must be refused up front.
+  DeployRig rig;
+  std::string reply;
+  auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
+  conn->on_established([&] {
+    conn->send(std::string("DEPLOY/1 jit 0 -1 0123456789abcdef\nfoo"));
+  });
+  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+    reply.append(d.begin(), d.end());
+  });
+  rig.net.run_until(rig.net.now() + seconds(2));
+  EXPECT_EQ(reply.rfind("ERR malformed header", 0), 0u) << reply;
+  EXPECT_FALSE(rig.rt->installed());
+  EXPECT_EQ(rig.server->rejections(), 1);
+}
+
 TEST(Deploy, UnversionedLegacyHeaderIsRefused) {
   DeployRig rig;
   std::string reply;

@@ -269,9 +269,7 @@ TEST(AspRuntime, UninstallRestoresDefaultBehaviour) {
 }
 
 TEST(AspRuntime, EngineChoiceDoesNotChangeBehaviour) {
-  for (planp::EngineKind kind :
-       {planp::EngineKind::kInterp, planp::EngineKind::kBytecode,
-        planp::EngineKind::kJit}) {
+  for (planp::EngineKind kind : {planp::EngineKind::kInterp, planp::EngineKind::kJit}) {
     Network net;
     Node& a = net.add_node("a");
     Node& b = net.add_node("b");
