@@ -14,10 +14,9 @@ void Interface::transmit(const Packet& p) {
   medium_->transmit(*this, p);
 }
 
-void Interface::note_tx(SimTime now, std::size_t bytes) {
+void Interface::note_tx(std::size_t bytes) {
   tx_bytes_ += bytes;
   ++tx_packets_;
-  tx_meter_.record(now, bytes);
   if (node_ != nullptr) node_->note_tx_metrics(bytes);
 }
 
@@ -148,7 +147,7 @@ void PointToPointLink::transmit(Interface& from, Packet p) {
   }
   busy_until_[dir] = start + serialize;
   std::size_t bytes = p.wire_size();
-  from.note_tx(now, bytes);
+  from.note_tx(bytes);
   dir_meter_[dir].record(now, bytes);
   // A lost frame still occupied the wire and counted toward the tx meters:
   // the sender offered the load whether or not it arrived.
@@ -230,7 +229,7 @@ void EthernetSegment::transmit(Interface& from, Packet p) {
   }
   busy_until_ = start + serialize;
   std::size_t bytes = p.wire_size();
-  from.note_tx(now, bytes);
+  from.note_tx(bytes);
   meter_.record(now, bytes);
   FramePlan plan = plan_frame();
   if (plan.lost) {

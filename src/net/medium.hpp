@@ -63,11 +63,10 @@ class Interface {
   void transmit(Packet&& p);
   void transmit(const Packet& p);
 
-  /// Egress bandwidth accounting (bytes handed to the medium, pre-drop).
-  BandwidthMeter& tx_meter() { return tx_meter_; }
+  /// Egress accounting (bytes handed to the medium, pre-drop).
   std::uint64_t tx_bytes() const { return tx_bytes_; }
   std::uint64_t tx_packets() const { return tx_packets_; }
-  void note_tx(SimTime now, std::size_t bytes);  // defined in medium.cpp (needs Node)
+  void note_tx(std::size_t bytes);  // defined in medium.cpp (needs Node)
 
   /// Attachment slot on the owning medium (set by the medium at attach time).
   /// Media use it as the batch-drain `key` identifying the sender, so two
@@ -83,7 +82,6 @@ class Interface {
   Ipv4Addr addr_;
   bool promiscuous_ = false;
   bool gateway_ = false;
-  BandwidthMeter tx_meter_{kNsPerSec / 2};
   std::uint64_t tx_bytes_ = 0;
   std::uint64_t tx_packets_ = 0;
 };
