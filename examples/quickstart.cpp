@@ -37,7 +37,7 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
   // 3. Download the ASP into the router. install() runs the whole pipeline
   //    and throws if the program fails type checking or the safety gate.
   runtime::AspRuntime rt(router);
-  planp::Protocol& proto = rt.install(source);
+  const planp::Protocol& proto = rt.install(source);
   const planp::AnalysisReport& report = proto.report();
   std::printf("verification: termination=%s delivery=%s duplication=%s (%d states)\n",
               report.global_termination ? "proved" : "unproved",

@@ -1,7 +1,6 @@
 #include "planp/cache.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "planp/primitives.hpp"
@@ -17,29 +16,22 @@ CacheStore::CacheStore(std::string metric_prefix) {
     m_evictions_ = &reg.counter(metric_prefix + "/evictions");
     m_expired_ = &reg.counter(metric_prefix + "/expired");
   }
-  configure(64, 0);  // small default; ASPs call cacheConfigure in initstate
 }
 
 void CacheStore::configure(std::size_t max_entries, std::int64_t ttl_ms) {
-  max_entries = std::clamp<std::size_t>(max_entries, 1, kMaxEntries);
+  capacity_ = std::clamp<std::size_t>(max_entries, 1, kMaxEntries);
   ttl_ms_ = ttl_ms;
-  slots_.assign(max_entries, Entry{});
-  free_.clear();
-  free_.reserve(max_entries);
-  for (std::size_t i = max_entries; i-- > 0;) {
-    free_.push_back(static_cast<std::uint32_t>(i));
-  }
-  // Probe table at most half full: power of two >= 2 * capacity.
-  std::size_t buckets = std::bit_ceil(std::max<std::size_t>(4, max_entries * 2));
-  index_.assign(buckets, kNil);
-  index_mask_ = buckets - 1;
+  // Release the tables (and every body they hold); new_slot rebuilds them as
+  // entries arrive.
+  std::vector<Entry>().swap(slots_);
+  std::vector<std::uint32_t>().swap(free_);
+  std::vector<std::uint32_t>().swap(index_);
+  index_mask_ = 0;
   lru_head_ = lru_tail_ = kNil;
   live_ = 0;
 }
 
-void CacheStore::clear() {
-  configure(slots_.empty() ? 1 : slots_.size(), ttl_ms_);
-}
+void CacheStore::clear() { configure(capacity_, ttl_ms_); }
 
 std::uint64_t CacheStore::fnv1a(const void* bytes, std::size_t len,
                                 std::uint64_t seed) {
@@ -80,12 +72,36 @@ std::uint64_t CacheStore::key_of(std::uint64_t object_id,
 }
 
 std::uint32_t CacheStore::find_slot(std::uint64_t key) const {
+  if (index_.empty()) return kNil;  // nothing filled since configure
   std::size_t i = key & index_mask_;
   while (index_[i] != kNil) {
     if (slots_[index_[i]].key == key) return index_[i];
     i = (i + 1) & index_mask_;
   }
   return kNil;
+}
+
+std::uint32_t CacheStore::new_slot() {
+  // The slot array doubles (from 16), never past capacity_; free_ is sized
+  // with it so that evictions never allocate.
+  if (slots_.size() == slots_.capacity()) {
+    const std::size_t n =
+        std::min(capacity_, std::max<std::size_t>(16, 2 * slots_.size()));
+    slots_.reserve(n);
+    free_.reserve(n);
+  }
+  slots_.emplace_back();
+  // Keep the probe index at most half full: double it and reinsert every
+  // resident entry (free slots are not indexed).
+  if (index_.size() < 2 * slots_.size()) {
+    std::vector<std::uint32_t> old(std::max<std::size_t>(32, 2 * index_.size()), kNil);
+    old.swap(index_);
+    index_mask_ = index_.size() - 1;
+    for (std::uint32_t slot : old) {
+      if (slot != kNil) index_insert(slots_[slot].key, slot);
+    }
+  }
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void CacheStore::index_insert(std::uint64_t key, std::uint32_t slot) {
@@ -179,7 +195,7 @@ void CacheStore::store(std::uint64_t key, net::Buffer body, std::int64_t now_ms)
     lru_unlink(slot);
     lru_push_front(slot);
   } else {
-    if (free_.empty()) {
+    if (free_.empty() && slots_.size() == capacity_) {
       // Full: reclaim the LRU tail. A stale tail is an expiry, not a
       // capacity eviction — don't charge the working set for dead entries.
       bool stale = !fresh(slots_[lru_tail_], now_ms);
@@ -192,8 +208,12 @@ void CacheStore::store(std::uint64_t key, net::Buffer body, std::int64_t now_ms)
         if (m_evictions_ != nullptr) m_evictions_->inc();
       }
     }
-    slot = free_.back();
-    free_.pop_back();
+    if (free_.empty()) {
+      slot = new_slot();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
     slots_[slot] = Entry{key, expire, std::move(body), kNil, kNil};
     index_insert(key, slot);
     lru_push_front(slot);

@@ -7,11 +7,15 @@
 // integer keys and blob bodies. One store per runtime (per node), so state is
 // shard-confined like the node itself and sharded runs stay deterministic.
 //
-// Memory discipline: all steady-state structures (slot array, probe index,
-// LRU links) are sized once by configure(); bodies are pooled net::Buffer
-// references, so a fill retains the packet's payload buffer and an eviction
-// returns it to the shard-local buffer pool (src/mem) — no allocator traffic
-// per operation, preserving the 0-alloc/packet budget and `spills==0`.
+// Memory discipline: configure() only records the capacity. The slot array
+// and the probe index grow by doubling with the number of entries held, up
+// to that capacity, so a router that holds 50 objects of a 4,096-entry cache
+// pays for about 64. The allocator is called only when a table grows; once
+// a table stops growing, hits, fills, refills and evictions allocate
+// nothing. Bodies are pooled net::Buffer references, so a fill retains the
+// packet's payload buffer and an eviction returns it to the shard-local
+// buffer pool (src/mem), preserving the 0-alloc/packet budget and
+// `spills==0`.
 #pragma once
 
 #include <cstdint>
@@ -34,36 +38,46 @@ class CacheStore {
   };
 
   /// `metric_prefix` names the obs mirror ("cache/<node>"); empty = counters
-  /// kept locally only (tests, NullEnv).
+  /// kept locally only (tests, NullEnv). The store starts configured for
+  /// kDefaultEntries entries that never expire; no table is built yet.
   explicit CacheStore(std::string metric_prefix = "");
 
-  /// Sizes the store: at most `max_entries` resident objects, each fresh for
-  /// `ttl_ms` after its fill (ttl_ms <= 0: never expires). Reconfiguring
-  /// clears residency but keeps counters. Entry count is clamped to
-  /// [1, kMaxEntries] — the verifier's cost bound assumes O(1) operations,
-  /// so the probe table must stay small enough to build at install time.
+  /// Sets the store's limits: at most `max_entries` resident objects, each
+  /// fresh for `ttl_ms` after its fill (ttl_ms <= 0: never expires).
+  /// Reconfiguring clears residency and releases the tables but keeps
+  /// counters. Entry count is clamped to [1, kMaxEntries] — the verifier's
+  /// cost bound assumes O(1) operations, so the probe table must stay small.
   void configure(std::size_t max_entries, std::int64_t ttl_ms);
 
   /// The body filled under `key` if present and fresh at `now_ms`, else
   /// nullptr. A hit promotes the entry to most-recently-used; a stale entry
-  /// counts as `expired` (and is dropped), not as a plain miss.
+  /// counts as `expired` (and is dropped), not as a plain miss. The pointer
+  /// stays valid until the next store() or configure() (a fill may grow, and
+  /// so move, the slot array).
   const net::Buffer* lookup(std::uint64_t key, std::int64_t now_ms);
 
-  /// Fills `key` with `body` (refcounted alias, no copy), evicting the
-  /// least-recently-used entry if the store is full. Refilling an existing
-  /// key replaces the body and refreshes its TTL.
+  /// Fills `key` with `body` (refcounted alias, no copy). A new key takes a
+  /// slot freed earlier (by an entry lookup() found expired) if there is one,
+  /// else a new slot while fewer than capacity() exist; only a store at
+  /// capacity evicts, taking the least-recently-used entry. Refilling an
+  /// existing key replaces the body and refreshes its TTL.
   void store(std::uint64_t key, net::Buffer body, std::int64_t now_ms);
 
   /// Freshness probe without LRU promotion or hit/miss accounting.
   bool contains(std::uint64_t key, std::int64_t now_ms) const;
 
   std::size_t size() const { return live_; }
-  std::size_t capacity() const { return slots_.size(); }
+  /// The configured entry limit, whether or not the tables have grown to it.
+  std::size_t capacity() const { return capacity_; }
+  /// Slots built so far: at least size(), at most capacity().
+  std::size_t slots() const { return slots_.size(); }
   const Stats& stats() const { return stats_; }
   void clear();
 
-  /// Hard ceiling on configure()'s entry count (keeps install-time setup and
-  /// the per-op cost the verifier assumes honest).
+  /// Entry limit of a store no ASP has configured (cacheConfigure).
+  static constexpr std::size_t kDefaultEntries = 64;
+  /// Hard ceiling on configure()'s entry count (keeps the per-op cost the
+  /// verifier assumes honest).
   static constexpr std::size_t kMaxEntries = 1 << 20;
 
   // --- cache-key hashing (FNV-1a, same constants as the topology digest) ----
@@ -87,6 +101,7 @@ class CacheStore {
   };
 
   std::uint32_t find_slot(std::uint64_t key) const;  // kNil if absent
+  std::uint32_t new_slot();  // appends a slot, growing the tables as needed
   void index_insert(std::uint64_t key, std::uint32_t slot);
   void index_erase(std::uint64_t key);  // backward-shift deletion
   void lru_unlink(std::uint32_t slot);
@@ -96,10 +111,12 @@ class CacheStore {
     return e.expire_ms < 0 || now_ms <= e.expire_ms;
   }
 
-  std::vector<Entry> slots_;
+  std::vector<Entry> slots_;           // grows by doubling up to capacity_
   std::vector<std::uint32_t> free_;    // recycled slot ids
-  std::vector<std::uint32_t> index_;   // open-addressed key -> slot (kNil empty)
+  std::vector<std::uint32_t> index_;   // open-addressed key -> slot (kNil
+                                       // empty); at most half full, or empty
   std::uint64_t index_mask_ = 0;
+  std::size_t capacity_ = kDefaultEntries;
   std::uint32_t lru_head_ = kNil;  // most recently used
   std::uint32_t lru_tail_ = kNil;  // least recently used
   std::size_t live_ = 0;

@@ -1,5 +1,6 @@
 #include "planp/compile.hpp"
 
+#include <optional>
 #include <unordered_map>
 
 namespace asp::planp {
@@ -75,6 +76,8 @@ class Compiler {
   }
 
   std::int32_t constant(Value v) {
+    // Every engine instance of the program reads the pool at once.
+    freeze(v);
     // Scalars are deduplicated; aggregates appended as-is.
     for (std::size_t i = 0; i < out_.consts.size(); ++i) {
       const auto& rep = out_.consts[i].rep();
@@ -87,6 +90,32 @@ class Compiler {
     }
     out_.consts.push_back(std::move(v));
     return static_cast<std::int32_t>(out_.consts.size()) - 1;
+  }
+
+  /// The value of a literal, or of a tuple built only of literals (which the
+  /// compiler folds into one constant); nullopt for anything else.
+  static std::optional<Value> literal(const Expr& e) {
+    using K = Expr::Kind;
+    switch (e.kind) {
+      case K::kIntLit: return Value::of_int(e.int_val);
+      case K::kBoolLit: return Value::of_bool(e.bool_val);
+      case K::kCharLit: return Value::of_char(e.char_val);
+      case K::kStringLit: return Value::of_string(e.str_val);
+      case K::kHostLit: return Value::of_host(e.host_val);
+      case K::kUnitLit: return Value::unit();
+      case K::kTuple: {
+        std::vector<Value> elems;
+        for (const auto& a : e.args) {
+          std::optional<Value> v = literal(*a);
+          if (!v) return std::nullopt;
+          elems.push_back(std::move(*v));
+        }
+        // The shapes kMakeTuple builds: pairs via of_pair, others pooled.
+        if (elems.size() == 2) return Value::of_pair(std::move(elems[0]), std::move(elems[1]));
+        return Value::of_tuple(std::move(elems));
+      }
+      default: return std::nullopt;
+    }
   }
 
   void patch(int at, std::int32_t target) { code_[static_cast<std::size_t>(at)].a = target; }
@@ -150,6 +179,10 @@ class Compiler {
         return;
 
       case K::kTuple:
+        if (std::optional<Value> v = literal(e)) {
+          emit(Op::kConst, constant(std::move(*v)), 0, +1);
+          return;
+        }
         for (const auto& a : e.args) emit_expr(*a);
         emit(Op::kMakeTuple, static_cast<std::int32_t>(e.args.size()), 0,
              1 - static_cast<int>(e.args.size()));

@@ -66,12 +66,13 @@ bool block_reads_local(const JitBlock& b, std::int32_t slot) {
 }  // namespace
 
 /// Install-time-prepared dispatch handle: the body block is resolved once
-/// (no .at() per packet) and packet use is pre-analyzed, so the match-action
-/// dispatcher can enter specialized code directly for each run of a batch.
+/// (no .at() per packet) and packet use was analyzed at specialization, so
+/// the match-action dispatcher can enter specialized code directly for each
+/// run of a batch.
 class JitEngine::PreparedChannel : public Engine::Channel {
  public:
-  PreparedChannel(JitEngine& e, const JitBlock& body)
-      : engine_(e), body_(body), packet_used_(block_reads_local(body, 2)) {}
+  PreparedChannel(JitEngine& e, const JitBlock& body, bool packet_used)
+      : engine_(e), body_(body), packet_used_(packet_used) {}
   bool packet_used() const override { return packet_used_; }
   Value run(const Value& ps, const Value& ss, const Value& packet) override {
     return engine_.run_channel_body(body_, ps, ss, packet);
@@ -286,81 +287,72 @@ JitBlock specialize_block(const CodeBlock& block, const CompiledProgram& prog,
   return out;
 }
 
-JitEngine::JitEngine(const CompiledProgram& prog, EnvApi& env, bool fuse)
-    : prog_(prog), env_(env) {
+JitProgram::JitProgram(const CompiledProgram& compiled, bool fuse) : prog(compiled) {
   auto t0 = std::chrono::steady_clock::now();
-  functions_.reserve(prog_.functions.size());
-  for (const CodeBlock& b : prog_.functions) {
-    functions_.push_back(specialize_block(b, prog_, fuse));
-  }
-  channel_bodies_.reserve(prog_.channel_bodies.size());
-  for (const CodeBlock& b : prog_.channel_bodies) {
-    channel_bodies_.push_back(specialize_block(b, prog_, fuse));
-  }
-  channel_inits_.reserve(prog_.channel_inits.size());
-  for (const CodeBlock& b : prog_.channel_inits) {
-    channel_inits_.push_back(specialize_block(b, prog_, fuse));
-  }
-  std::vector<JitBlock> global_blocks;
-  global_blocks.reserve(prog_.global_inits.size());
-  for (const CodeBlock& b : prog_.global_inits) {
-    global_blocks.push_back(specialize_block(b, prog_, fuse));
-  }
+  auto specialize_all = [&](const std::vector<CodeBlock>& in,
+                            std::vector<JitBlock>& out) {
+    out.reserve(in.size());
+    for (const CodeBlock& b : in) out.push_back(specialize_block(b, prog, fuse));
+  };
+  specialize_all(prog.functions, functions);
+  specialize_all(prog.channel_bodies, channel_bodies);
+  specialize_all(prog.channel_inits, channel_inits);
+  specialize_all(prog.global_inits, global_inits);
   auto t1 = std::chrono::steady_clock::now();
-  stats_.generation_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  stats_.input_instrs = prog_.total_instructions();
-  for (const auto& v : {std::cref(functions_), std::cref(channel_bodies_),
-                        std::cref(channel_inits_), std::cref(global_blocks)}) {
-    for (const JitBlock& b : v.get()) stats_.output_instrs += b.code.size();
+  stats.generation_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  stats.input_instrs = prog.total_instructions();
+  for (const auto& v : {std::cref(functions), std::cref(channel_bodies),
+                        std::cref(channel_inits), std::cref(global_inits)}) {
+    for (const JitBlock& b : v.get()) stats.output_instrs += b.code.size();
   }
-  stats_.code_bytes = stats_.output_instrs * sizeof(SInstr);
-  if (prog_.source != nullptr) stats_.source_lines = prog_.source->program.source_lines;
+  stats.code_bytes = stats.output_instrs * sizeof(SInstr);
+  if (prog.source != nullptr) stats.source_lines = prog.source->program.source_lines;
 
   // Direct threading: resolve each template's opcode to its handler address
   // once, here, so run_block dispatches with a single indirect goto instead
   // of a bounds-checked switch. Under the fallback build the table is null
   // and the handlers stay unpatched (the switch ignores them).
-  {
-    const void* const* table = nullptr;
-    Buffers& probe = buffer_at(0);
-    JitBlock empty;
-    run_block(empty, probe, &table);
-    if (table != nullptr) {
-      auto patch = [&](std::vector<JitBlock>& blocks) {
-        for (JitBlock& blk : blocks) {
-          for (SInstr& s : blk.code) {
-            s.handler = table[static_cast<std::size_t>(s.op)];
-          }
-        }
-      };
-      patch(functions_);
-      patch(channel_bodies_);
-      patch(channel_inits_);
-      patch(global_blocks);
+  const void* const* table = nullptr;
+  JitEngine::run_block(nullptr, JitBlock{}, nullptr, &table);
+  if (table != nullptr) {
+    for (auto* blocks : {&functions, &channel_bodies, &channel_inits, &global_inits}) {
+      for (JitBlock& blk : *blocks) {
+        for (SInstr& s : blk.code) s.handler = table[static_cast<std::size_t>(s.op)];
+      }
     }
   }
 
-  // Prepared dispatch handles, one per channel. channel_bodies_ is frozen
-  // from here on, so the handles can keep direct block references.
-  prepared_.reserve(channel_bodies_.size());
-  for (const JitBlock& b : channel_bodies_) {
-    prepared_.push_back(std::make_unique<PreparedChannel>(*this, b));
-  }
+  // Channel bodies keep the packet in local slot 2.
+  packet_used.reserve(channel_bodies.size());
+  for (const JitBlock& b : channel_bodies) packet_used.push_back(block_reads_local(b, 2));
 
-  // Figure 3 in registry form: specialization cost per JIT construction.
+  // Figure 3 in registry form: specialization cost per compilation.
   obs::MetricsRegistry& reg = obs::registry();
-  reg.histogram("planp/jit/codegen_us").observe(stats_.generation_ms * 1000.0);
+  reg.histogram("planp/jit/codegen_us").observe(stats.generation_ms * 1000.0);
   reg.counter("planp/jit/compiles").inc();
-  reg.counter("planp/jit/input_instrs").inc(stats_.input_instrs);
-  reg.counter("planp/jit/output_instrs").inc(stats_.output_instrs);
+  reg.counter("planp/jit/input_instrs").inc(stats.input_instrs);
+  reg.counter("planp/jit/output_instrs").inc(stats.output_instrs);
+}
 
-  globals_.reserve(global_blocks.size());
-  for (const JitBlock& b : global_blocks) {
+JitEngine::JitEngine(std::shared_ptr<const JitProgram> code, EnvApi& env)
+    : code_(std::move(code)), env_(env) {
+  // The code is frozen, so the handles can keep direct block references.
+  prepared_.reserve(code_->channel_bodies.size());
+  for (std::size_t i = 0; i < code_->channel_bodies.size(); ++i) {
+    prepared_.push_back(std::make_unique<PreparedChannel>(
+        *this, code_->channel_bodies[i], code_->packet_used[i]));
+  }
+  // Globals are per instance: a top-level val may read thisHost().
+  globals_.reserve(code_->global_inits.size());
+  for (const JitBlock& b : code_->global_inits) {
     Buffers& buf = buffer_at(0);
     buf.locals.assign(static_cast<std::size_t>(std::max(b.frame_slots, 8)), Value{});
-    globals_.push_back(run_block(b, buf));
+    globals_.push_back(run_block(this, b, &buf));
   }
 }
+
+JitEngine::JitEngine(const CompiledProgram& prog, EnvApi& env, bool fuse)
+    : JitEngine(std::make_shared<const JitProgram>(prog, fuse), env) {}
 
 JitEngine::~JitEngine() = default;
 
@@ -369,19 +361,19 @@ JitEngine::Buffers& JitEngine::buffer_at(int depth) {
 }
 
 Value JitEngine::init_state(int chan_idx) {
-  const JitBlock& b = channel_inits_.at(static_cast<std::size_t>(chan_idx));
+  const JitBlock& b = code_->channel_inits.at(static_cast<std::size_t>(chan_idx));
   if (b.code.empty()) {
     return default_value(
-        prog_.source->channels.at(static_cast<std::size_t>(chan_idx))->ss_type);
+        program().channels.at(static_cast<std::size_t>(chan_idx))->ss_type);
   }
   Buffers& buf = buffer_at(depth_);
   buf.locals.assign(static_cast<std::size_t>(std::max(b.frame_slots, 8)), Value{});
-  return run_block(b, buf);
+  return run_block(this, b, &buf);
 }
 
 Value JitEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
                              const Value& packet) {
-  return run_channel_body(channel_bodies_.at(static_cast<std::size_t>(chan_idx)),
+  return run_channel_body(code_->channel_bodies.at(static_cast<std::size_t>(chan_idx)),
                           ps, ss, packet);
 }
 
@@ -397,7 +389,7 @@ Value JitEngine::run_channel_body(const JitBlock& b, const Value& ps,
   buf.locals[0] = ps;
   buf.locals[1] = ss;
   buf.locals[2] = packet;
-  Value out = run_block(b, buf);
+  Value out = run_block(this, b, &buf);
   if (mem::poison_enabled()) {
     const Value sentinel = Value::of_int(mem::kPoisonInt);
     for (std::size_t d = 0; d < arena_.depth(); ++d) arena_.scribble(d, sentinel);
@@ -424,7 +416,7 @@ Value JitEngine::run_channel_body(const JitBlock& b, const Value& ps,
 #define VM_CASE(name) case jop::name
 #endif
 
-Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
+Value JitEngine::run_block(JitEngine* self, const JitBlock& block, Buffers* bufp,
                           const void* const** table_out) {
 #if ASP_JIT_THREADED
   // Must mirror the jop enum order exactly: entry i handles opcode i.
@@ -452,13 +444,16 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
   }
 #endif
 
+  JitEngine& e = *self;
+  Buffers& buf = *bufp;
+  EnvApi& env = e.env_;
   // Re-entering through kCallFun uses the next pool slot; the guard keeps
   // depth_ correct even when a PLAN-P exception unwinds through this frame.
   struct DepthGuard {
     int& d;
     explicit DepthGuard(int& depth) : d(depth) { ++d; }
     ~DepthGuard() { --d; }
-  } guard(depth_);
+  } guard(e.depth_);
 
   std::vector<Value>& locals = buf.locals;
   std::vector<Value>& stack = buf.stack;
@@ -496,7 +491,7 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
           stack.pop_back();
         }
         VM_DISPATCH();
-        VM_CASE(kLoadGlobal) : stack.push_back(globals_[static_cast<std::size_t>(in->a)]);
+        VM_CASE(kLoadGlobal) : stack.push_back(e.globals_[static_cast<std::size_t>(in->a)]);
         VM_DISPATCH();
         VM_CASE(kJump) : pc = static_cast<std::size_t>(in->a);
         VM_DISPATCH();
@@ -546,20 +541,20 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
           scratch_args.assign(stack.end() - static_cast<std::ptrdiff_t>(n),
                               stack.end());
           stack.resize(stack.size() - n);
-          stack.push_back(in->prim->fn(env_, scratch_args));
+          stack.push_back(in->prim->fn(env, scratch_args));
         }
         VM_DISPATCH();
         VM_CASE(kCallFun) : {
           std::size_t n = static_cast<std::size_t>(in->b);
-          const JitBlock& fb = functions_[static_cast<std::size_t>(in->a)];
-          Buffers& fbuf = buffer_at(depth_);
+          const JitBlock& fb = e.code_->functions[static_cast<std::size_t>(in->a)];
+          Buffers& fbuf = e.buffer_at(e.depth_);
           fbuf.locals.resize(static_cast<std::size_t>(
               std::max<int>(fb.frame_slots, static_cast<int>(n))));
           for (std::size_t k = 0; k < n; ++k) {
             fbuf.locals[n - 1 - k] = std::move(stack.back());
             stack.pop_back();
           }
-          stack.push_back(run_block(fb, fbuf));
+          stack.push_back(run_block(self, fb, &fbuf));
         }
         VM_DISPATCH();
         VM_CASE(kAdd) : {
@@ -638,13 +633,13 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
           // in->b holds the channel id interned at specialization time.
           switch (static_cast<SendKind>(in->a)) {
             case SendKind::kOnRemote:
-              env_.on_remote(static_cast<std::uint32_t>(in->b), pkt);
+              env.on_remote(static_cast<std::uint32_t>(in->b), pkt);
               break;
             case SendKind::kOnNeighbor:
-              env_.on_neighbor(static_cast<std::uint32_t>(in->b), pkt);
+              env.on_neighbor(static_cast<std::uint32_t>(in->b), pkt);
               break;
-            case SendKind::kDeliver: env_.deliver(pkt); break;
-            case SendKind::kDrop: env_.drop(); break;
+            case SendKind::kDeliver: env.deliver(pkt); break;
+            case SendKind::kDrop: env.drop(); break;
           }
         }
         VM_DISPATCH();
@@ -665,7 +660,7 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
         VM_DISPATCH();
         VM_CASE(kCallPrim1L) : {
           scratch_args.assign(1, locals[static_cast<std::size_t>(in->a)]);
-          stack.push_back(in->prim->fn(env_, scratch_args));
+          stack.push_back(in->prim->fn(env, scratch_args));
         }
         VM_DISPATCH();
         VM_CASE(kEqConst) : stack.back() = Value::of_bool(stack.back().equals(*in->k));
@@ -674,13 +669,13 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
         VM_CASE(kSendConst) : {
           switch (static_cast<SendKind>(in->a)) {
             case SendKind::kOnRemote:
-              env_.on_remote(static_cast<std::uint32_t>(in->b), *in->k);
+              env.on_remote(static_cast<std::uint32_t>(in->b), *in->k);
               break;
             case SendKind::kOnNeighbor:
-              env_.on_neighbor(static_cast<std::uint32_t>(in->b), *in->k);
+              env.on_neighbor(static_cast<std::uint32_t>(in->b), *in->k);
               break;
-            case SendKind::kDeliver: env_.deliver(*in->k); break;
-            case SendKind::kDrop: env_.drop(); break;
+            case SendKind::kDeliver: env.deliver(*in->k); break;
+            case SendKind::kDrop: env.drop(); break;
           }
         }
         VM_DISPATCH();

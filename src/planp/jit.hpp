@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "planp/compile.hpp"
@@ -32,7 +33,7 @@ struct SInstr {
   const Primitive* prim = nullptr;  // patched primitive entry point
   // Pre-resolved dispatch target: the address of this op's handler label
   // inside run_block (direct threading, GCC/Clang labels-as-values). Patched
-  // by the JitEngine at specialization time; null until then, and unused when
+  // by JitProgram at specialization time; null until then, and unused when
   // the portable switch fallback is compiled (ASP_NO_COMPUTED_GOTO).
   const void* handler = nullptr;
 };
@@ -107,11 +108,39 @@ struct CodegenStats {
 JitBlock specialize_block(const CodeBlock& block, const CompiledProgram& prog,
                           bool fuse = true);
 
-/// The JIT execution engine: specializes the whole program at construction
-/// (this is "code generation time") and runs channels on specialized code.
+/// The specialized code of one program: every block taken through
+/// specialize_block, with each template's handler address patched in. This
+/// is "code generation time", paid once per compilation. Immutable once
+/// built, so any number of JitEngine instances, on any shard, run the same
+/// templates and the same constants.
+struct JitProgram {
+  /// Specializes all of `prog`, which must outlive the result: templates
+  /// point into its constant pool. `fuse=false` disables superinstruction
+  /// fusion (ablation studies).
+  explicit JitProgram(const CompiledProgram& prog, bool fuse = true);
+
+  const CompiledProgram& prog;
+  std::vector<JitBlock> functions;
+  std::vector<JitBlock> channel_bodies;
+  std::vector<JitBlock> channel_inits;
+  std::vector<JitBlock> global_inits;
+  /// Per channel: does the body read its packet local? A body that never
+  /// does lets the dispatcher skip payload decoding (match-only
+  /// classification).
+  std::vector<bool> packet_used;
+  CodegenStats stats;
+};
+
+/// The JIT execution engine: one instance of a JitProgram. It owns what a
+/// node must not share (the program's globals, the execution frames and the
+/// call depth) and runs channels on the shared specialized code.
 class JitEngine : public Engine {
  public:
-  /// `fuse=false` disables superinstruction fusion (ablation studies).
+  /// Evaluates the globals against `env` and prepares the channels. Nothing
+  /// is specialized here.
+  JitEngine(std::shared_ptr<const JitProgram> code, EnvApi& env);
+  /// Shorthand for benches, tools and tests: specializes `prog` (`fuse=false`
+  /// disables superinstruction fusion) and instantiates the result.
   JitEngine(const CompiledProgram& prog, EnvApi& env, bool fuse = true);
   ~JitEngine() override;  // out of line: PreparedChannel is incomplete here
 
@@ -119,27 +148,29 @@ class JitEngine : public Engine {
   Value run_channel(int chan_idx, const Value& ps, const Value& ss,
                     const Value& packet) override;
   /// Prepared handle with the body block pre-resolved and the packet-use
-  /// flag computed (a body that never reads its packet local lets the
-  /// dispatcher skip payload decoding — match-only classification).
+  /// flag taken from the JitProgram.
   Channel* channel(int chan_idx) override;
-  const CheckedProgram& program() const override { return *prog_.source; }
+  const CheckedProgram& program() const override { return *code_->prog.source; }
   const char* engine_name() const override { return "jit"; }
 
-  const CodegenStats& codegen_stats() const { return stats_; }
+  const CodegenStats& codegen_stats() const { return code_->stats; }
 
  private:
+  friend struct JitProgram;  // queries the handler table through run_block
+
   /// Per-call-depth execution frames (locals/stack/args) on a shared arena:
   /// warm vectors reused packet after packet, no per-call allocation (part of
   /// what run-time specialization buys the paper). The arena exports
   /// mem/jit_frames/* pool metrics and supports poison scribbling.
   using Buffers = mem::FrameArena<Value>::Frame;
 
-  /// Executes one specialized block. With `table_out` non-null the call is a
-  /// pure query: it writes the handler label table (indexed by jop, or null
-  /// when built with the switch fallback) and returns immediately — this is
-  /// how the constructor obtains the addresses it patches into SInstr.
-  Value run_block(const JitBlock& block, Buffers& buf,
-                  const void* const** table_out = nullptr);
+  /// Executes one specialized block for `self`. With `table_out` non-null
+  /// the call is a pure query that touches neither `self` nor `buf`: it
+  /// writes the handler label table (indexed by jop, or null when built with
+  /// the switch fallback) and returns immediately. This is how JitProgram
+  /// obtains the addresses it patches into SInstr.
+  static Value run_block(JitEngine* self, const JitBlock& block, Buffers* buf,
+                         const void* const** table_out = nullptr);
   Buffers& buffer_at(int depth);
   /// run_channel with the body block already resolved (prepared channels).
   Value run_channel_body(const JitBlock& b, const Value& ps, const Value& ss,
@@ -147,16 +178,12 @@ class JitEngine : public Engine {
 
   class PreparedChannel;
 
-  const CompiledProgram& prog_;
+  std::shared_ptr<const JitProgram> code_;
   EnvApi& env_;
   std::vector<Value> globals_;
-  std::vector<JitBlock> functions_;
-  std::vector<JitBlock> channel_bodies_;
-  std::vector<JitBlock> channel_inits_;
   std::vector<std::unique_ptr<PreparedChannel>> prepared_;
   mem::FrameArena<Value> arena_;
   int depth_ = 0;
-  CodegenStats stats_;
 };
 
 }  // namespace asp::planp

@@ -32,14 +32,15 @@ VerificationError::VerificationError(const AnalysisReport& report) : report_(rep
   if (!report.local_termination) message_ += " [local termination];";
 }
 
-std::unique_ptr<Protocol> Protocol::load(const std::string& source, EnvApi& env,
-                                         Options opts) {
-  // Stage timings back the paper's "downloading is cheap" claim (Figure 3);
-  // every install feeds the planp/install/* histograms in the registry.
+std::shared_ptr<const Protocol> Protocol::compile(const std::string& source,
+                                                 Options opts) {
+  // Stage timings back the paper's "downloading is cheap" claim (Figure 3).
+  // They feed the planp/install/* histograms once per compilation: a
+  // protocol installed on many nodes is compiled, and counted, once.
   obs::MetricsRegistry& reg = obs::registry();
   auto total0 = std::chrono::steady_clock::now();
 
-  auto proto = std::unique_ptr<Protocol>(new Protocol());
+  auto proto = std::shared_ptr<Protocol>(new Protocol());
   auto t0 = std::chrono::steady_clock::now();
   Program parsed = parse(source);
   reg.histogram("planp/install/parse_us").observe(us_since(t0));
@@ -56,20 +57,31 @@ std::unique_ptr<Protocol> Protocol::load(const std::string& source, EnvApi& env,
     throw VerificationError(proto->report_);
   }
 
+  // The protocol state is shared between all channels (paper §2); their
+  // declared protocol-state types must therefore agree.
+  const auto& channels = proto->checked_.channels;
+  for (std::size_t i = 1; i < channels.size(); ++i) {
+    if (!channels[i]->ps_type->equals(*channels[0]->ps_type)) {
+      throw PlanPError(
+          "install", channels[i]->loc,
+          "all channels must declare the same protocol state type (it is shared)");
+    }
+  }
+
   t0 = std::chrono::steady_clock::now();
-  switch (opts.engine) {
-    case EngineKind::kInterp:
-      proto->engine_ = std::make_unique<Interp>(proto->checked_, env);
-      break;
-    case EngineKind::kJit:
-      proto->compiled_ = compile(proto->checked_);
-      proto->engine_ = std::make_unique<JitEngine>(proto->compiled_, env);
-      break;
+  if (opts.engine == EngineKind::kJit) {
+    proto->compiled_ = planp::compile(proto->checked_);
+    proto->jit_ = std::make_shared<const JitProgram>(proto->compiled_);
   }
   reg.histogram("planp/install/codegen_us").observe(us_since(t0));
   reg.histogram("planp/install/total_us").observe(us_since(total0));
   reg.counter("planp/install/count").inc();
   return proto;
+}
+
+std::unique_ptr<Engine> Protocol::instantiate(EnvApi& env) const {
+  if (jit_ != nullptr) return std::make_unique<JitEngine>(jit_, env);
+  return std::make_unique<Interp>(checked_, env);
 }
 
 }  // namespace asp::planp

@@ -1,6 +1,8 @@
-// Protocol: one downloaded ASP, taken through the full pipeline
+// Protocol: one downloaded ASP, taken through the full pipeline once
 //   source -> lex/parse -> typecheck -> safety analyses (the gate)
-//          -> bytecode -> run-time specialization -> executable engine.
+//          -> bytecode -> run-time specialization
+// and then instantiated on each node that runs it. The compiled protocol is
+// immutable and shared; each instance is one node's executable engine.
 #pragma once
 
 #include <memory>
@@ -29,7 +31,8 @@ class VerificationError : public std::exception {
   std::string message_;
 };
 
-/// A compiled, verified, loadable protocol.
+/// A compiled, verified protocol. Immutable once compile() returns, so any
+/// number of nodes, on any shards, may share one and instantiate it.
 class Protocol {
  public:
   struct Options {
@@ -39,23 +42,28 @@ class Protocol {
     bool require_verified = true;
   };
 
-  /// Runs the whole pipeline. Throws PlanPError (syntax/type errors) or
-  /// VerificationError (gate). `env` must outlive the protocol.
-  static std::unique_ptr<Protocol> load(const std::string& source, EnvApi& env,
-                                        Options opts);
-  static std::unique_ptr<Protocol> load(const std::string& source, EnvApi& env) {
-    return load(source, env, Options{});
+  /// Runs the whole pipeline once: parse, typecheck, analyses and gate, and
+  /// for the JIT bytecode and specialization. Throws PlanPError (syntax and
+  /// type errors, or channels whose protocol-state types differ) or
+  /// VerificationError (gate).
+  static std::shared_ptr<const Protocol> compile(const std::string& source,
+                                                 Options opts);
+  static std::shared_ptr<const Protocol> compile(const std::string& source) {
+    return compile(source, Options{});
   }
+
+  /// A fresh engine for one node: evaluates the program's globals against
+  /// `env` (a top-level val may call thisHost()) and prepares the channels.
+  /// The engine reads this protocol, which must outlive it; `env` must too.
+  std::unique_ptr<Engine> instantiate(EnvApi& env) const;
 
   const CheckedProgram& checked() const { return checked_; }
   const AnalysisReport& report() const { return report_; }
   const CompiledProgram& compiled() const { return compiled_; }
-  Engine& engine() { return *engine_; }
 
   /// Non-null when the engine is the JIT.
   const CodegenStats* codegen_stats() const {
-    auto* j = dynamic_cast<JitEngine*>(engine_.get());
-    return j != nullptr ? &j->codegen_stats() : nullptr;
+    return jit_ != nullptr ? &jit_->stats : nullptr;
   }
 
  private:
@@ -64,7 +72,7 @@ class Protocol {
   CheckedProgram checked_;
   AnalysisReport report_;
   CompiledProgram compiled_;
-  std::unique_ptr<Engine> engine_;
+  std::shared_ptr<const JitProgram> jit_;  // null for the interpreter
 };
 
 }  // namespace asp::planp

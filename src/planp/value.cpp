@@ -267,6 +267,25 @@ std::string Value::str() const {
       rep_);
 }
 
+void freeze(Value& v) {
+  if (const ScalarPair* p = std::get_if<ScalarPair>(&v.rep())) {
+    v = Value::of_tuple({from_scalar(p->first), from_scalar(p->second)});
+  }
+  const bool aggregate = std::holds_alternative<TupleRep>(v.rep()) ||
+                         std::holds_alternative<Blob>(v.rep());
+  if (const TupleRep* t = std::get_if<TupleRep>(&v.rep())) {
+    for (Value& e : **t) freeze(e);
+  }
+  if (aggregate) {
+    try {
+      v.hash();
+    } catch (const EvalBug&) {
+      // Not a key type (a tuple holding a table, say): hash() will throw the
+      // same way at run time, writing nothing.
+    }
+  }
+}
+
 Value default_value(const TypePtr& t) {
   switch (t->kind()) {
     case Type::Kind::kInt: return Value::of_int(0);

@@ -142,7 +142,8 @@ class Value {
   /// Aggregate hashes (blob contents, tuples) are memoized per Value: table
   /// keys built from packets get probed several times per packet (contains /
   /// get / set in the HTTP gateway's connection table), and the aggregates
-  /// are immutable, so the walk happens once.
+  /// are immutable, so the walk happens once. The memo is a write through
+  /// const; values shared between threads are frozen first (see freeze()).
   std::size_t hash() const;
 
   /// Display form, as the paper's `print` primitive would show it.
@@ -190,5 +191,12 @@ class HashTable {
 
 /// Deep default value for a type (used for channels without initstate).
 Value default_value(const TypePtr& t);
+
+/// Prepares `v` to be read by many threads at once, as a compiled program's
+/// constants are: every ScalarPair in it becomes a TupleRep (so as_tuple()
+/// never promotes in place) and every hashable aggregate gets its hash memo
+/// (so hash() never writes one). Afterwards no const member function writes
+/// to `v` or to anything it shares.
+void freeze(Value& v);
 
 }  // namespace asp::planp

@@ -85,6 +85,14 @@ void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
   if (s->done) return;  // trailing bytes after the reply: ignore them
   if (!s->header_seen) {
     auto eol = s->buffer.find('\n');
+    if (eol == std::string::npos ? s->buffer.size() > kDeployMaxHeaderBytes
+                                 : eol > kDeployMaxHeaderBytes) {
+      // No well-formed header is this long; without the bound a peer that
+      // never sends '\n' would have every later byte buffered.
+      s->done = true;
+      reject(conn, "malformed header");
+      return;
+    }
     if (eol == std::string::npos) return;
     std::istringstream in(s->buffer.substr(0, eol));
     std::string cmd, engine, len_field, sum;
@@ -107,6 +115,11 @@ void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
     if (in.fail() || !parse_unsigned(len_field, len, 10)) {
       s->done = true;
       reject(conn, "malformed header");
+      return;
+    }
+    if (len > kDeployMaxSourceBytes) {
+      s->done = true;
+      reject(conn, "too-large");
       return;
     }
     if (engine == "interp") {
@@ -159,11 +172,11 @@ void DeployServer::finish(std::shared_ptr<TcpConnection> conn, const Session& s)
   opts.engine = s.engine;
   opts.require_verified = !s.authenticated;
   try {
-    planp::Protocol& proto = runtime_.install(body, opts);
+    const planp::Protocol& proto = runtime_.install(body, opts);
     ++deployments_;
     m_deployments_->inc();
     double codegen_us = 0;
-    if (const planp::CodegenStats* cs = runtime_.protocol().codegen_stats()) {
+    if (const planp::CodegenStats* cs = proto.codegen_stats()) {
       codegen_us = cs->generation_ms * 1000.0;
     }
     std::string reply = "OK " + std::to_string(proto.checked().channels.size()) +
@@ -225,16 +238,14 @@ struct DeployJob {
   obs::Counter* m_failures = nullptr;
 };
 
-/// Failures worth retrying: transport-level death and corruption-class
-/// errors (a retry re-sends the same bytes over different luck). Definitive
-/// daemon verdicts — verification, syntax, bad-engine, bad-version — are
-/// terminal: the same program will fail the same way every time.
-// Only a "reject:"-prefixed verdict is terminal: the daemon computed it over
-// a checksum-verified body, so it is provably about the program itself.
-// Everything else — timeouts, dead connections, and every protocol-level
-// error ("bad-checksum", "bad-version", "bad-engine", "malformed header",
-// garbled replies) — can be fabricated by a single corrupted frame in either
-// direction, so the client retries rather than trust damaged goods.
+/// Failures worth retrying. Only a "reject:"-prefixed verdict is terminal:
+/// the daemon computed it over a checksum-verified body, so it is provably
+/// about the program itself. Everything else — timeouts, dead connections,
+/// and every protocol-level error ("bad-checksum", "bad-version",
+/// "bad-engine", "malformed header", "too-large", garbled replies) — can be
+/// fabricated by a single corrupted frame in either direction (the header
+/// and the reply carry no checksum), so the client retries rather than
+/// trust damaged goods.
 bool transient_failure(const DeployResult& r) {
   if (r.ok) return false;
   return r.error.rfind("reject: ", 0) != 0;

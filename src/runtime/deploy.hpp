@@ -16,9 +16,12 @@
 //   "OK <channels> <codegen-us>\n"  or  "ERR <reason>\n".
 // A header carrying any other version token draws "ERR bad-version expected
 // DEPLOY/1"; an unknown engine token draws "ERR bad-engine <token>"; a
-// length or checksum field that is not wholly a number draws "ERR malformed
-// header"; a body that fails its checksum draws "ERR bad-checksum" —
-// old/new/corrupted stations fail loudly instead of misparsing.
+// length or checksum field that is not wholly a number, or a header line
+// longer than kDeployMaxHeaderBytes, draws "ERR malformed header"; a length
+// above kDeployMaxSourceBytes draws "ERR too-large"; a body that fails its
+// checksum draws "ERR bad-checksum" — old/new/corrupted stations fail loudly
+// instead of misparsing, and no peer can make the daemon buffer without
+// bound.
 //
 // Reliability: the network between station and daemon is exactly the
 // degraded network ASPs exist for, so the client side retries. Each attempt
@@ -35,6 +38,7 @@
 // convergence never double-installs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -50,6 +54,14 @@ inline constexpr std::uint16_t kDeployPort = 9199;
 
 /// The wire header tag this build speaks (protocol version 1).
 inline constexpr const char* kDeployHeaderTag = "DEPLOY/1";
+
+/// Largest <source-bytes> a daemon accepts. The largest checked-in ASP is
+/// under 3 KB; a larger claim is refused before any body is buffered.
+inline constexpr std::size_t kDeployMaxSourceBytes = std::size_t{1} << 20;
+
+/// Longest header line, without its '\n', a daemon accepts. A well-formed
+/// header ("DEPLOY/1 interp 1 <20 digits> <16 hex digits>") is under 64.
+inline constexpr std::size_t kDeployMaxHeaderBytes = 256;
 
 /// FNV-1a 64 over the DEPLOY body; carried hex in the header's last field.
 std::uint64_t deploy_checksum(std::string_view body);

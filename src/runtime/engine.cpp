@@ -32,31 +32,30 @@ AspRuntime::~AspRuntime() {
   if (cur_ != nullptr) uninstall();
 }
 
-planp::Protocol& AspRuntime::install(const std::string& source,
-                                     planp::Protocol::Options opts) {
+const planp::Protocol& AspRuntime::install(const std::string& source,
+                                           planp::Protocol::Options opts) {
+  // The old protocol goes first, so a program that fails to compile leaves
+  // the node on standard IP.
+  if (cur_ != nullptr) uninstall();
+  return install(planp::Protocol::compile(source, opts));
+}
+
+const planp::Protocol& AspRuntime::install(
+    std::shared_ptr<const planp::Protocol> proto) {
   if (cur_ != nullptr) uninstall();
   ++generation_;
   auto inst = std::make_unique<Installed>();
-  inst->proto = planp::Protocol::load(source, *this, opts);
+  inst->proto = std::move(proto);
+  inst->engine = inst->proto->instantiate(*this);
 
   const auto& channels = inst->proto->checked().channels;
-  // The protocol state is shared between all channels (paper §2); their
-  // declared protocol-state types must therefore agree.
-  for (std::size_t i = 1; i < channels.size(); ++i) {
-    if (!channels[i]->ps_type->equals(*channels[0]->ps_type)) {
-      planp::Loc loc = channels[i]->loc;
-      throw planp::PlanPError(
-          "install", loc,
-          "all channels must declare the same protocol state type (it is shared)");
-    }
-  }
   if (!channels.empty()) {
     protocol_state_ = planp::default_value(channels[0]->ps_type);
   }
   channel_states_.clear();
   channel_states_.reserve(channels.size());
   for (std::size_t i = 0; i < channels.size(); ++i) {
-    channel_states_.push_back(inst->proto->engine().init_state(static_cast<int>(i)));
+    channel_states_.push_back(inst->engine->init_state(static_cast<int>(i)));
   }
   // Per-channel dispatch counters (overloads sharing a name share a counter).
   channel_counters_.clear();
@@ -69,8 +68,8 @@ planp::Protocol& AspRuntime::install(const std::string& source,
   // Compile the match-action table: channel name -> interned tag id, header
   // shape -> prepared action lists, each action carrying its decode plan,
   // engine entry point and metric handle (DESIGN.md §6c).
-  inst->table = MatchActionTable::build(inst->proto->checked(),
-                                        inst->proto->engine(), channel_counters_);
+  inst->table = MatchActionTable::build(inst->proto->checked(), *inst->engine,
+                                        channel_counters_);
 
   cur_ = std::move(inst);
   node_.set_ip_hook([this](asp::net::Packet& p, asp::net::Interface& in) {

@@ -43,16 +43,25 @@ class AspRuntime : public planp::EnvApi {
   AspRuntime(const AspRuntime&) = delete;
   AspRuntime& operator=(const AspRuntime&) = delete;
 
-  /// Downloads a protocol into this node: parse, check, verify, specialize,
-  /// install. Throws PlanPError / VerificationError.
-  planp::Protocol& install(const std::string& source,
-                           planp::Protocol::Options opts = make_default_options());
+  /// Downloads a protocol into this node: compiles `source` (parse, check,
+  /// verify, specialize) and installs the result. Throws PlanPError /
+  /// VerificationError, in which case the node is left on standard IP.
+  const planp::Protocol& install(
+      const std::string& source,
+      planp::Protocol::Options opts = make_default_options());
+
+  /// Installs a compiled protocol, which any number of other nodes may share:
+  /// instantiates this node's engine and initializes this node's protocol
+  /// and channel states. Nothing is compiled.
+  const planp::Protocol& install(std::shared_ptr<const planp::Protocol> proto);
 
   /// Removes the protocol and restores standard IP processing.
   void uninstall();
 
   bool installed() const { return cur_ != nullptr; }
-  planp::Protocol& protocol() { return *cur_->proto; }
+  const planp::Protocol& protocol() const { return *cur_->proto; }
+  /// This node's instance of the installed protocol.
+  planp::Engine& engine() { return *cur_->engine; }
   asp::net::Node& node() { return node_; }
 
   /// Medium whose utilization linkLoad() reports (the audio router monitors
@@ -115,11 +124,14 @@ class AspRuntime : public planp::EnvApi {
     return o;
   }
 
-  /// A protocol together with its match-action table: the two retire as a
-  /// unit so a reinstall from inside a channel handler cannot free the table
-  /// the in-flight dispatch loop is iterating.
+  /// A shared protocol together with this node's engine instance and
+  /// match-action table: the three retire as a unit so a reinstall from
+  /// inside a channel handler cannot free the engine or table the in-flight
+  /// dispatch loop is using. Declared so the table and engine go before the
+  /// protocol they point into.
   struct Installed {
-    std::unique_ptr<planp::Protocol> proto;
+    std::shared_ptr<const planp::Protocol> proto;
+    std::unique_ptr<planp::Engine> engine;
     MatchActionTable table;
   };
 

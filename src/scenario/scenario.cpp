@@ -167,18 +167,23 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
   obs::ScopedCoarseMetrics coarse;
   topo_ = build_topology(net_, cfg_.topology);
   workload_ = std::make_unique<Workload>(topo_.hosts, cfg_.workload);
+  // Each tier's ASP is compiled once and shared by every router of the tier;
+  // each router instantiates its own engine, states and cache.
   if (cfg_.asp_monitors == "core") {
+    const auto proto = planp::Protocol::compile(monitor_asp());
     for (net::Node* r : topo_.top_routers) {
       auto rt = std::make_unique<runtime::AspRuntime>(*r);
-      rt->install(monitor_asp());
+      rt->install(proto);
       monitors_.push_back(std::move(rt));
     }
   }
   if (cfg_.asp_cache == "planp") {
-    const std::string src = edge_cache_asp(cfg_.cache_entries, cfg_.cache_ttl_ms);
+    // Default options: the protocol must verify.
+    const auto proto = planp::Protocol::compile(
+        edge_cache_asp(cfg_.cache_entries, cfg_.cache_ttl_ms));
     for (net::Node* r : topo_.edge_routers) {
       auto rt = std::make_unique<runtime::AspRuntime>(*r);
-      rt->install(src);  // default options: the protocol must verify
+      rt->install(proto);
       cache_asps_.push_back(std::move(rt));
     }
   } else if (cfg_.asp_cache == "native") {

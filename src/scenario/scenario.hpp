@@ -73,6 +73,11 @@ class Scenario {
   net::Network& network() { return net_; }
   const ScenarioConfig& config() const { return cfg_; }
   const BuiltTopology& topology() const { return topo_; }
+  /// The PLAN-P edge cache tier: one runtime per edge router, all sharing
+  /// one compiled protocol (empty unless [asp] cache = planp).
+  const std::vector<std::unique_ptr<runtime::AspRuntime>>& cache_runtimes() const {
+    return cache_asps_;
+  }
 
   /// Runs for cfg.run.duration on `shards` shards (0 = take cfg.run.shards;
   /// 1 = serial). One-shot: call run() once per Scenario instance.

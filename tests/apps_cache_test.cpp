@@ -14,6 +14,7 @@
 #include "planp/cache.hpp"
 #include "planp/parser.hpp"
 #include "planp/typecheck.hpp"
+#include "runtime/engine.hpp"
 
 namespace asp::apps {
 namespace {
@@ -80,6 +81,105 @@ TEST(CacheStore, ReconfigureClearsResidencyKeepsCounters) {
   c.configure(8, 0);
   EXPECT_EQ(c.size(), 0u);
   EXPECT_EQ(c.stats().hits, 1u) << "counters survive reconfiguration";
+}
+
+// The tables grow with the entries held; capacity and LRU/TTL behaviour are
+// the configured ones.
+
+TEST(CacheStore, EvictionsBeginExactlyAtCapacity) {
+  CacheStore c;
+  c.configure(100, 0);
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    c.store(k, asp::net::make_buffer({1}), 0);
+    ASSERT_EQ(c.stats().evictions, 0u) << "evicted with " << k + 1 << " of 100 held";
+  }
+  EXPECT_EQ(c.size(), 100u);
+  EXPECT_EQ(c.slots(), 100u);
+  c.store(100, asp::net::make_buffer({1}), 0);
+  EXPECT_EQ(c.stats().evictions, 1u);
+  EXPECT_EQ(c.size(), 100u);
+  EXPECT_EQ(c.slots(), 100u) << "a full store never grows past capacity";
+}
+
+TEST(CacheStore, LruOrderAndKeysSurviveIndexDoublings) {
+  // 300 entries take the slot array from 16 to 300 and the probe index
+  // through five doublings.
+  constexpr std::uint64_t kN = 300;
+  CacheStore c;
+  c.configure(kN, 0);
+  // Keys spread over the hash space, plus a stride that collides in the
+  // low bits, so probe runs cross every rehash.
+  auto key = [](std::uint64_t i) { return i * 0x9E3779B97F4A7C15ull + (i << 12); };
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    c.store(key(i), asp::net::make_buffer({static_cast<std::uint8_t>(i)}), 0);
+  }
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    const asp::net::Buffer* b = c.lookup(key(i), 1);
+    ASSERT_NE(b, nullptr) << "key " << i << " lost across a doubling";
+    EXPECT_EQ((**b)[0], static_cast<std::uint8_t>(i));
+  }
+  // The lookups promoted keys in order 0..kN-1, so the coldest is 0, then
+  // 1, ...; each new fill evicts exactly the next one.
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    c.store(key(kN + i), asp::net::make_buffer({0}), 2);
+    EXPECT_FALSE(c.contains(key(i), 2)) << "key " << i << " should be the LRU victim";
+    EXPECT_TRUE(c.contains(key(i + 1), 2));
+  }
+  EXPECT_EQ(c.stats().evictions, 5u);
+}
+
+TEST(CacheStore, CapacityIsTheConfiguredValue) {
+  CacheStore c;
+  EXPECT_EQ(c.capacity(), CacheStore::kDefaultEntries);
+  EXPECT_EQ(c.slots(), 0u) << "construction builds no table";
+  c.configure(4096, 0);
+  EXPECT_EQ(c.capacity(), 4096u);
+  EXPECT_EQ(c.slots(), 0u) << "configure builds no table";
+  for (std::uint64_t k = 0; k < 20; ++k) c.store(k, asp::net::make_buffer({1}), 0);
+  EXPECT_EQ(c.capacity(), 4096u);
+  EXPECT_GE(c.slots(), 20u);
+  EXPECT_LT(c.slots(), 4096u);
+  c.clear();
+  EXPECT_EQ(c.capacity(), 4096u);
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.slots(), 0u);
+}
+
+TEST(CacheStore, ExpiredSlotIsReusedBeforeTheTableGrows) {
+  CacheStore c;
+  c.configure(64, 100);
+  for (std::uint64_t k = 1; k <= 16; ++k) c.store(k, asp::net::make_buffer({1}), 0);
+  ASSERT_EQ(c.slots(), 16u);
+  EXPECT_EQ(c.lookup(1, 500), nullptr);  // expired: its slot is freed
+  EXPECT_EQ(c.stats().expired, 1u);
+  c.store(99, asp::net::make_buffer({2}), 500);
+  EXPECT_EQ(c.slots(), 16u) << "the freed slot must be taken before growing";
+  EXPECT_EQ(c.size(), 16u);
+  EXPECT_EQ(c.stats().evictions, 0u);
+  c.store(100, asp::net::make_buffer({3}), 500);
+  EXPECT_EQ(c.slots(), 17u) << "no free slot left: now the table grows";
+}
+
+TEST(CacheStore, UnconfiguredAspGetsTheDefaultCapacity) {
+  // An ASP that never calls cacheConfigure fills its node's store: the 65th
+  // distinct key is the first to evict.
+  asp::net::Network net;
+  asp::net::Node& a = net.add_node("a");
+  asp::net::Node& b = net.add_node("b");
+  net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, asp::net::millis(1));
+  runtime::AspRuntime rt(b);
+  rt.install(R"(
+channel network(ps : int, ss : unit, p : ip*udp*blob) is
+  (cacheStore(ps, #3 p); deliver(p); (ps + 1, ss))
+)");
+  asp::net::UdpSocket sink(b, 7, [](const asp::net::Packet&) {});
+  asp::net::UdpSocket src(a, 9999, nullptr);
+  for (int i = 0; i < 65; ++i) src.send_to(b.addr(), 7, asp::net::bytes_of("x"));
+  net.run();
+  EXPECT_EQ(rt.cache().capacity(), CacheStore::kDefaultEntries);
+  EXPECT_EQ(rt.cache().stats().fills, 65u);
+  EXPECT_EQ(rt.cache().size(), 64u);
+  EXPECT_EQ(rt.cache().stats().evictions, 1u);
 }
 
 TEST(CacheStore, KeyOfSeparatesFields) {

@@ -222,42 +222,37 @@ channel b(ps : unit, ss : unit, p : ip*blob) is (OnRemote(a, p); (ps, ss))
 // --- the verification gate ----------------------------------------------------
 
 TEST(Verification, GateAcceptsSafeProtocol) {
-  NullEnv env;
-  auto proto = Protocol::load(
-      "channel c(ps : unit, ss : unit, p : ip*blob) is (deliver(p); (ps, ss))", env);
+  auto proto = Protocol::compile(
+      "channel c(ps : unit, ss : unit, p : ip*blob) is (deliver(p); (ps, ss))");
   EXPECT_TRUE(proto->report().accepted());
 }
 
 TEST(Verification, GateRejectsNonTerminatingProtocol) {
-  NullEnv env;
-  EXPECT_THROW(Protocol::load(R"(
+  EXPECT_THROW(Protocol::compile(R"(
 channel c(ps : unit, ss : unit, p : ip*blob) is
   if ipDst(#1 p) = 10.0.0.1 then
     (OnRemote(c, (ipDestSet(#1 p, 10.0.0.2), #2 p)); (ps, ss))
   else
     (OnRemote(c, (ipDestSet(#1 p, 10.0.0.1), #2 p)); (ps, ss))
-)",
-                              env),
+)"),
                VerificationError);
 }
 
 TEST(Verification, PrivilegedLoadBypassesGate) {
-  NullEnv env;
   Protocol::Options opts;
   opts.require_verified = false;
-  auto proto = Protocol::load(R"(
+  auto proto = Protocol::compile(R"(
 channel c(ps : unit, ss : unit, p : ip*blob) is
   (OnRemote(c, p); OnRemote(c, p); (ps, ss))
 )",
-                              env, opts);
+                                 opts);
   EXPECT_FALSE(proto->report().accepted());
   EXPECT_FALSE(proto->report().linear_duplication);
 }
 
 TEST(Verification, DeliveryIsAdvisoryNotBlocking) {
-  NullEnv env;
-  auto proto = Protocol::load(
-      "channel c(ps : unit, ss : unit, p : ip*blob) is (drop(); (ps, ss))", env);
+  auto proto = Protocol::compile(
+      "channel c(ps : unit, ss : unit, p : ip*blob) is (drop(); (ps, ss))");
   EXPECT_TRUE(proto->report().accepted());
   EXPECT_FALSE(proto->report().fully_verified());
 }

@@ -279,6 +279,11 @@ INSTANTIATE_TEST_SUITE_P(
         "abs(ps) + charPos('a')",
         "stringLen(intToString(ps * 1000))",
         "(try raise \"X\" with 5) + ps",
+        // Literal tuples fold into frozen constants; mixed ones are built.
+        "#2 (1, 2) + #1 #1 ((ps, 3), 4) + #3 (5, 6, 7) + "
+        "(if (ps, 1) = (0, 1) then 10 else 0)",
+        "(let val t : ((int*int*int)*int, int) hash_table = mkTable(4) in "
+        "(tableSet(t, ((1, 2, 3), 4), ps); tableGetDefault(t, ((1, 2, 3), 4), 0)) end)",
         "if tcpDst(#2 p) = 80 then ps + blobLen(#3 p) else raise \"NoMatch\"",
         "#1 (ps + 1, ps + 2) * #2 (ps + 3, ps + 4)",
         "(if ps % 2 = 0 then min(ps, 0) else max(ps, 0)) - (ps - 1)"));

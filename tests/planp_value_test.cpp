@@ -2,7 +2,10 @@
 // rely on), default values, display forms.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "net/network.hpp"
+#include "planp/compile.hpp"
 #include "planp/parser.hpp"
 #include "planp/value.hpp"
 
@@ -116,6 +119,54 @@ TEST(Value, DefaultValuesMatchTypes) {
   EXPECT_EQ(t[0].as_int(), 0);
   EXPECT_FALSE(t[1].as_bool());
   EXPECT_EQ(t[2].as_table()->size(), 0u);
+}
+
+TEST(Value, FreezeLeavesNoWriteForConstReaders) {
+  // A compiled program's constants are read by every engine instance at
+  // once: after freeze(), as_tuple() has no pair to promote and hash() has
+  // no memo to fill, at any depth. Equality and hashes are unchanged.
+  auto pair = [](int a, int b) { return Value::of_pair(Value::of_int(a), Value::of_int(b)); };
+  auto triple = [] {
+    return Value::of_tuple({Value::of_int(5), Value::of_int(6), Value::of_int(7)});
+  };
+  Value top = pair(1, 2);
+  Value nested = Value::of_tuple({pair(3, 4), triple()});
+  const Value top_ref = pair(1, 2);
+  const Value nested_ref = Value::of_tuple({pair(3, 4), triple()});
+  freeze(top);
+  freeze(nested);
+  EXPECT_TRUE(std::holds_alternative<TupleRep>(top.rep()));
+  EXPECT_TRUE(std::holds_alternative<TupleRep>(nested.rep()));
+  for (const Value& e : *std::get<TupleRep>(nested.rep())) {
+    EXPECT_TRUE(std::holds_alternative<TupleRep>(e.rep())) << e.str();
+  }
+  EXPECT_TRUE(top.equals(top_ref));
+  EXPECT_TRUE(nested.equals(nested_ref));
+  EXPECT_EQ(top.hash(), top_ref.hash());
+  EXPECT_EQ(nested.hash(), nested_ref.hash());
+  EXPECT_EQ(nested.str(), "((3, 4), (5, 6, 7))");
+}
+
+TEST(Value, CompiledConstantPoolIsFrozen) {
+  // Literal tuples fold into constants, which every engine instance of the
+  // program reads at once: the compiler freezes each one, so no pair is left
+  // at any depth for as_tuple() to promote in place.
+  CheckedProgram checked = typecheck(parse(R"(
+channel network(ps : int, ss : int*int, p : ip*udp*blob) initstate (0, 0) is
+  (deliver(p);
+   (ps + #2 #1 ((1, 2), 3), if ss = (4, 5) then ss else (6, 7)))
+)"));
+  CompiledProgram prog = compile(checked);
+  int tuples = 0;
+  std::function<void(const Value&)> check = [&](const Value& v) {
+    EXPECT_FALSE(std::holds_alternative<ScalarPair>(v.rep())) << v.str();
+    if (const TupleRep* t = std::get_if<TupleRep>(&v.rep())) {
+      ++tuples;
+      for (const Value& e : **t) check(e);
+    }
+  };
+  for (const Value& k : prog.consts) check(k);
+  EXPECT_EQ(tuples, 5) << "(0, 0), ((1, 2), 3) holding (1, 2), (4, 5), (6, 7)";
 }
 
 TEST(HashTableUnit, CollisionsAndOverwrite) {

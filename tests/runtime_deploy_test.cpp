@@ -134,7 +134,7 @@ TEST(Deploy, EngineSelectionIsHonoured) {
   Deployer::Options opts;
   opts.engine = planp::EngineKind::kInterp;
   ASSERT_TRUE(rig.deploy(kGoodAsp, opts).ok);
-  EXPECT_STREQ(rig.rt->protocol().engine().engine_name(), "interp");
+  EXPECT_STREQ(rig.rt->engine().engine_name(), "interp");
 }
 
 TEST(Deploy, WrongWireVersionIsRefused) {
@@ -174,6 +174,45 @@ TEST(Deploy, SignedSourceLengthIsRefused) {
   EXPECT_EQ(reply.rfind("ERR malformed header", 0), 0u) << reply;
   EXPECT_FALSE(rig.rt->installed());
   EXPECT_EQ(rig.server->rejections(), 1);
+}
+
+TEST(Deploy, OversizedSourceLengthIsRefused) {
+  // 2^64-1 is a valid unsigned length, and a daemon that accepted it would
+  // buffer every later byte of the connection. Refuse it before any body.
+  DeployRig rig;
+  std::string reply;
+  auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
+  conn->on_established([&] {
+    conn->send(
+        std::string("DEPLOY/1 jit 0 18446744073709551615 0123456789abcdef\nfoo"));
+  });
+  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+    reply.append(d.begin(), d.end());
+  });
+  rig.net.run_until(rig.net.now() + seconds(2));
+  EXPECT_EQ(reply, "ERR too-large\n");
+  EXPECT_FALSE(rig.rt->installed());
+  EXPECT_EQ(rig.server->rejections(), 1);
+  EXPECT_EQ(rig.server->deployments(), 0);
+}
+
+TEST(Deploy, UnterminatedHeaderIsRefused) {
+  // A header line that never ends: once it outgrows any well-formed header
+  // the daemon answers instead of buffering the rest of the stream.
+  DeployRig rig;
+  std::string reply;
+  auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
+  conn->on_established([&] {
+    conn->send("DEPLOY/1 jit 0 " + std::string(4 * kDeployMaxHeaderBytes, '7'));
+  });
+  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+    reply.append(d.begin(), d.end());
+  });
+  rig.net.run_until(rig.net.now() + seconds(2));
+  EXPECT_EQ(reply, "ERR malformed header\n");
+  EXPECT_FALSE(rig.rt->installed());
+  EXPECT_EQ(rig.server->rejections(), 1);
+  EXPECT_EQ(rig.server->deployments(), 0);
 }
 
 TEST(Deploy, UnversionedLegacyHeaderIsRefused) {

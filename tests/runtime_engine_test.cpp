@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "net/exec.hpp"
 #include "net/network.hpp"
 #include "net/tcp.hpp"
 
@@ -13,6 +19,7 @@ using asp::net::millis;
 using asp::net::Network;
 using asp::net::Node;
 using asp::net::Packet;
+using asp::net::ParallelExecutor;
 using asp::net::seconds;
 using asp::net::UdpSocket;
 
@@ -320,6 +327,175 @@ TEST(AspRuntime, MetricsReachGlobalRegistry) {
   // Handler latency is sampled 1-in-16 dispatches (first always): 3 packets
   // through a fresh runtime record exactly one observation.
   EXPECT_EQ(reg.histogram("node/mreg/asp/handle_us").count(), lat0 + 1);
+}
+
+// --- one compiled protocol shared by many nodes ---------------------------
+
+// Per-node state a shared program must not share: a global read from
+// thisHost(), a hash table held in a global, the protocol and channel
+// states, the counters and the cache. Its constants include a scalar pair
+// (the initstate and the comparison) and a tuple holding a tuple, used as a
+// hash-table key, so every engine instance reads frozen constants.
+const char* kSharedAsp = R"(
+val me : host = thisHost()
+val seen : ((int*int*int)*int, int) hash_table = mkTable(16)
+channel network(ps : int, ss : int*int, p : ip*udp*blob) initstate (0, 0) is
+  let val n : int = tableGetDefault(seen, ((1, 2, 3), 4), 0) + 1
+  in
+    (tableSet(seen, ((1, 2, 3), 4), n);
+     cacheStore(n, #3 p);
+     println(hostToString(me) ^ " " ^ intToString(n) ^ " " ^ intToString(ps) ^
+             " " ^ intToString(#1 ss));
+     OnRemote(network, p);
+     (ps + 1, if ss = (0, 0) then (0, 1) else (#1 ss + 1, #2 ss)))
+  end
+)";
+
+// Group i: client 10.i.1.1 -- router 10.i.1.254 / 10.i.2.254 -- server
+// 10.i.2.1. Every link has a delay, so a ParallelExecutor may put each node
+// on its own shard.
+struct SharedGroup {
+  Node* client;
+  Node* router;
+  Node* server;
+};
+
+std::vector<SharedGroup> build_groups(Network& net, int n) {
+  std::vector<SharedGroup> out;
+  for (int i = 0; i < n; ++i) {
+    const std::string id = std::to_string(i);
+    SharedGroup g{&net.add_node("c" + id), &net.add_router("r" + id),
+                  &net.add_node("s" + id)};
+    const std::string pre = "10." + id + ".";
+    net.link(*g.client, ip(pre + "1.1"), *g.router, ip(pre + "1.254"), 10e6, millis(1));
+    net.link(*g.router, ip(pre + "2.254"), *g.server, ip(pre + "2.1"), 10e6, millis(1));
+    g.client->routes().add_default(0);
+    g.server->routes().add_default(0);
+    out.push_back(g);
+  }
+  return out;
+}
+
+planp::Protocol::Options engine_options(planp::EngineKind kind) {
+  planp::Protocol::Options opts;
+  opts.engine = kind;
+  return opts;
+}
+
+TEST(RuntimeSharedProtocol, NodesKeepSeparateStateOnOneProtocol) {
+  for (planp::EngineKind kind : {planp::EngineKind::kInterp, planp::EngineKind::kJit}) {
+    SCOPED_TRACE(kind == planp::EngineKind::kJit ? "jit" : "interp");
+    Network net;
+    std::vector<SharedGroup> g = build_groups(net, 2);
+    const auto proto = planp::Protocol::compile(kSharedAsp, engine_options(kind));
+    AspRuntime r0(*g[0].router);
+    AspRuntime r1(*g[1].router);
+    EXPECT_EQ(&r0.install(proto), proto.get());
+    EXPECT_EQ(&r1.install(proto), proto.get());
+    EXPECT_NE(&r0.engine(), &r1.engine());
+
+    int got0 = 0, got1 = 0;
+    UdpSocket sink0(*g[0].server, 7, [&](const Packet&) { ++got0; });
+    UdpSocket sink1(*g[1].server, 7, [&](const Packet&) { ++got1; });
+    UdpSocket src0(*g[0].client, 9999, nullptr);
+    UdpSocket src1(*g[1].client, 9999, nullptr);
+    for (int i = 0; i < 3; ++i) src0.send_to(g[0].server->addr(), 7, asp::net::bytes_of("x"));
+    src1.send_to(g[1].server->addr(), 7, asp::net::bytes_of("y"));
+    net.run();
+
+    EXPECT_EQ(r0.log(), "10.0.1.254 1 0 0\n10.0.1.254 2 1 0\n10.0.1.254 3 2 1\n");
+    EXPECT_EQ(r1.log(), "10.1.1.254 1 0 0\n");
+    EXPECT_EQ(r0.stats().packets_handled, 3u);
+    EXPECT_EQ(r1.stats().packets_handled, 1u);
+    EXPECT_EQ(r0.cache().size(), 3u);
+    EXPECT_EQ(r1.cache().size(), 1u);
+    EXPECT_EQ(got0, 3);
+    EXPECT_EQ(got1, 1);
+
+    // Uninstalling one node leaves the other running.
+    r0.uninstall();
+    r0.clear_log();
+    src0.send_to(g[0].server->addr(), 7, asp::net::bytes_of("x"));
+    src1.send_to(g[1].server->addr(), 7, asp::net::bytes_of("y"));
+    net.run();
+    EXPECT_EQ(r0.log(), "");
+    EXPECT_EQ(r0.stats().packets_handled, 3u);
+    EXPECT_EQ(got0, 4) << "standard IP forwards while uninstalled";
+    EXPECT_EQ(r1.log(), "10.1.1.254 1 0 0\n10.1.1.254 2 1 0\n");
+
+    // Reinstalling starts that node over and leaves the other's state alone.
+    r0.install(proto);
+    src0.send_to(g[0].server->addr(), 7, asp::net::bytes_of("x"));
+    src1.send_to(g[1].server->addr(), 7, asp::net::bytes_of("y"));
+    net.run();
+    EXPECT_EQ(r0.log(), "10.0.1.254 1 0 0\n");
+    EXPECT_EQ(r1.log(), "10.1.1.254 1 0 0\n10.1.1.254 2 1 0\n10.1.1.254 3 2 1\n");
+    EXPECT_EQ(r1.stats().packets_handled, 3u);
+  }
+}
+
+// Everything a run of the shared protocol leaves behind, per group.
+struct SharedOutcome {
+  std::vector<std::string> logs;
+  std::vector<std::uint64_t> handled, sent, fills;
+  std::vector<int> delivered;
+  bool operator==(const SharedOutcome&) const = default;
+};
+
+SharedOutcome run_shared(planp::EngineKind kind, int shards) {
+  constexpr int kGroups = 4;
+  constexpr int kPackets = 60;
+  Network net;
+  std::vector<SharedGroup> g = build_groups(net, kGroups);
+  const auto proto = planp::Protocol::compile(kSharedAsp, engine_options(kind));
+  std::vector<std::unique_ptr<AspRuntime>> rts;
+  for (const SharedGroup& grp : g) {
+    rts.push_back(std::make_unique<AspRuntime>(*grp.router));
+    rts.back()->install(proto);
+  }
+  std::unique_ptr<ParallelExecutor> exec;
+  if (shards > 1) {
+    exec = std::make_unique<ParallelExecutor>(net, shards);
+    std::vector<int> router_shards;
+    for (const SharedGroup& grp : g) router_shards.push_back(exec->shard_of(*grp.router));
+    std::sort(router_shards.begin(), router_shards.end());
+    EXPECT_GT(std::unique(router_shards.begin(), router_shards.end()) - router_shards.begin(), 1)
+        << "the routers must run on more than one shard";
+  }
+  SharedOutcome out;
+  out.delivered.assign(kGroups, 0);
+  std::vector<std::unique_ptr<UdpSocket>> socks;
+  for (int i = 0; i < kGroups; ++i) {
+    socks.push_back(std::make_unique<UdpSocket>(
+        *g[static_cast<std::size_t>(i)].server, 7,
+        [&out, i](const Packet&) { ++out.delivered[static_cast<std::size_t>(i)]; }));
+  }
+  for (int i = 0; i < kGroups; ++i) {
+    const SharedGroup& grp = g[static_cast<std::size_t>(i)];
+    socks.push_back(std::make_unique<UdpSocket>(*grp.client, 9999, nullptr));
+    for (int k = 0; k < kPackets; ++k) {
+      socks.back()->send_to(grp.server->addr(), 7,
+                            asp::net::bytes_of("packet " + std::to_string(k)));
+    }
+  }
+  net.run_until(seconds(1));
+  for (const auto& rt : rts) {
+    out.logs.push_back(rt->log());
+    out.handled.push_back(rt->stats().packets_handled);
+    out.sent.push_back(rt->stats().packets_sent);
+    out.fills.push_back(rt->cache().stats().fills);
+  }
+  return out;
+}
+
+TEST(RuntimeSharedProtocol, ShardedRunMatchesSerial) {
+  for (planp::EngineKind kind : {planp::EngineKind::kInterp, planp::EngineKind::kJit}) {
+    SCOPED_TRACE(kind == planp::EngineKind::kJit ? "jit" : "interp");
+    const SharedOutcome serial = run_shared(kind, 1);
+    for (std::uint64_t h : serial.handled) EXPECT_EQ(h, 60u);
+    for (int d : serial.delivered) EXPECT_EQ(d, 60);
+    EXPECT_EQ(run_shared(kind, 4), serial);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "net/network.hpp"
 #include "net/time.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/engine.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/scn.hpp"
 #include "scenario/topology.hpp"
@@ -403,6 +404,41 @@ TEST(ScenarioCache, EdgeCacheHitsAndStaysDeterministic) {
     sharded = sc.run(4).to_json();
   }
   EXPECT_EQ(serial, sharded);
+}
+
+// The edge tier installs one compiled protocol on every edge router: the
+// pipeline (and its planp/install/* instruments) runs once per tier, not
+// once per router.
+TEST(ScenarioCache, EdgeTierCompilesOnce) {
+  ScenarioConfig cfg;
+  std::string err;
+  ASSERT_TRUE(load_scn_file(
+      std::string(ASP_SCENARIO_DIR) + "/fat_tree_cache.scn", cfg, err))
+      << err;
+  ASSERT_EQ(cfg.asp_cache, "planp");
+  ASSERT_EQ(cfg.asp_monitors, "core");
+  obs::Counter& installs = obs::registry().counter("planp/install/count");
+  {
+    // As checked in, the scenario has two ASP tiers: one compilation each.
+    const std::uint64_t before = installs.value();
+    Scenario both(cfg);
+    EXPECT_EQ(installs.value() - before, 2u);
+  }
+  cfg.asp_monitors = "none";
+  const std::uint64_t before = installs.value();
+  Scenario sc(cfg);
+  EXPECT_EQ(installs.value() - before, 1u);
+
+  const auto& tier = sc.cache_runtimes();
+  ASSERT_EQ(tier.size(), sc.topology().edge_routers.size());
+  ASSERT_GT(tier.size(), 1u);
+  for (const auto& rt : tier) {
+    ASSERT_TRUE(rt->installed());
+    EXPECT_EQ(&rt->protocol(), &tier.front()->protocol());
+    if (rt != tier.front()) {
+      EXPECT_NE(&rt->engine(), &tier.front()->engine());
+    }
+  }
 }
 
 // The hand-written native hook is a drop-in twin of the PLAN-P ASP: same
