@@ -9,9 +9,10 @@
 //                      via cancel+schedule (the tcp.cpp pattern). This is the
 //                      shape the closed-loop workload synthesizer puts on
 //                      every host-bundle queue.
-//   * delivery_heavy — a driver timer fanning out same-(sink, key, time)
-//                      packet deliveries that drain as PacketBatch groups,
-//                      i.e. the forwarding-plane shape of a scenario run.
+//   * delivery_heavy — a driver timer fanning out same-time packet
+//                      deliveries, each one ranked event that captures a
+//                      pooled Packet box, i.e. the forwarding-plane shape of
+//                      a scenario run.
 //   * mixed          — both at once, approximating a full scenario shard.
 //
 // What CI gates (see .github/workflows/ci.yml, Release job): allocs/event is
@@ -31,7 +32,6 @@
 
 #include "bench/harness.hpp"
 #include "mem/pool.hpp"
-#include "net/batch.hpp"
 #include "net/event.hpp"
 #include "net/network.hpp"  // net::ip()
 #include "net/packet.hpp"
@@ -145,16 +145,23 @@ struct TimerSim {
 };
 
 // --- delivery-heavy -----------------------------------------------------------
-// A driver timer fires every 2 µs and fans out kFanout deliveries, grouped
-// same-(sink, key, time) in runs of kGroup so the batch drain engages exactly
-// as it does behind a scenario router port.
-struct CountSink final : net::DeliverySink {
+// A driver timer fires every 2 µs and fans out `fanout` groups of kGroup
+// deliveries, all due 1 µs later. Each delivery is scheduled the way a
+// point-to-point link enqueues a frame arrival: one ranked event whose
+// capture holds a pooled Packet box, released after the event runs.
+struct CountSink {
   std::uint64_t packets = 0;
-  void deliver_batch(std::uint32_t, net::PacketBatch&& batch) override {
-    packets += batch.size();
-    batch.clear();  // recycle the boxes, as the runtime's receive path does
-  }
 };
+
+// Schedules one delivery of a boxed copy of `tmpl` to `sink`.
+void schedule_arrival(net::EventQueue& q, net::SimTime at, std::uint32_t rank,
+                      CountSink& sink, const net::Packet& tmpl) {
+  q.schedule_ranked(at, q.now(), rank,
+                    [&sink, box = net::packet_boxes().box(tmpl)]() mutable {
+                      ++sink.packets;
+                      box.reset();  // recycle, as the receive path does
+                    });
+}
 
 struct DeliverySim {
   static constexpr std::uint32_t kSinks = 4;
@@ -176,8 +183,7 @@ struct DeliverySim {
     for (std::uint32_t g = 0; g < fanout; ++g) {
       CountSink& s = sinks[g % kSinks];
       for (std::uint32_t j = 0; j < kGroup; ++j) {
-        q.schedule_delivery(at, q.now(), rank++, s, g % kSinks,
-                            net::packet_boxes().box(tmpl));
+        schedule_arrival(q, at, rank++, s, tmpl);
       }
     }
     q.schedule_in(2'000, [this] { drive(); });
@@ -201,8 +207,7 @@ struct MixedSim {
     std::uint32_t rank = 0;
     for (std::uint32_t g = 0; g < fanout; ++g) {
       for (std::uint32_t j = 0; j < DeliverySim::kGroup; ++j) {
-        q.schedule_delivery(at, q.now(), rank++, sink, 0,
-                            net::packet_boxes().box(tmpl));
+        schedule_arrival(q, at, rank++, sink, tmpl);
       }
     }
     q.schedule_in(2'000, [this] { drive(); });

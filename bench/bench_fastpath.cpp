@@ -104,12 +104,6 @@ constexpr double kPreprTaggedAllocsPerPacket = 8.0;
 constexpr double kPreprPassthroughPps = 6.89e7;
 constexpr double kPreprPassthroughAllocsPerPacket = 0.0;
 
-// PR-4 fast path re-measured on this machine right before this PR: pooled
-// buffers and interned dispatch, but per-packet string-keyed channel lookup,
-// type-tree packet decode and single-packet inject only. The batched
-// match-action pipeline is held to >=2x this figure at batch >= 32.
-constexpr double kPr4TaggedJitPps = 2.27e6;
-
 // The alloc budget the memory subsystem is held to on the tagged path; CI
 // fails the Release job if the measured figure exceeds it — serial AND at
 // every multi-shard point below.
@@ -125,9 +119,6 @@ constexpr double kPr6TaggedJitPps = 5.06e6;
 // asserts 0 allocs/packet and 0 pool-mutex spills in steady state at all of
 // them (ISSUE 7 acceptance).
 constexpr int kShardPoints[] = {1, 4, 16};
-
-// Batch sizes the gauges re-record (bench/fastpath/batch_<n>/...).
-constexpr int kBatchSizes[] = {1, 8, 32, 64};
 
 // Display names, indexed by AllocTag.
 constexpr const char* kTagName[kTagCount] = {"other", "buffer", "tuple",
@@ -145,7 +136,10 @@ struct Fixture {
   net::Node& node;
   runtime::AspRuntime rt;
 
-  explicit Fixture(planp::EngineKind engine) : node(network.add_node("bench")), rt(node) {
+  // Instruments are keyed by node name (node/<name>/asp/*), so fixtures that
+  // run at the same time need distinct names or they share counters.
+  explicit Fixture(planp::EngineKind engine, const std::string& name = "bench")
+      : node(network.add_node(name)), rt(node) {
     node.add_interface(net::ip("10.0.0.2"));
     planp::Protocol::Options opts;
     opts.engine = engine;
@@ -196,24 +190,6 @@ void BM_Fastpath_PassThrough_JitCow(benchmark::State& state) {
 }
 BENCHMARK(BM_Fastpath_PassThrough_JitCow);
 
-// Batched match-action dispatch: the batch is assembled inside the timed
-// region (boxing a copy per packet, as the event layer would), so the figure
-// is end-to-end comparable with the single-packet numbers above.
-void BM_Fastpath_Tagged_Jit_Batch(benchmark::State& state) {
-  Fixture f(planp::EngineKind::kJit);
-  net::Packet p = tagged_packet();
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    net::PacketBatch batch;
-    for (std::size_t j = 0; j < n; ++j) {
-      batch.push(net::packet_boxes().box(p));
-    }
-    benchmark::DoNotOptimize(f.rt.inject_batch(std::move(batch)));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Fastpath_Tagged_Jit_Batch)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
-
 // --- gauge export -------------------------------------------------------------
 
 double measure_pps(runtime::AspRuntime& rt, const net::Packet& packet, int n) {
@@ -224,21 +200,6 @@ double measure_pps(runtime::AspRuntime& rt, const net::Packet& packet, int n) {
   }
   auto t1 = std::chrono::steady_clock::now();
   return n / std::chrono::duration<double>(t1 - t0).count();
-}
-
-double measure_batch_pps(runtime::AspRuntime& rt, const net::Packet& packet,
-                         std::size_t batch_size, int n_batches) {
-  auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < n_batches; ++i) {
-    net::PacketBatch batch;
-    for (std::size_t j = 0; j < batch_size; ++j) {
-      batch.push(net::packet_boxes().box(packet));
-    }
-    benchmark::DoNotOptimize(rt.inject_batch(std::move(batch)));
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  return static_cast<double>(n_batches) * static_cast<double>(batch_size) /
-         std::chrono::duration<double>(t1 - t0).count();
 }
 
 struct AllocBreakdown {
@@ -256,31 +217,6 @@ AllocBreakdown measure_allocs_per_packet(runtime::AspRuntime& rt,
     net::Packet copy = packet;
     benchmark::DoNotOptimize(rt.inject(std::move(copy)));
   }
-  AllocBreakdown out;
-  for (std::size_t t = 0; t < kTagCount; ++t) {
-    std::uint64_t after = g_allocs_by_tag[t].load(std::memory_order_relaxed);
-    out.by_tag[t] = static_cast<double>(after - before[t]) / n;
-    out.total += out.by_tag[t];
-  }
-  return out;
-}
-
-AllocBreakdown measure_batch_allocs_per_packet(runtime::AspRuntime& rt,
-                                               const net::Packet& packet,
-                                               std::size_t batch_size,
-                                               int n_batches) {
-  std::uint64_t before[kTagCount];
-  for (std::size_t t = 0; t < kTagCount; ++t) {
-    before[t] = g_allocs_by_tag[t].load(std::memory_order_relaxed);
-  }
-  for (int i = 0; i < n_batches; ++i) {
-    net::PacketBatch batch;
-    for (std::size_t j = 0; j < batch_size; ++j) {
-      batch.push(net::packet_boxes().box(packet));
-    }
-    benchmark::DoNotOptimize(rt.inject_batch(std::move(batch)));
-  }
-  const double n = static_cast<double>(n_batches) * static_cast<double>(batch_size);
   AllocBreakdown out;
   for (std::size_t t = 0; t < kTagCount; ++t) {
     std::uint64_t after = g_allocs_by_tag[t].load(std::memory_order_relaxed);
@@ -325,32 +261,6 @@ void export_gauges() {
         .set(tagged_split.by_tag[t]);
   }
 
-  // Batched match-action dispatch across the recorded batch sizes; the
-  // batch-32 point carries the alloc split and the headline speedup.
-  double batch32_pps = 0;
-  for (int bs : kBatchSizes) {
-    const std::size_t n = static_cast<std::size_t>(bs);
-    double pps = obs::record_stabilized_gauge(
-        "bench/fastpath/batch_" + std::to_string(bs) + "/tagged_jit_pps",
-        [&] { return measure_batch_pps(jit.rt, tagged, n, kPackets / bs); });
-    if (bs == 32) batch32_pps = pps;
-  }
-  double batch_allocs = obs::record_stabilized_gauge(
-      "bench/fastpath/batch_32/tagged_allocs_per_packet", [&] {
-        return measure_batch_allocs_per_packet(jit.rt, tagged, 32, kPackets / 32)
-            .total;
-      });
-  AllocBreakdown batch_split =
-      measure_batch_allocs_per_packet(jit.rt, tagged, 32, kPackets / 32);
-  for (std::size_t t = 0; t < kTagCount; ++t) {
-    reg.gauge(std::string("bench/fastpath/batch_32/tagged_allocs_") + kTagName[t] +
-              "_per_packet")
-        .set(batch_split.by_tag[t]);
-  }
-  reg.gauge("bench/fastpath/pr4_tagged_jit_pps").set(kPr4TaggedJitPps);
-  reg.gauge("bench/fastpath/batch_32/tagged_speedup_vs_pr4")
-      .set(batch32_pps / kPr4TaggedJitPps);
-
   reg.gauge("bench/fastpath/tagged_allocs_budget").set(kTaggedAllocBudget);
   reg.gauge("bench/fastpath/prepr_tagged_pps").set(kPreprTaggedPps);
   reg.gauge("bench/fastpath/prepr_tagged_allocs_per_packet")
@@ -373,15 +283,6 @@ void export_gauges() {
     std::printf(" %s=%.3f", kTagName[t], tagged_split.by_tag[t]);
   }
   std::printf("\n");
-  std::printf("fastpath: batched tagged jit");
-  for (int bs : kBatchSizes) {
-    std::printf(" batch_%d=%.3g pps", bs,
-                reg.gauge("bench/fastpath/batch_" + std::to_string(bs) +
-                          "/tagged_jit_pps")
-                    .value());
-  }
-  std::printf(" (batch_32 %.2fx PR-4) at %.3f allocs/packet\n",
-              batch32_pps / kPr4TaggedJitPps, batch_allocs);
 }
 
 // --- multi-shard gauges -------------------------------------------------------
@@ -404,11 +305,11 @@ void export_shard_gauges(const std::vector<int>& shard_points) {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(k));
     for (int i = 0; i < k; ++i) {
-      threads.emplace_back([&] {
+      threads.emplace_back([&, i] {
         // Bind to the lowest free pool set (main holds shard 0, so the k
         // workers land on 1..k) and keep every pool touch shard-local.
         mem::bind_shard(-1);
-        Fixture f(planp::EngineKind::kJit);
+        Fixture f(planp::EngineKind::kJit, "bench-" + std::to_string(i));
         net::Packet tagged = tagged_packet();
         measure_pps(f.rt, tagged, kWarmPackets);  // warm pools + freelists
         warmed.arrive_and_wait();

@@ -615,8 +615,8 @@ class BoxPool : public PoolBase {
   }
 
   /// Copy-in overload: assigns straight into the recycled node, skipping the
-  /// temporary + move a `box(T(v))` call would pay. Used by batch producers
-  /// that fan one packet out into many boxes.
+  /// temporary + move a `box(T(v))` call would pay. Used by producers that
+  /// box one template packet many times (bench_event's delivery fan-out).
   Handle box(const T& v) {
     Node* n = take();
     if (n != nullptr) {

@@ -1,7 +1,6 @@
 #include "net/event.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 
@@ -10,28 +9,6 @@
 namespace asp::net {
 
 namespace {
-
-std::atomic<std::size_t>& default_batch_limit_slot() {
-  static std::atomic<std::size_t> limit{32};
-  return limit;
-}
-
-std::size_t clamp_batch_limit(std::size_t n) {
-  if (n < 1) return 1;
-  if (n > PacketBatch::kCapacity) return PacketBatch::kCapacity;
-  return n;
-}
-
-std::atomic<unsigned>& default_wlog_slot() {
-  static std::atomic<unsigned> w{10};  // 1.024 µs level-0 buckets
-  return w;
-}
-
-unsigned clamp_wlog(unsigned w) {
-  if (w < 4) return 4;
-  if (w > 20) return 20;
-  return w;
-}
 
 /// Circular occupancy scan: first set bit among the 256 ring positions
 /// starting at `from` (inclusive), in circular order, or -1 if none. The
@@ -53,27 +30,6 @@ int scan_ring(const std::uint64_t* occ, unsigned from) {
 }
 
 }  // namespace
-
-EventQueue::EventQueue()
-    : batch_limit_(default_batch_limit()), wlog_(default_bucket_width_log2()) {}
-
-EventQueue::~EventQueue() = default;
-
-void EventQueue::set_default_batch_limit(std::size_t n) {
-  default_batch_limit_slot().store(clamp_batch_limit(n), std::memory_order_relaxed);
-}
-
-std::size_t EventQueue::default_batch_limit() {
-  return default_batch_limit_slot().load(std::memory_order_relaxed);
-}
-
-void EventQueue::set_default_bucket_width_log2(unsigned w) {
-  default_wlog_slot().store(clamp_wlog(w), std::memory_order_relaxed);
-}
-
-unsigned EventQueue::default_bucket_width_log2() {
-  return default_wlog_slot().load(std::memory_order_relaxed);
-}
 
 // --- slab ---------------------------------------------------------------------
 
@@ -114,14 +70,7 @@ void EventQueue::free_slot(std::uint32_t slot) {
 EventId EventQueue::schedule_at(SimTime t, EventFn fn) {
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) t = now_;
-  const std::uint32_t slot = alloc_slot();
-  Entry& e = slab(slot);
-  e.fn = std::move(fn);
-  e.sink = nullptr;
-  e.state = kLive;
-  ++pending_;
-  place(Key{t, now_, seq_++, UINT32_MAX, slot});
-  return (static_cast<EventId>(e.gen) << 32) | slot;
+  return schedule_ranked(t, now_, UINT32_MAX, std::move(fn));
 }
 
 EventId EventQueue::schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank,
@@ -130,22 +79,6 @@ EventId EventQueue::schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank
   const std::uint32_t slot = alloc_slot();
   Entry& e = slab(slot);
   e.fn = std::move(fn);
-  e.sink = nullptr;
-  e.state = kLive;
-  ++pending_;
-  place(Key{t, sched, seq_++, rank, slot});
-  return (static_cast<EventId>(e.gen) << 32) | slot;
-}
-
-EventId EventQueue::schedule_delivery(SimTime t, SimTime sched, std::uint32_t rank,
-                                      DeliverySink& sink, std::uint32_t key,
-                                      PacketBatch::Box box) {
-  assert(t >= now_ && "cannot schedule in the past");
-  const std::uint32_t slot = alloc_slot();
-  Entry& e = slab(slot);
-  e.sink = &sink;
-  e.key = key;
-  e.box = std::move(box);
   e.state = kLive;
   ++pending_;
   place(Key{t, sched, seq_++, rank, slot});
@@ -164,8 +97,6 @@ void EventQueue::cancel(EventId id) {
   // bucket ever references a reused slot.
   e.state = kDead;
   e.fn = EventFn{};
-  e.box.reset();
-  e.sink = nullptr;
   --pending_;
 }
 
@@ -176,7 +107,7 @@ void EventQueue::cancel(EventId id) {
 // run_until() peek having moved the cursor past now_), else the finest wheel
 // level whose 256-bucket window reaches it, else the far band.
 void EventQueue::place(const Key& k) {
-  const std::uint64_t b0 = k.time >> wlog_;
+  const std::uint64_t b0 = k.time >> kWidthLog2;
   if (b0 <= cur_b_) {
     incur_.push_back(k);
     std::push_heap(incur_.begin(), incur_.end(),
@@ -184,7 +115,7 @@ void EventQueue::place(const Key& k) {
     return;
   }
   for (unsigned L = 0; L < kLevels; ++L) {
-    const std::uint64_t bL = k.time >> (wlog_ + kBucketBits * L);
+    const std::uint64_t bL = k.time >> (kWidthLog2 + kBucketBits * L);
     const std::uint64_t curL = cur_b_ >> (kBucketBits * L);
     if (bL - curL <= kBuckets) {
       // All occupied cells at level L hold bucket numbers in
@@ -234,7 +165,7 @@ bool EventQueue::advance() {
       const int idx =
           scan_ring(occ_[L], static_cast<unsigned>((curL + 1) & (kBuckets - 1)));
       if (idx < 0) continue;
-      const SimTime start = cells_[L][idx].num << (wlog_ + kBucketBits * L);
+      const SimTime start = cells_[L][idx].num << (kWidthLog2 + kBucketBits * L);
       if (start <= best_start) {  // ties: prefer coarser
         best_start = start;
         best_level = static_cast<int>(L);
@@ -242,7 +173,7 @@ bool EventQueue::advance() {
       }
     }
     if (far_min_ != kNever) {
-      const SimTime fstart = (far_min_ >> wlog_) << wlog_;
+      const SimTime fstart = (far_min_ >> kWidthLog2) << kWidthLog2;
       if (fstart <= best_start) best_level = static_cast<int>(kLevels);
     }
     if (best_level < 0) return false;
@@ -251,12 +182,12 @@ bool EventQueue::advance() {
       // Refill: stand just before the band minimum's bucket and pull in
       // everything the wheel horizon now covers (lazily partitioned — the
       // remainder is rescanned at the next refill).
-      cur_b_ = (far_min_ >> wlog_) - 1;
+      cur_b_ = (far_min_ >> kWidthLog2) - 1;
       SimTime new_min = kNever;
       std::size_t w = 0;
       for (std::size_t i = 0; i < far_.size(); ++i) {
         const Key k = far_[i];
-        const std::uint64_t b3 = k.time >> (wlog_ + kBucketBits * (kLevels - 1));
+        const std::uint64_t b3 = k.time >> (kWidthLog2 + kBucketBits * (kLevels - 1));
         const std::uint64_t cur3 = cur_b_ >> (kBucketBits * (kLevels - 1));
         if (b3 - cur3 <= kBuckets) {
           place(k);
@@ -338,68 +269,25 @@ bool EventQueue::take_head(Key& out) {
   return true;
 }
 
-// --- draining -----------------------------------------------------------------
+// --- running ------------------------------------------------------------------
 
-std::uint64_t EventQueue::pop_some(std::uint64_t max_events) {
+bool EventQueue::run_head() {
   Key k;
-  if (!take_head(k)) return 0;
+  if (!take_head(k)) return false;
   Entry& e = slab(k.slot);
   now_ = k.time;
   --pending_;
-  if (e.sink == nullptr) {
-    EventFn fn = std::move(e.fn);
-    // Reclaim before invoking: a handler cancelling its own id (or a fired
-    // id, the old cancelled_-set leak) hits a bumped generation and no-ops.
-    free_slot(k.slot);
-    fn();
-    return 1;
-  }
-
-  // Batch drain. Safety rule (DESIGN.md §6c): an entry may join the batch
-  // only if it has the same (sink, key), the same timestamp, AND a schedule
-  // clock strictly before that timestamp. Anything a handler schedules
-  // while the batch runs carries sched == time (now_ == k.time), which
-  // sorts at-or-after every remaining member under the canonical
-  // comparator — so nothing that serial execution would have interleaved
-  // between two members can exist. Draining them together is therefore a
-  // pure reordering of *pop* operations, not of *execution* order.
-  DeliverySink* sink = e.sink;
-  const std::uint32_t dkey = e.key;
-  PacketBatch batch;
-  batch.push(std::move(e.box));
-  e.sink = nullptr;
+  EventFn fn = std::move(e.fn);
+  // Reclaim before invoking: a handler cancelling its own id (or a fired
+  // id, the old cancelled_-set leak) hits a bumped generation and no-ops.
   free_slot(k.slot);
-  const std::uint64_t want = batch_limit_ < max_events ? batch_limit_ : max_events;
-  while (batch.size() < want) {
-    const Key* h = peek_head();
-    if (h == nullptr || h->time != k.time || h->sched >= k.time) break;
-    Entry& pe = slab(h->slot);
-    if (pe.sink != sink || pe.key != dkey) break;
-    const std::uint32_t slot = h->slot;
-    if (spos_ < sorted_.size() && h == &sorted_[spos_]) {
-      ++spos_;
-    } else {
-      std::pop_heap(incur_.begin(), incur_.end(),
-                    [](const Key& a, const Key& b) { return key_less(b, a); });
-      incur_.pop_back();
-    }
-    --pending_;
-    batch.push(std::move(pe.box));
-    pe.sink = nullptr;
-    free_slot(slot);
-  }
-  const std::uint64_t n = batch.size();
-  sink->deliver_batch(dkey, std::move(batch));
-  return n;
+  fn();
+  return true;
 }
 
 std::uint64_t EventQueue::run(std::uint64_t limit) {
   std::uint64_t n = 0;
-  while (n < limit) {
-    std::uint64_t ran = pop_some(limit - n);
-    if (ran == 0) break;
-    n += ran;
-  }
+  while (n < limit && run_head()) ++n;
   return n;
 }
 
@@ -416,7 +304,8 @@ std::uint64_t EventQueue::run_until(SimTime t) {
   // move the drain cursor past t; anything scheduled into the gap afterwards
   // routes through the incursion heap, preserving canonical order.
   while (next_event_time() <= t) {
-    n += pop_some(UINT64_MAX);
+    run_head();
+    ++n;
   }
   if (now_ < t) now_ = t;
   return n;

@@ -10,12 +10,12 @@
 //
 // Implementation (DESIGN.md §6h): a deterministic hierarchical calendar
 // queue. Entries live in a pooled slab (chunks tagged mem::AllocTag::kEvent)
-// and are ordered through 32-byte sort keys only — the ~100-byte payload
-// (SmallFn capture, delivery box) never moves during ordering. Scheduling
-// and cancelling are O(1); cancel is a generation-checked handle
-// invalidation, so there is no cancelled-id side table to leak or to rehash
-// on the hot path. Buckets drain in canonical (time, sched, rank, seq)
-// order, byte-identical to the previous binary-heap implementation.
+// and are ordered through 32-byte sort keys only — the payload (a SmallFn
+// capture) never moves during ordering. Scheduling and cancelling are O(1);
+// cancel is a generation-checked handle invalidation, so there is no
+// cancelled-id side table to leak or to rehash on the hot path. Buckets
+// drain in canonical (time, sched, rank, seq) order, byte-identical to the
+// previous binary-heap implementation.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "mem/smallfn.hpp"
-#include "net/batch.hpp"
 #include "net/time.hpp"
 
 namespace asp::net {
@@ -45,45 +44,25 @@ using EventFn = mem::SmallFn<64>;
 /// rules coincide (now() never decreases, so FIFO sequence numbers already
 /// order by schedule clock); the distinction only matters for cross-shard
 /// merges, see net/exec.cpp.
-///
-/// Packet deliveries scheduled via schedule_delivery() additionally
-/// participate in BATCH DRAINING: when the head of the queue is a delivery,
-/// up to default_batch_limit() (as it was when the queue was constructed)
-/// consecutive same-timestamp deliveries with the same (sink, key) are
-/// popped together and handed to the sink as one PacketBatch. The drain is
-/// order-preserving by construction — see the safety-rule comment on
-/// pop_some() — so any batch limit (including 1) produces byte-identical
-/// simulations.
 class EventQueue {
  public:
-  EventQueue();
-  ~EventQueue();
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules `fn` to run at absolute time `t` (>= now()).
   EventId schedule_at(SimTime t, EventFn fn);
 
-  /// Schedules a point-to-point frame delivery with an explicit tie-break
-  /// key: `sched` is the sender's clock at transmit time and `rank` its
-  /// topology index. Used for p2p deliveries in BOTH serial and parallel
-  /// runs so that deliveries colliding to the nanosecond sort identically
-  /// whether they were enqueued locally at transmit time (serial / same
-  /// shard) or merged from a mailbox at a window barrier (cross-shard) —
-  /// the determinism contract's canonical order (DESIGN.md §6f).
+  /// Schedules `fn` at time `t` with an explicit tie-break key: `sched` is
+  /// the sender's clock at transmit time and `rank` its topology index.
+  /// Every point-to-point frame arrival goes through here, in BOTH serial
+  /// and parallel runs, so that arrivals colliding to the nanosecond sort
+  /// identically whether they were enqueued locally at transmit time
+  /// (serial / same shard) or merged from a mailbox at a window barrier
+  /// (cross-shard) — the determinism contract's canonical order (DESIGN.md
+  /// §6f). schedule_at() is the special case (sched = now(), rank =
+  /// UINT32_MAX).
   EventId schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank, EventFn fn);
-
-  /// Schedules a batchable packet delivery: at time `t` the boxed packet is
-  /// handed to `sink` (with `key` disambiguating the sink's input), possibly
-  /// grouped with adjacent same-(sink, key, t) deliveries into one
-  /// PacketBatch. (`sched`, `rank`) is the same canonical tie-break key as
-  /// schedule_ranked — media stamp the sender clock / topo index here.
-  /// The returned id is for bookkeeping symmetry only: batched deliveries
-  /// are part of the non-cancellable delivery contract (net/batch.hpp) and
-  /// media discard it.
-  EventId schedule_delivery(SimTime t, SimTime sched, std::uint32_t rank,
-                            DeliverySink& sink, std::uint32_t key,
-                            PacketBatch::Box box);
 
   /// Schedules `fn` to run `delay` after the current time.
   EventId schedule_in(SimTime delay, EventFn fn) {
@@ -98,8 +77,7 @@ class EventQueue {
   void cancel(EventId id);
 
   /// Runs events until the queue is empty or `limit` events have run.
-  /// Returns the number of events executed (each batched delivery counts as
-  /// one event per packet; a drain never collects past the remaining limit).
+  /// Returns the number of events executed.
   std::uint64_t run(std::uint64_t limit = UINT64_MAX);
 
   /// Runs events with timestamps <= `t`; afterwards now() == t.
@@ -123,29 +101,16 @@ class EventQueue {
   /// coordinator reads this at window barriers to size the next safe window.
   SimTime next_event_time();
 
-  /// Maximum deliveries drained into one PacketBatch (clamped to
-  /// [1, PacketBatch::kCapacity]; 1 disables batching), applied to queues
-  /// constructed afterwards (the parallel executor's shard queues inherit it
-  /// too). Tests sweep this to prove batched-vs-single equivalence.
-  static void set_default_batch_limit(std::size_t n);
-  static std::size_t default_batch_limit();
-
-  /// log2 of the level-0 calendar bucket width in ns (clamped to [4, 20];
-  /// default 10 → 1.024 µs buckets, each wheel level 256× coarser), applied
-  /// to queues constructed afterwards. Purely a performance knob: buckets
-  /// partition time and drain in canonical order, so any width produces
-  /// byte-identical simulations — the determinism sweep in
-  /// tests/event_calendar_test.cpp proves it.
-  static void set_default_bucket_width_log2(unsigned w);
-  static unsigned default_bucket_width_log2();
-
  private:
   // --- geometry ---------------------------------------------------------------
   // kLevels wheel levels of kBuckets buckets each; level L buckets are
-  // 2^(wlog_ + kBucketBits*L) ns wide. Level 0 is sealed-and-run; upper
-  // levels cascade into finer levels when the cursor reaches them. Events
-  // beyond the level-3 horizon (~4.4 simulated hours at the default width)
-  // wait in the lazily-partitioned far band.
+  // 2^(kWidthLog2 + kBucketBits*L) ns wide (level 0: 1.024 µs). Level 0 is
+  // sealed-and-run; upper levels cascade into finer levels when the cursor
+  // reaches them. Events beyond the level-3 horizon (256 × 2^34 ns = 2^42 ns,
+  // about 73 simulated minutes) wait in the lazily-partitioned far band.
+  // Buckets only partition time and drain in canonical order, so the width
+  // affects speed, never the order in which events run.
+  static constexpr unsigned kWidthLog2 = 10;
   static constexpr unsigned kBucketBits = 8;
   static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;  // 256
   static constexpr unsigned kLevels = 4;
@@ -159,17 +124,10 @@ class EventQueue {
   // net::packet_boxes() and capture the pointer-sized box handle instead of
   // the ~150-byte Packet (see medium.cpp / node.cpp).
   //
-  // Delivery entries bypass `fn` entirely: they carry (sink, key, box)
-  // directly so the batch drain can move the boxes out without invoking
-  // anything.
-  //
   // The slot's payload. Ordering fields live in Key, not here: the slab
   // entry is written once at schedule and read once at drain.
   struct Entry {
     EventFn fn;
-    DeliverySink* sink = nullptr;  // non-null: batchable delivery entry
-    PacketBatch::Box box{};
-    std::uint32_t key = 0;
     std::uint32_t gen = 1;        // bumps on reclaim; 0 is never issued
     std::uint32_t next_free = 0;  // freelist link while FREE
     std::uint8_t state = 0;       // kFree / kLive / kDead
@@ -215,14 +173,12 @@ class EventQueue {
   bool take_head(Key& out);       // consume the canonical head (skips dead)
   const Key* peek_head();         // canonical head without consuming, or null
   void prune_dead_heads();
-  std::uint64_t pop_some(std::uint64_t max_events);
+  bool run_head();                // runs the canonical head; false if none
 
   SimTime now_ = 0;
   std::uint64_t seq_ = 1;         // canonical FIFO tie-break (old next_id_)
   std::size_t pending_ = 0;       // live (non-cancelled, not-yet-run) entries
   std::size_t occupied_ = 0;      // live + cancelled-but-undrained slots
-  const std::size_t batch_limit_;  // the process defaults at construction
-  const unsigned wlog_;
 
   // Drain cursor: absolute level-0 bucket number currently sealed. Entries
   // landing at or before it go to the incursion heap.

@@ -270,15 +270,11 @@ void ParallelExecutor::schedule_merged(Shard& me) {
             });
   for (CrossShardBox& m : me.merging) {
     assert(m->arrival > me.queue->now() && "window safety violated");
-    // Reconstruct the canonical delivery key — (sender transmit clock,
-    // sender topo index) — that the serial path stamps in
-    // PointToPointLink::schedule_delivery, so a merged delivery sorts
-    // exactly where the serial run would have put it. Scheduled as a
-    // batchable delivery entry, boxed from this shard's own pool: merged
-    // frames take the same batch-drain path as local ones.
-    me.queue->schedule_delivery(m->arrival, m->sent, m->sender_topo, *m->link,
-                                static_cast<std::uint32_t>(m->end),
-                                packet_boxes().box(std::move(m->packet)));
+    // The same canonical key — (sender transmit clock, sender topo index)
+    // — as the serial path, so a merged delivery sorts exactly where the
+    // serial run would have put it. The box comes from this shard's pool.
+    m->link->enqueue_arrival(*me.queue, m->arrival, m->sent, m->sender_topo,
+                             m->end, std::move(m->packet));
   }
   me.cross_merged += me.merging.size();
   me.merging.clear();  // each message recycles into its sender's pool

@@ -88,47 +88,34 @@ void PointToPointLink::deliver_arrival(int end, Packet&& p) {
   in.node()->receive(std::move(p), in);
 }
 
-void PointToPointLink::deliver_batch(std::uint32_t key, PacketBatch&& batch) {
-  const int end = static_cast<int>(key);
-  if (!link_up()) {  // partition started while the frames were in flight
-    // link_up_ only flips from scheduled events, which the batch drain never
-    // crosses (they fail the same-(sink,key,time) predicate), so one check
-    // covers — and disposes of — the whole batch, exactly as N serial checks
-    // would have.
-    for (std::size_t i = 0; i < batch.size(); ++i) count_drop_down();
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) note_delivered(batch[i]);
-  Interface& in = *ends_[end];
-  in.node()->receive_batch(std::move(batch), in);
+void PointToPointLink::enqueue_arrival(EventQueue& q, SimTime t, SimTime sched,
+                                       std::uint32_t rank, int end, Packet&& p) {
+  // The in-flight Packet rides in a pooled box so the capture (this, end,
+  // box handle) stays within the EventFn inline budget.
+  q.schedule_ranked(t, sched, rank,
+                    [this, end, box = packet_boxes().box(std::move(p))]() mutable {
+                      deliver_arrival(end, std::move(*box));
+                    });
 }
 
-void PointToPointLink::schedule_delivery(Interface* to, Packet&& p, SimTime arrival) {
-  const int end = (to == ends_[0]) ? 0 : 1;
+void PointToPointLink::post_arrival(int end, Packet&& p, SimTime arrival) {
   if (cross_[end]) {
     // Receiving end lives on another shard: hand the frame to its mailbox
-    // (the executor merges and schedules the delivery over there).
+    // (the executor merges it and calls enqueue_arrival over there).
     cross_[end](arrival, std::move(p));
     return;
   }
-  // The in-flight Packet rides in a pooled box; the delivery entry carries
-  // (sink=this, key=end, box) directly, so the queue's batch drain can group
-  // it with adjacent same-destination deliveries (net/batch.hpp).
-  //
-  // schedule_delivery stamps the canonical (sender clock, sender topo index)
-  // tie-break so serial and sharded runs order same-nanosecond deliveries
-  // identically (the cross-shard path above reconstructs exactly this key
-  // when the mailbox is merged).
+  // The canonical (sender clock, sender topo index) tie-break: serial and
+  // sharded runs order same-nanosecond arrivals identically (the cross-shard
+  // path above carries exactly this key through the mailbox).
   Node* sender = ends_[1 - end]->node();
-  events_->schedule_delivery(arrival, sender->events().now(), sender->topo_index(),
-                             *this, static_cast<std::uint32_t>(end),
-                             packet_boxes().box(std::move(p)));
+  enqueue_arrival(*events_, arrival, sender->events().now(), sender->topo_index(),
+                  end, std::move(p));
 }
 
 void PointToPointLink::transmit(Interface& from, Packet p) {
   int dir = (&from == ends_[0]) ? 0 : 1;
-  Interface* to = ends_[1 - dir];
-  if (to == nullptr) return;
+  if (ends_[1 - dir] == nullptr) return;
 
   // The SENDER's clock: on a cut link each direction transmits from its own
   // shard, and events_ belongs to only one of them.
@@ -159,58 +146,23 @@ void PointToPointLink::transmit(Interface& from, Packet p) {
   if (plan.corrupt) apply_corruption(p);
   if (plan.copies > 1) {
     count_duplicated();
-    schedule_delivery(to, Packet(p), busy_until_[dir] + delay_ + plan.extra[1]);
+    post_arrival(1 - dir, Packet(p), busy_until_[dir] + delay_ + plan.extra[1]);
   }
-  schedule_delivery(to, std::move(p), busy_until_[dir] + delay_ + plan.extra[0]);
+  post_arrival(1 - dir, std::move(p), busy_until_[dir] + delay_ + plan.extra[0]);
 }
 
-void EthernetSegment::schedule_delivery(const Interface* from, Packet&& p,
-                                        SimTime arrival) {
-  // Same (sched=now, rank=max) tie-break key the plain schedule_at path
-  // stamped before deliveries became batchable: segment frames keep sorting
-  // exactly where they always did. key = the sender's slot, so only frames
-  // from the same station share a batch.
-  events_->schedule_delivery(arrival, events_->now(), UINT32_MAX, *this,
-                             from->medium_slot(), packet_boxes().box(std::move(p)));
-}
-
-void EthernetSegment::deliver_batch(std::uint32_t key, PacketBatch&& batch) {
-  const Interface& from = *ifaces_.at(key);
-  if (!link_up()) {  // same single-check argument as PointToPointLink
-    for (std::size_t i = 0; i < batch.size(); ++i) count_drop_down();
-    return;
-  }
-  // A promiscuous listener sees every frame, interleaved with the addressed
-  // receiver in serial order — regrouping would reorder, so fall back.
-  bool promiscuous = false;
-  for (const Interface* iface : ifaces_) promiscuous |= iface->promiscuous();
-
-  PacketBatch group;
-  Interface* group_target = nullptr;
-  auto flush = [&] {
-    if (group.empty()) return;
-    group_target->node()->receive_batch(std::move(group), *group_target);
-    group = PacketBatch{};
-  };
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Packet& p = batch[i];
-    if (p.ip.dst.is_multicast() || promiscuous) {
-      flush();
-      deliver(from, std::move(p));
-      continue;
+void EthernetSegment::schedule_arrival(const Interface& from, Packet&& p,
+                                       SimTime arrival) {
+  // The sender is named by slot: an Interface* could dangle if its node's
+  // interface array grows while the frame is in flight (repoint()).
+  events_->schedule_at(arrival, [this, slot = from.medium_slot(),
+                                 box = packet_boxes().box(std::move(p))]() mutable {
+    if (!link_up()) {  // partition started while the frame was in flight
+      count_drop_down();
+      return;
     }
-    Interface* target = unicast_target(from, p);
-    if (target == nullptr) {
-      flush();
-      count_drop_unaddressed();
-      continue;
-    }
-    if (target != group_target) flush();
-    group_target = target;
-    note_delivered(p);
-    group.push(batch.take(i));
-  }
-  flush();
+    deliver(*ifaces_[slot], std::move(*box));
+  });
 }
 
 void EthernetSegment::transmit(Interface& from, Packet p) {
@@ -237,12 +189,11 @@ void EthernetSegment::transmit(Interface& from, Packet p) {
     return;
   }
   if (plan.corrupt) apply_corruption(p);
-  const Interface* sender = &from;
   if (plan.copies > 1) {
     count_duplicated();
-    schedule_delivery(sender, Packet(p), busy_until_ + delay_ + plan.extra[1]);
+    schedule_arrival(from, Packet(p), busy_until_ + delay_ + plan.extra[1]);
   }
-  schedule_delivery(sender, std::move(p), busy_until_ + delay_ + plan.extra[0]);
+  schedule_arrival(from, std::move(p), busy_until_ + delay_ + plan.extra[0]);
 }
 
 Interface* EthernetSegment::unicast_target(const Interface& from,

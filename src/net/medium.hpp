@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "net/batch.hpp"
 #include "net/event.hpp"
 #include "net/impairments.hpp"
 #include "net/meter.hpp"
@@ -69,8 +68,8 @@ class Interface {
   void note_tx(std::size_t bytes);  // defined in medium.cpp (needs Node)
 
   /// Attachment slot on the owning medium (set by the medium at attach time).
-  /// Media use it as the batch-drain `key` identifying the sender, so two
-  /// frames from the same station can share a PacketBatch.
+  /// Stable across interface relocation, so in-flight frames name their
+  /// sender by slot rather than by Interface* (see Medium::repoint).
   std::uint32_t medium_slot() const { return medium_slot_; }
   void set_medium_slot(std::uint32_t s) { medium_slot_ = s; }
 
@@ -253,7 +252,7 @@ class Medium {
 /// parallel executor: its delay() becomes cross-shard lookahead, and each
 /// direction's deliveries are posted to the receiving shard's mailbox
 /// through the installed poster instead of the local queue.
-class PointToPointLink : public Medium, public DeliverySink {
+class PointToPointLink : public Medium {
  public:
   PointToPointLink(EventQueue& events, std::string name, double bits_per_sec,
                    SimTime delay, std::uint64_t queue_capacity_bytes = 64 * 1024)
@@ -286,18 +285,20 @@ class PointToPointLink : public Medium, public DeliverySink {
   using CrossShardPoster = std::function<void(SimTime arrival, Packet&& p)>;
   void set_cross_poster(int end, CrossShardPoster f) { cross_[end] = std::move(f); }
 
-  /// Arrival half of a delivery for receiving end `end`: link-state check,
-  /// delivered accounting, hand-off to the node. Public so the executor can
-  /// run it on the receiving shard at the merged arrival time.
-  void deliver_arrival(int end, Packet&& p);
-
-  /// Batched arrival (DeliverySink): every member is bound for end `key`;
-  /// per-packet link-state checks and delivered accounting run in canonical
-  /// order, then the whole batch enters the node in one call.
-  void deliver_batch(std::uint32_t key, PacketBatch&& batch) override;
+  /// Enqueues the arrival of `p` at receiving end `end` as one event on `q`
+  /// at time `t`, with the canonical tie-break key (`sched`, `rank`): the
+  /// sender's clock at transmit time and its topology index. Both the local
+  /// path of transmit() and the executor's mailbox merge call this, so a
+  /// delivery sorts and runs the same whichever shard enqueues it.
+  void enqueue_arrival(EventQueue& q, SimTime t, SimTime sched, std::uint32_t rank,
+                       int end, Packet&& p);
 
  private:
-  void schedule_delivery(Interface* to, Packet&& p, SimTime arrival);
+  /// Local arrivals go to enqueue_arrival, cross-shard ones to the poster.
+  void post_arrival(int end, Packet&& p, SimTime arrival);
+  /// Arrival half of a delivery: link-state check, delivered accounting,
+  /// hand-off to the receiving node.
+  void deliver_arrival(int end, Packet&& p);
 
   Interface* ends_[2] = {nullptr, nullptr};
   SimTime busy_until_[2] = {0, 0};       // per direction (sender-shard state)
@@ -310,7 +311,7 @@ class PointToPointLink : public Medium, public DeliverySink {
 /// the same capacity; frames are addressed by IP (our L2 is implicit ARP).
 /// Never cut: busy_until_ and the RNG stream are shared by every station, so
 /// the partitioner keeps all attached nodes on one shard.
-class EthernetSegment : public Medium, public DeliverySink {
+class EthernetSegment : public Medium {
  public:
   EthernetSegment(EventQueue& events, std::string name, double bits_per_sec,
                   SimTime delay = micros(50),
@@ -331,15 +332,8 @@ class EthernetSegment : public Medium, public DeliverySink {
 
   const std::vector<Interface*>& interfaces() const { return ifaces_; }
 
-  /// Batched arrival (DeliverySink): `key` is the sending station's slot.
-  /// Consecutive unicast frames resolving to the same receiver are regrouped
-  /// into one per-node batch; multicast frames and segments with promiscuous
-  /// listeners fall back to the per-frame fan-out (their serial order
-  /// interleaves receivers, which a receiver-major regrouping would break).
-  void deliver_batch(std::uint32_t key, PacketBatch&& batch) override;
-
  private:
-  void schedule_delivery(const Interface* from, Packet&& p, SimTime arrival);
+  void schedule_arrival(const Interface& from, Packet&& p, SimTime arrival);
   void deliver(const Interface& from, Packet&& p);
   /// Unicast receiver for `p` sent by `from` (L2 hint, then gateway
   /// fallback), or nullptr when no station claims it.

@@ -158,29 +158,15 @@ bool Node::owns(Ipv4Addr a) const {
 
 Ipv4Addr Node::addr() const { return ifaces_.empty() ? Ipv4Addr{} : ifaces_[0].addr(); }
 
-void Node::note_rx(const Packet& p, Interface& in) {
+void Node::receive(Packet p, Interface& in) {
   ++rx_packets_;
   rx_bytes_ += p.wire_size();
   m_rx_packets_->inc();
   m_rx_bytes_->inc(p.wire_size());
   for (const RxTap& tap : rx_taps_) tap(p, in);
-}
-
-void Node::receive(Packet p, Interface& in) {
-  note_rx(p, in);
   // The PLAN-P layer sees the packet before the standard IP behaviour.
   if (ip_hook_ && ip_hook_(p, in)) return;
   standard_ip(std::move(p), in);
-}
-
-void Node::receive_batch(PacketBatch&& batch, Interface& in) {
-  if (ip_batch_hook_) {
-    ip_batch_hook_(std::move(batch), in);
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    receive(std::move(*batch.take(i)), in);
-  }
 }
 
 void Node::standard_ip(Packet p, Interface& in) {

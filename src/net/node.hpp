@@ -95,12 +95,6 @@ class Node {
   /// Hook result: consumed (the ASP handled the packet) or pass-through.
   using IpHook = std::function<bool(Packet&, Interface&)>;
 
-  /// Batch hook: takes over the ENTIRE receive path for a PacketBatch. The
-  /// installer must, for each packet in order: call note_rx(), dispatch, and
-  /// route non-consumed packets through standard_ip() — that contract is what
-  /// keeps batched and per-packet runs byte-identical (DESIGN.md §6c).
-  using IpBatchHook = std::function<void(PacketBatch&&, Interface&)>;
-
   Node(EventQueue& events, std::string name);
   ~Node();
   Node(const Node&) = delete;
@@ -167,18 +161,7 @@ class Node {
   void add_mroute(Ipv4Addr group, std::vector<int> out_ifaces);
 
   /// Installs/clears the PLAN-P intercept for packets entering the IP layer.
-  /// Redefines the whole packet path: any batch hook is cleared, because a
-  /// batch hook is only valid as the batched form of the CURRENT single-packet
-  /// hook (an installer that has one calls set_ip_batch_hook afterwards).
-  void set_ip_hook(IpHook hook) {
-    ip_hook_ = std::move(hook);
-    ip_batch_hook_ = nullptr;
-  }
-
-  /// Installs/clears the batched intercept (see IpBatchHook contract). Call
-  /// after set_ip_hook — it must stay semantically paired with the single
-  /// hook. Without one, receive_batch() degrades to per-packet receive().
-  void set_ip_batch_hook(IpBatchHook hook) { ip_batch_hook_ = std::move(hook); }
+  void set_ip_hook(IpHook hook) { ip_hook_ = std::move(hook); }
 
   /// Pure observers invoked on every received packet, before the hook
   /// (measurement taps for experiments; cannot consume or modify). Taps
@@ -197,24 +180,10 @@ class Node {
     if (tap) rx_taps_.push_back(std::move(tap));
   }
 
-  /// Entry point from a medium: a packet arrived on `in`.
+  /// Entry point from a medium: a packet arrived on `in`. Counts it, shows
+  /// it to the rx taps, offers it to the IP hook, and runs standard IP on it
+  /// unless the hook consumed it.
   void receive(Packet p, Interface& in);
-
-  /// Entry point from a medium's batch drain: every member arrived on `in`
-  /// at the same timestamp, in canonical order.
-  void receive_batch(PacketBatch&& batch, Interface& in);
-
-  /// Receive-side accounting + rx taps for one packet — the first half of
-  /// receive(). Public for IpBatchHook installers, which must run it per
-  /// packet before dispatching (so taps observe batched and per-packet runs
-  /// identically).
-  void note_rx(const Packet& p, Interface& in);
-
-  /// Standard IP processing — the second half of receive(), everything after
-  /// the PLAN-P hook declined the packet: multicast handling, local delivery,
-  /// router forwarding. Public for IpBatchHook installers, which must feed
-  /// every non-consumed packet through here in order.
-  void standard_ip(Packet p, Interface& in);
 
   /// Sends a locally generated IP packet (routes, then transmits). Packets
   /// addressed to this node loop back to local delivery.
@@ -258,6 +227,9 @@ class Node {
   };
   const std::vector<int>* mroute_lookup(Ipv4Addr group) const;
   UdpSocket* udp_lookup(std::uint16_t port) const;
+  /// Standard IP processing, everything after the PLAN-P hook declined the
+  /// packet: multicast handling, local delivery, router forwarding.
+  void standard_ip(Packet p, Interface& in);
 
   EventQueue* events_;  // owning shard's queue (rebindable, never null)
   std::string name_;
@@ -271,7 +243,6 @@ class Node {
   std::vector<Ipv4Addr> groups_;  // sorted
   std::vector<MRoute> mroutes_;   // sorted by group
   IpHook ip_hook_;
-  IpBatchHook ip_batch_hook_;
   std::vector<RxTap> rx_taps_;
   std::vector<std::pair<std::uint16_t, UdpSocket*>> udp_ports_;  // sorted by port
   std::unique_ptr<TcpStack> tcp_;

@@ -31,10 +31,10 @@ class Engine {
                             const Value& packet) = 0;
 
   /// An install-time-prepared dispatch handle for one channel: run() is the
-  /// per-packet fast path with the channel lookup already resolved, so a
-  /// batch dispatcher enters the engine once per run of same-channel packets
-  /// without re-indexing (DESIGN.md §6c). The engine owns the handle; it
-  /// stays valid for the engine's lifetime.
+  /// per-packet fast path with the channel lookup already resolved, so the
+  /// match-action dispatcher enters the engine without re-indexing (DESIGN.md
+  /// §6c). The engine owns the handle; it stays valid for the engine's
+  /// lifetime.
   class Channel {
    public:
     virtual ~Channel() = default;

@@ -68,7 +68,7 @@ bool block_reads_local(const JitBlock& b, std::int32_t slot) {
 /// Install-time-prepared dispatch handle: the body block is resolved once
 /// (no .at() per packet) and packet use was analyzed at specialization, so
 /// the match-action dispatcher can enter specialized code directly for each
-/// run of a batch.
+/// packet.
 class JitEngine::PreparedChannel : public Engine::Channel {
  public:
   PreparedChannel(JitEngine& e, const JitBlock& body, bool packet_used)

@@ -75,16 +75,11 @@ const planp::Protocol& AspRuntime::install(
   node_.set_ip_hook([this](asp::net::Packet& p, asp::net::Interface& in) {
     return on_packet(p, &in);
   });
-  node_.set_ip_batch_hook(
-      [this](asp::net::PacketBatch&& batch, asp::net::Interface& in) {
-        on_batch(std::move(batch), &in);
-      });
   return *cur_->proto;
 }
 
 void AspRuntime::uninstall() {
   node_.set_ip_hook(nullptr);
-  node_.set_ip_batch_hook(nullptr);
   ++generation_;
   if (dispatch_depth_ > 0 && cur_ != nullptr) {
     retired_.push_back(std::move(cur_));  // keep the executing engine alive
@@ -94,10 +89,6 @@ void AspRuntime::uninstall() {
 }
 
 bool AspRuntime::inject(asp::net::Packet p) { return on_packet(p, nullptr); }
-
-std::size_t AspRuntime::inject_batch(asp::net::PacketBatch&& batch) {
-  return on_batch(std::move(batch), nullptr);
-}
 
 /// Lazy tag resolution: packets built by encode_packet carry their tag id
 /// already; those whose channel string was assigned directly resolve it here,
@@ -110,8 +101,7 @@ static void resolve_tag(asp::net::Packet& p) {
 
 bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
                              const std::vector<std::uint16_t>& candidates,
-                             asp::net::Packet& p, asp::net::Interface* in,
-                             RunTally* tally) {
+                             asp::net::Packet& p, asp::net::Interface* in) {
   ++dispatch_depth_;
   bool taken = false;
   current_in_ = in;
@@ -144,16 +134,8 @@ bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
         protocol_state_ = out.tuple_at(0);
         channel_states_[i] = out.tuple_at(1);
       }
-      if (tally != nullptr) {
-        ++tally->handled;
-        if (a.handled != nullptr) {
-          tally->action_counter[j] = a.handled;
-          ++tally->action_count[j];
-        }
-      } else {
-        m_handled_->inc();
-        if (a.handled != nullptr) a.handled->inc();
-      }
+      m_handled_->inc();
+      if (a.handled != nullptr) a.handled->inc();
       taken = true;
     } catch (const planp::PlanPException& e) {
       // An exception escaping a channel aborts that packet's processing; the
@@ -192,84 +174,7 @@ bool AspRuntime::on_packet(asp::net::Packet& p, asp::net::Interface* in) {
     return false;
   }
   return run_actions(inst, generation,
-                     rule->by_proto[MatchActionTable::proto_slot(p)], p, in,
-                     nullptr);
-}
-
-std::size_t AspRuntime::on_batch(asp::net::PacketBatch&& batch,
-                                 asp::net::Interface* in) {
-  std::size_t taken_count = 0;
-  const std::size_t n = batch.size();
-  std::size_t i = 0;
-  while (i < n) {
-    Installed* inst = cur_.get();
-    const std::uint64_t generation = generation_;
-    if (inst == nullptr) {
-      // Uninstalled mid-batch: the remaining packets see standard IP, exactly
-      // as they would have had they arrived after the uninstall.
-      for (; i < n; ++i) {
-        asp::net::PacketBatch::Box box = batch.take(i);
-        if (box == nullptr) continue;
-        if (in != nullptr) {
-          node_.note_rx(*box, *in);
-          node_.standard_ip(std::move(*box), *in);
-        }
-      }
-      break;
-    }
-
-    // Classify the head packet, then extend the run: consecutive packets
-    // with the same (tag, transport shape) share the classification, so the
-    // table is consulted once per run, not once per packet.
-    resolve_tag(batch[i]);
-    const std::uint32_t run_tag = batch[i].channel_tag;
-    const std::size_t run_slot = MatchActionTable::proto_slot(batch[i]);
-    std::size_t run_end = i + 1;
-    while (run_end < n) {
-      resolve_tag(batch[run_end]);
-      if (batch[run_end].channel_tag != run_tag ||
-          MatchActionTable::proto_slot(batch[run_end]) != run_slot) {
-        break;
-      }
-      ++run_end;
-    }
-    const MatchActionTable::Rule* rule = inst->table.classify(run_tag);
-    const std::vector<std::uint16_t>* candidates =
-        rule != nullptr ? &rule->by_proto[run_slot] : nullptr;
-    // Defer handled-counter increments across the run (flushed by ~RunTally
-    // on every exit path, including a handler exception unwinding through
-    // the loop). Oversized candidate lists fall back to immediate counting.
-    RunTally tally{m_handled_};
-    RunTally* tally_ptr =
-        candidates != nullptr && candidates->size() <= RunTally::kMaxActions
-            ? &tally
-            : nullptr;
-
-    for (; i < run_end; ++i) {
-      asp::net::PacketBatch::Box box = batch.take(i);
-      asp::net::Packet& p = *box;
-      if (in != nullptr) node_.note_rx(p, *in);
-      bool taken;
-      if (rule == nullptr) {
-        m_passed_->inc();
-        taken = false;
-      } else {
-        taken = run_actions(inst, generation, *candidates, p, in, tally_ptr);
-      }
-      if (taken) {
-        ++taken_count;
-      } else if (in != nullptr) {
-        node_.standard_ip(std::move(p), *in);
-      }
-      if (generation_ != generation) {
-        // A handler swapped (or removed) the protocol: stop using this run's
-        // classification and re-resolve for the remaining packets.
-        ++i;
-        break;
-      }
-    }
-  }
-  return taken_count;
+                     rule->by_proto[MatchActionTable::proto_slot(p)], p, in);
 }
 
 std::int64_t AspRuntime::link_load_percent() {

@@ -7,13 +7,11 @@
 // claims fall through to standard IP behaviour.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "net/batch.hpp"
 #include "net/node.hpp"
 #include "obs/metrics.hpp"
 #include "planp/cache.hpp"
@@ -77,12 +75,6 @@ class AspRuntime : public planp::EnvApi {
   /// as if it had arrived from the network. Returns true if a channel took it.
   bool inject(asp::net::Packet p);
 
-  /// Batch variant of inject(): dispatches every packet in canonical order
-  /// through the match-action pipeline (classification hoisted across runs of
-  /// same-shape packets). Packets no channel claims are discarded, mirroring
-  /// inject(). Returns the number of packets a channel took.
-  std::size_t inject_batch(asp::net::PacketBatch&& batch);
-
   // --- statistics -------------------------------------------------------------
   /// Dispatch counters since construction, as one coherent snapshot. The same
   /// figures (plus per-channel dispatch counts and the packet handling-latency
@@ -135,45 +127,15 @@ class AspRuntime : public planp::EnvApi {
     MatchActionTable table;
   };
 
+  /// The node's IP hook body: classifies `p` and runs its candidate actions.
+  /// Returns true when a channel consumed the packet.
   bool on_packet(asp::net::Packet& p, asp::net::Interface* in);
-  /// The node's batch hook body: per packet, in canonical order — note_rx,
-  /// match-action dispatch, standard IP for non-consumed packets. With
-  /// `in == nullptr` (inject_batch) the node-side steps are skipped. Returns
-  /// the number of packets a channel consumed.
-  std::size_t on_batch(asp::net::PacketBatch&& batch, asp::net::Interface* in);
-  /// Deferred dispatch-counter increments for one batch run: one atomic add
-  /// per counter per run instead of per packet. Holds only registry-owned
-  /// Counter pointers, so the flush stays safe even when a handler retires
-  /// the protocol (and its table) mid-run.
-  struct RunTally {
-    static constexpr std::size_t kMaxActions = 8;
-    obs::Counter* handled_counter = nullptr;
-    std::uint64_t handled = 0;
-    std::array<obs::Counter*, kMaxActions> action_counter{};
-    std::array<std::uint32_t, kMaxActions> action_count{};
-    ~RunTally() { flush(); }
-    void flush() {
-      if (handled != 0) {
-        handled_counter->inc(handled);
-        handled = 0;
-      }
-      for (std::size_t j = 0; j < kMaxActions; ++j) {
-        if (action_count[j] != 0) {
-          action_counter[j]->inc(action_count[j]);
-          action_count[j] = 0;
-        }
-      }
-    }
-  };
-  /// Runs one packet's candidate actions (the shared core of on_packet and
-  /// on_batch). `candidates` is the packet's classification for its transport
-  /// shape; increments packets_passed and returns false when no action
-  /// consumes the packet. With `tally` non-null the handled-counter
-  /// increments are deferred into it (batch path) instead of applied here.
+  /// Runs one packet's candidate actions. `candidates` is the packet's
+  /// classification for its transport shape; increments packets_passed and
+  /// returns false when no action consumes the packet.
   bool run_actions(Installed* inst, std::uint64_t generation,
                    const std::vector<std::uint16_t>& candidates,
-                   asp::net::Packet& p, asp::net::Interface* in,
-                   RunTally* tally);
+                   asp::net::Packet& p, asp::net::Interface* in);
   void send_remote(asp::net::Packet p);
   void send_neighbor(asp::net::Packet p);
 

@@ -52,8 +52,9 @@ bool match_packet(const asp::net::Packet& p, const DecodePlan& plan);
 /// decode_packet driven by a pre-compiled plan. Decodes exactly like the
 /// type-directed overload. `reuse` (optional) supplies tuple storage that is
 /// refilled in place when uniquely owned — the steady-state zero-allocation
-/// path for batch dispatch; when the previous packet's tuple is still alive
-/// (e.g. stored into channel state) fresh pooled storage is used instead.
+/// path for match-action dispatch; when the previous packet's tuple is still
+/// alive (e.g. stored into channel state) fresh pooled storage is used
+/// instead.
 std::optional<planp::Value> decode_packet(const asp::net::Packet& p,
                                           const DecodePlan& plan,
                                           planp::TupleRep* reuse = nullptr);

@@ -1,31 +1,19 @@
 // Calendar-queue internals (DESIGN.md §6h): generation-checked handle
 // cancellation (the cancelled-set accounting leak regression, stale-handle
-// safety across slot reuse), far-band / cascade ordering, and the bucket
-// width determinism sweep — any level-0 bucket width must produce
-// byte-identical simulations at any shard count, exactly like the batch
-// limit sweep in batch_equivalence_test.cpp.
+// safety across slot reuse) and canonical ordering across the wheel levels,
+// the far band and the incursion heap.
+#include <algorithm>
 #include <memory>
-#include <string>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/event.hpp"
 #include "net/time.hpp"
-#include "scenario/scenario.hpp"
-#include "scenario/scn.hpp"
 
 namespace asp::net {
 namespace {
-
-struct ScopedBucketWidth {
-  unsigned saved;
-  explicit ScopedBucketWidth(unsigned w)
-      : saved(EventQueue::default_bucket_width_log2()) {
-    EventQueue::set_default_bucket_width_log2(w);
-  }
-  ~ScopedBucketWidth() { EventQueue::set_default_bucket_width_log2(saved); }
-};
 
 // Regression for the cancelled-id leak: the old implementation kept every
 // cancel() of an already-run id in `cancelled_` forever, permanently skewing
@@ -99,34 +87,42 @@ TEST(EventCalendar, CancelReleasesCapturesEagerly) {
   EXPECT_EQ(token.use_count(), 1) << "capture must be destroyed at cancel";
 }
 
-// Drain order across very spread-out timestamps (wheel levels + far band +
-// cascades) must match the canonical order exactly, for any bucket width.
-TEST(EventCalendar, FarFutureOrderingMatchesAcrossWidths) {
-  std::vector<std::vector<int>> orders;
-  for (unsigned w : {4u, 10u, 14u, 20u}) {
-    ScopedBucketWidth width(w);
-    EventQueue q;
-    std::vector<int> order;
-    std::uint64_t rng = 0x243F6A8885A308D3ull;
-    std::vector<SimTime> times;
-    for (int i = 0; i < 400; ++i) {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      // Spread from ns to ~3 simulated hours: far beyond every wheel horizon
-      // at width 4, and colliding times included (mod keeps duplicates).
-      times.push_back(rng % 10'000'000'000'000ull);
+// Drain order across very spread-out timestamps (every wheel level, the far
+// band past the level-3 horizon, and the cascades between them) must be the
+// canonical order: by time, then by schedule order among equal times.
+TEST(EventCalendar, FarFutureOrderingIsCanonical) {
+  constexpr int kEvents = 400;
+  constexpr SimTime kLevel3Horizon = SimTime{1} << 42;  // 256 x 2^34 ns
+  std::vector<SimTime> times;
+  std::uint64_t rng = 0x243F6A8885A308D3ull;
+  for (int i = 0; i < kEvents; ++i) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    // Spread from ns to ~28 simulated hours (1e14 ns), and every fourth
+    // event reuses an earlier time so that equal timestamps must fall back
+    // to schedule order.
+    if (i % 4 == 3) {
+      times.push_back(times[rng % times.size()]);
+    } else {
+      times.push_back(rng % 100'000'000'000'000ull);
     }
-    for (int i = 0; i < 400; ++i) {
-      q.schedule_at(times[static_cast<std::size_t>(i)],
-                    [&order, i] { order.push_back(i); });
-    }
-    EXPECT_EQ(q.run(), 400u);
-    orders.push_back(order);
   }
-  for (std::size_t i = 1; i < orders.size(); ++i) {
-    EXPECT_EQ(orders[0], orders[i]) << "width sweep diverged at index " << i;
+  ASSERT_GT(*std::max_element(times.begin(), times.end()), kLevel3Horizon)
+      << "test premise: some events start in the far band";
+
+  std::vector<std::size_t> expected(times.size());
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) { return times[a] < times[b]; });
+
+  EventQueue q;
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    q.schedule_at(times[i], [&order, i] { order.push_back(i); });
   }
+  EXPECT_EQ(q.run(), times.size());
+  EXPECT_EQ(order, expected);
 }
 
 // Handlers scheduling into the bucket being drained (and behind a cursor
@@ -149,53 +145,3 @@ TEST(EventCalendar, IncursionSchedulingStaysOrdered) {
 
 }  // namespace
 }  // namespace asp::net
-
-namespace asp::scenario {
-namespace {
-
-using asp::net::EventQueue;
-
-struct ScopedBucketWidth {
-  unsigned saved;
-  explicit ScopedBucketWidth(unsigned w)
-      : saved(EventQueue::default_bucket_width_log2()) {
-    EventQueue::set_default_bucket_width_log2(w);
-  }
-  ~ScopedBucketWidth() { EventQueue::set_default_bucket_width_log2(saved); }
-};
-
-// The calendar analogue of batch_equivalence_test.cpp's batch-limit sweep:
-// bucket width is a pure performance knob, so every width × shard-count
-// combination must produce byte-identical metrics JSON on the checked-in
-// 1k-node fat-tree.
-TEST(EventCalendarDeterminism, WidthByShardSweepOn1kFatTree) {
-  constexpr unsigned kWidths[] = {4, 10, 14};
-  constexpr int kShardCounts[] = {1, 4};
-
-  ScenarioConfig cfg;
-  std::string err;
-  ASSERT_TRUE(load_scn_file(std::string(ASP_SCENARIO_DIR) + "/fat_tree_1k.scn",
-                            cfg, err))
-      << err;
-  cfg.run.duration = net::millis(20);  // keep tier-1 fast; ~100 requests
-
-  std::string reference;
-  for (unsigned w : kWidths) {
-    for (int shards : kShardCounts) {
-      ScopedBucketWidth width(w);
-      Scenario sc(cfg);
-      ScenarioMetrics m = sc.run(shards);
-      const std::string json = m.to_json();
-      if (reference.empty()) {
-        EXPECT_GT(m.delivered_packets, 0u);
-        reference = json;
-      } else {
-        EXPECT_EQ(reference, json)
-            << "diverged at width_log2=" << w << " shards=" << shards;
-      }
-    }
-  }
-}
-
-}  // namespace
-}  // namespace asp::scenario

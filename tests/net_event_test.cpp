@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace asp::net {
@@ -139,6 +140,31 @@ TEST(EventQueue, RunUntilNeverRunsPastTheBound) {
   EXPECT_EQ(q.now(), 50u);
   q.run_until(100);
   EXPECT_EQ(fired_late, 1);
+}
+
+// The canonical delivery tie-break: at one timestamp, events run by schedule
+// clock (the sender's clock for a frame), then rank (the sender's topology
+// index), then schedule order — whatever order they were scheduled in. A
+// schedule_at event carries rank UINT32_MAX, so it runs after every ranked
+// event with the same schedule clock.
+TEST(EventQueue, RankedEventsOrderBySenderClockThenRank) {
+  EventQueue q;
+  q.run_until(50);
+  std::vector<std::string> order;
+  auto note = [&order](const char* name) {
+    return [&order, name] { order.push_back(name); };
+  };
+  q.schedule_ranked(101, /*sched=*/0, /*rank=*/0, note("later"));
+  q.schedule_ranked(100, 50, 1, note("a"));
+  q.schedule_at(100, note("at"));  // sched = now() = 50
+  q.schedule_ranked(100, 20, 7, note("b1"));
+  q.schedule_ranked(100, 50, 0, note("c"));
+  q.schedule_ranked(100, 20, 7, note("b2"));
+  q.schedule_ranked(100, 50, 3, note("f"));
+  q.schedule_ranked(100, 30, 2, note("d"));
+  EXPECT_EQ(q.run(), 8u);
+  EXPECT_EQ(order, (std::vector<std::string>{"b1", "b2", "d", "c", "a", "f", "at",
+                                             "later"}));
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ using asp::net::seconds;
 
 struct AudioOutcome {
   AudioRunResult result;
-  std::uint64_t dropped_loss = 0, dropped_queue = 0;
+  std::uint64_t dropped_loss = 0, dropped_queue = 0, delivered = 0;
 };
 
 // The §3.1 audio chaos scenario: 10% random loss on the client LAN. The LAN
@@ -43,6 +43,7 @@ AudioOutcome run_audio(int shards) {
   out.result = exp.run(10.0, {{0.0, 0.0}});
   out.dropped_loss = lan->dropped_loss();
   out.dropped_queue = lan->dropped_queue();
+  out.delivered = lan->delivered_packets();
   return out;
 }
 
@@ -57,6 +58,7 @@ TEST(ParallelDeterminism, AudioChaosShardedEqualsSerial) {
   EXPECT_EQ(serial.result.level_switches, sharded.result.level_switches);
   EXPECT_EQ(serial.dropped_loss, sharded.dropped_loss);
   EXPECT_EQ(serial.dropped_queue, sharded.dropped_queue);
+  EXPECT_EQ(serial.delivered, sharded.delivered);
   ASSERT_EQ(serial.result.series.size(), sharded.result.series.size());
   for (std::size_t i = 0; i < serial.result.series.size(); ++i) {
     const AudioSample& s = serial.result.series[i];
@@ -66,6 +68,7 @@ TEST(ParallelDeterminism, AudioChaosShardedEqualsSerial) {
     EXPECT_EQ(s.level, p.level) << "t=" << s.t_sec;
   }
   EXPECT_GT(serial.dropped_loss, 0u) << "the chaos scenario must actually drop";
+  EXPECT_GT(serial.delivered, 0u);
 }
 
 struct HttpOutcome {
