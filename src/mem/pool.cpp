@@ -301,6 +301,14 @@ BufferPool::Handle BufferPool::acquire(std::size_t capacity_hint) {
 }
 
 BufferPool::Handle BufferPool::adopt(Bytes&& bytes) {
+  if (bytes.capacity() < kBaseCapacity) {
+    // Too small to adopt: moving it over a recycled node would free that
+    // node's pooled storage, and recycle_local would reserve it again. Copy
+    // into a class-0 node instead.
+    Handle h = acquire(bytes.size());
+    h->assign(bytes.begin(), bytes.end());
+    return h;
+  }
   MaybeLock lk(lock_if());
   if (locked_) ++stats_.spills;
   ScopedAllocTag tag(AllocTag::kBuffer);

@@ -415,7 +415,9 @@ class BufferPool : public PoolBase {
 
   /// Wraps caller-built storage in a pooled handle: the vector's storage is
   /// adopted as-is (no copy); on release the node joins the freelist and the
-  /// adopted capacity is recycled for future acquires.
+  /// adopted capacity is recycled for future acquires. A vector with less
+  /// than kBaseCapacity is copied into a class-0 node instead, so adopting
+  /// it costs no allocation in steady state.
   Handle adopt(Bytes&& bytes);
 
   void drain_remote() override;

@@ -74,8 +74,12 @@ void Medium::apply_corruption(Packet& p) {
 }
 
 double PointToPointLink::utilization() {
-  SimTime now = events_->now();
-  return (dir_meter_[0].rate_bps(now) + dir_meter_[1].rate_bps(now)) / bandwidth_bps_;
+  double bps = 0;
+  for (std::unique_ptr<BandwidthMeter>& m : dir_meter_) {
+    if (!m) m = std::make_unique<BandwidthMeter>(kNsPerSec / 2);
+    bps += m->rate_bps(events_->now());
+  }
+  return bps / bandwidth_bps_;
 }
 
 void PointToPointLink::deliver_arrival(int end, Packet&& p) {
@@ -135,7 +139,7 @@ void PointToPointLink::transmit(Interface& from, Packet p) {
   busy_until_[dir] = start + serialize;
   std::size_t bytes = p.wire_size();
   from.note_tx(bytes);
-  dir_meter_[dir].record(now, bytes);
+  if (dir_meter_[dir]) dir_meter_[dir]->record(now, bytes);
   // A lost frame still occupied the wire and counted toward the tx meters:
   // the sender offered the load whether or not it arrived.
   FramePlan plan = plan_frame();

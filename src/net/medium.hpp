@@ -8,7 +8,10 @@
 // runs on its sender's thread (own busy_until_ slot and direction meter) and
 // hands the frame to the receiving shard through a mailbox poster. The
 // members shared across a cut — link_up_, delivered/drop counters — are
-// relaxed atomics; everything else stays shard-confined.
+// relaxed atomics; everything else stays shard-confined. The direction
+// meters are created by the first utilization() call, which is barrier-only
+// on a cut link, so the window barrier orders their creation before either
+// shard's next transmit.
 #pragma once
 
 #include <atomic>
@@ -166,18 +169,11 @@ class Medium {
   /// Legacy aggregate: every frame that failed to reach a receiver.
   std::uint64_t dropped_packets() const { return stats_.total_dropped(); }
 
-  /// Aggregate carried-traffic meter (all senders). For point-to-point
-  /// links the carried load lives in per-direction meters instead — use
-  /// utilization(). Shard-confined (meters mutate on read).
-  BandwidthMeter& meter() { return meter_; }
-
   /// Current utilization in [0,1]: carried bits over the meter window
   /// relative to capacity. Shard-confined: call from the medium's owning
   /// shard only (for a cut link, barrier-only — it reads both direction
   /// meters).
-  virtual double utilization() {
-    return meter_.rate_bps(events_->now()) / bandwidth_bps_;
-  }
+  virtual double utilization() = 0;
 
  protected:
   /// The impairment dice for one frame, rolled in a fixed order (loss,
@@ -231,7 +227,6 @@ class Medium {
   ImpairmentStats stats_;  // relaxed atomics (see impairments.hpp)
   std::atomic<bool> link_up_{true};
   std::uint64_t rng_ = 0x9E3779B97F4A7C15ull;  // shard-confined (never cut)
-  BandwidthMeter meter_{kNsPerSec / 2};
 
   // Cached instruments in the global registry (medium/<name>/...).
   obs::Counter* m_delivered_ = nullptr;
@@ -275,7 +270,11 @@ class PointToPointLink : public Medium {
 
   Interface* end(int i) const { return ends_[i]; }
 
-  /// Sums both direction meters (barrier-only on a cut link).
+  /// Sums both direction meters (barrier-only on a cut link). The first
+  /// call creates the meters and so reads 0; a link nobody reads records
+  /// nothing per frame. Later calls cover the traffic carried since then
+  /// (the meter divides by the time since its first sample, so a late
+  /// meter reads like a cold one).
   double utilization() override;
 
   /// Poster for frames whose receiving end lives on another shard. Invoked
@@ -302,8 +301,9 @@ class PointToPointLink : public Medium {
 
   Interface* ends_[2] = {nullptr, nullptr};
   SimTime busy_until_[2] = {0, 0};       // per direction (sender-shard state)
-  BandwidthMeter dir_meter_[2] = {BandwidthMeter{kNsPerSec / 2},
-                                  BandwidthMeter{kNsPerSec / 2}};
+  // Per direction, written by the sender's shard; null until the first
+  // utilization() call creates both.
+  std::unique_ptr<BandwidthMeter> dir_meter_[2];
   CrossShardPoster cross_[2];            // indexed by receiving end
 };
 
@@ -332,6 +332,15 @@ class EthernetSegment : public Medium {
 
   const std::vector<Interface*>& interfaces() const { return ifaces_; }
 
+  /// Carried-traffic meter (all senders), recording from the first frame:
+  /// the §3.1 router ASP reads its segment from the first audio packet.
+  /// Shard-confined (meters mutate on read).
+  BandwidthMeter& meter() { return meter_; }
+
+  double utilization() override {
+    return meter_.rate_bps(events_->now()) / bandwidth_bps_;
+  }
+
  private:
   void schedule_arrival(const Interface& from, Packet&& p, SimTime arrival);
   void deliver(const Interface& from, Packet&& p);
@@ -341,6 +350,7 @@ class EthernetSegment : public Medium {
 
   std::vector<Interface*> ifaces_;
   SimTime busy_until_ = 0;  // shared medium
+  BandwidthMeter meter_{kNsPerSec / 2};
 };
 
 }  // namespace asp::net

@@ -68,8 +68,7 @@ UdpSocket::~UdpSocket() {
     node_.udp_ports_.erase(it);
 }
 
-void UdpSocket::send_to(Ipv4Addr dst, std::uint16_t dport,
-                        std::vector<std::uint8_t> payload) {
+void UdpSocket::send_to(Ipv4Addr dst, std::uint16_t dport, Payload payload) {
   Packet p = Packet::make_udp(node_.addr(), dst, port_, dport, std::move(payload));
   p.id = node_.next_packet_id();
   node_.send_ip(std::move(p));

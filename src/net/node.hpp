@@ -66,7 +66,9 @@ class UdpSocket {
   UdpSocket(const UdpSocket&) = delete;
   UdpSocket& operator=(const UdpSocket&) = delete;
 
-  void send_to(Ipv4Addr dst, std::uint16_t dport, std::vector<std::uint8_t> payload);
+  /// Sends one datagram. A std::vector converts implicitly; a pooled Buffer
+  /// (acquire_buffer) passes through without a copy or an allocation.
+  void send_to(Ipv4Addr dst, std::uint16_t dport, Payload payload);
   std::uint16_t port() const { return port_; }
   Node& node() { return node_; }
   void handle(const Packet& p) { if (on_packet_) on_packet_(p); }

@@ -40,7 +40,9 @@ class EnvApi {
   /// `getTime()`: current time in milliseconds.
   virtual std::int64_t time_ms() = 0;
   /// `linkLoad()`: outgoing link utilization in percent [0,100]. This is the
-  /// local measurement the audio router ASP adapts on (paper §3.1).
+  /// local measurement the audio router ASP adapts on (paper §3.1). A
+  /// segment meters from its first frame; a point-to-point link meters from
+  /// the first read, which therefore returns 0.
   virtual std::int64_t link_load_percent() = 0;
   /// `linkBandwidth()`: outgoing link capacity in kb/s.
   virtual std::int64_t link_bandwidth_kbps() = 0;

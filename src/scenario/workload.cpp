@@ -101,7 +101,10 @@ class ServerApp {
     const std::uint64_t obj =
         bytes.size() >= kReqObjOffset + 8 ? get_u64(bytes, kReqObjOffset) : 0;
     for (std::uint32_t i = 0; i < frames; ++i) {
-      std::vector<std::uint8_t> payload(frame_bytes, 0);
+      // Pooled storage, filled while this is its only holder.
+      net::Buffer frame = net::acquire_buffer(frame_bytes);
+      auto& payload = const_cast<std::vector<std::uint8_t>&>(*frame);
+      payload.resize(frame_bytes);
       put_u64(payload, 0, seq);
       put_u32(payload, 8, i);
       payload[12] = i + 1 == frames ? 1 : 0;
@@ -110,7 +113,7 @@ class ServerApp {
       if (obj != 0 && frames == 1 && frame_bytes >= kRespObjOffset + 8) {
         put_u64(payload, kRespObjOffset, obj);
       }
-      sock_.send_to(p.ip.src, kClientPort, std::move(payload));
+      sock_.send_to(p.ip.src, kClientPort, std::move(frame));
     }
   }
 
@@ -190,15 +193,16 @@ class ClientBundle {
       obj = static_cast<std::uint64_t>(it - zipf_cdf_->begin()) + 1;
       if (obj > zipf_cdf_->size()) obj = zipf_cdf_->size();
     }
-    std::vector<std::uint8_t> payload(
-        std::max<std::size_t>(params_.request_bytes,
-                              obj != 0 ? kReqObjOffset + 8 : kReqHeader),
-        0);
+    const std::size_t size = std::max<std::size_t>(
+        params_.request_bytes, obj != 0 ? kReqObjOffset + 8 : kReqHeader);
+    net::Buffer frame = net::acquire_buffer(size);
+    auto& payload = const_cast<std::vector<std::uint8_t>&>(*frame);
+    payload.resize(size);
     put_u64(payload, 0, seq);
     put_u32(payload, 8, params_.frames_per_response);
     put_u32(payload, 12, params_.frame_bytes);
     if (obj != 0) put_u64(payload, kReqObjOffset, obj);
-    sock_.send_to(server, kServerPort, std::move(payload));
+    sock_.send_to(server, kServerPort, std::move(frame));
     inflight_.push_back(Pending{seq, now});
     --thinking_;
     ++requests;

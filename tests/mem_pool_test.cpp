@@ -110,6 +110,22 @@ TEST(BufferPool, AdoptTakesStorageWithoutCopying) {
   EXPECT_EQ(b->size(), 256u);
 }
 
+TEST(BufferPool, AdoptCopiesTinyVectorsIntoPooledStorage) {
+  // Adopting a vector below the base capacity as-is would free a recycled
+  // node's pooled storage, and recycling would reserve it again: one malloc
+  // and one free per buffer that the hit count does not show.
+  mem::reset_for_test();
+  net::Buffer first = net::make_buffer({1, 2, 3});
+  EXPECT_GE(first->capacity(), 64u) << "a tiny vector was adopted as-is";
+  EXPECT_EQ(*first, (std::vector<std::uint8_t>{1, 2, 3}));
+  const std::uint8_t* storage = first->data();
+  first.reset();
+
+  net::Buffer second = net::make_buffer({4, 5});
+  EXPECT_EQ(second->data(), storage) << "re-make did not reuse the pooled storage";
+  EXPECT_EQ(*second, (std::vector<std::uint8_t>{4, 5}));
+}
+
 TEST(BufferPool, CowMutateClonesOnlyWhenShared) {
   net::Payload p(std::vector<std::uint8_t>{1, 2, 3, 4});
   net::Buffer alias = p.buffer();  // a blob Value or aliased packet

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "net/exec.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
 
@@ -89,6 +93,62 @@ TEST(PointToPointLink, DropsWhenQueueOverflows) {
   EXPECT_GT(l.dropped_packets(), 0u);
   EXPECT_LT(sink.packets.size(), 10u);
   EXPECT_EQ(sink.packets.size() + l.dropped_packets(), 10u);
+}
+
+TEST(PointToPointLink, MetersStartOnFirstRead) {
+  Network net;
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  PointToPointLink& link =
+      net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, millis(1));
+
+  // 5 Mb/s for a second: 1250-byte frames every 2 ms.
+  for (int i = 0; i < 500; ++i) {
+    net.events().schedule_at(millis(2) * i,
+                             [&] { a.send_ip(udp_to(a, b.addr(), 1222)); });
+  }
+  net.run_until(millis(499));
+  EXPECT_EQ(link.utilization(), 0.0)
+      << "traffic carried before the first read was metered";
+  net.run_until(millis(999));
+  EXPECT_NEAR(link.utilization(), 0.5, 0.05);
+}
+
+// A cut link armed between run_until slices: the first read happens at a
+// barrier, each direction then records on its sender's shard, and every
+// reading equals the serial run's.
+TEST(PointToPointLink, CutLinkMetersArmBetweenSlicesAndMatchSerial) {
+  auto readings = [](int shards) {
+    Network net;
+    Node& a = net.add_node("a");
+    Node& b = net.add_node("b");
+    PointToPointLink& link =
+        net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, millis(1));
+    std::unique_ptr<ParallelExecutor> exec;
+    if (shards > 1) {
+      exec = std::make_unique<ParallelExecutor>(net, shards);
+      EXPECT_NE(exec->shard_of(a), exec->shard_of(b)) << "the link is not cut";
+    }
+    // a offers 5 Mb/s and b 2.5 Mb/s, each from its own shard's queue.
+    for (int i = 0; i < 250; ++i) {
+      a.events().schedule_at(millis(2) * i,
+                             [&] { a.send_ip(udp_to(a, b.addr(), 1222)); });
+      if (i % 2 == 0) {
+        b.events().schedule_at(millis(2) * i,
+                               [&] { b.send_ip(udp_to(b, a.addr(), 1222)); });
+      }
+    }
+    std::vector<double> out;
+    for (SimTime t : {millis(101), millis(301), millis(501)}) {
+      net.run_until(t);
+      out.push_back(link.utilization());
+    }
+    return out;
+  };
+  const std::vector<double> serial = readings(1);
+  EXPECT_EQ(serial[0], 0.0);
+  EXPECT_NEAR(serial[2], 0.75, 0.05) << "both directions must record";
+  EXPECT_EQ(readings(2), serial);
 }
 
 TEST(EthernetSegment, DeliversToAddressedStationOnly) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -221,6 +222,37 @@ TEST(AspRuntime, LinkLoadReflectsMonitoredMedium) {
   // linkLoad printed something close to 50.
   int load = std::stoi(rt.log());
   EXPECT_NEAR(load, 50, 15);
+}
+
+TEST(AspRuntime, LinkLoadOnPointToPointLinkMetersFromFirstRead) {
+  Network net;
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, millis(1));
+
+  // No monitored medium set: b reads its last interface's medium, the link.
+  AspRuntime rt(b);
+  rt.install("channel network(ps : unit, ss : unit, p : ip*udp*blob) is "
+             "(println(linkLoad()); deliver(p); (ps, ss))");
+
+  // ~50% load: a 1250-byte frame every 2 ms for half a second.
+  UdpSocket sink(b, 7, [](const Packet&) {});
+  UdpSocket src(a, 9999, nullptr);
+  for (int i = 0; i < 250; ++i) {
+    net.events().schedule_at(millis(2) * i, [&] {
+      src.send_to(b.addr(), 7, std::vector<std::uint8_t>(1222));
+    });
+  }
+  net.run_until(millis(600));
+  std::vector<int> loads;
+  std::istringstream log(rt.log());
+  for (std::string line; std::getline(log, line);) loads.push_back(std::stoi(line));
+  ASSERT_EQ(loads.size(), 250u);
+  EXPECT_EQ(loads.front(), 0) << "the first read must arm the meters, not read them";
+  for (std::size_t i = 1; i < loads.size(); ++i) {
+    EXPECT_GT(loads[i], 0) << "packet " << i << " read an unarmed link";
+  }
+  EXPECT_NEAR(loads.back(), 50, 5);
 }
 
 TEST(AspRuntime, TtlGuardStopsRunawayForwarding) {
