@@ -18,9 +18,8 @@
 // What CI gates (see .github/workflows/ci.yml, Release job): allocs/event is
 // exactly 0 in steady state for every mix — scheduling, cancelling, and
 // draining live entirely in the queue's pooled slab after warmup. Events/sec
-// and the speedup over the recorded pre-PR binary-heap baseline are written
-// to BENCH_event.json for EXPERIMENTS.md, never asserted (they depend on the
-// runner).
+// is written to BENCH_event.json for EXPERIMENTS.md, never asserted (it
+// depends on the runner).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -90,17 +89,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace {
 
 using namespace asp;
-
-// Pre-PR baseline: the std::priority_queue + unordered_set implementation,
-// measured on this machine with this exact workload right before the
-// calendar-queue rebuild (same build flags, same seeds). Kept in the JSON so
-// the speedup gauge compares against a recorded figure, not a guess.
-constexpr double kHeapTimerHeavyEps = 5.77e5;
-constexpr double kHeapTimerHeavyAllocsPerEvent = 1.0;
-constexpr double kHeapDeliveryHeavyEps = 9.6e6;
-constexpr double kHeapDeliveryHeavyAllocsPerEvent = 0.0;
-constexpr double kHeapMixedEps = 2.0e6;
-constexpr double kHeapMixedAllocsPerEvent = 0.3045;
 
 // Deterministic xorshift64: the only randomness source in the workload.
 std::uint64_t xorshift(std::uint64_t x) {
@@ -239,19 +227,13 @@ MixResult measure(Queue& q, std::uint64_t warm_events, std::uint64_t events) {
   return r;
 }
 
-void record(const std::string& mix, const MixResult& r, double base_eps,
-            double base_allocs) {
+void record(const std::string& mix, const MixResult& r) {
   obs::MetricsRegistry& reg = obs::registry();
   const std::string p = "bench/event/" + mix + "/";
   reg.gauge(p + "events_per_sec").set(r.eps);
   reg.gauge(p + "allocs_per_event").set(r.allocs_per_event);
-  reg.gauge(p + "heap_baseline_events_per_sec").set(base_eps);
-  reg.gauge(p + "heap_baseline_allocs_per_event").set(base_allocs);
-  reg.gauge(p + "speedup_vs_heap").set(base_eps > 0 ? r.eps / base_eps : 0);
-  std::printf("event: %-14s %8.3g events/s (%.2fx heap baseline %.3g) at "
-              "%.4f allocs/event (heap: %.3f)\n",
-              mix.c_str(), r.eps, base_eps > 0 ? r.eps / base_eps : 0, base_eps,
-              r.allocs_per_event, base_allocs);
+  std::printf("event: %-14s %8.3g events/s at %.4f allocs/event\n", mix.c_str(),
+              r.eps, r.allocs_per_event);
 }
 
 }  // namespace
@@ -262,18 +244,17 @@ int main(int argc, char** argv) {
   {
     TimerSim sim(16'384, 1);
     MixResult r = measure(sim.q, 2'000'000, 4'000'000);
-    record("timer_heavy", r, kHeapTimerHeavyEps, kHeapTimerHeavyAllocsPerEvent);
+    record("timer_heavy", r);
   }
   {
     DeliverySim sim(4);  // 4 groups of 16 → 64 deliveries per driver firing
     MixResult r = measure(sim.q, 1'500'000, 2'000'000);
-    record("delivery_heavy", r, kHeapDeliveryHeavyEps,
-           kHeapDeliveryHeavyAllocsPerEvent);
+    record("delivery_heavy", r);
   }
   {
     MixedSim sim(4'096, 1, 1);  // timer churn + 16 deliveries per 2 µs
     MixResult r = measure(sim.timers.q, 2'000'000, 4'000'000);
-    record("mixed", r, kHeapMixedEps, kHeapMixedAllocsPerEvent);
+    record("mixed", r);
   }
 
   mem::publish_metrics();

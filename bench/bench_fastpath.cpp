@@ -4,12 +4,9 @@
 // jit vs the jit+COW pass-through path.
 //
 // Besides the google-benchmark timings, main() publishes median-of-5 gauges
-// (bench/fastpath/*) into BENCH_fastpath.json, alongside the pre-PR baseline:
-// the same workload measured back-to-back (interleaved, median of 5) against
-// a build of the previous commit — fast-path dispatch but malloc-backed
-// buffers, heap tuples, and per-call execution frames:
-//   tagged dispatch   ~2.15e6 pps at 8 allocs/packet
-//   pass-through      ~6.89e7 pps at 0 allocs/packet
+// (bench/fastpath/*) into BENCH_fastpath.json: absolute packets/s and
+// allocations/packet from this run. Compare two builds by running both on
+// the same machine, not against figures recorded elsewhere.
 //
 // Every global operator new is attributed to a subsystem via the thread-local
 // mem::AllocTag the pools set around their refill paths, so the per-packet
@@ -96,23 +93,10 @@ namespace {
 
 using namespace asp;
 
-// Pre-PR numbers, measured on the same machine/flags with the same workload
-// (see the header comment). Kept in the JSON so the speedup is computed
-// against a recorded baseline rather than a guess.
-constexpr double kPreprTaggedPps = 2.15e6;
-constexpr double kPreprTaggedAllocsPerPacket = 8.0;
-constexpr double kPreprPassthroughPps = 6.89e7;
-constexpr double kPreprPassthroughAllocsPerPacket = 0.0;
-
 // The alloc budget the memory subsystem is held to on the tagged path; CI
 // fails the Release job if the measured figure exceeds it — serial AND at
 // every multi-shard point below.
 constexpr double kTaggedAllocBudget = 2.0;
-
-// PR-6 single-packet tagged jit figure on this machine; the multi-shard
-// speedup gauges are computed against it (recorded, not asserted: CI runners
-// time-slice the shard threads on however many cores they have).
-constexpr double kPr6TaggedJitPps = 5.06e6;
 
 // Shard counts the shard-local memory subsystem is exercised at. Each point
 // runs one thread per shard, each bound to its own mem::ShardPools, and CI
@@ -262,21 +246,11 @@ void export_gauges() {
   }
 
   reg.gauge("bench/fastpath/tagged_allocs_budget").set(kTaggedAllocBudget);
-  reg.gauge("bench/fastpath/prepr_tagged_pps").set(kPreprTaggedPps);
-  reg.gauge("bench/fastpath/prepr_tagged_allocs_per_packet")
-      .set(kPreprTaggedAllocsPerPacket);
-  reg.gauge("bench/fastpath/prepr_passthrough_pps").set(kPreprPassthroughPps);
-  reg.gauge("bench/fastpath/prepr_passthrough_allocs_per_packet")
-      .set(kPreprPassthroughAllocsPerPacket);
-  reg.gauge("bench/fastpath/tagged_speedup_vs_prepr").set(jit_pps / kPreprTaggedPps);
-  reg.gauge("bench/fastpath/passthrough_speedup_vs_prepr")
-      .set(pass_pps / kPreprPassthroughPps);
   reg.gauge("bench/fastpath/jit_vs_interp").set(jit_pps / interp_pps);
 
-  std::printf("fastpath: tagged interp %.3g pps, jit %.3g pps (%.2fx pre-PR); "
-              "pass-through %.3g pps (%.2fx pre-PR) at %.3f allocs/packet\n",
-              interp_pps, jit_pps, jit_pps / kPreprTaggedPps, pass_pps,
-              pass_pps / kPreprPassthroughPps, pass_allocs);
+  std::printf("fastpath: tagged interp %.3g pps, jit %.3g pps; "
+              "pass-through %.3g pps at %.3f allocs/packet\n",
+              interp_pps, jit_pps, pass_pps, pass_allocs);
   std::printf("fastpath: tagged %.3f allocs/packet (budget %.0f):", tagged_allocs,
               kTaggedAllocBudget);
   for (std::size_t t = 0; t < kTagCount; ++t) {
@@ -346,12 +320,10 @@ void export_shard_gauges(const std::vector<int>& shard_points) {
     reg.gauge(p + "spills").set(spills);
     reg.gauge(p + "remote_freed")
         .set(static_cast<double>(after.remote_freed - before.remote_freed));
-    reg.gauge(p + "tagged_speedup_vs_pr6").set(pps / kPr6TaggedJitPps);
     std::printf("fastpath: shards_%d tagged jit %.3g pps aggregate "
-                "(%.2fx PR-6 serial) at %.4f allocs/packet, %g pool spills\n",
-                k, pps, pps / kPr6TaggedJitPps, allocs, spills);
+                "at %.4f allocs/packet, %g pool spills\n",
+                k, pps, allocs, spills);
   }
-  reg.gauge("bench/fastpath/pr6_tagged_jit_pps").set(kPr6TaggedJitPps);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Alloc-contention bench for the shard-local memory subsystem (DESIGN.md
-// §6e): k threads, each bound to its own shard's pool set, churning buffers,
-// tuples, and raw slab blocks — locally AND across shards through a hand-off
-// ring, so the remote-free channels carry real traffic.
+// §6e): k threads, each bound to its own shard's pool set, churning buffers
+// and tuples — locally AND across shards through a hand-off ring, so the
+// remote-free channels carry real traffic.
 //
 // What it gates (exported as bench/mem_shard/* gauges, CI asserts them):
 //   * spills stays 0 across the measured phase — no pool op took a mutex
@@ -31,8 +31,8 @@ namespace {
 
 using namespace asp;
 
-// One alloc/free cycle touches: a pooled buffer (+ its slab-backed control
-// block), a PLAN-P tuple, and a raw slab block.
+// One alloc/free cycle touches a pooled buffer and a PLAN-P tuple, each with
+// its control block in its own node.
 constexpr int kWarmIters = 5'000;
 constexpr int kMeasureIters = 30'000;
 constexpr int kHandoffEvery = 4;   // every 4th buffer/tuple crosses shards
@@ -55,10 +55,6 @@ void churn(int iters, Inbox& my_inbox, Inbox& next_inbox) {
   mem::ShardPools& sp = mem::shard();
   std::vector<Handoff> popped;
   for (int i = 0; i < iters; ++i) {
-    // Local slab round-trip (between kAlign and kMaxBlock).
-    void* blk = sp.slab().allocate(96);
-    sp.slab().deallocate(blk, 96);
-
     mem::BufferPool::Handle buf = sp.buffers().acquire(768);
     buf->assign(600, static_cast<std::uint8_t>(i));
     planp::Value tuple = planp::Value::of_tuple(
@@ -160,7 +156,7 @@ RoundResult run_round(int k) {
   const mem::PoolTotals after = mem::total_pool_stats();
   RoundResult r;
   const double cycles =
-      static_cast<double>(k) * kMeasureIters * 3;  // slab + buffer + tuple
+      static_cast<double>(k) * kMeasureIters * 2;  // buffer + tuple
   r.mops = cycles / std::chrono::duration<double>(t1 - t0).count() / 1e6;
   r.spills = static_cast<double>(during.spills - before.spills);
   r.remote_freed = static_cast<double>(during.remote_freed - before.remote_freed);

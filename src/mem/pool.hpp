@@ -3,18 +3,16 @@
 //
 // Line-rate packet processors (P4 targets, kernel ASPs like the paper's
 // Solaris module) reach "as fast as the hardware allows" by recycling every
-// per-packet object through freelists sized at install time. PR 4 built the
-// pools; this layer makes them scale: every pool instance is owned by exactly
-// ONE shard (mem/shard.hpp binds a shard to a thread), so the steady-state
-// alloc/free path is plain single-threaded code — no locks, no atomics except
-// relaxed stat counters — and cross-shard frees ride a lock-free MPSC
-// remote-free channel drained by the owner at window barriers, exactly how
-// cross-shard frames already flow through net/mailbox.hpp.
+// per-packet object through freelists sized at install time. Every pool
+// instance is owned by exactly ONE shard (mem/shard.hpp binds a shard to a
+// thread), so the steady-state alloc/free path is plain single-threaded code
+// — no locks, no atomics except relaxed stat counters — and cross-shard frees
+// ride a lock-free MPSC remote-free list drained by the owner at window
+// barriers, exactly how cross-shard frames already flow through
+// net/mailbox.hpp.
 //
-//   SlabPool          size-classed raw blocks carved from 64 KiB-aligned
-//                     chunks; a hierarchical binmap (mem/binmap.hpp) per class
-//                     answers "which chunk has a free block" in three
-//                     find-first-set steps. Backs shared_ptr control blocks.
+//   NodePool          the core the three node pools below share: node
+//                     layout, take-or-fresh, owner-token routing, drains.
 //   BufferPool        recycles the byte vectors behind net::Buffer with their
 //                     capacity, classed by power-of-two capacity.
 //   VecPool<T>        same discipline for std::vector<T> (PLAN-P tuples).
@@ -23,21 +21,23 @@
 //   FrameArena<T>     per-engine, depth-indexed execution frames — engine-
 //                     confined, unchanged by the sharding.
 //
+// A shared handle's control block lives in its own node, the way a STREAMS
+// data block keeps its reference count in its own header: the node is
+// recycled when shared_ptr releases that block, never earlier.
+//
 // Ownership & the remote-free protocol (DESIGN.md §6e):
-//   * Every pooled object records its HOME pool: slab blocks resolve their
-//     chunk header by address mask (chunks are kChunkAlign-aligned and carry
-//     `home`), node pools (Buffer/Vec/Box) keep a `home` field in the node —
-//     the per-block ownership header.
+//   * Every node records its HOME pool in a `home` field — the per-object
+//     ownership header.
 //   * Allocation only ever touches the calling shard's own instance.
 //   * A free executed on the owning shard goes straight back on the freelist.
 //   * A free executed anywhere else (a packet's buffer crossing a shard
 //     boundary, a release after the owning thread exited, static
-//     destruction) pushes the object onto the home pool's remote-free
-//     channel: a Treiber-stack CAS, never a lock, never a touch of the
-//     owner's freelists.
-//   * The owner drains its channels at window barriers (net/exec.cpp), when
-//     a local freelist runs empty, and at thread exit — so remote frees are
-//     reclaimed without ever synchronizing the hot path.
+//     destruction) pushes the node onto the home pool's remote-free list: a
+//     Treiber-stack CAS, never a lock, never a touch of the owner's
+//     freelists.
+//   * The owner drains its remote lists at window barriers (net/exec.cpp),
+//     when a local freelist runs empty, and at thread exit — so remote frees
+//     are reclaimed without ever synchronizing the hot path.
 //
 // The only locked operations left are the cold registry paths (stats
 // registration, shard binding) and the ORPHAN pools that serve allocations on
@@ -58,9 +58,9 @@
 #include <mutex>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "mem/binmap.hpp"
 #include "obs/relaxed.hpp"
 
 namespace asp::mem {
@@ -112,13 +112,8 @@ inline constexpr std::int64_t kPoisonInt = 0x504F4953;  // "POIS"
 /// Opaque identity of the shard bound to the calling thread, or nullptr when
 /// the thread is unbound (shard binding torn down during static destruction,
 /// or never established). The free path compares a pool's owner token against
-/// this to decide local-freelist vs remote-channel — a single TLS read.
+/// this to decide local freelist vs remote list — a single TLS read.
 const void* current_owner_token() noexcept;
-
-class SlabPool;
-/// The calling shard's slab (lazily binding the thread); used by the
-/// default-constructed SlabAllocator.
-SlabPool& current_slab();
 
 // --- pool statistics ----------------------------------------------------------
 
@@ -134,7 +129,7 @@ struct PoolStats {
   obs::RelaxedU64 recycled;        // objects returned to a freelist
   obs::RelaxedU64 recycled_bytes;  // capacity of recycled byte storage
   obs::RelaxedU64 live;            // currently checked-out objects
-  obs::RelaxedU64 remote_freed;    // frees pushed onto the remote channel
+  obs::RelaxedU64 remote_freed;    // frees pushed onto the remote list
   obs::RelaxedU64 remote_drained;  // remote frees reclaimed by the owner
   obs::RelaxedU64 spills;          // locked orphan-path operations (0 steady)
 
@@ -151,7 +146,7 @@ struct PoolStats {
   }
 };
 
-/// Registers a pool's stats under `name` (e.g. "mem/shard0/slab") for
+/// Registers a pool's stats under `name` (e.g. "mem/shard0/buffer") for
 /// publish_metrics(). The pointer must stay valid for the process lifetime
 /// (shard pool instances are leaked, so it does).
 void register_pool_stats(const std::string& name, const PoolStats* stats);
@@ -165,8 +160,8 @@ void publish_metrics();
 /// Plain-value totals across every registered pool (all shards + orphan).
 /// Benches difference these around a steady-state loop: `spills` is the
 /// "did anything take a mutex on the pool path" probe CI gates on, and
-/// `remote_freed == remote_drained` after final drains proves no block is
-/// stranded on a channel.
+/// `remote_freed == remote_drained` after final drains proves no node is
+/// stranded on a remote list.
 struct PoolTotals {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -190,37 +185,13 @@ std::uint64_t heap_capture_count();
 void note_event_slab_chunk(std::size_t bytes);
 std::uint64_t event_slab_chunk_count();
 
-// --- remote-free channels -----------------------------------------------------
+// --- remote-free lists --------------------------------------------------------
 
-/// Lock-free MPSC stack of raw blocks: any thread pushes (Treiber CAS, the
-/// block's first word is the link), only the owning shard drains. The same
-/// design as net::Mailbox — remote frees are to pools what cross-shard
-/// frames are to event queues, and they synchronize the same way (release
-/// push / acquire drain).
-class RemoteFreeChannel {
- public:
-  void push(void* p) noexcept {
-    void* h = head_.load(std::memory_order_relaxed);
-    do {
-      *static_cast<void**>(p) = h;
-    } while (!head_.compare_exchange_weak(h, p, std::memory_order_release,
-                                          std::memory_order_relaxed));
-  }
-
-  /// Owner only. Returns the whole chain (first-word links), or nullptr.
-  void* take_all() noexcept { return head_.exchange(nullptr, std::memory_order_acquire); }
-
-  bool empty() const noexcept {
-    return head_.load(std::memory_order_acquire) == nullptr;
-  }
-
- private:
-  std::atomic<void*> head_{nullptr};
-};
-
-/// RemoteFreeChannel for node-based pools whose nodes hold live C++ objects:
-/// the link is an explicit `remote_next` member, so pushing never clobbers
-/// the node's contents.
+/// Lock-free MPSC stack of pool nodes: any thread pushes (Treiber CAS through
+/// the node's `remote_next` link, so the push never clobbers the pooled
+/// value), only the owning shard drains. The same design as net::Mailbox —
+/// remote frees are to pools what cross-shard frames are to event queues, and
+/// they synchronize the same way (release push / acquire drain).
 template <typename Node>
 class RemoteFreeList {
  public:
@@ -232,6 +203,7 @@ class RemoteFreeList {
                                           std::memory_order_relaxed));
   }
 
+  /// Owner only. Returns the whole chain (remote_next links), or nullptr.
   Node* take_all() noexcept { return head_.exchange(nullptr, std::memory_order_acquire); }
 
   bool empty() const noexcept {
@@ -251,7 +223,7 @@ class PoolBase {
  public:
   virtual ~PoolBase() = default;
   /// Owner thread (or locked orphan): reclaim everything queued on the
-  /// remote-free channel into the local freelists.
+  /// remote-free list into the local freelists.
   virtual void drain_remote() = 0;
   /// Test hook: release every free object back to the system so the next
   /// acquisition deterministically misses. Live objects are untouched.
@@ -281,134 +253,217 @@ class MaybeLock {
   std::mutex* m_;
 };
 
-// --- slab pool ----------------------------------------------------------------
+// --- node pools ---------------------------------------------------------------
 
-/// Size-classed allocator for small raw blocks (shared_ptr control blocks of
-/// pooled handles). Blocks are carved from kChunkAlign-aligned chunks of 64
-/// blocks; each chunk keeps a one-word free mask and each class a
-/// hierarchical Binmap over its chunks, so allocation is find-first-set all
-/// the way down — no freelist walk, no lock. The chunk header doubles as the
-/// ownership header: any pointer masks back to its chunk, which names the
-/// home pool. Requests above kMaxBlock fall through to operator new.
+/// Room a node keeps for its shared handle's control block: the size of
+/// libstdc++'s deleter-plus-allocator block (vtable pointer, use and weak
+/// counts, the owned pointer and the one-node allocator; the empty deleter
+/// takes no space). NodeAlloc::allocate checks the fit at compile time.
+inline constexpr std::size_t kCtrlBlockBytes = 32;
+
+/// The core the buffer, tuple and box pools share: the node layout,
+/// take-or-fresh with its statistics, owner-token routing, and the drain and
+/// purge sweeps. Each node holds one pooled value, its remote-free link and
+/// its home pool — the per-object ownership header — and, when `kShared`,
+/// the storage for its shared handle's control block.
 ///
-/// Single-owner: allocate()/drain_remote() run only on the owning shard's
-/// thread (the orphan instance locks instead and counts spills). deallocate()
-/// runs anywhere — it routes by the chunk's home pool, pushing onto the
-/// remote-free channel when the caller is not the owner.
-class SlabPool : public PoolBase {
+/// `Derived` supplies `static void scrub(T&) noexcept`, run on the freeing
+/// thread before the node goes home (drop held references, keep capacity),
+/// and may hide `free_list_of`, which picks the freelist a recycled node
+/// joins out of `kLists`.
+///
+/// Single-owner: obtain() and the drains run only on the owning shard's
+/// thread (the orphan instance locks instead and counts spills). Frees run
+/// on any thread and route by the node's home pool: onto its freelist when
+/// the caller owns it, else onto its remote-free list.
+template <typename Derived, typename T, bool kShared, int Lists = 1>
+class NodePool : public PoolBase {
+ protected:
+  struct Node;
+
  public:
-  static constexpr std::size_t kAlign = alignof(std::max_align_t);
-  static constexpr std::size_t kMaxBlock = 512;
-  static constexpr int kChunkBlocks = 64;
-  static constexpr std::size_t kChunkAlign = 64 * 1024;
+  /// Unique-handle deleter: scrubs the value, then sends the node home.
+  struct Recycle {
+    void operator()(T* v) const noexcept {
+      Derived::scrub(*v);
+      route_home(reinterpret_cast<Node*>(v));
+    }
+  };
+
+  void drain_remote() final {
+    MaybeLock lk(lock_if());
+    drain_remote_unlocked();
+  }
+
+  void purge_free() final {
+    MaybeLock lk(lock_if());
+    drain_remote_unlocked();
+    for (auto& list : free_) {
+      for (Node* n : list) delete n;
+      list.clear();
+    }
+  }
+
+ protected:
+  static constexpr int kLists = Lists;
+
+  struct NoCtrl {};
+  struct alignas(Node*) CtrlStorage {
+    unsigned char bytes[kCtrlBlockBytes];
+  };
+  struct Node {
+    T value{};  // must stay first: handles point at it, Recycle casts back
+    Node* remote_next = nullptr;
+    NodePool* home = nullptr;
+    [[no_unique_address]] std::conditional_t<kShared, CtrlStorage, NoCtrl> ctrl;
+  };
 
   /// `owner_token` identifies the owning shard for free-path routing
   /// (nullptr = orphan, always routed remotely); `locked` guards every
-  /// owner-side operation with a mutex (orphan only).
-  SlabPool(const std::string& name, const void* owner_token, bool locked);
-  ~SlabPool() override;
-  SlabPool(const SlabPool&) = delete;
-  SlabPool& operator=(const SlabPool&) = delete;
+  /// owner-side operation with a mutex (orphan only); `tag` attributes the
+  /// pool's own heap allocations.
+  NodePool(const std::string& name, AllocTag tag, const void* owner_token,
+           bool locked)
+      : tag_(tag), owner_token_(owner_token), locked_(locked) {
+    register_pool_stats(name, &stats_);
+  }
+  ~NodePool() override { purge_free(); }
+  NodePool(const NodePool&) = delete;
+  NodePool& operator=(const NodePool&) = delete;
 
-  void* allocate(std::size_t bytes);
-  /// Any thread. Routes to the block's home pool regardless of which
-  /// instance it is invoked on.
-  void deallocate(void* p, std::size_t bytes) noexcept;
+  /// Owner side: checks out a node off the first non-empty freelist in
+  /// [first, last) — draining the remote list once if they are all empty —
+  /// or else a new node.
+  Node* obtain(int first = 0, int last = kLists) {
+    MaybeLock lk(lock_if());
+    if (locked_) ++stats_.spills;
+    ++stats_.live;
+    Node* n = pop(first, last);
+    if (n == nullptr && first < last && !remote_.empty()) {
+      drain_remote_unlocked();
+      n = pop(first, last);
+    }
+    if (n != nullptr) {
+      ++stats_.hits;
+      return n;
+    }
+    ScopedAllocTag tag(tag_);
+    ++stats_.misses;
+    n = new Node;
+    n->home = this;
+    return n;
+  }
 
-  void drain_remote() override;
-  void purge_free() override;
+  /// A shared handle to `n`'s value, its control block in `n`.
+  std::shared_ptr<T> share(Node* n)
+    requires kShared
+  {
+    return std::shared_ptr<T>(&n->value, Scrub{}, NodeAlloc<T>(n));
+  }
+
+  /// Default: a single freelist.
+  static int free_list_of(T&) noexcept { return 0; }
+
+  const AllocTag tag_;
 
  private:
-  struct Chunk {
-    std::uint64_t free_mask = 0;  // bit b set = block b free
-    SlabPool* home = nullptr;
-    std::uint32_t cls = 0;
-    std::uint32_t dir_index = 0;  // position in the class directory
+  /// Shared-handle deleter: scrubs the value on the freeing thread. The node
+  /// goes home later, when shared_ptr releases the control block.
+  struct Scrub {
+    void operator()(T* v) const noexcept { Derived::scrub(*v); }
+  };
 
-    std::uint8_t* base() {
-      return reinterpret_cast<std::uint8_t*>(this) + kBlockOffset;
+  /// One-node allocator for a shared handle's control block: allocate hands
+  /// out the node's own storage, and deallocate sends the node home.
+  /// shared_ptr runs the deleter when the last owner drops, and releases the
+  /// block only after that and after the last weak_ptr has gone, as its last
+  /// access to the block. So a node reaches a freelist or a remote list only
+  /// once no thread can touch its control block any more.
+  template <typename U>
+  struct NodeAlloc {
+    using value_type = U;
+    Node* node;
+
+    explicit NodeAlloc(Node* n) noexcept : node(n) {}
+    template <typename V>
+    NodeAlloc(const NodeAlloc<V>& o) noexcept : node(o.node) {}  // NOLINT: rebind
+
+    U* allocate(std::size_t) noexcept {
+      static_assert(sizeof(U) <= kCtrlBlockBytes && alignof(U) <= alignof(Node*),
+                    "shared_ptr's control block does not fit a pool node");
+      return reinterpret_cast<U*>(node->ctrl.bytes);
+    }
+    void deallocate(U*, std::size_t) noexcept { route_home(node); }
+    friend bool operator==(const NodeAlloc& a, const NodeAlloc& b) {
+      return a.node == b.node;
     }
   };
-  // First block offset inside a chunk: past the header, cache-line aligned.
-  static constexpr std::size_t kBlockOffset = 128;
-  static_assert(sizeof(Chunk) <= kBlockOffset);
-  static_assert(kBlockOffset + kChunkBlocks * kMaxBlock <= kChunkAlign);
 
-  struct ClassDir {
-    Binmap avail;                // chunks with at least one free block
-    std::vector<Chunk*> chunks;  // every chunk of the class, dir_index-stable
-  };
+  /// Free path, any thread: the owner recycles onto its freelist; anyone
+  /// else pushes onto the home pool's remote-free list.
+  static void route_home(Node* n) noexcept {
+    NodePool* home = n->home;
+    --home->stats_.live;
+    if (home->owner_token_ != nullptr &&
+        home->owner_token_ == current_owner_token()) {
+      home->recycle(n);
+      return;
+    }
+    ++home->stats_.remote_freed;
+    home->remote_.push(n);
+  }
 
-  static constexpr int kClasses = static_cast<int>(kMaxBlock / kAlign);
-  static int class_of(std::size_t bytes) {
-    return static_cast<int>((bytes + kAlign - 1) / kAlign) - 1;
+  void recycle(Node* n) noexcept {
+    ++stats_.recycled;
+    free_[static_cast<Derived*>(this)->free_list_of(n->value)].push_back(n);
   }
-  static std::size_t block_size(int c) {
-    return static_cast<std::size_t>(c + 1) * kAlign;
+
+  Node* pop(int first, int last) noexcept {
+    for (int i = first; i < last; ++i) {
+      if (!free_[i].empty()) {
+        Node* n = free_[i].back();
+        free_[i].pop_back();
+        return n;
+      }
+    }
+    return nullptr;
   }
-  static Chunk* chunk_of(void* p) {
-    return reinterpret_cast<Chunk*>(reinterpret_cast<std::uintptr_t>(p) &
-                                    ~(kChunkAlign - 1));
+
+  void drain_remote_unlocked() noexcept {
+    Node* n = remote_.take_all();
+    while (n != nullptr) {
+      Node* next = n->remote_next;
+      ++stats_.remote_drained;
+      recycle(n);
+      n = next;
+    }
   }
 
   std::mutex* lock_if() { return locked_ ? &mu_ : nullptr; }
-  void* refill(int c);
-  void free_local(Chunk* ch, void* p) noexcept;
-  void drain_remote_unlocked() noexcept;
 
   const void* owner_token_;
   const bool locked_;
   std::mutex mu_;  // engaged only when locked_ (orphan)
-  ClassDir dirs_[kClasses];
-  RemoteFreeChannel remote_;
-};
-
-/// std::allocator-shaped adaptor over a shard's SlabPool, used to put
-/// shared_ptr control blocks of pooled handles on freelists. Stateful (which
-/// slab serves *allocations*), but deallocation routes by the block's home,
-/// so all instances compare equal.
-template <typename T>
-struct SlabAllocator {
-  using value_type = T;
-  SlabPool* slab;
-
-  SlabAllocator() noexcept : slab(&current_slab()) {}
-  explicit SlabAllocator(SlabPool& s) noexcept : slab(&s) {}
-  template <typename U>
-  SlabAllocator(const SlabAllocator<U>& o) noexcept : slab(o.slab) {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(slab->allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    slab->deallocate(p, n * sizeof(T));
-  }
-  friend bool operator==(SlabAllocator, SlabAllocator) { return true; }
-  friend bool operator!=(SlabAllocator, SlabAllocator) { return false; }
+  std::vector<Node*> free_[kLists];
+  RemoteFreeList<Node> remote_;
 };
 
 // --- buffer pool --------------------------------------------------------------
 
 /// Recycles the `std::vector<std::uint8_t>` storage behind net::Buffer.
-/// acquire() hands out a shared vector whose deleter returns the node (with
-/// its capacity intact) to a capacity-classed freelist once the last
-/// reference — Payload, blob Value, or aliased packet — drops. The returned
-/// shared_ptr's control block comes from the owning shard's slab pool, so a
-/// steady-state acquire/release cycle performs zero heap allocations.
-///
-/// Single-owner with remote-free routing: the deleter may run on any shard
-/// (a packet's payload crosses shard boundaries); it pushes the node onto
-/// the home pool's remote channel unless the caller IS the owner.
-class BufferPool : public PoolBase {
+/// acquire() hands out a shared vector whose node, capacity intact, returns
+/// to a capacity-classed freelist once the last reference — Payload, blob
+/// Value, or aliased packet — and the last weak reference drop. The control
+/// block lives in the node, so a steady-state acquire/release cycle performs
+/// zero heap allocations.
+class BufferPool
+    : public NodePool<BufferPool, std::vector<std::uint8_t>, true, 16> {
  public:
   using Bytes = std::vector<std::uint8_t>;
   using Handle = std::shared_ptr<Bytes>;
 
-  BufferPool(const std::string& name, SlabPool& slab, const void* owner_token,
-             bool locked);
-  ~BufferPool() override;
-  BufferPool(const BufferPool&) = delete;
-  BufferPool& operator=(const BufferPool&) = delete;
+  BufferPool(const std::string& name, const void* owner_token, bool locked)
+      : NodePool(name, AllocTag::kBuffer, owner_token, locked) {}
 
   /// Empty vector with capacity >= `capacity_hint` (rounded to a class).
   Handle acquire(std::size_t capacity_hint);
@@ -420,42 +475,22 @@ class BufferPool : public PoolBase {
   /// it costs no allocation in steady state.
   Handle adopt(Bytes&& bytes);
 
-  void drain_remote() override;
-  void purge_free() override;
-
  private:
-  static constexpr std::size_t kBaseCapacity = 64;
-  static constexpr int kClasses = 16;  // 64 B ... 2 MiB
+  friend NodePool;
 
-  struct Node {
-    Bytes bytes;  // must stay first: handles point at it, recycle casts back
-    Node* remote_next = nullptr;
-    BufferPool* home = nullptr;
-  };
-  struct Recycler {
-    void operator()(Bytes* b) const noexcept { BufferPool::route_free(b); }
-  };
+  static constexpr std::size_t kBaseCapacity = 64;
+  static constexpr int kClasses = kLists;  // 64 B ... 2 MiB
 
   // Smallest class whose guaranteed capacity covers `n` (for acquire).
   static int class_for_request(std::size_t n);
   // Largest class whose guaranteed capacity is <= `n` (for recycling).
   static int class_for_capacity(std::size_t n);
 
-  /// Free-path entry, any thread: poisons/clears on the freeing thread so
-  /// aliased references are released promptly, then routes by `home`.
-  static void route_free(Bytes* b) noexcept;
-
-  std::mutex* lock_if() { return locked_ ? &mu_ : nullptr; }
-  Handle wrap(Node* n);
-  void recycle_local(Node* n) noexcept;
-  void drain_remote_unlocked() noexcept;
-
-  const void* owner_token_;
-  const bool locked_;
-  std::mutex mu_;  // engaged only when locked_ (orphan)
-  SlabPool* slab_;
-  std::vector<Node*> free_[kClasses];
-  RemoteFreeList<Node> remote_;
+  /// Poisons (when on) and clears on the freeing thread, so storage is
+  /// scrubbed while its references are provably dead.
+  static void scrub(Bytes& b) noexcept;
+  /// The capacity class a recycled vector joins; counts recycled_bytes.
+  int free_list_of(Bytes& b) noexcept;
 };
 
 // --- generic vector pool ------------------------------------------------------
@@ -464,7 +499,7 @@ class BufferPool : public PoolBase {
 /// element capacity survives recycling. Used for PLAN-P tuple storage
 /// (VecPool<Value>), where the per-packet decode tuples dominate.
 ///
-/// PoisonFill is a customization point invoked on recycle when poison mode
+/// PoisonFill is a customization point invoked on release when poison mode
 /// is on (before the vector is cleared), so stale references into recycled
 /// tuple storage read sentinels. The default does nothing.
 template <typename T>
@@ -473,109 +508,39 @@ struct NoPoison {
 };
 
 template <typename T, typename PoisonFill = NoPoison<T>>
-class VecPool : public PoolBase {
+class VecPool : public NodePool<VecPool<T, PoisonFill>, std::vector<T>, true> {
+  using Core = NodePool<VecPool, std::vector<T>, true>;
+
  public:
   using Vec = std::vector<T>;
   using Handle = std::shared_ptr<Vec>;
 
-  VecPool(const std::string& name, AllocTag tag, SlabPool& slab,
-          const void* owner_token, bool locked)
-      : tag_(tag), owner_token_(owner_token), locked_(locked), slab_(&slab) {
-    register_pool_stats(name, &stats_);
-  }
-  ~VecPool() override { purge_free(); }
-  VecPool(const VecPool&) = delete;
-  VecPool& operator=(const VecPool&) = delete;
+  VecPool(const std::string& name, AllocTag tag, const void* owner_token,
+          bool locked)
+      : Core(name, tag, owner_token, locked) {}
 
   /// Owner thread only (callers reach their own shard's instance through
   /// mem/shard.hpp). Empty vector, capacity from its previous life;
-  /// `reserve_hint` is honored on the (counted) miss path so steady-state
-  /// pushes never grow.
+  /// `reserve_hint` is honored when that capacity falls short, so
+  /// steady-state pushes never grow.
   Handle acquire(std::size_t reserve_hint) {
-    MaybeLock lk(lock_if());
-    if (locked_) ++stats_.spills;
-    if (free_.empty() && !remote_.empty()) drain_remote_unlocked();
-    Node* n = nullptr;
-    if (!free_.empty()) {
-      n = free_.back();
-      free_.pop_back();
-      ++stats_.hits;
-      if (n->vec.capacity() < reserve_hint) {
-        ScopedAllocTag tag(tag_);
-        n->vec.reserve(reserve_hint);
-      }
-    } else {
-      ScopedAllocTag tag(tag_);
-      ++stats_.misses;
-      n = new Node;
-      n->home = this;
-      n->vec.reserve(reserve_hint);
+    auto* n = this->obtain();
+    if (n->value.capacity() < reserve_hint) {
+      ScopedAllocTag tag(this->tag_);
+      n->value.reserve(reserve_hint);
     }
-    ++stats_.live;
-    return Handle(&n->vec, Recycler{}, SlabAllocator<Vec>{*slab_});
-  }
-
-  void drain_remote() override {
-    MaybeLock lk(lock_if());
-    drain_remote_unlocked();
-  }
-
-  void purge_free() override {
-    MaybeLock lk(lock_if());
-    drain_remote_unlocked();
-    for (Node* n : free_) delete n;
-    free_.clear();
+    return this->share(n);
   }
 
  private:
-  struct Node {
-    Vec vec;  // must stay first: handles point at it, recycle casts back
-    Node* remote_next = nullptr;
-    VecPool* home = nullptr;
-  };
-  struct Recycler {
-    void operator()(Vec* v) const noexcept { VecPool::route_free(v); }
-  };
+  friend Core;
 
-  /// Free-path entry, any thread. Clears on the freeing thread (element
-  /// references — blobs pinning buffers — must release promptly), then
-  /// routes by home: owner -> freelist, anyone else -> remote channel.
-  static void route_free(Vec* v) noexcept {
-    Node* n = reinterpret_cast<Node*>(v);
-    VecPool* home = n->home;
-    if (poison_enabled()) PoisonFill{}(*v);
-    v->clear();  // destroys elements (releases their refs), keeps capacity
-    --home->stats_.live;
-    if (home->owner_token_ != nullptr &&
-        home->owner_token_ == current_owner_token()) {
-      ++home->stats_.recycled;
-      home->free_.push_back(n);
-      return;
-    }
-    ++home->stats_.remote_freed;
-    home->remote_.push(n);
+  /// Destroys the elements — releasing their references (blobs pinning
+  /// buffers) promptly — and keeps the capacity.
+  static void scrub(Vec& v) noexcept {
+    if (poison_enabled()) PoisonFill{}(v);
+    v.clear();
   }
-
-  void drain_remote_unlocked() noexcept {
-    Node* n = remote_.take_all();
-    while (n != nullptr) {
-      Node* next = n->remote_next;
-      ++stats_.remote_drained;
-      ++stats_.recycled;
-      free_.push_back(n);
-      n = next;
-    }
-  }
-
-  std::mutex* lock_if() { return locked_ ? &mu_ : nullptr; }
-
-  AllocTag tag_;
-  const void* owner_token_;
-  const bool locked_;
-  std::mutex mu_;  // engaged only when locked_ (orphan)
-  SlabPool* slab_;
-  std::vector<Node*> free_;
-  RemoteFreeList<Node> remote_;
 };
 
 // --- box pool -----------------------------------------------------------------
@@ -583,126 +548,40 @@ class VecPool : public PoolBase {
 /// Pools single objects of T behind a unique-owner handle whose deleter
 /// recycles the node. The point: an event callback capturing a Handle is
 /// pointer-sized, so moving a Packet into a box keeps the whole capture
-/// inside SmallFn's inline buffer. Recycling resets the object to T{} on the
-/// freeing thread (held references — payload buffers — release promptly),
-/// then routes the node home like every other pool.
+/// inside SmallFn's inline buffer. No control block, so no storage for one.
 template <typename T>
-class BoxPool : public PoolBase {
+class BoxPool : public NodePool<BoxPool<T>, T, false> {
+  using Core = NodePool<BoxPool, T, false>;
+
  public:
-  struct Recycler {
-    void operator()(T* t) const noexcept { BoxPool::route_free(t); }
-  };
-  using Handle = std::unique_ptr<T, Recycler>;
+  using Handle = std::unique_ptr<T, typename Core::Recycle>;
 
   BoxPool(const std::string& name, AllocTag tag, const void* owner_token,
           bool locked)
-      : tag_(tag), owner_token_(owner_token), locked_(locked) {
-    register_pool_stats(name, &stats_);
-  }
-  ~BoxPool() override { purge_free(); }
-  BoxPool(const BoxPool&) = delete;
-  BoxPool& operator=(const BoxPool&) = delete;
+      : Core(name, tag, owner_token, locked) {}
 
   /// Owner thread only.
   Handle box(T&& v) {
-    Node* n = take();
-    if (n != nullptr) {
-      n->value = std::move(v);
-    } else {
-      n = fresh();
-      n->value = std::move(v);
-    }
-    ++stats_.live;
-    return Handle(&n->value, Recycler{});
+    auto* n = this->obtain();
+    n->value = std::move(v);
+    return Handle(&n->value);
   }
 
   /// Copy-in overload: assigns straight into the recycled node, skipping the
   /// temporary + move a `box(T(v))` call would pay. Used by producers that
   /// box one template packet many times (bench_event's delivery fan-out).
   Handle box(const T& v) {
-    Node* n = take();
-    if (n != nullptr) {
-      n->value = v;
-    } else {
-      n = fresh();
-      n->value = v;
-    }
-    ++stats_.live;
-    return Handle(&n->value, Recycler{});
-  }
-
-  void drain_remote() override {
-    MaybeLock lk(lock_if());
-    drain_remote_unlocked();
-  }
-
-  void purge_free() override {
-    MaybeLock lk(lock_if());
-    drain_remote_unlocked();
-    for (Node* n : free_) delete n;
-    free_.clear();
+    auto* n = this->obtain();
+    n->value = v;
+    return Handle(&n->value);
   }
 
  private:
-  struct Node {
-    T value{};  // must stay first: handles point at it, recycle casts back
-    Node* remote_next = nullptr;
-    BoxPool* home = nullptr;
-  };
+  friend Core;
 
-  static void route_free(T* t) noexcept {
-    Node* n = reinterpret_cast<Node*>(t);
-    BoxPool* home = n->home;
-    *t = T{};  // releases held references on the freeing thread
-    --home->stats_.live;
-    if (home->owner_token_ != nullptr &&
-        home->owner_token_ == current_owner_token()) {
-      ++home->stats_.recycled;
-      home->free_.push_back(n);
-      return;
-    }
-    ++home->stats_.remote_freed;
-    home->remote_.push(n);
-  }
-
-  Node* take() {
-    MaybeLock lk(lock_if());
-    if (locked_) ++stats_.spills;
-    if (free_.empty() && !remote_.empty()) drain_remote_unlocked();
-    if (free_.empty()) return nullptr;
-    Node* n = free_.back();
-    free_.pop_back();
-    ++stats_.hits;
-    return n;
-  }
-
-  Node* fresh() {
-    ScopedAllocTag tag(tag_);
-    ++stats_.misses;
-    Node* n = new Node;
-    n->home = this;
-    return n;
-  }
-
-  void drain_remote_unlocked() noexcept {
-    Node* n = remote_.take_all();
-    while (n != nullptr) {
-      Node* next = n->remote_next;
-      ++stats_.remote_drained;
-      ++stats_.recycled;
-      free_.push_back(n);
-      n = next;
-    }
-  }
-
-  std::mutex* lock_if() { return locked_ ? &mu_ : nullptr; }
-
-  AllocTag tag_;
-  const void* owner_token_;
-  const bool locked_;
-  std::mutex mu_;  // engaged only when locked_ (orphan)
-  std::vector<Node*> free_;
-  RemoteFreeList<Node> remote_;
+  /// Resets to T{} on the freeing thread, so held references — payload
+  /// buffers — release promptly.
+  static void scrub(T& v) noexcept { v = T{}; }
 };
 
 // --- frame arena --------------------------------------------------------------

@@ -8,9 +8,9 @@ namespace asp::mem {
 // --- slot factory registry ----------------------------------------------------
 
 namespace {
-// Leaked: factories register from static-local initializers in subsystem
-// accessors (planp's tuple_pool, net's packet_boxes) whose order relative to
-// this file's statics is unspecified.
+// Leaked: factories register from static-local initializers in slot_pool()
+// (planp's tuple_pool, net's packet_boxes) whose order relative to this
+// file's statics is unspecified.
 std::vector<ShardPools::SlotFactory>& slot_factories() {
   static auto* v = new std::vector<ShardPools::SlotFactory>;
   return *v;
@@ -35,9 +35,7 @@ ShardPools::ShardPools(int id)
     : id_(id),
       locked_(id < 0),
       label_(id < 0 ? "orphan" : "shard" + std::to_string(id)),
-      slab_("mem/" + label_ + "/slab", token(), locked_),
-      buffers_("mem/" + label_ + "/buffer", slab_, token(), locked_) {
-  pools_.push_back(&slab_);
+      buffers_("mem/" + label_ + "/buffer", token(), locked_) {
   pools_.push_back(&buffers_);
 }
 
@@ -68,9 +66,7 @@ void ShardPools::drain_remote() {
 
 void ShardPools::purge_free() {
   MaybeLock lk(locked_ ? &slot_mu() : nullptr);
-  // Node pools first, slab last: releasing the last buffer handles frees
-  // their slab-backed control blocks, which purge then reclaims.
-  for (auto it = pools_.rbegin(); it != pools_.rend(); ++it) (*it)->purge_free();
+  for (PoolBase* p : pools_) p->purge_free();
 }
 
 void ShardPools::reset_stats_for_test() {
@@ -186,8 +182,6 @@ ShardPools* shard_if_bound() noexcept { return t_shard; }
 
 const void* current_owner_token() noexcept { return t_shard; }
 
-SlabPool& current_slab() { return shard().slab(); }
-
 void drain_remote_frees() {
   if (t_shard != nullptr) t_shard->drain_remote();
 }
@@ -203,7 +197,6 @@ void reset_for_test() {
   orphan.reset_stats_for_test();
 }
 
-SlabPool& slab_pool() { return shard().slab(); }
 BufferPool& buffer_pool() { return shard().buffers(); }
 
 }  // namespace asp::mem

@@ -1,7 +1,7 @@
 // Shard registry: binds one ShardPools instance (a full set of memory pools
-// — slab, buffers, and every slot-registered pool) to each executor shard's
-// thread, so the steady-state alloc/free path is single-threaded by
-// construction (DESIGN.md §6e).
+// — buffers and every slot-registered pool) to each executor shard's thread,
+// so the steady-state alloc/free path is single-threaded by construction
+// (DESIGN.md §6e).
 //
 // Binding model:
 //   * `bind_shard(k)` pins the calling thread to pool set `k` —
@@ -17,10 +17,11 @@
 //     operation counts in `spills`, which steady-state benches assert == 0.
 //
 // Slots: subsystems own pool flavors the mem layer must not know about
-// (planp's VecPool<Value>, net's BoxPool<Packet>). They register a factory
-// once (process-wide, returns a slot id) and fetch `shard().slot(id)` —
-// each shard builds its own instance lazily, names it
-// "mem/<label>/<subsystem>", and wires it into the shard's barrier drain.
+// (planp's VecPool<Value>, net's BoxPool<Packet>). Their accessors call
+// slot_pool<P>(), which registers a factory once (process-wide, one slot id)
+// and returns the calling shard's instance — each shard builds its own
+// lazily, names it "mem/<label>/<name>", and wires it into the shard's
+// barrier drain.
 #pragma once
 
 #include <string>
@@ -54,7 +55,6 @@ class ShardPools {
   /// orphan frees always route through the remote channel.
   const void* token() const { return locked_ ? nullptr : this; }
 
-  SlabPool& slab() { return slab_; }
   BufferPool& buffers() { return buffers_; }
 
   static int register_slot(SlotFactory f);
@@ -71,10 +71,9 @@ class ShardPools {
   const int id_;
   const bool locked_;
   const std::string label_;
-  SlabPool slab_;
   BufferPool buffers_;
   PoolBase* slots_[kMaxSlots] = {};
-  std::vector<PoolBase*> pools_;  // slab_, buffers_, then built slots
+  std::vector<PoolBase*> pools_;  // buffers_, then built slots
 };
 
 /// The calling thread's pool set, lazily binding the lowest free shard id
@@ -103,8 +102,34 @@ void drain_remote_frees();
 /// other threads and are left alone.
 void reset_for_test();
 
-// Compatibility accessors for the calling shard's core pools.
-SlabPool& slab_pool();
+/// The calling shard's buffer pool.
 BufferPool& buffer_pool();
+
+/// The calling shard's instance of slot pool type `P`, built on first use
+/// per shard as `P("mem/<label>/<name>", tag, token, locked)`. One slot per
+/// type: the first call's `name` and `tag` serve every shard. The steady path
+/// is one TLS read and one compare; the cached instance refreshes itself
+/// after a rebind or TLS teardown.
+template <typename P>
+P& slot_pool(const char* name, AllocTag tag) {
+  static const char* const s_name = name;
+  static const AllocTag s_tag = tag;
+  static const int slot =
+      ShardPools::register_slot([](ShardPools& sp) -> PoolBase* {
+        return new P("mem/" + sp.label() + "/" + s_name, s_tag, sp.token(),
+                     sp.locked());
+      });
+  struct Cache {
+    const ShardPools* sp = nullptr;
+    P* pool = nullptr;
+  };
+  static thread_local Cache cache;
+  ShardPools& sp = shard();
+  if (cache.sp != &sp) {
+    cache.sp = &sp;
+    cache.pool = static_cast<P*>(sp.slot(slot));
+  }
+  return *cache.pool;
+}
 
 }  // namespace asp::mem

@@ -55,13 +55,7 @@ inline void cpu_relax() {
 }  // namespace
 
 mem::BoxPool<CrossShardMsg>& cross_msg_boxes() {
-  static const int slot =
-      mem::ShardPools::register_slot([](mem::ShardPools& sp) -> mem::PoolBase* {
-        return new mem::BoxPool<CrossShardMsg>("mem/" + sp.label() + "/cross_msg",
-                                               mem::AllocTag::kEvent, sp.token(),
-                                               sp.locked());
-      });
-  return *static_cast<mem::BoxPool<CrossShardMsg>*>(mem::shard().slot(slot));
+  return mem::slot_pool<mem::BoxPool<CrossShardMsg>>("cross_msg", mem::AllocTag::kEvent);
 }
 
 std::uint32_t ParallelExecutor::Barrier::arrive_and_wait() {

@@ -137,10 +137,6 @@ class Medium {
   Impairments& impairments() { return imp_; }
   const Impairments& impairments() const { return imp_; }
 
-  /// Legacy shim: uniform random loss only.
-  void set_loss_rate(double rate) { imp_.loss_rate = rate; }
-  double loss_rate() const { return imp_.loss_rate; }
-
   /// Link state. A down link drops frames at transmission *and* kills frames
   /// still in flight when it goes down (their arrival finds the link down).
   /// Atomic: both endpoint shards of a cut link read it on their fast paths.

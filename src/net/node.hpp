@@ -174,13 +174,6 @@ class Node {
     if (tap) rx_taps_.push_back(std::move(tap));
   }
   void clear_rx_taps() { rx_taps_.clear(); }
-  /// Single-tap shim kept for source compatibility: clears every installed
-  /// tap, then installs `tap` (nullptr just clears).
-  [[deprecated("replaces every installed tap; use add_rx_tap")]] void set_rx_tap(
-      RxTap tap) {
-    rx_taps_.clear();
-    if (tap) rx_taps_.push_back(std::move(tap));
-  }
 
   /// Entry point from a medium: a packet arrived on `in`. Counts it, shows
   /// it to the rx taps, offers it to the IP hook, and runs standard IP on it

@@ -101,27 +101,11 @@ Packet Packet::make_raw(Ipv4Addr src, Ipv4Addr dst, Payload payload) {
   return p;
 }
 
+// Shard-local slot: each shard boxes packets out of its own instance (leaked
+// with its ShardPools); a box released across a shard boundary — or during
+// static destruction — rides the remote-free list home.
 mem::BoxPool<Packet>& packet_boxes() {
-  // Shard-local slot: each shard boxes packets out of its own instance
-  // (leaked with its ShardPools); a box recycled across a shard boundary —
-  // or during static destruction — rides the remote-free channel home.
-  static const int slot =
-      mem::ShardPools::register_slot([](mem::ShardPools& sp) -> mem::PoolBase* {
-        return new mem::BoxPool<Packet>("mem/" + sp.label() + "/packet_box",
-                                        mem::AllocTag::kEvent, sp.token(),
-                                        sp.locked());
-      });
-  struct Cache {
-    const mem::ShardPools* sp = nullptr;
-    mem::BoxPool<Packet>* pool = nullptr;
-  };
-  static thread_local Cache cache;
-  mem::ShardPools& sp = mem::shard();
-  if (cache.sp != &sp) {
-    cache.sp = &sp;
-    cache.pool = static_cast<mem::BoxPool<Packet>*>(sp.slot(slot));
-  }
-  return *cache.pool;
+  return mem::slot_pool<mem::BoxPool<Packet>>("packet_box", mem::AllocTag::kEvent);
 }
 
 std::vector<std::uint8_t> bytes_of(const std::string& s) {

@@ -18,29 +18,12 @@ struct TuplePoison {
 
 using TuplePool = mem::VecPool<Value, TuplePoison>;
 
+// Shard-local slot: every shard thread decodes tuples, so each gets its own
+// instance (leaked with its ShardPools); a tuple released on a foreign shard
+// — or during static destruction — rides the remote-free list back to its
+// home instance.
 TuplePool& tuple_pool() {
-  // Shard-local slot: every shard thread decodes tuples, so each gets its
-  // own instance (leaked with its ShardPools); a tuple recycled on a foreign
-  // shard — or during static destruction — rides the remote-free channel
-  // back to its home instance.
-  static const int slot =
-      mem::ShardPools::register_slot([](mem::ShardPools& sp) -> mem::PoolBase* {
-        return new TuplePool("mem/" + sp.label() + "/tuple", mem::AllocTag::kTuple,
-                             sp.slab(), sp.token(), sp.locked());
-      });
-  // Cache the shard→pool resolution so the steady path is one TLS read +
-  // one compare; refreshes itself after a rebind or TLS teardown.
-  struct Cache {
-    const mem::ShardPools* sp = nullptr;
-    TuplePool* pool = nullptr;
-  };
-  static thread_local Cache cache;
-  mem::ShardPools& sp = mem::shard();
-  if (cache.sp != &sp) {
-    cache.sp = &sp;
-    cache.pool = static_cast<TuplePool*>(sp.slot(slot));
-  }
-  return *cache.pool;
+  return mem::slot_pool<TuplePool>("tuple", mem::AllocTag::kTuple);
 }
 
 /// Rehydrate a Scalar slot as a full Value (no heap — all alternatives are

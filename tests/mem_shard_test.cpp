@@ -54,22 +54,6 @@ TEST(MemShard, CrossShardBufferFreeRidesRemoteChannelHome) {
   EXPECT_EQ(mine.buffers().stats().hits.load(), hits_before + 1);
 }
 
-TEST(MemShard, CrossShardSlabFreeRoutesByChunkHome) {
-  mem::reset_for_test();
-  mem::SlabPool& slab = mem::shard().slab();
-
-  void* p = slab.allocate(96);
-  const std::uint64_t freed_before = slab.stats().remote_freed.load();
-
-  // Foreign thread frees through ITS OWN shard's slab: deallocate routes by
-  // the chunk's home pool, not the invoked instance.
-  on_other_shard([&] { mem::shard().slab().deallocate(p, 96); });
-
-  EXPECT_EQ(slab.stats().remote_freed.load(), freed_before + 1);
-  mem::drain_remote_frees();
-  EXPECT_GE(slab.stats().remote_drained.load(), 1u);
-}
-
 TEST(MemShard, UnboundThreadFreeGoesRemoteNotLocal) {
   mem::reset_for_test();
   mem::ShardPools& mine = mem::shard();
@@ -114,8 +98,8 @@ void sweep_drain(int max_id) {
   mem::bind_shard(my_id);
 }
 
-// The stress: P producer shards each allocate buffers/tuples/slab blocks and
-// scatter them to randomly chosen consumer inboxes; C consumer shards pop at
+// The stress: P producer shards each allocate buffers and tuples and scatter
+// them to randomly chosen consumer inboxes; C consumer shards pop at
 // random and drop them (foreign frees), with random drain points on both
 // sides. Run with poison ON so any premature recycle of a live block reads
 // back a loud sentinel, and under TSAN for the channel's memory ordering.
@@ -131,8 +115,6 @@ TEST(MemShard, RandomizedCrossShardStressReclaimsEverything) {
   struct Item {
     mem::BufferPool::Handle buf;
     planp::Value tuple;
-    void* blk = nullptr;       // raw slab block, freed via consumer's slab
-    std::size_t blk_size = 0;
     std::uint8_t fill = 0;
   };
   struct Inbox {
@@ -163,8 +145,6 @@ TEST(MemShard, RandomizedCrossShardStressReclaimsEverything) {
         it.buf->assign(48, it.fill);
         it.tuple = planp::Value::of_tuple({planp::Value::of_int(it.fill),
                                            planp::Value::of_int(i)});
-        it.blk_size = 16 + (rng() % 256);
-        it.blk = sp.slab().allocate(it.blk_size);
         Inbox& box = inboxes[rng() % kConsumers];
         {
           std::lock_guard<std::mutex> lk(box.mu);
@@ -196,7 +176,6 @@ TEST(MemShard, RandomizedCrossShardStressReclaimsEverything) {
           ASSERT_EQ(it.buf->size(), 48u);
           ASSERT_EQ((*it.buf)[0], it.fill);
           ASSERT_EQ(it.tuple.as_tuple()[0].as_int(), it.fill);
-          mem::shard().slab().deallocate(it.blk, it.blk_size);  // routes home
           // Dropping the Item frees buf + tuple from this foreign shard.
         }
         grabbed.clear();

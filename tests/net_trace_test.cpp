@@ -137,28 +137,6 @@ TEST(RxTaps, TwoTracersBothRecord) {
   EXPECT_EQ(second.events().size(), 1u);
 }
 
-TEST(RxTaps, DeprecatedSetterClearsThenAdds) {
-  Network net;
-  Node& a = net.add_node("a");
-  Node& b = net.add_node("b");
-  net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, millis(1));
-
-  int old_tap = 0, new_tap = 0;
-  b.add_rx_tap([&](const Packet&, const Interface&) { ++old_tap; });
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  b.set_rx_tap([&](const Packet&, const Interface&) { ++new_tap; });
-#pragma GCC diagnostic pop
-
-  UdpSocket sink(b, 7, nullptr);
-  UdpSocket src(a, 9999, nullptr);
-  src.send_to(b.addr(), 7, bytes_of("x"));
-  net.run();
-
-  EXPECT_EQ(old_tap, 0);  // the shim keeps its replace-everything contract
-  EXPECT_EQ(new_tap, 1);
-}
-
 TEST(PacketTracer, CapacityBoundIsEnforced) {
   PacketTracer tracer(100);
   Packet p = Packet::make_raw(ip("1.1.1.1"), ip("2.2.2.2"), {});
