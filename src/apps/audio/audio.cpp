@@ -46,14 +46,15 @@ AudioClient::AudioClient(asp::net::Node& node, asp::net::Ipv4Addr group)
   node_.join_group(group);
   // Wire-rate tap: counts audio bytes as they arrive, i.e. the degraded
   // format, before the client ASP reconstructs them.
-  node_.add_rx_tap([this](const Packet& p, const asp::net::Interface&) {
+  node_.add_rx_tap([this, audio_tag = asp::net::ChannelTags::intern("audio")](
+                       const Packet& p, const asp::net::Interface&) {
     bool is_audio = p.udp && p.udp->dport == AudioFormat::kPort;
     if (is_audio) {
       wire_meter_.record(node_.events().now(), p.wire_size());
       int level = last_level_;
-      if (p.channel == "audio" && !p.payload.empty()) {
+      if (p.channel_tag == audio_tag && !p.payload.empty()) {
         level = p.payload[0] - '0';
-      } else if (p.channel.empty()) {
+      } else if (p.channel_tag == 0) {
         level = 0;  // untagged: original quality
       }
       if (last_level_ >= 0 && level != last_level_) ++level_switches_;

@@ -79,7 +79,7 @@ void HttpExperiment::build() {
   }
 }
 
-bool HttpExperiment::delay_and_forward(Packet& p) {
+bool HttpExperiment::delay_and_forward() {
   // Single forwarding core: packets queue behind gw_busy_until_. All gateway
   // state lives on the gateway's shard, so read that node's clock — under a
   // parallel run net_.now() is shard 0's clock, not necessarily ours.
@@ -116,16 +116,16 @@ void HttpExperiment::install_asp_gateway() {
 
   // Wrap the runtime in the CPU-cost queue.
   gateway_->set_ip_hook([this](Packet& p, asp::net::Interface&) {
-    if (!delay_and_forward(p)) return true;  // dropped at the gateway input
-    // Boxed so the deferred Packet fits the EventFn inline capture budget.
-    // Scheduled on the gateway's own queue (shard-local under an executor).
+    if (!delay_and_forward()) return true;  // dropped at the gateway input
+    // Boxed so the deferred Packet fits the EventFn inline capture budget;
+    // the box is then forwarded as is. Scheduled on the gateway's own queue
+    // (shard-local under an executor).
     gateway_->events().schedule_at(
-        gw_busy_until_, [this, box = asp::net::packet_boxes().box(Packet(p))]() mutable {
-          Packet& q = *box;
-          if (!gw_rt_->inject(q)) {
-            if (q.ip.ttl > 1) {
-              --q.ip.ttl;
-              gateway_->forward(std::move(q));
+        gw_busy_until_, [this, box = asp::net::packet_boxes().box(p)]() mutable {
+          if (!gw_rt_->inject(*box)) {
+            if (box->ip.ttl > 1) {
+              --box->ip.ttl;
+              gateway_->forward(std::move(box));
             }
           }
         });
@@ -140,12 +140,12 @@ void HttpExperiment::install_builtin_gateway() {
   auto counter = std::make_shared<int>(0);
 
   gateway_->set_ip_hook([this, table, counter](Packet& p, asp::net::Interface&) {
-    if (!delay_and_forward(p)) return true;
+    if (!delay_and_forward()) return true;
     // Boxed Packet + two shared_ptrs + this: 56 bytes, inside the EventFn
     // inline capture budget. Gateway queue: shard-local under an executor.
     gateway_->events().schedule_at(gw_busy_until_, [this, table, counter,
                                                box = asp::net::packet_boxes().box(
-                                                   Packet(p))]() mutable {
+                                                   p)]() mutable {
       Packet& q = *box;
       if (q.tcp && q.ip.dst == kVirtual && q.tcp->dport == 80) {
         auto key = std::make_pair(q.ip.src.bits(), q.tcp->sport);
@@ -168,7 +168,7 @@ void HttpExperiment::install_builtin_gateway() {
       if (q.ip.ttl > 1) {
         --q.ip.ttl;
         q.l2_next_hop = Ipv4Addr{};
-        gateway_->forward(std::move(q));
+        gateway_->forward(std::move(box));
       }
     });
     return true;

@@ -87,7 +87,7 @@ class HttpExperiment {
   asp::net::SimTime gw_busy_until_ = 0;
   std::uint64_t gw_packets_ = 0;
 
-  bool delay_and_forward(asp::net::Packet& p);
+  bool delay_and_forward();
 };
 
 }  // namespace asp::apps

@@ -17,7 +17,7 @@
 //                     capacity, classed by power-of-two capacity.
 //   VecPool<T>        same discipline for std::vector<T> (PLAN-P tuples).
 //   BoxPool<T>        single-object boxes (in-flight Packets) so event
-//                     callbacks capture one pointer instead of ~150 bytes.
+//                     callbacks capture one pointer instead of a Packet.
 //   FrameArena<T>     per-engine, depth-indexed execution frames — engine-
 //                     confined, unchanged by the sharding.
 //

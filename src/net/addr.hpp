@@ -8,6 +8,13 @@
 
 namespace asp::net {
 
+/// Netmask of a prefix length: 0 (or less) gives 0, 32 (or more) all ones.
+constexpr std::uint32_t netmask(int prefix_len) {
+  return prefix_len <= 0    ? 0u
+         : prefix_len >= 32 ? 0xFFFFFFFFu
+                            : ~(0xFFFFFFFFu >> prefix_len);
+}
+
 /// An IPv4 address (host byte order). Value type, totally ordered, hashable.
 class Ipv4Addr {
  public:
@@ -29,9 +36,7 @@ class Ipv4Addr {
 
   /// True if this address falls in `prefix`/`prefix_len`.
   constexpr bool in_prefix(Ipv4Addr prefix, int prefix_len) const {
-    if (prefix_len == 0) return true;
-    std::uint32_t mask = prefix_len >= 32 ? 0xFFFFFFFFu : ~(0xFFFFFFFFu >> prefix_len);
-    return (bits_ & mask) == (prefix.bits_ & mask);
+    return ((bits_ ^ prefix.bits_) & netmask(prefix_len)) == 0;
   }
 
   friend constexpr bool operator==(Ipv4Addr a, Ipv4Addr b) { return a.bits_ == b.bits_; }

@@ -120,9 +120,10 @@ class EventQueue {
   // (64 bytes — a `this` pointer plus several shared_ptrs, or a pooled
   // Packet box handle, all fit). Anything larger silently falls back to a
   // heap allocation per scheduled event, which bench_fastpath surfaces as
-  // mem/event/heap_captures. When a callback needs a Packet, move it into
-  // net::packet_boxes() and capture the pointer-sized box handle instead of
-  // the ~150-byte Packet (see medium.cpp / node.cpp).
+  // mem/event/heap_captures. When a callback needs a Packet, capture the
+  // pointer-sized net::PacketBox handle (the one the packet already travels
+  // in, or a fresh net::packet_boxes() box) instead of the 72-byte Packet
+  // (see medium.cpp / node.cpp).
   //
   // The slot's payload. Ordering fields live in Key, not here: the slab
   // entry is written once at schedule and read once at drain.

@@ -4,14 +4,19 @@
 
 namespace asp::net {
 
-void Interface::transmit(Packet&& p) {
+void Interface::transmit(PacketBox p) {
   if (medium_ == nullptr) return;  // unplugged
   medium_->transmit(*this, std::move(p));
 }
 
+void Interface::transmit(Packet&& p) {
+  if (medium_ == nullptr) return;
+  medium_->transmit(*this, packet_boxes().box(std::move(p)));
+}
+
 void Interface::transmit(const Packet& p) {
   if (medium_ == nullptr) return;
-  medium_->transmit(*this, p);
+  medium_->transmit(*this, packet_boxes().box(p));
 }
 
 void Interface::note_tx(std::size_t bytes) {
@@ -82,31 +87,31 @@ double PointToPointLink::utilization() {
   return bps / bandwidth_bps_;
 }
 
-void PointToPointLink::deliver_arrival(int end, Packet&& p) {
+void PointToPointLink::deliver_arrival(int end, PacketBox&& p) {
   if (!link_up()) {  // partition started while the frame was in flight
     count_drop_down();
     return;
   }
-  note_delivered(p);
+  note_delivered(*p);
   Interface& in = *ends_[end];
   in.node()->receive(std::move(p), in);
 }
 
 void PointToPointLink::enqueue_arrival(EventQueue& q, SimTime t, SimTime sched,
-                                       std::uint32_t rank, int end, Packet&& p) {
-  // The in-flight Packet rides in a pooled box so the capture (this, end,
-  // box handle) stays within the EventFn inline budget.
-  q.schedule_ranked(t, sched, rank,
-                    [this, end, box = packet_boxes().box(std::move(p))]() mutable {
-                      deliver_arrival(end, std::move(*box));
-                    });
+                                       std::uint32_t rank, int end, PacketBox&& p) {
+  // The capture (this, end, box handle) stays within the EventFn inline
+  // budget.
+  q.schedule_ranked(t, sched, rank, [this, end, box = std::move(p)]() mutable {
+    deliver_arrival(end, std::move(box));
+  });
 }
 
-void PointToPointLink::post_arrival(int end, Packet&& p, SimTime arrival) {
+void PointToPointLink::post_arrival(int end, PacketBox&& p, SimTime arrival) {
   if (cross_[end]) {
     // Receiving end lives on another shard: hand the frame to its mailbox
-    // (the executor merges it and calls enqueue_arrival over there).
-    cross_[end](arrival, std::move(p));
+    // (the executor merges it and calls enqueue_arrival over there). The
+    // message carries the packet itself, so this box stays on its shard.
+    cross_[end](arrival, std::move(*p));
     return;
   }
   // The canonical (sender clock, sender topo index) tie-break: serial and
@@ -117,7 +122,7 @@ void PointToPointLink::post_arrival(int end, Packet&& p, SimTime arrival) {
                   end, std::move(p));
 }
 
-void PointToPointLink::transmit(Interface& from, Packet p) {
+void PointToPointLink::transmit(Interface& from, PacketBox p) {
   int dir = (&from == ends_[0]) ? 0 : 1;
   if (ends_[1 - dir] == nullptr) return;
 
@@ -128,7 +133,8 @@ void PointToPointLink::transmit(Interface& from, Packet p) {
     count_drop_down();
     return;
   }
-  SimTime serialize = tx_time(p.wire_size(), bandwidth_bps_);
+  const std::size_t bytes = p->wire_size();
+  SimTime serialize = tx_time(bytes, bandwidth_bps_);
   SimTime start = busy_until_[dir] > now ? busy_until_[dir] : now;
   // Backlog check: how much queueing (in time) would this packet see?
   SimTime backlog_limit = tx_time(queue_capacity_, bandwidth_bps_);
@@ -137,7 +143,6 @@ void PointToPointLink::transmit(Interface& from, Packet p) {
     return;
   }
   busy_until_[dir] = start + serialize;
-  std::size_t bytes = p.wire_size();
   from.note_tx(bytes);
   if (dir_meter_[dir]) dir_meter_[dir]->record(now, bytes);
   // A lost frame still occupied the wire and counted toward the tx meters:
@@ -147,36 +152,38 @@ void PointToPointLink::transmit(Interface& from, Packet p) {
     count_drop_loss();
     return;
   }
-  if (plan.corrupt) apply_corruption(p);
+  if (plan.corrupt) apply_corruption(*p);
   if (plan.copies > 1) {
     count_duplicated();
-    post_arrival(1 - dir, Packet(p), busy_until_[dir] + delay_ + plan.extra[1]);
+    post_arrival(1 - dir, packet_boxes().box(*p),
+                 busy_until_[dir] + delay_ + plan.extra[1]);
   }
   post_arrival(1 - dir, std::move(p), busy_until_[dir] + delay_ + plan.extra[0]);
 }
 
-void EthernetSegment::schedule_arrival(const Interface& from, Packet&& p,
+void EthernetSegment::schedule_arrival(const Interface& from, PacketBox&& p,
                                        SimTime arrival) {
   // The sender is named by slot: an Interface* could dangle if its node's
   // interface array grows while the frame is in flight (repoint()).
   events_->schedule_at(arrival, [this, slot = from.medium_slot(),
-                                 box = packet_boxes().box(std::move(p))]() mutable {
+                                 box = std::move(p)]() mutable {
     if (!link_up()) {  // partition started while the frame was in flight
       count_drop_down();
       return;
     }
-    deliver(*ifaces_[slot], std::move(*box));
+    deliver(*ifaces_[slot], std::move(box));
   });
 }
 
-void EthernetSegment::transmit(Interface& from, Packet p) {
+void EthernetSegment::transmit(Interface& from, PacketBox p) {
   // Segments are never cut: events_ is always the sender's shard queue.
   SimTime now = events_->now();
   if (!link_up()) {
     count_drop_down();
     return;
   }
-  SimTime serialize = tx_time(p.wire_size(), bandwidth_bps_);
+  const std::size_t bytes = p->wire_size();
+  SimTime serialize = tx_time(bytes, bandwidth_bps_);
   SimTime start = busy_until_ > now ? busy_until_ : now;
   SimTime backlog_limit = tx_time(queue_capacity_, bandwidth_bps_);
   if (start - now > backlog_limit) {
@@ -184,7 +191,6 @@ void EthernetSegment::transmit(Interface& from, Packet p) {
     return;
   }
   busy_until_ = start + serialize;
-  std::size_t bytes = p.wire_size();
   from.note_tx(bytes);
   meter_.record(now, bytes);
   FramePlan plan = plan_frame();
@@ -192,10 +198,10 @@ void EthernetSegment::transmit(Interface& from, Packet p) {
     count_drop_loss();
     return;
   }
-  if (plan.corrupt) apply_corruption(p);
+  if (plan.corrupt) apply_corruption(*p);
   if (plan.copies > 1) {
     count_duplicated();
-    schedule_arrival(from, Packet(p), busy_until_ + delay_ + plan.extra[1]);
+    schedule_arrival(from, packet_boxes().box(*p), busy_until_ + delay_ + plan.extra[1]);
   }
   schedule_arrival(from, std::move(p), busy_until_ + delay_ + plan.extra[0]);
 }
@@ -213,19 +219,20 @@ Interface* EthernetSegment::unicast_target(const Interface& from,
   return nullptr;
 }
 
-void EthernetSegment::deliver(const Interface& from, Packet&& p) {
-  // Fan-out discipline: every receiver but the last gets a COW copy (aliasing
-  // the one payload buffer); the final receiver gets the packet moved in.
+void EthernetSegment::deliver(const Interface& from, PacketBox&& p) {
+  // Fan-out discipline: every receiver but the last gets a COW copy in a box
+  // of its own (aliasing the one payload buffer); the final receiver gets the
+  // arriving box.
   auto hand_copy = [&](Interface* iface) {
-    note_delivered(p);
-    iface->node()->receive(p, *iface);
+    note_delivered(*p);
+    iface->node()->receive(packet_boxes().box(*p), *iface);
   };
   auto hand_last = [&](Interface* iface) {
-    note_delivered(p);
+    note_delivered(*p);
     iface->node()->receive(std::move(p), *iface);
   };
 
-  if (p.ip.dst.is_multicast()) {
+  if (p->ip.dst.is_multicast()) {
     // Broadcast semantics: every other station sees the frame; the node
     // decides whether it cares (group membership / router / promiscuous).
     Interface* last = nullptr;
@@ -238,7 +245,7 @@ void EthernetSegment::deliver(const Interface& from, Packet&& p) {
     return;
   }
 
-  Interface* target = unicast_target(from, p);
+  Interface* target = unicast_target(from, *p);
   // Promiscuous listeners see every frame regardless of addressing.
   for (Interface* iface : ifaces_) {
     if (iface != &from && iface != target && iface->promiscuous()) hand_copy(iface);

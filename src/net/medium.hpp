@@ -58,10 +58,11 @@ class Interface {
   bool gateway() const { return gateway_; }
   void set_gateway(bool g) { gateway_ = g; }
 
-  /// Hands a packet to the attached medium for transmission. The rvalue
-  /// overload moves the packet through (call sites on the forwarding path all
-  /// pass rvalues); the lvalue overload copies — cheaply, since the payload
-  /// is copy-on-write.
+  /// Hands a boxed packet to the attached medium for transmission; the
+  /// forwarding path passes the box it received. The Packet overloads box
+  /// the packet first: the rvalue one moves it in, the lvalue one copies it
+  /// (cheaply, since the payload is copy-on-write).
+  void transmit(PacketBox p);
   void transmit(Packet&& p);
   void transmit(const Packet& p);
 
@@ -98,10 +99,11 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
-  /// Transmits `p` from interface `from`. May drop on queue overflow.
+  /// Transmits the boxed packet `p` from interface `from`. May drop on queue
+  /// overflow. The box rides the arrival event to the receiving node.
   /// Callable from `from`'s owning shard only (for a cut link that means
   /// either endpoint shard, each confined to its own direction).
-  virtual void transmit(Interface& from, Packet p) = 0;
+  virtual void transmit(Interface& from, PacketBox p) = 0;
 
   /// Interface-relocation fixup: nodes store interfaces by value in a growable
   /// array (Node::add_interface), so an attached Interface can move. The node
@@ -262,7 +264,7 @@ class PointToPointLink : public Medium {
     ends_[slot] = fresh;
   }
 
-  void transmit(Interface& from, Packet p) override;
+  void transmit(Interface& from, PacketBox p) override;
 
   Interface* end(int i) const { return ends_[i]; }
 
@@ -284,16 +286,22 @@ class PointToPointLink : public Medium {
   /// at time `t`, with the canonical tie-break key (`sched`, `rank`): the
   /// sender's clock at transmit time and its topology index. Both the local
   /// path of transmit() and the executor's mailbox merge call this, so a
-  /// delivery sorts and runs the same whichever shard enqueues it.
+  /// delivery sorts and runs the same whichever shard enqueues it. The
+  /// event captures the box; the merge's Packet overload boxes the packet
+  /// on the receiving shard.
   void enqueue_arrival(EventQueue& q, SimTime t, SimTime sched, std::uint32_t rank,
-                       int end, Packet&& p);
+                       int end, PacketBox&& p);
+  void enqueue_arrival(EventQueue& q, SimTime t, SimTime sched, std::uint32_t rank,
+                       int end, Packet&& p) {
+    enqueue_arrival(q, t, sched, rank, end, packet_boxes().box(std::move(p)));
+  }
 
  private:
   /// Local arrivals go to enqueue_arrival, cross-shard ones to the poster.
-  void post_arrival(int end, Packet&& p, SimTime arrival);
+  void post_arrival(int end, PacketBox&& p, SimTime arrival);
   /// Arrival half of a delivery: link-state check, delivered accounting,
-  /// hand-off to the receiving node.
-  void deliver_arrival(int end, Packet&& p);
+  /// hand-off of the box to the receiving node.
+  void deliver_arrival(int end, PacketBox&& p);
 
   Interface* ends_[2] = {nullptr, nullptr};
   SimTime busy_until_[2] = {0, 0};       // per direction (sender-shard state)
@@ -320,7 +328,7 @@ class EthernetSegment : public Medium {
     iface.attach(this);
   }
 
-  void transmit(Interface& from, Packet p) override;
+  void transmit(Interface& from, PacketBox p) override;
 
   void repoint(std::uint32_t slot, Interface* fresh) override {
     ifaces_[slot] = fresh;
@@ -338,8 +346,8 @@ class EthernetSegment : public Medium {
   }
 
  private:
-  void schedule_arrival(const Interface& from, Packet&& p, SimTime arrival);
-  void deliver(const Interface& from, Packet&& p);
+  void schedule_arrival(const Interface& from, PacketBox&& p, SimTime arrival);
+  void deliver(const Interface& from, PacketBox&& p);
   /// Unicast receiver for `p` sent by `from` (L2 hint, then gateway
   /// fallback), or nullptr when no station claims it.
   Interface* unicast_target(const Interface& from, const Packet& p) const;

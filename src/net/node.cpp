@@ -4,48 +4,14 @@
 
 namespace asp::net {
 
-namespace {
-
-// Process-wide route-cache totals: tables belong to shard-confined nodes but
-// are too numerous (and too short-lived in tests) for per-instance
-// instruments, so they share one aggregate pair like coarse node metrics.
-// Counter increments are relaxed-atomic, so concurrent shards are fine.
-struct RouteCacheCounters {
-  obs::Counter* hits;
-  obs::Counter* misses;
-};
-RouteCacheCounters& route_cache_counters() {
-  static RouteCacheCounters c{
-      &obs::registry().counter("node/_agg/net/route_cache_hits"),
-      &obs::registry().counter("node/_agg/net/route_cache_misses")};
-  return c;
-}
-
-}  // namespace
-
 void RoutingTable::add(Ipv4Addr prefix, int prefix_len, int iface, Ipv4Addr next_hop) {
-  // Stable insert keeping prefix_len descending: lookup's first match is the
-  // longest prefix, and first-added still wins among equal lengths.
+  // Stable insert keeping masks descending (a longer prefix has a larger
+  // mask): lookup's first match is the longest prefix, and first-added
+  // still wins among equal lengths.
+  const std::uint32_t mask = netmask(prefix_len);
   auto it = std::find_if(routes_.begin(), routes_.end(),
-                         [&](const Route& r) { return r.prefix_len < prefix_len; });
-  routes_.insert(it, Route{prefix, prefix_len, iface, next_hop});
-  cached_idx_ = SIZE_MAX;  // the new route may now be the best match
-}
-
-const Route* RoutingTable::lookup(Ipv4Addr dst) const {
-  if (cached_idx_ != SIZE_MAX && dst == cached_dst_) {
-    route_cache_counters().hits->inc();
-    return &routes_[cached_idx_];
-  }
-  route_cache_counters().misses->inc();
-  for (std::size_t i = 0; i < routes_.size(); ++i) {
-    if (dst.in_prefix(routes_[i].prefix, routes_[i].prefix_len)) {
-      cached_dst_ = dst;  // sorted: first = best
-      cached_idx_ = i;
-      return &routes_[i];
-    }
-  }
-  return nullptr;
+                         [&](const Route& r) { return r.mask < mask; });
+  routes_.insert(it, Route{prefix, mask, iface, next_hop});
 }
 
 UdpSocket::UdpSocket(Node& node, std::uint16_t port, Handler on_packet)
@@ -106,9 +72,7 @@ Interface& Node::add_interface(Ipv4Addr addr, int prefix_len) {
   Interface& added = ifaces_.back();
   added.set_addr(addr);
   if (!addr.is_unspecified()) {
-    std::uint32_t mask =
-        prefix_len >= 32 ? 0xFFFFFFFFu : ~(0xFFFFFFFFu >> prefix_len);
-    routes_.add(Ipv4Addr{addr.bits() & mask}, prefix_len, added.index());
+    routes_.add(Ipv4Addr{addr.bits() & netmask(prefix_len)}, prefix_len, added.index());
   }
   return added;
 }
@@ -157,28 +121,28 @@ bool Node::owns(Ipv4Addr a) const {
 
 Ipv4Addr Node::addr() const { return ifaces_.empty() ? Ipv4Addr{} : ifaces_[0].addr(); }
 
-void Node::receive(Packet p, Interface& in) {
+void Node::receive(PacketBox p, Interface& in) {
   ++rx_packets_;
-  rx_bytes_ += p.wire_size();
+  rx_bytes_ += p->wire_size();
   m_rx_packets_->inc();
-  m_rx_bytes_->inc(p.wire_size());
-  for (const RxTap& tap : rx_taps_) tap(p, in);
+  m_rx_bytes_->inc(p->wire_size());
+  for (const RxTap& tap : rx_taps_) tap(*p, in);
   // The PLAN-P layer sees the packet before the standard IP behaviour.
-  if (ip_hook_ && ip_hook_(p, in)) return;
+  if (ip_hook_ && ip_hook_(*p, in)) return;
   standard_ip(std::move(p), in);
 }
 
-void Node::standard_ip(Packet p, Interface& in) {
-  if (p.ip.dst.is_multicast()) {
-    if (in_group(p.ip.dst)) deliver_local(p);
+void Node::standard_ip(PacketBox p, Interface& in) {
+  if (p->ip.dst.is_multicast()) {
+    if (in_group(p->ip.dst)) deliver_local(*p);
     if (router_) {
-      const std::vector<int>* outs = mroute_lookup(p.ip.dst);
-      if (outs != nullptr && p.ip.ttl > 1) {
+      const std::vector<int>* outs = mroute_lookup(p->ip.dst);
+      if (outs != nullptr && p->ip.ttl > 1) {
         for (int out : *outs) {
           if (out == in.index()) continue;
-          Packet copy = p;
-          --copy.ip.ttl;
-          copy.l2_next_hop = Ipv4Addr{};
+          PacketBox copy = packet_boxes().box(*p);
+          --copy->ip.ttl;
+          copy->l2_next_hop = Ipv4Addr{};
           iface(out).transmit(std::move(copy));
         }
       }
@@ -186,25 +150,25 @@ void Node::standard_ip(Packet p, Interface& in) {
     return;
   }
 
-  if (owns(p.ip.dst)) {
-    deliver_local(std::move(p));
+  if (owns(p->ip.dst)) {
+    deliver_local(*p);
     return;
   }
 
   if (!router_) return;  // hosts drop transit traffic (non-promiscuous default)
 
-  if (p.ip.ttl <= 1) {
+  if (p->ip.ttl <= 1) {
     ++dropped_ttl_;
     m_dropped_->inc();
     return;
   }
-  --p.ip.ttl;
+  --p->ip.ttl;
   forward(std::move(p));
 }
 
-void Node::forward(Packet p) {
-  if (p.ip.dst.is_multicast()) {
-    const std::vector<int>* found = mroute_lookup(p.ip.dst);
+void Node::forward(PacketBox p) {
+  if (p->ip.dst.is_multicast()) {
+    const std::vector<int>* found = mroute_lookup(p->ip.dst);
     static const std::vector<int> kDefaultOut{0};
     const std::vector<int>& outs = found != nullptr ? *found : kDefaultOut;  // hosts: iface 0
     if (ifaces_.empty()) {
@@ -212,37 +176,36 @@ void Node::forward(Packet p) {
       m_dropped_->inc();
       return;
     }
-    for (std::size_t k = 0; k < outs.size(); ++k) {
-      int out = outs[k];
-      Packet copy = p;
-      copy.l2_next_hop = Ipv4Addr{};
+    for (int out : outs) {
+      PacketBox copy = packet_boxes().box(*p);
+      copy->l2_next_hop = Ipv4Addr{};
       iface(out).transmit(std::move(copy));
     }
     return;
   }
-  const Route* r = routes_.lookup(p.ip.dst);
+  const Route* r = routes_.lookup(p->ip.dst);
   if (r == nullptr) {
     ++dropped_no_route_;
     m_dropped_->inc();
     return;
   }
-  p.l2_next_hop = r->next_hop;
+  p->l2_next_hop = r->next_hop;
   iface(r->iface).transmit(std::move(p));
 }
 
 void Node::send_ip(Packet p) {
   if (p.id == 0) p.id = next_packet_id();
-  if (owns(p.ip.dst)) {
-    // Loopback. Boxed so the capture fits the EventFn inline buffer.
-    events_->schedule_in(0, [this, box = packet_boxes().box(std::move(p))]() mutable {
-      deliver_local(std::move(*box));
-    });
+  PacketBox box = packet_boxes().box(std::move(p));
+  if (owns(box->ip.dst)) {
+    // Loopback: the box handle keeps the capture within the EventFn inline
+    // buffer.
+    events_->schedule_in(0, [this, box = std::move(box)] { deliver_local(*box); });
     return;
   }
-  forward(std::move(p));
+  forward(std::move(box));
 }
 
-void Node::deliver_local(Packet p) {
+void Node::deliver_local(const Packet& p) {
   ++delivered_packets_;
   m_delivered_->inc();
   if (p.ip.proto == IpProto::kUdp && p.udp) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,41 +20,43 @@ namespace asp::net {
 class Node;
 class TcpStack;
 
-/// One routing table entry. `next_hop` unspecified means the destination is
-/// directly attached to the interface's medium.
+/// One routing table entry (16 bytes). `next_hop` unspecified means the
+/// destination is directly attached to the interface's medium.
 struct Route {
   Ipv4Addr prefix;
-  int prefix_len = 0;
+  /// Netmask of the prefix length, computed once by RoutingTable::add. Host
+  /// bits set in `prefix` are ignored: the route covers the whole subnet.
+  std::uint32_t mask = 0;
   int iface = 0;
   Ipv4Addr next_hop;
+
+  int prefix_len() const { return std::popcount(mask); }
 };
+static_assert(sizeof(Route) == 16, "a route table's memory grows with Route");
 
 /// Longest-prefix-match routing table. Routes live in one contiguous vector
 /// kept sorted by prefix length (longest first, stable within a length), so
-/// lookup is a forward scan that can stop at the FIRST match — the
-/// longest-prefix winner by construction. Same match semantics as the old
-/// best-so-far scan (first-added wins among equal-length matches), but the
-/// common case on generated topologies (a /30 or /24 hit near the front)
-/// touches a fraction of the table.
+/// lookup is a forward scan that stops at the FIRST match — the
+/// longest-prefix winner by construction, and the first-added among equal
+/// prefixes. add() stores each route's mask, so testing an entry is an XOR
+/// and a masked test, with no branch on the prefix length.
 class RoutingTable {
  public:
   void add(Ipv4Addr prefix, int prefix_len, int iface, Ipv4Addr next_hop = {});
   void add_default(int iface, Ipv4Addr next_hop = {}) { add({}, 0, iface, next_hop); }
-  /// Returns the best route for `dst` or nullptr. Longest-prefix scan with a
-  /// one-entry MRU cache in front: core routers in a fat-tree forward long
-  /// runs of packets to the same destination, and each would otherwise
-  /// re-scan up to k prefixes. Hit/miss totals are published process-wide as
-  /// node/_agg/net/route_cache_{hits,misses}.
-  const Route* lookup(Ipv4Addr dst) const;
+  /// The longest-prefix route for `dst`, or nullptr.
+  const Route* lookup(Ipv4Addr dst) const {
+    const std::uint32_t d = dst.bits();
+    for (const Route& r : routes_) {
+      if (((d ^ r.prefix.bits()) & r.mask) == 0) return &r;
+    }
+    return nullptr;
+  }
   /// Routes in lookup order (longest prefix first), not insertion order.
   const std::vector<Route>& routes() const { return routes_; }
 
  private:
   std::vector<Route> routes_;  // sorted: prefix_len descending, stable
-  // MRU cache (index, not pointer: add() reallocates routes_ and also
-  // invalidates — a new longer prefix may beat the cached match).
-  mutable Ipv4Addr cached_dst_{};
-  mutable std::size_t cached_idx_ = SIZE_MAX;  // SIZE_MAX: empty
 };
 
 /// An unreliable datagram socket bound to a UDP port on a node.
@@ -175,24 +178,26 @@ class Node {
   }
   void clear_rx_taps() { rx_taps_.clear(); }
 
-  /// Entry point from a medium: a packet arrived on `in`. Counts it, shows
-  /// it to the rx taps, offers it to the IP hook, and runs standard IP on it
-  /// unless the hook consumed it.
-  void receive(Packet p, Interface& in);
+  /// Entry point from a medium: a boxed packet arrived on `in`. Counts it,
+  /// shows it to the rx taps, offers it to the IP hook, and runs standard IP
+  /// on it unless the hook consumed it. A forwarded packet leaves in the same
+  /// box.
+  void receive(PacketBox p, Interface& in);
 
-  /// Sends a locally generated IP packet (routes, then transmits). Packets
-  /// addressed to this node loop back to local delivery.
+  /// Sends a locally generated IP packet (boxes it, routes, then transmits).
+  /// Packets addressed to this node loop back to local delivery.
   void send_ip(Packet p);
 
   /// Routes and transmits without local-delivery shortcut; used by routers
-  /// and by the runtime's OnRemote.
-  void forward(Packet p);
+  /// and by the runtime's OnRemote. The Packet overload boxes the packet.
+  void forward(PacketBox p);
+  void forward(Packet&& p) { forward(packet_boxes().box(std::move(p))); }
 
   TcpStack& tcp() { return *tcp_; }
 
   /// Hands a packet straight to the local transport layer (UDP/TCP demux),
   /// bypassing routing and the PLAN-P hook. Used by the runtime's deliver().
-  void deliver_local(Packet p);
+  void deliver_local(const Packet& p);
 
   // --- statistics -----------------------------------------------------------
   std::uint64_t rx_packets() const { return rx_packets_; }
@@ -224,7 +229,7 @@ class Node {
   UdpSocket* udp_lookup(std::uint16_t port) const;
   /// Standard IP processing, everything after the PLAN-P hook declined the
   /// packet: multicast handling, local delivery, router forwarding.
-  void standard_ip(Packet p, Interface& in);
+  void standard_ip(PacketBox p, Interface& in);
 
   EventQueue* events_;  // owning shard's queue (rebindable, never null)
   std::string name_;

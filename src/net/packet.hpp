@@ -140,46 +140,41 @@ struct UdpHeader {
 };
 
 /// A network packet. Copyable (broadcast media copy it per receiver); copies
-/// alias the payload buffer until one side mutates.
+/// alias the payload buffer until one side mutates. No member owns heap
+/// memory besides the payload reference, so a packet fits 72 bytes.
 struct Packet {
   IpHeader ip;
   std::optional<TcpHeader> tcp;
   std::optional<UdpHeader> udp;
   Payload payload;
 
-  /// PLAN-P user-defined channel tag. Packets sent on a user channel carry the
-  /// channel name so the receiving runtime can dispatch them (paper §2: "When
-  /// packets are sent on a user-defined channel, the packet is tagged").
-  std::string channel;
-
-  /// Interned id of `channel` (0 = untagged). Senders set it via
-  /// set_channel(); the runtime resolves it lazily for packets whose channel
-  /// string was assigned directly.
-  std::uint32_t channel_tag = 0;
-
-  /// Sets the channel tag, keeping name and interned id consistent.
-  void set_channel(const std::string& name) {
-    channel = name;
-    channel_tag = ChannelTags::intern(name);
-  }
-
-  /// Clone-on-write access to the payload bytes.
-  std::vector<std::uint8_t>& mutable_payload() { return payload.mutate(); }
-
   /// Unique id for tracing/debugging; assigned by the sender.
   std::uint64_t id = 0;
+
+  /// PLAN-P user-defined channel tag, as an interned ChannelTags id (0 =
+  /// untagged). Packets sent on a user channel carry it so the receiving
+  /// runtime can dispatch them (paper §2: "When packets are sent on a
+  /// user-defined channel, the packet is tagged"); ChannelTags::name_of
+  /// gives the name.
+  std::uint32_t channel_tag = 0;
 
   /// Per-hop L2 destination hint set by the sender's route lookup (stands in
   /// for ARP): on a shared segment the frame is delivered to the interface
   /// with this address. Unspecified means "resolve by ip.dst".
   Ipv4Addr l2_next_hop;
 
+  /// Tags the packet with the channel `name` ("" untags it).
+  void set_channel(const std::string& name) { channel_tag = ChannelTags::intern(name); }
+
+  /// Clone-on-write access to the payload bytes.
+  std::vector<std::uint8_t>& mutable_payload() { return payload.mutate(); }
+
   /// Bytes on the wire: headers + payload (+4 for a channel tag when present).
   std::size_t wire_size() const {
     std::size_t n = IpHeader::kWireSize + payload.size();
     if (tcp) n += TcpHeader::kWireSize;
     if (udp) n += UdpHeader::kWireSize;
-    if (!channel.empty()) n += 4;
+    if (channel_tag != 0) n += 4;
     return n;
   }
 
@@ -191,10 +186,19 @@ struct Packet {
   static Packet make_raw(Ipv4Addr src, Ipv4Addr dst, Payload payload);
 };
 
-/// Pool of in-flight Packet boxes: media move a Packet into a box so their
-/// delivery callbacks capture a pointer-sized handle (fits SmallFn's inline
-/// buffer) instead of a ~150-byte Packet. Boxes recycle on delivery.
+// A packet box node is the packet plus two pointers: 88 bytes at this size.
+static_assert(sizeof(Packet) <= 72, "Packet grew past 72 bytes");
+
+/// Pool of in-flight Packet boxes. A packet is boxed once, where it enters
+/// the network (Node::send_ip, Node::forward, Interface::transmit), and the
+/// box travels from medium to node to medium until the last hop delivers or
+/// drops it: each hop moves one pointer, and the arrival event's capture
+/// stays within SmallFn's inline buffer. Copies (segment fan-out, duplicated
+/// frames, multicast) get boxes of their own.
 mem::BoxPool<Packet>& packet_boxes();
+
+/// Owning handle to a boxed packet; destroying it recycles the box.
+using PacketBox = mem::BoxPool<Packet>::Handle;
 
 /// Builds a payload from a string (for control messages).
 std::vector<std::uint8_t> bytes_of(const std::string& s);

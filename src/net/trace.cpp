@@ -24,7 +24,7 @@ std::string describe(const Packet& p) {
   }
   s += " len=" + std::to_string(p.payload.size());
   s += " ttl=" + std::to_string(p.ip.ttl);
-  if (!p.channel.empty()) s += " chan=" + p.channel;
+  if (p.channel_tag != 0) s += " chan=" + ChannelTags::name_of(p.channel_tag);
   return s;
 }
 

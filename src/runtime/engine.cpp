@@ -90,15 +90,6 @@ void AspRuntime::uninstall() {
 
 bool AspRuntime::inject(asp::net::Packet p) { return on_packet(p, nullptr); }
 
-/// Lazy tag resolution: packets built by encode_packet carry their tag id
-/// already; those whose channel string was assigned directly resolve it here,
-/// once.
-static void resolve_tag(asp::net::Packet& p) {
-  if (p.channel_tag == 0 && !p.channel.empty()) {
-    p.channel_tag = asp::net::ChannelTags::intern(p.channel);
-  }
-}
-
 bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
                              const std::vector<std::uint16_t>& candidates,
                              asp::net::Packet& p, asp::net::Interface* in) {
@@ -167,7 +158,6 @@ bool AspRuntime::on_packet(asp::net::Packet& p, asp::net::Interface* in) {
 
   // User-channel packets classify by interned tag; untagged traffic goes to
   // the distinguished `network` channels (paper §2).
-  resolve_tag(p);
   const MatchActionTable::Rule* rule = inst->table.classify(p.channel_tag);
   if (rule == nullptr) {  // unknown tag: no channel can match, pass to IP
     m_passed_->inc();
@@ -217,7 +207,7 @@ void AspRuntime::send_remote(asp::net::Packet p) {
   --p.ip.ttl;
   m_sent_->inc();
   if (node_.owns(p.ip.dst)) {
-    node_.deliver_local(std::move(p));
+    node_.deliver_local(p);
     return;
   }
   node_.forward(std::move(p));
@@ -240,15 +230,14 @@ void AspRuntime::send_neighbor(asp::net::Packet p) {
   int skip = current_in_ != nullptr ? current_in_->index() : -1;
   for (std::size_t i = 0; i < node_.iface_count(); ++i) {
     if (static_cast<int>(i) == skip) continue;
-    asp::net::Packet copy = p;
-    node_.iface(static_cast<int>(i)).transmit(std::move(copy));
+    node_.iface(static_cast<int>(i)).transmit(p);
   }
 }
 
 void AspRuntime::deliver(const Value& packet) {
   asp::net::Packet p = encode_packet(packet, "");
   p.id = node_.next_packet_id();
-  node_.deliver_local(std::move(p));
+  node_.deliver_local(p);
 }
 
 }  // namespace asp::runtime

@@ -396,12 +396,7 @@ asp::net::Packet encode_packet(const Value& v, const std::string& channel_tag) {
 
 asp::net::Packet encode_packet(const Value& v, std::uint32_t chan_tag) {
   asp::net::Packet p = encode_packet_core(v);
-  if (chan_tag != 0) {
-    // Both the name string and the id travel with the packet (the name is
-    // the wire representation; the id is what dispatch keys on).
-    p.channel = asp::net::ChannelTags::name_of(chan_tag);
-    p.channel_tag = chan_tag;
-  }
+  p.channel_tag = chan_tag;
   return p;
 }
 

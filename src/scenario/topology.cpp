@@ -418,7 +418,7 @@ std::uint64_t topology_digest(const net::Network& net) {
     }
     for (const net::Route& r : n->routes().routes()) {
       mix(r.prefix.bits());
-      mix(static_cast<std::uint64_t>(r.prefix_len));
+      mix(static_cast<std::uint64_t>(r.prefix_len()));
       mix(static_cast<std::uint64_t>(r.iface));
       mix(r.next_hop.bits());
     }

@@ -269,7 +269,9 @@ TEST(CacheExperiment, PlanpAndNativeProxiesAreByteEquivalent) {
   for (const auto& [path, body] : asp_bodies) {
     EXPECT_EQ(body, cache_response_body(path)) << path;
     auto it = native_bodies.find(path);
-    if (it != native_bodies.end()) EXPECT_EQ(it->second, body) << path;
+    if (it != native_bodies.end()) {
+      EXPECT_EQ(it->second, body) << path;
+    }
   }
   // Identical closed-loop schedules: the two proxies see the same requests,
   // so the cache verdicts line up exactly.

@@ -63,7 +63,7 @@ TEST(Packet, WireSizeIncludesHeaders) {
   Packet r = Packet::make_raw(Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2), {});
   EXPECT_EQ(r.wire_size(), 20u);
 
-  r.channel = "audio";
+  r.set_channel("audio");
   EXPECT_EQ(r.wire_size(), 24u);  // +4 channel tag
 }
 

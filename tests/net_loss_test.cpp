@@ -69,7 +69,9 @@ TEST_P(TcpLossSweep, BulkTransferSurvivesLoss) {
   net.run_until(seconds(120));
 
   EXPECT_EQ(got, sent) << "at loss rate " << loss;
-  if (loss > 0) EXPECT_GT(c->retransmissions(), 0u);
+  if (loss > 0) {
+    EXPECT_GT(c->retransmissions(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LossRates, TcpLossSweep, ::testing::Values(0, 1, 3, 5, 10),

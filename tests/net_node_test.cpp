@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "net/network.hpp"
 
 namespace asp::net {
@@ -23,6 +25,88 @@ TEST(RoutingTable, LongestPrefixWins) {
 TEST(RoutingTable, EmptyTableReturnsNull) {
   RoutingTable rt;
   EXPECT_EQ(rt.lookup(ip("1.2.3.4")), nullptr);
+}
+
+// One route as added, for the reference lookup below.
+struct AddedRoute {
+  Ipv4Addr prefix;
+  int prefix_len = 0;
+  int iface = 0;
+  Ipv4Addr next_hop;
+};
+
+// Reference longest-prefix match: every route is tested, the longest match
+// wins, and among equal prefix lengths the first added wins. Host bits set
+// in a route's prefix are ignored.
+const AddedRoute* brute_force_lookup(const std::vector<AddedRoute>& added, Ipv4Addr dst) {
+  const AddedRoute* best = nullptr;
+  for (const AddedRoute& r : added) {
+    const std::uint64_t mask = (0xFFFFFFFFull << (32 - r.prefix_len)) & 0xFFFFFFFFull;
+    if ((dst.bits() & mask) != (r.prefix.bits() & mask)) continue;
+    if (best == nullptr || r.prefix_len > best->prefix_len) best = &r;
+  }
+  return best;
+}
+
+TEST(RoutingTable, MatchesBruteForceLongestPrefixOnRandomTables) {
+  std::mt19937 rng(20261018);
+  auto draw = [&](std::uint32_t n) { return static_cast<std::uint32_t>(rng() % n); };
+  int checked = 0;
+  int matched = 0;
+  for (int table = 0; table < 60; ++table) {
+    RoutingTable rt;
+    std::vector<AddedRoute> added;  // insertion order; iface = insertion index
+    const std::uint32_t n_routes = 1 + draw(48);
+    for (std::uint32_t i = 0; i < n_routes; ++i) {
+      AddedRoute r;
+      const std::uint32_t kind = draw(8);
+      if (kind == 0) {
+        r.prefix_len = 0;
+      } else if (kind == 1) {
+        r.prefix_len = 32;
+      } else {
+        r.prefix_len = static_cast<int>(draw(33));
+      }
+      r.prefix = Ipv4Addr{static_cast<std::uint32_t>(rng())};  // host bits set
+      if (!added.empty() && draw(5) == 0) {
+        // Equal prefix on another interface: the first added must win.
+        const AddedRoute& twin = added[draw(static_cast<std::uint32_t>(added.size()))];
+        r.prefix = twin.prefix;
+        r.prefix_len = twin.prefix_len;
+      }
+      r.iface = static_cast<int>(i);
+      r.next_hop = Ipv4Addr{draw(2) == 0 ? 0u : static_cast<std::uint32_t>(rng())};
+      rt.add(r.prefix, r.prefix_len, r.iface, r.next_hop);
+      added.push_back(r);
+    }
+    for (int k = 0; k < 200; ++k) {
+      Ipv4Addr dst{static_cast<std::uint32_t>(rng())};
+      if (draw(2) == 0) {
+        // Near a route: keep a random number of its leading bits, so long
+        // prefixes are hit and nearly hit.
+        const AddedRoute& near = added[draw(static_cast<std::uint32_t>(added.size()))];
+        const int keep = static_cast<int>(draw(33));
+        const std::uint64_t mask = (0xFFFFFFFFull << (32 - keep)) & 0xFFFFFFFFull;
+        dst = Ipv4Addr{static_cast<std::uint32_t>((near.prefix.bits() & mask) |
+                                                  (dst.bits() & ~mask))};
+      }
+      const AddedRoute* want = brute_force_lookup(added, dst);
+      const Route* got = rt.lookup(dst);
+      ++checked;
+      if (want == nullptr) {
+        EXPECT_EQ(got, nullptr) << "table " << table << " dst " << dst.str();
+        continue;
+      }
+      ++matched;
+      ASSERT_NE(got, nullptr) << "table " << table << " dst " << dst.str();
+      EXPECT_EQ(got->iface, want->iface) << "table " << table << " dst " << dst.str();
+      EXPECT_EQ(got->prefix_len(), want->prefix_len);
+      EXPECT_EQ(got->prefix, want->prefix);
+      EXPECT_EQ(got->next_hop, want->next_hop);
+    }
+  }
+  EXPECT_GE(checked, 10000);
+  EXPECT_GT(matched, checked / 2);  // most lookups exercise a real match
 }
 
 TEST(Node, OwnsAllInterfaceAddresses) {
@@ -69,6 +153,45 @@ TEST(Node, RouterForwardsAcrossLinks) {
   src.send_to(b.addr(), 7, bytes_of("x"));
   net.run();
   EXPECT_EQ(got, 1);
+}
+
+// A packet is boxed once, where it enters the network, and the same box
+// crosses every link and router to the last hop: no hop re-boxes or copies it.
+TEST(Node, UnicastCrossesFourRoutersInOneBox) {
+  Network net;
+  std::vector<Node*> chain;
+  chain.push_back(&net.add_node("a"));
+  for (int i = 1; i <= 4; ++i) chain.push_back(&net.add_router("r" + std::to_string(i)));
+  chain.push_back(&net.add_node("b"));
+  // Link i joins chain[i] (10.0.<i+1>.1) to chain[i+1] (10.0.<i+1>.2).
+  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+    const auto subnet = static_cast<std::uint8_t>(i + 1);
+    net.link(*chain[i], Ipv4Addr{10, 0, subnet, 1}, *chain[i + 1],
+             Ipv4Addr{10, 0, subnet, 2}, 10e6, millis(1));
+  }
+  chain.front()->routes().add_default(0);
+  chain.back()->routes().add_default(0);
+  for (int i = 1; i <= 4; ++i) chain[static_cast<std::size_t>(i)]->routes().add_default(1);
+  Node& a = *chain.front();
+  Node& b = *chain.back();
+
+  Buffer sent = acquire_buffer(16);
+  const_cast<std::vector<std::uint8_t>&>(*sent).assign(16, 0x5A);
+  int got = 0;
+  UdpSocket sink(b, 7, [&](const Packet& p) {
+    ++got;
+    EXPECT_EQ(p.payload.buffer().get(), sent.get());
+    EXPECT_EQ(p.ip.ttl, 60);  // four router hops
+  });
+  UdpSocket src(a, 9999, nullptr);
+
+  const mem::PoolStats& boxes = packet_boxes().stats();
+  const std::uint64_t before = boxes.hits + boxes.misses;
+  src.send_to(b.addr(), 7, Payload(sent));
+  net.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(boxes.hits + boxes.misses - before, 1u)
+      << "packet boxes acquired for one packet over five links";
 }
 
 TEST(Node, HostDoesNotForwardTransitTraffic) {

@@ -21,7 +21,7 @@ TEST(Describe, TcpSynSummary) {
 
 TEST(Describe, RawAndChannelTag) {
   Packet p = Packet::make_raw(ip("1.1.1.1"), ip("2.2.2.2"), {9});
-  p.channel = "audio";
+  p.set_channel("audio");
   EXPECT_EQ(describe(p), "1.1.1.1 > 2.2.2.2 raw len=1 ttl=64 chan=audio");
 }
 

@@ -83,21 +83,21 @@ channel network(ps : unit, ss : unit, p : ip*udp*blob) is (drop(); (ps, ss))
   EXPECT_EQ(rt.stats().packets_handled, 0u);
 }
 
-TEST(Dispatch, TagResolvedLazilyWhenChannelStringSetDirectly) {
+TEST(Dispatch, PacketTaggedBeforeInstallDispatchesByTag) {
   Network net;
   Node& n = net.add_node("n");
   n.add_interface(ip("10.0.0.2"));
+  // The packet interns its channel name before any protocol declares it:
+  // ids are process-wide and stable, so the runtime installed afterwards
+  // classifies the packet by the same id.
+  Packet p = tagged_udp("ctrl_tagged_first", {1});
+  ASSERT_NE(p.channel_tag, 0u);
+  EXPECT_EQ(asp::net::ChannelTags::name_of(p.channel_tag), "ctrl_tagged_first");
   AspRuntime rt(n);
   rt.install(R"(
-channel ctrl(ps : unit, ss : unit, p : ip*udp*blob) is
+channel ctrl_tagged_first(ps : unit, ss : unit, p : ip*udp*blob) is
   (println("c"); drop(); (ps, ss))
 )");
-  // Assigning the string member directly (no set_channel) leaves channel_tag
-  // at 0; the runtime must intern it on first dispatch.
-  Packet p = Packet::make_udp(ip("10.0.0.1"), ip("10.0.0.2"), 9999, 7,
-                              std::vector<std::uint8_t>{1});
-  p.channel = "ctrl";
-  ASSERT_EQ(p.channel_tag, 0u);
   EXPECT_TRUE(rt.inject(std::move(p)));
   EXPECT_EQ(rt.log(), "c\n");
 }

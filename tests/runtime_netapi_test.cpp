@@ -92,7 +92,7 @@ TEST(NetApi, EncodeAttachesChannelTag) {
   Packet p = Packet::make_raw(ip("1.1.1.1"), ip("2.2.2.2"), {1});
   auto v = decode_packet(p, t);
   Packet q = encode_packet(*v, "audio");
-  EXPECT_EQ(q.channel, "audio");
+  EXPECT_EQ(q.channel_tag, asp::net::ChannelTags::intern("audio"));
   EXPECT_EQ(q.wire_size(), p.wire_size() + 4);
 }
 
