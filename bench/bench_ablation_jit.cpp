@@ -9,7 +9,7 @@
 //   JIT (no fusion) -> JIT (fusion)  : the value of fusion
 #include <benchmark/benchmark.h>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
 #include "net/network.hpp"
 #include "planp/compile.hpp"
@@ -25,7 +25,7 @@ using planp::Value;
 
 struct Fixture {
   Fixture() {
-    checked = planp::typecheck(planp::parse(apps::audio_router_asp()));
+    checked = planp::typecheck(planp::parse(apps::asp_source("audio_router")));
     compiled = planp::compile(checked);
     env.load_percent = 95;
     net::IpHeader ip;

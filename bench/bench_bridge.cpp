@@ -9,7 +9,7 @@
 
 #include <map>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
 #include "net/network.hpp"
 #include "planp/compile.hpp"
@@ -33,7 +33,8 @@ Value make_frame(int i) {
 
 void BM_Bridge_AspJit(benchmark::State& state) {
   planp::NullEnv env;
-  planp::CheckedProgram checked = planp::typecheck(planp::parse(apps::bridge_asp()));
+  planp::CheckedProgram checked =
+      planp::typecheck(planp::parse(apps::asp_source("bridge")));
   planp::CompiledProgram compiled = planp::compile(checked);
   planp::JitEngine engine(compiled, env);
   Value ps = planp::default_value(checked.channels[0]->ps_type);
@@ -53,7 +54,8 @@ BENCHMARK(BM_Bridge_AspJit);
 
 void BM_Bridge_AspInterp(benchmark::State& state) {
   planp::NullEnv env;
-  planp::CheckedProgram checked = planp::typecheck(planp::parse(apps::bridge_asp()));
+  planp::CheckedProgram checked =
+      planp::typecheck(planp::parse(apps::asp_source("bridge")));
   planp::Interp engine(checked, env);
   Value ps = planp::default_value(checked.channels[0]->ps_type);
   Value ss = Value::unit();

@@ -8,9 +8,8 @@
 
 #include <cstdio>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
-#include "net/network.hpp"
 #include "planp/compile.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
@@ -27,13 +26,11 @@ struct Prog {
 
 std::vector<Prog> programs() {
   return {
-      {"Audio Broadcasting (router)", apps::audio_router_asp()},
-      {"Audio Broadcasting (client)", apps::audio_client_asp()},
-      {"Extensible Web Server",
-       apps::http_gateway_asp(net::ip("10.0.9.9"), net::ip("131.254.60.81"),
-                              net::ip("131.254.60.109"))},
-      {"MPEG (monitor)", apps::mpeg_monitor_asp(net::ip("10.0.1.1"))},
-      {"MPEG (client)", apps::mpeg_capture_asp(net::ip("192.168.1.1"), 7000, 7010)},
+      {"Audio Broadcasting (router)", apps::asp_source("audio_router")},
+      {"Audio Broadcasting (client)", apps::asp_source("audio_client")},
+      {"Extensible Web Server", apps::asp_source("http_gateway")},
+      {"MPEG (monitor)", apps::asp_source("mpeg_monitor")},
+      {"MPEG (client)", apps::asp_source("mpeg_capture")},
   };
 }
 

@@ -11,7 +11,7 @@
 
 #include <map>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
 #include "net/network.hpp"
 #include "planp/compile.hpp"
@@ -26,6 +26,8 @@ namespace {
 using namespace asp;
 using planp::Value;
 
+// asps/http_gateway.planp's own addresses, which the built-in C gateway
+// hard-codes too.
 const net::Ipv4Addr kVirtual = net::ip("10.0.9.9");
 const net::Ipv4Addr kServer0 = net::ip("131.254.60.81");
 const net::Ipv4Addr kServer1 = net::ip("131.254.60.109");
@@ -46,7 +48,7 @@ Value make_packet(int i) {
 struct GatewayFixture {
   GatewayFixture(planp::EngineKind kind) {
     checked = planp::typecheck(
-        planp::parse(apps::http_gateway_asp(kVirtual, kServer0, kServer1)));
+        planp::parse(apps::asp_source("http_gateway")));
     switch (kind) {
       case planp::EngineKind::kInterp:
         engine = std::make_unique<planp::Interp>(checked, env);
@@ -141,7 +143,7 @@ void BM_Audio_Jit(benchmark::State& state) {
   planp::NullEnv env;
   env.load_percent = 95;
   planp::CheckedProgram checked =
-      planp::typecheck(planp::parse(apps::audio_router_asp()));
+      planp::typecheck(planp::parse(apps::asp_source("audio_router")));
   planp::CompiledProgram compiled = planp::compile(checked);
   planp::JitEngine engine(compiled, env);
   net::IpHeader ip;

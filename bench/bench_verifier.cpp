@@ -8,9 +8,8 @@
 
 #include <cstdio>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
-#include "net/network.hpp"
 #include "planp/analysis.hpp"
 #include "planp/parser.hpp"
 #include "obs/metrics.hpp"
@@ -26,13 +25,11 @@ struct Prog {
 
 std::vector<Prog> programs() {
   return {
-      {"audio-router", apps::audio_router_asp()},
-      {"audio-client", apps::audio_client_asp()},
-      {"http-gateway",
-       apps::http_gateway_asp(net::ip("10.0.9.9"), net::ip("131.254.60.81"),
-                              net::ip("131.254.60.109"))},
-      {"mpeg-monitor", apps::mpeg_monitor_asp(net::ip("10.0.1.1"))},
-      {"mpeg-capture", apps::mpeg_capture_asp(net::ip("192.168.1.1"), 7000, 7010)},
+      {"audio-router", apps::asp_source("audio_router")},
+      {"audio-client", apps::asp_source("audio_client")},
+      {"http-gateway", apps::asp_source("http_gateway")},
+      {"mpeg-monitor", apps::asp_source("mpeg_monitor")},
+      {"mpeg-capture", apps::asp_source("mpeg_capture")},
   };
 }
 

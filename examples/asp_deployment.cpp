@@ -5,7 +5,7 @@
 // gate, and overrides with an authenticated push — all over simulated TCP.
 #include <cstdio>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "net/network.hpp"
 #include "runtime/deploy.hpp"
 
@@ -40,8 +40,9 @@ int main() {
   };
 
   // 1. Push the verified audio router ASP to both routers.
-  deployer.deploy(r1.addr(), apps::audio_router_asp(), report("audio ASP to router1"));
-  deployer.deploy(net::ip("10.0.2.254"), apps::audio_router_asp(),
+  deployer.deploy(r1.addr(), apps::asp_source("audio_router"),
+                  report("audio ASP to router1"));
+  deployer.deploy(net::ip("10.0.2.254"), apps::asp_source("audio_router"),
                   report("audio ASP to router2"));
   network.run_until(net::seconds(2));
 

@@ -2,7 +2,7 @@
 //
 // The application itself is deliberately "unmodified": a source that
 // multicasts CD-quality PCM and a client that plays whatever raw PCM arrives
-// on its port. All adaptation lives in the ASPs (asp_sources.hpp).
+// on its port. All adaptation lives in the ASPs (asps/audio_*.planp).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 #include "apps/audio/experiment.hpp"
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 
 namespace asp::apps {
 
@@ -41,12 +41,12 @@ AudioExperiment::AudioExperiment(bool adaptation, AudioPolicy policy) {
   if (adaptation) {
     router_rt_ = std::make_unique<asp::runtime::AspRuntime>(*router_node_);
     router_rt_->set_monitored_medium(segment_);
-    router_rt_->install(policy == AudioPolicy::kThreshold
-                            ? audio_router_asp()
-                            : audio_router_hysteresis_asp());
+    router_rt_->install(asp_source(policy == AudioPolicy::kThreshold
+                                       ? "audio_router"
+                                       : "audio_router_hysteresis"));
 
     client_rt_ = std::make_unique<asp::runtime::AspRuntime>(*client_node_);
-    client_rt_->install(audio_client_asp());
+    client_rt_->install(asp_source("audio_client"));
   }
 }
 

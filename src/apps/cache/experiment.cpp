@@ -1,6 +1,6 @@
 #include "apps/cache/experiment.hpp"
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 
 namespace asp::apps {
 
@@ -61,10 +61,12 @@ void CacheExperiment::build() {
       rt_ = std::make_unique<asp::runtime::AspRuntime>(*proxy_);
       // Unlike the load-balancing gateway, the cache proxy passes all five
       // analyses (hit replies ride the destination-preserving `hit` channel),
-      // so the default verified-download path applies.
-      rt_->install(cache_proxy_asp(kOrigin, kCachePort,
-                                   static_cast<int>(opts_.cache_entries),
-                                   static_cast<int>(opts_.cache_ttl_ms)));
+      // so the default verified-download path applies. The file's
+      // originHost and httpPort are kOrigin and kCachePort.
+      rt_->install(asp_source(
+          "cache_proxy",
+          {{"cacheEntries", static_cast<std::int64_t>(opts_.cache_entries)},
+           {"cacheTtlMs", opts_.cache_ttl_ms}}));
       break;
     }
     case CacheMode::kNativeProxy:

@@ -1,6 +1,6 @@
 #include "apps/http/experiment.hpp"
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 
 namespace asp::apps {
 
@@ -100,19 +100,16 @@ void HttpExperiment::install_asp_gateway() {
   // in the abstract); it is loaded through the authenticated path, exactly
   // the paper's provision for legitimate-but-unprovable protocols (§2.1).
   popts.require_verified = false;
-  std::string source;
+  const char* file = "http_gateway";
   switch (opts_.strategy) {
-    case GatewayStrategy::kModulo:
-      source = http_gateway_asp(kVirtual, kServer0, kServer1);
-      break;
-    case GatewayStrategy::kHash:
-      source = http_gateway_hash_asp(kVirtual, kServer0, kServer1);
-      break;
-    case GatewayStrategy::kFailover:
-      source = http_gateway_failover_asp(kVirtual, kServer0, kServer1);
-      break;
+    case GatewayStrategy::kModulo: file = "http_gateway"; break;
+    case GatewayStrategy::kHash: file = "http_gateway_hash"; break;
+    case GatewayStrategy::kFailover: file = "http_gateway_failover"; break;
   }
-  gw_rt_->install(source, popts);
+  // The files' virtualServer is kVirtual; their physical servers are
+  // replaced by this rig's two.
+  gw_rt_->install(
+      asp_source(file, {{"server0", kServer0}, {"server1", kServer1}}), popts);
 
   // Wrap the runtime in the CPU-cost queue.
   gateway_->set_ip_hook([this](Packet& p, asp::net::Interface&) {

@@ -1,6 +1,6 @@
 #include "apps/mpeg/experiment.hpp"
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 
 namespace asp::apps {
 
@@ -28,7 +28,9 @@ MpegExperiment::MpegExperiment(bool sharing, int clients)
   if (sharing_) {
     mon_if.set_promiscuous(true);
     monitor_rt_ = std::make_unique<asp::runtime::AspRuntime>(*monitor_node_);
-    monitor_rt_->install(mpeg_monitor_asp(server_node_->addr()));
+    // The file's serverHost, ctrlPort and queryPort are this server's
+    // address and MpegFormat's ports.
+    monitor_rt_->install(asp_source("mpeg_monitor"));
   }
 
   for (int c = 0; c < nclients_; ++c) {
@@ -43,12 +45,14 @@ MpegExperiment::MpegExperiment(bool sharing, int clients)
     if (sharing_) {
       cif.set_promiscuous(true);
       auto rt = std::make_unique<asp::runtime::AspRuntime>(n);
-      rt->install(mpeg_reply_asp());
+      rt->install(asp_source("mpeg_reply"));
       asp::runtime::AspRuntime* rt_raw = rt.get();
       client_rts_.push_back(std::move(rt));
       install = [rt_raw, vport](Ipv4Addr shared_client, std::uint16_t shared_vport) {
         rt_raw->uninstall();
-        rt_raw->install(mpeg_capture_asp(shared_client, shared_vport, vport));
+        rt_raw->install(asp_source("mpeg_capture", {{"sharedClient", shared_client},
+                                                    {"sharedPort", shared_vport},
+                                                    {"myPort", vport}}));
       };
     }
     clients_.push_back(std::make_unique<MpegClient>(

@@ -126,10 +126,10 @@ void MpegClient::on_monitor_reply(const std::string& reply) {
     int shared_vport = 0;
     in >> addr_s >> shared_vport;
     auto addr = asp::net::Ipv4Addr::parse(addr_s);
-    std::string rest;
-    std::getline(in, rest);
-    setup_ = rest;
-    if (addr && shared_vport > 0 && install_capture_) {
+    // The port comes from another client's PLAY line, stored verbatim by
+    // the monitor: one outside a UDP port's range falls back to the server.
+    if (addr && shared_vport > 0 && shared_vport <= 65535 && install_capture_) {
+      std::getline(in, setup_);
       sharing_ = true;
       playing_ = true;
       install_capture_(*addr, static_cast<std::uint16_t>(shared_vport));

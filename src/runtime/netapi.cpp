@@ -79,86 +79,6 @@ void split_rest(asp::net::Packet& p, std::vector<std::uint8_t> rest) {
 
 }  // namespace
 
-std::optional<Value> decode_packet(const asp::net::Packet& p, const TypePtr& type) {
-  const auto& parts = type->args();
-  // Pooled tuple storage: in steady state the vector (and its capacity) comes
-  // off the tuple pool's freelist, so a decode allocates nothing.
-  planp::TupleRep fields = Value::make_tuple_storage(parts.size());
-
-  std::size_t i = 0;
-  fields->push_back(Value::of_ip(p.ip));
-  ++i;
-
-  bool transport_in_blob = false;
-  if (i < parts.size() && parts[i]->is(Type::Kind::kTcp)) {
-    if (p.ip.proto != asp::net::IpProto::kTcp || !p.tcp) return std::nullopt;
-    fields->push_back(Value::of_tcp(*p.tcp));
-    ++i;
-  } else if (i < parts.size() && parts[i]->is(Type::Kind::kUdp)) {
-    if (p.ip.proto != asp::net::IpProto::kUdp || !p.udp) return std::nullopt;
-    fields->push_back(Value::of_udp(*p.udp));
-    ++i;
-  } else {
-    // Header-only pattern (`ip*...`): accepts any protocol; the transport
-    // header rides inside the blob so nothing is lost on re-emission.
-    transport_in_blob = p.tcp.has_value() || p.udp.has_value();
-  }
-
-  // Payload bytes the scalar fields decode from: for header-only patterns the
-  // transport header rides at the front, so nothing is lost on re-emission.
-  // Only that case materializes bytes; otherwise we read the packet's shared
-  // payload buffer in place.
-  std::vector<std::uint8_t> scratch;
-  if (transport_in_blob) scratch = raw_rest(p);
-  const std::vector<std::uint8_t>& rest =
-      transport_in_blob ? scratch : p.payload.bytes();
-
-  std::size_t off = 0;
-  for (; i < parts.size(); ++i) {
-    switch (parts[i]->kind()) {
-      case Type::Kind::kChar:
-        if (off + 1 > rest.size()) return std::nullopt;
-        fields->push_back(Value::of_char(static_cast<char>(rest[off])));
-        off += 1;
-        break;
-      case Type::Kind::kBool:
-        if (off + 1 > rest.size()) return std::nullopt;
-        if (rest[off] > 1) return std::nullopt;  // strict bool encoding
-        fields->push_back(Value::of_bool(rest[off] != 0));
-        off += 1;
-        break;
-      case Type::Kind::kInt: {
-        if (off + 4 > rest.size()) return std::nullopt;
-        std::int32_t v = static_cast<std::int32_t>(
-            (std::uint32_t{rest[off]} << 24) | (std::uint32_t{rest[off + 1]} << 16) |
-            (std::uint32_t{rest[off + 2]} << 8) | rest[off + 3]);
-        fields->push_back(Value::of_int(v));
-        off += 4;
-        break;
-      }
-      case Type::Kind::kBlob: {
-        // The blob is the last field (is_packet_type guarantees it). A blob
-        // spanning the whole payload aliases the packet buffer: no copy, and
-        // every matching channel overload shares the same bytes.
-        const std::size_t blob_off = off;
-        off = rest.size();
-        if (!transport_in_blob && blob_off == 0) {
-          fields->push_back(Value::of_blob_shared(p.payload.buffer()));
-        } else if (transport_in_blob && blob_off == 0) {
-          fields->push_back(Value::of_blob(std::move(scratch)));
-        } else {
-          fields->push_back(Value::of_blob(std::vector<std::uint8_t>(
-              rest.begin() + static_cast<std::ptrdiff_t>(blob_off), rest.end())));
-        }
-        break;
-      }
-      default:
-        return std::nullopt;
-    }
-  }
-  return Value::of_tuple_rep(std::move(fields));
-}
-
 DecodePlan compile_decode_plan(const TypePtr& type) {
   DecodePlan plan;
   const auto& parts = type->args();
@@ -192,7 +112,7 @@ DecodePlan compile_decode_plan(const TypePtr& type) {
         plan.has_blob = true;
         break;
       default:
-        // A shape decode_packet would always reject; the channel can never
+        // A payload field that has no wire decoding: the channel can never
         // match, which match_packet reports without per-packet work.
         plan.valid = false;
         return plan;

@@ -16,15 +16,10 @@
 
 namespace asp::runtime {
 
-/// Decodes `p` as a value of packet type `type`. Returns nullopt when the
-/// packet does not match (wrong protocol, payload too short, ...).
-std::optional<planp::Value> decode_packet(const asp::net::Packet& p,
-                                          const planp::TypePtr& type);
-
-/// Compiled decode recipe for one channel packet type: the type-tree walk of
-/// decode_packet hoisted to install time, so the per-packet path runs a flat
-/// loop over field ops (the "parser" stage of the match-action pipeline,
-/// DESIGN.md §6c). Built once per channel by compile_decode_plan.
+/// Compiled decode recipe for one channel packet type. The walk over the
+/// type tree happens once, at install time, so the per-packet path runs a
+/// flat loop over field ops (the "parser" stage of the match-action
+/// pipeline, DESIGN.md §6c). Built once per channel by compile_decode_plan.
 struct DecodePlan {
   /// kAny = header-only pattern (`ip*...`): accepts any transport, the
   /// transport header rides at the front of the logical payload bytes.
@@ -49,12 +44,12 @@ DecodePlan compile_decode_plan(const planp::TypePtr& type);
 /// used when the channel body never reads its packet argument.
 bool match_packet(const asp::net::Packet& p, const DecodePlan& plan);
 
-/// decode_packet driven by a pre-compiled plan. Decodes exactly like the
-/// type-directed overload. `reuse` (optional) supplies tuple storage that is
-/// refilled in place when uniquely owned — the steady-state zero-allocation
-/// path for match-action dispatch; when the previous packet's tuple is still
-/// alive (e.g. stored into channel state) fresh pooled storage is used
-/// instead.
+/// Decodes `p` as a value of the plan's packet type. Returns nullopt when the
+/// packet does not match (wrong protocol, payload too short, ...). `reuse`
+/// (optional) supplies tuple storage that is refilled in place when uniquely
+/// owned — the steady-state zero-allocation path for match-action dispatch;
+/// when the previous packet's tuple is still alive (e.g. stored into channel
+/// state) fresh pooled storage is used instead.
 std::optional<planp::Value> decode_packet(const asp::net::Packet& p,
                                           const DecodePlan& plan,
                                           planp::TupleRep* reuse = nullptr);

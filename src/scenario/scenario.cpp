@@ -1,5 +1,6 @@
 #include "scenario/scenario.hpp"
 
+#include "apps/asp_files.hpp"
 #include "net/exec.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/engine.hpp"
@@ -7,72 +8,6 @@
 namespace asp::scenario {
 
 namespace {
-
-/// The transit-tier monitor: a counting forwarder in PLAN-P (the paper's
-/// minimal "active" router program). Untagged traffic classifies onto the
-/// distinguished `network` channel, so every packet crossing a monitored
-/// router is counted in ps and forwarded unchanged by OnRemote.
-const char* monitor_asp() {
-  return R"(
--- scenario transit monitor: count and forward
-channel network(ps : int, ss : unit, p : ip*udp*blob) is
-  (OnRemote(network, p); (ps + 1, ss))
-)";
-}
-
-/// The edge-cache ASP ([asp] cache = planp): serves single-frame object
-/// responses out of the edge router's object cache. The workload wire
-/// format carries [obj:8] at request byte 16 and echoes it at response
-/// byte 13 (single-frame responses only — see workload.cpp); profiles
-/// without objects put 0 there, which this ASP ignores.
-///
-/// Fully verified, same shape as asps/cache_proxy.planp: hits ride the
-/// destination-preserving `hit` channel (global termination), the lookup is
-/// one non-raising cacheGetDefault and the field reads are total blobInt
-/// (guaranteed delivery + linear duplication), so install() runs with the
-/// default require-verified options.
-std::string edge_cache_asp(int entries, std::int64_t ttl_ms) {
-  return std::string(R"(-- scenario edge cache: serve single-frame object responses from the edge
-val serverPort : int = 9000
-val cacheEntries : int = )") + std::to_string(entries) + R"(
-val cacheTtlMs : int = )" + std::to_string(ttl_ms) + R"(
-
-channel network(ps : int, ss : unit, p : ip*udp*blob)
-initstate cacheConfigure(cacheEntries, cacheTtlMs) is
-  let val iph : ip = #1 p
-      val udph : udp = #2 p
-      val b : blob = #3 p
-  in
-    if udpDst(udph) = serverPort and blobInt(b, 16) > 0 then
-      -- Object request: one non-raising lookup; on a hit, reply with the
-      -- cached frame, its seq field rewritten to the requester's so the
-      -- client's closed loop matches it.
-      let val cached : blob =
-            cacheGetDefault(cacheKey(blobInt(b, 16), ipDst(iph)),
-                            blobFromString(""))
-      in
-        if blobLen(cached) > 0 then
-          (OnRemote(hit, (ipDestSet(ipSrcSet(iph, ipDst(iph)), ipSrc(iph)),
-                          udpSrcSet(udpDstSet(udph, udpSrc(udph)), serverPort),
-                          blobPutInt(cached, 0, blobInt(b, 0))));
-           (ps + 1, ss))
-        else (OnRemote(network, p); (ps, ss))
-      end
-    else
-      if udpSrc(udph) = serverPort and blobInt(b, 13) > 0 then
-        -- Single-frame object response from a server: fill, then forward.
-        (cacheStore(cacheKey(blobInt(b, 13), ipSrc(iph)), b);
-         OnRemote(network, p); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-
--- Hits in transit: edge routers between the serving cache and the client
--- forward them without re-filling (a hit is not an origin response).
-channel hit(ps : int, ss : unit, p : ip*udp*blob) is
-  (OnRemote(hit, p); (ps, ss))
-)";
-}
 
 void add_impairments(net::Medium* m, const ImpairmentConfig& c,
                      std::uint64_t salt) {
@@ -96,16 +31,18 @@ void append_kv(std::string& out, const char* key, std::uint64_t v, bool last = f
 
 }  // namespace
 
-/// The native edge cache ([asp] cache = native): the edge_cache_asp()
-/// policy hand-written as a C++ IP hook — the planp-vs-native pair that
-/// makes PLAN-P's interpretation overhead measurable at scenario scale
-/// (the small-rig twin lives in src/apps/cache). Hit replies carry the
+/// The native edge cache ([asp] cache = native): the policy of
+/// asps/scenario_edge_cache.planp hand-written as a C++ IP hook — the
+/// planp-vs-native pair that makes PLAN-P's interpretation overhead
+/// measurable at scenario scale (the small-rig twin lives in src/apps/cache). Hit replies carry the
 /// same `hit` channel tag the ASP uses, and tagged packets pass through
 /// untouched, so both tiers fill and serve identically along a path.
 class EdgeCache {
  public:
   EdgeCache(net::Node& router, std::size_t entries, std::int64_t ttl_ms)
-      : node_(router), store_("cache/" + router.name()) {
+      : node_(router),
+        store_("cache/" + router.name()),
+        hit_tag_(net::ChannelTags::intern("hit")) {
     store_.configure(entries, ttl_ms);
     node_.set_ip_hook(
         [this](net::Packet& p, net::Interface&) { return on_packet(p); });
@@ -141,7 +78,7 @@ class EdgeCache {
         net::Packet reply = net::Packet::make_udp(
             p.ip.dst, p.ip.src, kServerPort, p.udp->sport,
             net::Payload(std::move(out)));
-        reply.set_channel("hit");
+        reply.channel_tag = hit_tag_;
         reply.id = node_.next_packet_id();
         node_.forward(std::move(reply));
         return true;  // consumed: the request never reaches the server
@@ -159,6 +96,7 @@ class EdgeCache {
 
   net::Node& node_;
   planp::CacheStore store_;
+  std::uint32_t hit_tag_;  // interned once: intern takes a process-wide lock
 };
 
 Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
@@ -170,7 +108,8 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
   // Each tier's ASP is compiled once and shared by every router of the tier;
   // each router instantiates its own engine, states and cache.
   if (cfg_.asp_monitors == "core") {
-    const auto proto = planp::Protocol::compile(monitor_asp());
+    const auto proto =
+        planp::Protocol::compile(apps::asp_source("scenario_monitor"));
     for (net::Node* r : topo_.top_routers) {
       auto rt = std::make_unique<runtime::AspRuntime>(*r);
       rt->install(proto);
@@ -179,8 +118,9 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
   }
   if (cfg_.asp_cache == "planp") {
     // Default options: the protocol must verify.
-    const auto proto = planp::Protocol::compile(
-        edge_cache_asp(cfg_.cache_entries, cfg_.cache_ttl_ms));
+    const auto proto = planp::Protocol::compile(apps::asp_source(
+        "scenario_edge_cache", {{"cacheEntries", cfg_.cache_entries},
+                                {"cacheTtlMs", cfg_.cache_ttl_ms}}));
     for (net::Node* r : topo_.edge_routers) {
       auto rt = std::make_unique<runtime::AspRuntime>(*r);
       rt->install(proto);

@@ -2,7 +2,7 @@
 // and experimented with" — here by swapping the router ASP).
 #include <gtest/gtest.h>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "apps/audio/experiment.hpp"
 #include "planp/analysis.hpp"
 #include "planp/parser.hpp"
@@ -12,7 +12,7 @@ namespace {
 
 TEST(AudioPolicy, HysteresisAspPassesAllAnalyses) {
   auto r = planp::analyze(
-      planp::typecheck(planp::parse(audio_router_hysteresis_asp())));
+      planp::typecheck(planp::parse(asp_source("audio_router_hysteresis"))));
   EXPECT_TRUE(r.fully_verified())
       << r.global_termination_detail << r.delivery_detail << r.duplication_detail;
 }

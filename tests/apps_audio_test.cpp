@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "planp/analysis.hpp"
 #include "planp/parser.hpp"
 
@@ -10,7 +10,7 @@ namespace asp::apps {
 namespace {
 
 TEST(AudioAsps, RouterAspPassesAllFourAnalyses) {
-  auto report = planp::analyze(planp::typecheck(planp::parse(audio_router_asp())));
+  auto report = planp::analyze(planp::typecheck(planp::parse(asp_source("audio_router"))));
   EXPECT_TRUE(report.local_termination);
   EXPECT_TRUE(report.global_termination) << report.global_termination_detail;
   EXPECT_TRUE(report.guaranteed_delivery) << report.delivery_detail;
@@ -18,7 +18,7 @@ TEST(AudioAsps, RouterAspPassesAllFourAnalyses) {
 }
 
 TEST(AudioAsps, ClientAspPassesAllFourAnalyses) {
-  auto report = planp::analyze(planp::typecheck(planp::parse(audio_client_asp())));
+  auto report = planp::analyze(planp::typecheck(planp::parse(asp_source("audio_client"))));
   EXPECT_TRUE(report.fully_verified());
 }
 

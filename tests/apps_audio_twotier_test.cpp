@@ -4,7 +4,7 @@
 // still receive high-quality audio" while the loaded segment degrades).
 #include <gtest/gtest.h>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "apps/audio/audio.hpp"
 #include "net/network.hpp"
 #include "runtime/engine.hpp"
@@ -50,13 +50,13 @@ TEST(AudioTwoTier, OnlyTheLoadedSegmentIsDegraded) {
   // The same adaptation ASP in both routers, each watching its own segment.
   asp::runtime::AspRuntime rt1(r1), rt2(r2);
   rt1.set_monitored_medium(&seg_fast);
-  rt1.install(audio_router_asp());
+  rt1.install(asp_source("audio_router"));
   rt2.set_monitored_medium(&seg_slow);
-  rt2.install(audio_router_asp());
+  rt2.install(asp_source("audio_router"));
 
   asp::runtime::AspRuntime rt_cf(client_fast), rt_cs(client_slow);
-  rt_cf.install(audio_client_asp());
-  rt_cs.install(audio_client_asp());
+  rt_cf.install(asp_source("audio_client"));
+  rt_cs.install(asp_source("audio_client"));
 
   AudioSource src(source, group);
   AudioClient fast(client_fast, group);
@@ -115,11 +115,11 @@ TEST(AudioTwoTier, UpstreamDegradationIsNotUndoneDownstream) {
 
   asp::runtime::AspRuntime rt1(r1), rt2(r2);
   rt1.set_monitored_medium(&seg_mid);
-  rt1.install(audio_router_asp());
+  rt1.install(asp_source("audio_router"));
   rt2.set_monitored_medium(&seg_leaf);
-  rt2.install(audio_router_asp());
+  rt2.install(asp_source("audio_router"));
   asp::runtime::AspRuntime rt_c(client);
-  rt_c.install(audio_client_asp());
+  rt_c.install(asp_source("audio_client"));
 
   AudioSource src(source, group);
   AudioClient c(client, group);

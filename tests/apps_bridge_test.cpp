@@ -1,7 +1,7 @@
 // The PLAN-P learning Ethernet bridge (cited claim of paper §1/§2.4).
 #include <gtest/gtest.h>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "net/network.hpp"
 #include "planp/analysis.hpp"
 #include "planp/parser.hpp"
@@ -17,7 +17,7 @@ using asp::net::Packet;
 using asp::net::UdpSocket;
 
 TEST(BridgeAsp, PassesAllFourAnalyses) {
-  auto r = planp::analyze(planp::typecheck(planp::parse(bridge_asp())));
+  auto r = planp::analyze(planp::typecheck(planp::parse(asp_source("bridge"))));
   EXPECT_TRUE(r.local_termination);
   EXPECT_TRUE(r.global_termination) << r.global_termination_detail;
   EXPECT_TRUE(r.linear_duplication) << r.duplication_detail;
@@ -42,7 +42,7 @@ struct BridgeRig {
     b2 = add_host("b2", *seg_b, "10.0.0.12");
 
     rt = std::make_unique<asp::runtime::AspRuntime>(*bridge);
-    rt->install(bridge_asp());
+    rt->install(asp_source("bridge"));
   }
 
   Node* add_host(const char* name, asp::net::EthernetSegment& seg, const char* addr) {

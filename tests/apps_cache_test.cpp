@@ -7,7 +7,7 @@
 
 #include <map>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "net/exec.hpp"
 #include "net/network.hpp"
 #include "planp/analysis.hpp"
@@ -196,8 +196,8 @@ TEST(CacheProxyAsp, PassesAllFiveAnalyses) {
   // hit replies ride the destination-preserving `hit` channel, so the global
   // termination scan never sees a changed cycle, and every raising primitive
   // is wrapped in try. The cost analysis must also clear the budget.
-  auto report = planp::analyze(
-      planp::typecheck(planp::parse(cache_proxy_asp(ip("10.0.2.1")))));
+  auto report =
+      planp::analyze(planp::typecheck(planp::parse(asp_source("cache_proxy"))));
   EXPECT_TRUE(report.local_termination);
   EXPECT_TRUE(report.global_termination) << report.global_termination_detail;
   EXPECT_TRUE(report.guaranteed_delivery) << report.delivery_detail;

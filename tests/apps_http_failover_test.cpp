@@ -2,7 +2,7 @@
 // (the paper's §5 future work for the HTTP cluster).
 #include <gtest/gtest.h>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "apps/http/experiment.hpp"
 #include "net/network.hpp"
 #include "planp/analysis.hpp"
@@ -15,15 +15,15 @@ using asp::net::ip;
 using asp::net::seconds;
 
 TEST(HttpStrategies, HashGatewayTypechecks) {
-  auto r = planp::analyze(planp::typecheck(
-      planp::parse(http_gateway_hash_asp(ip("10.0.9.9"), ip("10.0.2.1"), ip("10.0.2.2")))));
+  auto r = planp::analyze(planp::typecheck(planp::parse(asp_source(
+      "http_gateway_hash", {{"server0", ip("10.0.2.1")}, {"server1", ip("10.0.2.2")}}))));
   EXPECT_TRUE(r.guaranteed_delivery) << r.delivery_detail;
   EXPECT_TRUE(r.linear_duplication) << r.duplication_detail;
 }
 
 TEST(HttpStrategies, FailoverGatewayTypechecks) {
-  auto r = planp::analyze(planp::typecheck(planp::parse(
-      http_gateway_failover_asp(ip("10.0.9.9"), ip("10.0.2.1"), ip("10.0.2.2")))));
+  auto r = planp::analyze(planp::typecheck(planp::parse(asp_source(
+      "http_gateway_failover", {{"server0", ip("10.0.2.1")}, {"server1", ip("10.0.2.2")}}))));
   EXPECT_TRUE(r.linear_duplication) << r.duplication_detail;
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "net/network.hpp"
 #include "planp/analysis.hpp"
 #include "planp/parser.hpp"
@@ -73,7 +73,8 @@ TEST(HttpGatewayAsp, IsRejectedByTheGateButLoadsAuthenticated) {
   // destination alternating between two literals. It must be rejected by
   // the gate and loadable via the privileged path.
   auto report = planp::analyze(planp::typecheck(
-      planp::parse(http_gateway_asp(ip("10.0.9.9"), ip("10.0.2.1"), ip("10.0.2.2")))));
+      planp::parse(asp_source("http_gateway", {{"server0", ip("10.0.2.1")},
+                                               {"server1", ip("10.0.2.2")}}))));
   EXPECT_TRUE(report.local_termination);
   EXPECT_FALSE(report.global_termination);
   EXPECT_TRUE(report.linear_duplication) << report.duplication_detail;

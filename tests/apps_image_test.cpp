@@ -1,7 +1,7 @@
 // Image distillation extension (paper §5 medium-term goals).
 #include <gtest/gtest.h>
 
-#include "apps/asp_sources.hpp"
+#include "apps/asp_files.hpp"
 #include "net/network.hpp"
 #include "planp/analysis.hpp"
 #include "planp/parser.hpp"
@@ -18,7 +18,7 @@ using asp::net::Packet;
 using asp::net::UdpSocket;
 
 TEST(ImageDistill, AspPassesAllAnalyses) {
-  auto r = planp::analyze(planp::typecheck(planp::parse(image_distill_asp())));
+  auto r = planp::analyze(planp::typecheck(planp::parse(asp_source("image_distill"))));
   EXPECT_TRUE(r.fully_verified())
       << r.global_termination_detail << r.delivery_detail << r.duplication_detail;
 }
@@ -36,7 +36,7 @@ struct ImageRig {
 
     rt = std::make_unique<asp::runtime::AspRuntime>(*router);
     rt->set_monitored_medium(seg);
-    rt->install(image_distill_asp());
+    rt->install(asp_source("image_distill"));
   }
 
   std::size_t send_image(std::size_t bytes) {

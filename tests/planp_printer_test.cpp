@@ -5,8 +5,7 @@
 
 #include <random>
 
-#include "apps/asp_sources.hpp"
-#include "net/network.hpp"
+#include "apps/asp_files.hpp"
 #include "planp/parser.hpp"
 #include "planp/typecheck.hpp"
 
@@ -28,18 +27,9 @@ void expect_roundtrip_program(const std::string& src) {
 }
 
 TEST(Printer, AllShippedAspsRoundTrip) {
-  using namespace asp::apps;
-  for (const std::string& src :
-       {audio_router_asp(), audio_client_asp(),
-        http_gateway_asp(net::ip("10.0.9.9"), net::ip("10.0.2.1"), net::ip("10.0.2.2")),
-        http_gateway_hash_asp(net::ip("10.0.9.9"), net::ip("10.0.2.1"),
-                              net::ip("10.0.2.2")),
-        http_gateway_failover_asp(net::ip("10.0.9.9"), net::ip("10.0.2.1"),
-                                  net::ip("10.0.2.2")),
-        mpeg_monitor_asp(net::ip("10.0.1.1")), mpeg_reply_asp(),
-        mpeg_capture_asp(net::ip("192.168.1.1"), 7000, 7010), image_distill_asp(),
-        bridge_asp(), audio_router_hysteresis_asp()}) {
-    expect_roundtrip_program(src);
+  for (const apps::AspFile& f : apps::asp_files()) {
+    SCOPED_TRACE(f.name);
+    expect_roundtrip_program(std::string(f.text));
   }
 }
 

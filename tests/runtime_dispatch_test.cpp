@@ -158,9 +158,10 @@ TEST(Payload, EthernetFanOutSharesOnePayloadBuffer) {
 TEST(Payload, DecodedBlobAliasesThePacketBuffer) {
   Packet p = Packet::make_udp(ip("10.0.0.1"), ip("10.0.0.2"), 9999, 7,
                               std::vector<std::uint8_t>{5, 6, 7});
-  planp::TypePtr t = planp::Type::Tuple(
-      {planp::Type::Ip(), planp::Type::Udp(), planp::Type::Blob()});
-  std::optional<planp::Value> v = decode_packet(p, t);
+  const DecodePlan plan = compile_decode_plan(planp::Type::Tuple(
+      {planp::Type::Ip(), planp::Type::Udp(), planp::Type::Blob()}));
+  EXPECT_TRUE(match_packet(p, plan));
+  std::optional<planp::Value> v = decode_packet(p, plan);
   ASSERT_TRUE(v.has_value());
   const planp::Blob& blob = std::get<planp::Blob>(v->as_tuple()[2].rep());
   EXPECT_EQ(blob.get(), p.payload.buffer().get());
