@@ -12,7 +12,6 @@
 #include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
 #include "net/network.hpp"
-#include "planp/compile.hpp"
 #include "planp/interp.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
@@ -26,7 +25,6 @@ using planp::Value;
 struct Fixture {
   Fixture() {
     checked = planp::typecheck(planp::parse(apps::asp_source("audio_router")));
-    compiled = planp::compile(checked);
     env.load_percent = 95;
     net::IpHeader ip;
     ip.src = net::ip("10.0.1.1");
@@ -49,7 +47,6 @@ struct Fixture {
 
   planp::NullEnv env;
   planp::CheckedProgram checked;
-  planp::CompiledProgram compiled;
   Value packet, ps, ss;
 };
 
@@ -62,14 +59,14 @@ BENCHMARK(BM_Ablation_Interp);
 
 void BM_Ablation_JitNoFusion(benchmark::State& state) {
   Fixture fx;
-  planp::JitEngine engine(fx.compiled, fx.env, /*fuse=*/false);
+  planp::JitEngine engine(fx.checked, fx.env, /*fuse=*/false);
   fx.pump(state, engine);
 }
 BENCHMARK(BM_Ablation_JitNoFusion);
 
 void BM_Ablation_JitFused(benchmark::State& state) {
   Fixture fx;
-  planp::JitEngine engine(fx.compiled, fx.env, /*fuse=*/true);
+  planp::JitEngine engine(fx.checked, fx.env, /*fuse=*/true);
   fx.pump(state, engine);
 }
 BENCHMARK(BM_Ablation_JitFused);
@@ -77,11 +74,11 @@ BENCHMARK(BM_Ablation_JitFused);
 // Template counts: fusion compresses the code (reported once as a counter).
 void BM_Ablation_TemplateCounts(benchmark::State& state) {
   Fixture fx;
+  const planp::JitProgram fused_code(fx.checked, true);
+  const planp::JitProgram unfused_code(fx.checked, false);
   std::size_t fused = 0, unfused = 0;
-  for (const auto& b : fx.compiled.channel_bodies) {
-    fused += planp::specialize_block(b, fx.compiled, true).code.size();
-    unfused += planp::specialize_block(b, fx.compiled, false).code.size();
-  }
+  for (const auto& b : fused_code.channel_bodies) fused += b.code.size();
+  for (const auto& b : unfused_code.channel_bodies) unfused += b.code.size();
   for (auto _ : state) {
     benchmark::DoNotOptimize(fused);
   }

@@ -12,7 +12,6 @@
 #include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
 #include "net/network.hpp"
-#include "planp/compile.hpp"
 #include "planp/interp.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
@@ -35,8 +34,7 @@ void BM_Bridge_AspJit(benchmark::State& state) {
   planp::NullEnv env;
   planp::CheckedProgram checked =
       planp::typecheck(planp::parse(apps::asp_source("bridge")));
-  planp::CompiledProgram compiled = planp::compile(checked);
-  planp::JitEngine engine(compiled, env);
+  planp::JitEngine engine(checked, env);
   Value ps = planp::default_value(checked.channels[0]->ps_type);
   Value ss = Value::unit();
   std::vector<Value> frames;

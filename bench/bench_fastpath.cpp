@@ -115,6 +115,18 @@ channel stats(ps : int, ss : unit, p : ip*udp*blob) is (drop(); (ps + 1, ss))
 channel network(ps : int, ss : unit, p : ip*udp*blob) is (drop(); (ps, ss))
 )";
 
+// The same dispatch with a `try … with` in each `ctrl` body: entering a `try`
+// must cost no allocation, so this path allocates exactly as often as the
+// plain tagged one.
+const char* kTryProtocol = R"(
+channel ctrl(ps : int, ss : unit, p : ip*udp*char*int) is
+  (drop(); (try ps + 1 with ps, ss))
+channel ctrl(ps : int, ss : unit, p : ip*udp*blob) is
+  (drop(); (try ps + 1 with ps, ss))
+channel stats(ps : int, ss : unit, p : ip*udp*blob) is (drop(); (ps + 1, ss))
+channel network(ps : int, ss : unit, p : ip*udp*blob) is (drop(); (ps, ss))
+)";
+
 struct Fixture {
   net::Network network;
   net::Node& node;
@@ -122,12 +134,13 @@ struct Fixture {
 
   // Instruments are keyed by node name (node/<name>/asp/*), so fixtures that
   // run at the same time need distinct names or they share counters.
-  explicit Fixture(planp::EngineKind engine, const std::string& name = "bench")
+  explicit Fixture(planp::EngineKind engine, const std::string& name = "bench",
+                   const char* protocol = kProtocol)
       : node(network.add_node(name)), rt(node) {
     node.add_interface(net::ip("10.0.0.2"));
     planp::Protocol::Options opts;
     opts.engine = engine;
-    rt.install(kProtocol, opts);
+    rt.install(protocol, opts);
   }
 };
 
@@ -216,6 +229,7 @@ void export_gauges() {
 
   Fixture interp(planp::EngineKind::kInterp);
   Fixture jit(planp::EngineKind::kJit);
+  Fixture jit_try(planp::EngineKind::kJit, "bench-try", kTryProtocol);
   net::Packet tagged = tagged_packet();
   net::Packet passthrough = passthrough_packet();
 
@@ -244,6 +258,10 @@ void export_gauges() {
               "_per_packet")
         .set(tagged_split.by_tag[t]);
   }
+  double try_allocs = obs::record_stabilized_gauge(
+      "bench/fastpath/try_allocs_per_packet", [&] {
+        return measure_allocs_per_packet(jit_try.rt, tagged, kPackets).total;
+      });
 
   reg.gauge("bench/fastpath/tagged_allocs_budget").set(kTaggedAllocBudget);
   reg.gauge("bench/fastpath/jit_vs_interp").set(jit_pps / interp_pps);
@@ -251,8 +269,8 @@ void export_gauges() {
   std::printf("fastpath: tagged interp %.3g pps, jit %.3g pps; "
               "pass-through %.3g pps at %.3f allocs/packet\n",
               interp_pps, jit_pps, pass_pps, pass_allocs);
-  std::printf("fastpath: tagged %.3f allocs/packet (budget %.0f):", tagged_allocs,
-              kTaggedAllocBudget);
+  std::printf("fastpath: tagged %.3f allocs/packet, with try %.3f (budget %.0f):",
+              tagged_allocs, try_allocs, kTaggedAllocBudget);
   for (std::size_t t = 0; t < kTagCount; ++t) {
     std::printf(" %s=%.3f", kTagName[t], tagged_split.by_tag[t]);
   }

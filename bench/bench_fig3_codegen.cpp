@@ -10,7 +10,6 @@
 
 #include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
-#include "planp/compile.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
 #include "obs/metrics.hpp"
@@ -36,13 +35,12 @@ std::vector<Prog> programs() {
 
 void print_table() {
   std::printf("\n=== Figure 3: code generation time for PLAN-P programs ===\n");
-  std::printf("%-30s %8s %12s %14s %12s\n", "program", "lines", "bytecode", "templates",
+  std::printf("%-30s %8s %12s %14s %12s\n", "program", "lines", "unfused", "templates",
               "codegen(ms)");
   for (const Prog& p : programs()) {
     planp::NullEnv env;
     planp::CheckedProgram checked = planp::typecheck(planp::parse(p.source));
-    planp::CompiledProgram compiled = planp::compile(checked);
-    planp::JitEngine jit(compiled, env);
+    planp::JitEngine jit(checked, env);
     const planp::CodegenStats& s = jit.codegen_stats();
     std::printf("%-30s %8d %12zu %14zu %12.4f\n", p.name, s.source_lines,
                 s.input_instrs, s.output_instrs, s.generation_ms);
@@ -51,34 +49,28 @@ void print_table() {
 }
 
 void BM_CodegenOnly(benchmark::State& state) {
-  // Pure specialization cost: bytecode -> patched templates (what happens at
-  // download time after the program has been verified).
+  // Pure code generation cost: checked AST -> fused, patched templates (what
+  // happens at download time after the program has been verified).
   auto progs = programs();
   const Prog& p = progs[static_cast<std::size_t>(state.range(0))];
   planp::CheckedProgram checked = planp::typecheck(planp::parse(p.source));
-  planp::CompiledProgram compiled = planp::compile(checked);
   for (auto _ : state) {
-    for (const auto& b : compiled.channel_bodies) {
-      benchmark::DoNotOptimize(planp::specialize_block(b, compiled));
-    }
-    for (const auto& b : compiled.functions) {
-      benchmark::DoNotOptimize(planp::specialize_block(b, compiled));
-    }
+    planp::JitProgram code(checked);
+    benchmark::DoNotOptimize(&code);
   }
   state.SetLabel(p.name);
 }
 BENCHMARK(BM_CodegenOnly)->DenseRange(0, 4);
 
 void BM_FullDownloadPipeline(benchmark::State& state) {
-  // Everything a router does on download: parse, check, verify-ready
-  // compile, specialize.
+  // Everything a router does on download: parse, check, lower to templates,
+  // instantiate.
   auto progs = programs();
   const Prog& p = progs[static_cast<std::size_t>(state.range(0))];
   planp::NullEnv env;
   for (auto _ : state) {
     planp::CheckedProgram checked = planp::typecheck(planp::parse(p.source));
-    planp::CompiledProgram compiled = planp::compile(checked);
-    planp::JitEngine jit(compiled, env);
+    planp::JitEngine jit(checked, env);
     benchmark::DoNotOptimize(&jit);
   }
   state.SetLabel(p.name);

@@ -14,7 +14,6 @@
 #include "apps/asp_files.hpp"
 #include "bench/harness.hpp"
 #include "net/network.hpp"
-#include "planp/compile.hpp"
 #include "planp/interp.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
@@ -54,8 +53,7 @@ struct GatewayFixture {
         engine = std::make_unique<planp::Interp>(checked, env);
         break;
       case planp::EngineKind::kJit:
-        compiled = planp::compile(checked);
-        engine = std::make_unique<planp::JitEngine>(compiled, env);
+        engine = std::make_unique<planp::JitEngine>(checked, env);
         break;
     }
     ps = Value::of_int(0);
@@ -65,7 +63,6 @@ struct GatewayFixture {
 
   planp::NullEnv env;
   planp::CheckedProgram checked;
-  planp::CompiledProgram compiled;
   std::unique_ptr<planp::Engine> engine;
   Value ps, ss;
   std::vector<Value> packets;
@@ -144,8 +141,7 @@ void BM_Audio_Jit(benchmark::State& state) {
   env.load_percent = 95;
   planp::CheckedProgram checked =
       planp::typecheck(planp::parse(apps::asp_source("audio_router")));
-  planp::CompiledProgram compiled = planp::compile(checked);
-  planp::JitEngine engine(compiled, env);
+  planp::JitEngine engine(checked, env);
   net::IpHeader ip;
   ip.src = net::ip("10.0.1.1");
   ip.dst = net::ip("224.1.1.1");

@@ -89,6 +89,8 @@ struct Expr {
   int call_target = -1;   // Call: index into resolved primitive overloads, or
                           // ~fun_index for user functions (see typecheck.hpp)
   int var_slot = -1;      // Var/Let: de Bruijn-ish frame slot for compilation
+  std::uint32_t chan_tag = 0;  // Send: `name` interned as a net::ChannelTags
+                               // id (0 for deliver/drop)
 
   static ExprPtr make(Kind k, Loc loc) {
     auto e = std::make_unique<Expr>();

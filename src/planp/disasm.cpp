@@ -1,36 +1,9 @@
 #include "planp/disasm.hpp"
-#include <cstdarg>
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace asp::planp {
-
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kConst: return "Const";
-    case Op::kLoadLocal: return "LoadLocal";
-    case Op::kStoreLocal: return "StoreLocal";
-    case Op::kLoadGlobal: return "LoadGlobal";
-    case Op::kJump: return "Jump";
-    case Op::kJumpIfFalse: return "JumpIfFalse";
-    case Op::kJumpIfTrue: return "JumpIfTrue";
-    case Op::kPop: return "Pop";
-    case Op::kDup: return "Dup";
-    case Op::kMakeTuple: return "MakeTuple";
-    case Op::kProj: return "Proj";
-    case Op::kCallPrim: return "CallPrim";
-    case Op::kCallFun: return "CallFun";
-    case Op::kBinOp: return "BinOp";
-    case Op::kNot: return "Not";
-    case Op::kNeg: return "Neg";
-    case Op::kRaise: return "Raise";
-    case Op::kTryPush: return "TryPush";
-    case Op::kTryPop: return "TryPop";
-    case Op::kSend: return "Send";
-    case Op::kReturn: return "Return";
-  }
-  return "?";
-}
 
 const char* jop_name(std::int32_t op) {
   switch (op) {
@@ -42,7 +15,6 @@ const char* jop_name(std::int32_t op) {
     case jop::kJumpIfFalse: return "JumpIfFalse";
     case jop::kJumpIfTrue: return "JumpIfTrue";
     case jop::kPop: return "Pop";
-    case jop::kDup: return "Dup";
     case jop::kMakeTuple: return "MakeTuple";
     case jop::kProj: return "Proj";
     case jop::kCallPrim: return "CallPrim";
@@ -80,24 +52,6 @@ const char* jop_name(std::int32_t op) {
 
 namespace {
 
-const char* bin_name(BinCode c) {
-  switch (c) {
-    case BinCode::kAdd: return "+";
-    case BinCode::kSub: return "-";
-    case BinCode::kMul: return "*";
-    case BinCode::kDiv: return "/";
-    case BinCode::kMod: return "%";
-    case BinCode::kEq: return "=";
-    case BinCode::kNe: return "<>";
-    case BinCode::kLt: return "<";
-    case BinCode::kLe: return "<=";
-    case BinCode::kGt: return ">";
-    case BinCode::kGe: return ">=";
-    case BinCode::kConcat: return "^";
-  }
-  return "?";
-}
-
 std::string fmt(const char* f, ...) {
   char buf[256];
   va_list args;
@@ -108,70 +62,6 @@ std::string fmt(const char* f, ...) {
 }
 
 }  // namespace
-
-std::string disassemble(const CodeBlock& block, const CompiledProgram& prog) {
-  std::string out;
-  for (std::size_t i = 0; i < block.code.size(); ++i) {
-    const Instr& in = block.code[i];
-    out += fmt("%4zu: %-12s", i, op_name(in.op));
-    switch (in.op) {
-      case Op::kConst:
-      case Op::kRaise:
-        out += fmt(" %d  ; %s", in.a,
-                   prog.consts[static_cast<std::size_t>(in.a)].str().c_str());
-        break;
-      case Op::kLoadLocal:
-      case Op::kStoreLocal:
-      case Op::kLoadGlobal:
-      case Op::kMakeTuple:
-      case Op::kProj:
-        out += fmt(" %d", in.a);
-        break;
-      case Op::kJump:
-      case Op::kJumpIfFalse:
-      case Op::kJumpIfTrue:
-      case Op::kTryPush:
-        out += fmt(" -> %d", in.a);
-        break;
-      case Op::kCallPrim:
-        out += fmt(" %s/%d", Primitives::instance().at(in.a).name.c_str(), in.b);
-        break;
-      case Op::kCallFun:
-        out += fmt(" fun#%d/%d", in.a, in.b);
-        break;
-      case Op::kBinOp:
-        out += fmt(" %s", bin_name(static_cast<BinCode>(in.a)));
-        break;
-      case Op::kSend:
-        out += fmt(" kind=%d chan=%s", in.a,
-                   prog.consts[static_cast<std::size_t>(in.b)].str().c_str());
-        break;
-      default:
-        break;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string disassemble(const CompiledProgram& prog) {
-  std::string out;
-  const CheckedProgram* src = prog.source;
-  for (std::size_t i = 0; i < prog.functions.size(); ++i) {
-    out += "fun " +
-           (src != nullptr ? src->functions[i]->name : "#" + std::to_string(i)) +
-           " (slots=" + std::to_string(prog.functions[i].frame_slots) + "):\n";
-    out += disassemble(prog.functions[i], prog);
-  }
-  for (std::size_t i = 0; i < prog.channel_bodies.size(); ++i) {
-    std::string name = src != nullptr ? src->channels[i]->name : "#" + std::to_string(i);
-    std::string type = src != nullptr ? src->channels[i]->packet_type->str() : "?";
-    out += "channel " + name + " (" + type +
-           ", slots=" + std::to_string(prog.channel_bodies[i].frame_slots) + "):\n";
-    out += disassemble(prog.channel_bodies[i], prog);
-  }
-  return out;
-}
 
 std::string disassemble(const JitBlock& block) {
   std::string out;
@@ -231,6 +121,31 @@ std::string disassemble(const JitBlock& block) {
         break;
     }
     out += '\n';
+  }
+  return out;
+}
+
+std::string disassemble(const JitProgram& prog) {
+  const CheckedProgram& src = prog.prog;
+  std::string out;
+  for (std::size_t i = 0; i < prog.global_inits.size(); ++i) {
+    out += "val " + src.globals[i]->name + ":\n";
+    out += disassemble(prog.global_inits[i]);
+  }
+  for (std::size_t i = 0; i < prog.functions.size(); ++i) {
+    out += "fun " + src.functions[i]->name +
+           " (slots=" + std::to_string(prog.functions[i].frame_slots) + "):\n";
+    out += disassemble(prog.functions[i]);
+  }
+  for (std::size_t i = 0; i < prog.channel_bodies.size(); ++i) {
+    const ChannelDef& c = *src.channels[i];
+    if (!prog.channel_inits[i].code.empty()) {
+      out += "initstate " + c.name + ":\n";
+      out += disassemble(prog.channel_inits[i]);
+    }
+    out += "channel " + c.name + " (" + c.packet_type->str() +
+           ", slots=" + std::to_string(prog.channel_bodies[i].frame_slots) + "):\n";
+    out += disassemble(prog.channel_bodies[i]);
   }
   return out;
 }

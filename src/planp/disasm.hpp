@@ -1,25 +1,22 @@
-// Human-readable listings of compiled PLAN-P code: bytecode and specialized
-// templates. Used by the planpc tool and by tests that pin down codegen.
+// Human-readable listings of specialized PLAN-P code: the templates the JIT
+// runs, after fusion and patching. Used by the planpc tool and by tests that
+// pin down codegen.
 #pragma once
 
 #include <string>
 
-#include "planp/compile.hpp"
 #include "planp/jit.hpp"
 
 namespace asp::planp {
 
-/// One instruction, e.g. "  12: JumpIfFalse -> 27".
-std::string disassemble(const CodeBlock& block, const CompiledProgram& prog);
-
-/// Whole program listing with per-channel/function headers.
-std::string disassemble(const CompiledProgram& prog);
-
-/// Specialized-template listing (after fusion and patching).
+/// One block, one template per line, e.g. "  12: JumpIfFalse  -> 27".
 std::string disassemble(const JitBlock& block);
 
-/// Opcode mnemonics.
-const char* op_name(Op op);
+/// Every block of the program (functions, channel bodies and initstates,
+/// globals), each under a header naming it.
+std::string disassemble(const JitProgram& prog);
+
+/// Template mnemonics; superinstructions end in '*'.
 const char* jop_name(std::int32_t op);
 
 }  // namespace asp::planp

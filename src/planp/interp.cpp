@@ -12,31 +12,6 @@ struct DepthGuard {
 };
 }  // namespace
 
-namespace {
-/// Fallback prepared handle: delegates to the virtual run_channel (no
-/// packet-use analysis, so packet_used() stays conservatively true).
-class DefaultChannel : public Engine::Channel {
- public:
-  DefaultChannel(Engine& e, int idx) : engine_(e), idx_(idx) {}
-  Value run(const Value& ps, const Value& ss, const Value& packet) override {
-    return engine_.run_channel(idx_, ps, ss, packet);
-  }
-
- private:
-  Engine& engine_;
-  int idx_;
-};
-}  // namespace
-
-Engine::Channel* Engine::channel(int chan_idx) {
-  const std::size_t i = static_cast<std::size_t>(chan_idx);
-  if (default_channels_.size() <= i) default_channels_.resize(i + 1);
-  if (default_channels_[i] == nullptr) {
-    default_channels_[i] = std::make_unique<DefaultChannel>(*this, chan_idx);
-  }
-  return default_channels_[i].get();
-}
-
 Interp::Interp(const CheckedProgram& prog, EnvApi& env) : prog_(prog), env_(env) {
   globals_.reserve(prog_.globals.size());
   auto& fr = arena_.at_depth(depth_);
@@ -224,10 +199,10 @@ Value Interp::eval(const Expr& e, Frame& f) {
     case K::kSend: {
       switch (e.send_kind) {
         case SendKind::kOnRemote:
-          env_.on_remote(e.name, eval(*e.args[0], f));
+          env_.on_remote(e.chan_tag, eval(*e.args[0], f));
           break;
         case SendKind::kOnNeighbor:
-          env_.on_neighbor(e.name, eval(*e.args[0], f));
+          env_.on_neighbor(e.chan_tag, eval(*e.args[0], f));
           break;
         case SendKind::kDeliver:
           env_.deliver(eval(*e.args[0], f));

@@ -30,32 +30,14 @@ class Engine {
   virtual Value run_channel(int chan_idx, const Value& ps, const Value& ss,
                             const Value& packet) = 0;
 
-  /// An install-time-prepared dispatch handle for one channel: run() is the
-  /// per-packet fast path with the channel lookup already resolved, so the
-  /// match-action dispatcher enters the engine without re-indexing (DESIGN.md
-  /// §6c). The engine owns the handle; it stays valid for the engine's
-  /// lifetime.
-  class Channel {
-   public:
-    virtual ~Channel() = default;
-    /// True when the channel body can observe its packet argument. When
-    /// false the caller may pass Value{} for `packet` — the match-action
-    /// dispatcher then skips payload materialization entirely (match-only
-    /// classification, the P4 shape: parse only what the action reads).
-    virtual bool packet_used() const { return true; }
-    /// Semantics of Engine::run_channel for the prepared channel.
-    virtual Value run(const Value& ps, const Value& ss, const Value& packet) = 0;
-  };
-
-  /// The prepared handle for `chan_idx`. The default implementation wraps
-  /// run_channel; engines with a cheaper entry point override it.
-  virtual Channel* channel(int chan_idx);
+  /// True when channel `chan_idx`'s body can observe its packet argument.
+  /// When false the caller may pass Value{} for `packet`: the match-action
+  /// dispatcher then skips payload materialization entirely (match-only
+  /// classification, the P4 shape: parse only what the action reads).
+  virtual bool packet_used(int chan_idx) const = 0;
 
   virtual const CheckedProgram& program() const = 0;
   virtual const char* engine_name() const = 0;
-
- private:
-  std::vector<std::unique_ptr<Channel>> default_channels_;
 };
 
 /// Tree-walking interpreter over the type-annotated AST.
@@ -67,6 +49,8 @@ class Interp : public Engine {
   Value init_state(int chan_idx) override;
   Value run_channel(int chan_idx, const Value& ps, const Value& ss,
                     const Value& packet) override;
+  /// No packet-use analysis: every channel is dispatched with its packet.
+  bool packet_used(int) const override { return true; }
   const CheckedProgram& program() const override { return prog_; }
   const char* engine_name() const override { return "interp"; }
 

@@ -51,23 +51,13 @@ class EnvApi {
   /// authors' earlier work needs this to learn which side a host is on.
   virtual std::int64_t arrival_iface() = 0;
 
-  // Packet emission, used by the kSend AST node (not by primitives).
-  virtual void on_remote(const std::string& channel, const Value& packet) = 0;
-  virtual void on_neighbor(const std::string& channel, const Value& packet) = 0;
+  // Packet emission, used by the kSend AST node (not by primitives). The
+  // channel is the net::ChannelTags id the type checker interned for the
+  // send's channel name (Expr::chan_tag), so no packet path hashes a string.
+  virtual void on_remote(std::uint32_t chan_tag, const Value& packet) = 0;
+  virtual void on_neighbor(std::uint32_t chan_tag, const Value& packet) = 0;
   virtual void deliver(const Value& packet) = 0;
   virtual void drop() = 0;
-
-  // Interned-id sends: the JIT resolves the channel name to a
-  // net::ChannelTags id once at specialization time and emits through
-  // these, so the per-packet path never hashes a std::string.
-  // The defaults round-trip through the string API for environments that
-  // only implement that (tests, NullEnv); the ASP runtime overrides them.
-  virtual void on_remote(std::uint32_t chan_tag, const Value& packet) {
-    on_remote(net::ChannelTags::name_of(chan_tag), packet);
-  }
-  virtual void on_neighbor(std::uint32_t chan_tag, const Value& packet) {
-    on_neighbor(net::ChannelTags::name_of(chan_tag), packet);
-  }
 
   /// The node's object cache, backing the cache* primitives (planp/cache.hpp,
   /// DESIGN.md §6i). The default is a lazily created private store with no
@@ -88,11 +78,11 @@ class NullEnv : public EnvApi {
   std::int64_t link_load_percent() override { return load_percent; }
   std::int64_t link_bandwidth_kbps() override { return bandwidth_kbps; }
   std::int64_t arrival_iface() override { return arrival; }
-  void on_remote(const std::string& c, const Value& p) override {
-    sends.push_back({c, p});
+  void on_remote(std::uint32_t tag, const Value& p) override {
+    sends.push_back({net::ChannelTags::name_of(tag), p});
   }
-  void on_neighbor(const std::string& c, const Value& p) override {
-    sends.push_back({c, p});
+  void on_neighbor(std::uint32_t tag, const Value& p) override {
+    sends.push_back({net::ChannelTags::name_of(tag), p});
   }
   void deliver(const Value& p) override { delivered.push_back(p); }
   void drop() override { ++drops; }

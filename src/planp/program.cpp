@@ -70,8 +70,7 @@ std::shared_ptr<const Protocol> Protocol::compile(const std::string& source,
 
   t0 = std::chrono::steady_clock::now();
   if (opts.engine == EngineKind::kJit) {
-    proto->compiled_ = planp::compile(proto->checked_);
-    proto->jit_ = std::make_shared<const JitProgram>(proto->compiled_);
+    proto->jit_ = std::make_shared<const JitProgram>(proto->checked_);
   }
   reg.histogram("planp/install/codegen_us").observe(us_since(t0));
   reg.histogram("planp/install/total_us").observe(us_since(total0));

@@ -1,6 +1,6 @@
 // Protocol: one downloaded ASP, taken through the full pipeline once
 //   source -> lex/parse -> typecheck -> safety analyses (the gate)
-//          -> bytecode -> run-time specialization
+//          -> run-time specialization (checked AST -> JIT templates)
 // and then instantiated on each node that runs it. The compiled protocol is
 // immutable and shared; each instance is one node's executable engine.
 #pragma once
@@ -9,7 +9,6 @@
 #include <string>
 
 #include "planp/analysis.hpp"
-#include "planp/compile.hpp"
 #include "planp/interp.hpp"
 #include "planp/jit.hpp"
 
@@ -43,7 +42,7 @@ class Protocol {
   };
 
   /// Runs the whole pipeline once: parse, typecheck, analyses and gate, and
-  /// for the JIT bytecode and specialization. Throws PlanPError (syntax and
+  /// for the JIT the lowering to templates. Throws PlanPError (syntax and
   /// type errors, or channels whose protocol-state types differ) or
   /// VerificationError (gate).
   static std::shared_ptr<const Protocol> compile(const std::string& source,
@@ -59,7 +58,6 @@ class Protocol {
 
   const CheckedProgram& checked() const { return checked_; }
   const AnalysisReport& report() const { return report_; }
-  const CompiledProgram& compiled() const { return compiled_; }
 
   /// Non-null when the engine is the JIT.
   const CodegenStats* codegen_stats() const {
@@ -71,7 +69,6 @@ class Protocol {
 
   CheckedProgram checked_;
   AnalysisReport report_;
-  CompiledProgram compiled_;
   std::shared_ptr<const JitProgram> jit_;  // null for the interpreter
 };
 

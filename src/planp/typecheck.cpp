@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "net/packet.hpp"
 #include "planp/primitives.hpp"
 
 namespace asp::planp {
@@ -464,6 +465,9 @@ class Checker {
         if (it == checked_.channels_by_name.end()) {
           fail(e.loc, "unknown channel '" + e.name + "'");
         }
+        // Interned once here, so both engines send by tag and no packet
+        // path ever hashes the name.
+        e.chan_tag = net::ChannelTags::intern(e.name);
         const std::vector<int>& overloads = it->second;
         if (overloads.size() == 1) {
           const TypePtr& pt =

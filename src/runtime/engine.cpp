@@ -67,7 +67,7 @@ const planp::Protocol& AspRuntime::install(
 
   // Compile the match-action table: channel name -> interned tag id, header
   // shape -> prepared action lists, each action carrying its decode plan,
-  // engine entry point and metric handle (DESIGN.md §6c).
+  // channel index and metric handle (DESIGN.md §6c).
   inst->table = MatchActionTable::build(inst->proto->checked(), *inst->engine,
                                         channel_counters_);
 
@@ -118,7 +118,8 @@ bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
     std::chrono::steady_clock::time_point t0;
     if (timed) t0 = std::chrono::steady_clock::now();
     try {
-      Value out = a.entry->run(protocol_state_, channel_states_[i], decoded);
+      Value out = inst->engine->run_channel(a.channel_idx, protocol_state_,
+                                            channel_states_[i], decoded);
       if (generation_ == generation) {
         // tuple_at, not as_tuple(): the (ps, ss) result is usually an inline
         // ScalarPair and must not be promoted to a heap tuple per packet.
@@ -188,10 +189,6 @@ std::int64_t AspRuntime::link_bandwidth_kbps() {
   return static_cast<std::int64_t>(m->bandwidth_bps() / 1000.0);
 }
 
-void AspRuntime::on_remote(const std::string& channel, const Value& packet) {
-  send_remote(encode_packet(packet, channel == "network" ? "" : channel));
-}
-
 void AspRuntime::on_remote(std::uint32_t chan_tag, const Value& packet) {
   // The distinguished `network` channel emits untagged traffic (tag 0).
   send_remote(encode_packet(packet, chan_tag == network_tag_ ? 0u : chan_tag));
@@ -213,10 +210,6 @@ void AspRuntime::send_remote(asp::net::Packet p) {
   node_.forward(std::move(p));
 }
 
-void AspRuntime::on_neighbor(const std::string& channel, const Value& packet) {
-  send_neighbor(encode_packet(packet, channel == "network" ? "" : channel));
-}
-
 void AspRuntime::on_neighbor(std::uint32_t chan_tag, const Value& packet) {
   send_neighbor(encode_packet(packet, chan_tag == network_tag_ ? 0u : chan_tag));
 }
@@ -235,7 +228,7 @@ void AspRuntime::send_neighbor(asp::net::Packet p) {
 }
 
 void AspRuntime::deliver(const Value& packet) {
-  asp::net::Packet p = encode_packet(packet, "");
+  asp::net::Packet p = encode_packet(packet, 0u);
   p.id = node_.next_packet_id();
   node_.deliver_local(p);
 }

@@ -95,8 +95,6 @@ class AspRuntime : public planp::EnvApi {
   std::int64_t arrival_iface() override {
     return current_in_ != nullptr ? current_in_->index() : -1;
   }
-  void on_remote(const std::string& channel, const planp::Value& packet) override;
-  void on_neighbor(const std::string& channel, const planp::Value& packet) override;
   void on_remote(std::uint32_t chan_tag, const planp::Value& packet) override;
   void on_neighbor(std::uint32_t chan_tag, const planp::Value& packet) override;
   void deliver(const planp::Value& packet) override;

@@ -26,9 +26,8 @@ MatchActionTable MatchActionTable::build(const planp::CheckedProgram& prog,
     MatchAction a;
     a.channel_idx = static_cast<std::uint16_t>(i);
     a.def = &c;
-    a.entry = engine.channel(static_cast<int>(i));
     a.plan = compile_decode_plan(c.packet_type);
-    a.needs_values = a.entry->packet_used();
+    a.needs_values = engine.packet_used(static_cast<int>(i));
     a.handled = i < counters.size() ? counters[i] : nullptr;
     t.actions_.push_back(std::move(a));
 

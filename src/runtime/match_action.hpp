@@ -1,13 +1,14 @@
 // Match-action classification for the packet path (DESIGN.md §6c).
 //
 // The P4 shape, applied to ASP dispatch: at install time every channel is
-// compiled into an Action — prepared engine entry point, flat decode plan,
+// compiled into an Action — engine channel index, flat decode plan,
 // pre-resolved metric handle — and the channel set into a classification
 // table keyed by (interned channel tag, transport shape). The per-packet
 // path is then: classify -> run prepared actions; no string hashing, no
 // type-tree walk, no registry lookup. Channels whose bodies never read the
-// packet argument (packet_used() == false) are dispatched match-only: the
-// packet is validated against the plan but no tuple is materialized.
+// packet argument (Engine::packet_used() == false) are dispatched
+// match-only: the packet is validated against the plan but no tuple is
+// materialized.
 #pragma once
 
 #include <array>
@@ -25,11 +26,10 @@ namespace asp::runtime {
 /// Everything the per-packet path needs for one channel, resolved once at
 /// install time.
 struct MatchAction {
-  std::uint16_t channel_idx = 0;          // index into the protocol's channels
+  std::uint16_t channel_idx = 0;          // Engine::run_channel's index
   const planp::ChannelDef* def = nullptr; // for error reporting (name)
-  planp::Engine::Channel* entry = nullptr;  // prepared engine handle
   DecodePlan plan;
-  bool needs_values = true;               // entry->packet_used()
+  bool needs_values = true;               // Engine::packet_used(channel_idx)
   obs::Counter* handled = nullptr;        // pre-resolved per-channel counter
   planp::TupleRep scratch;                // reusable decode storage
 };

@@ -241,14 +241,11 @@ std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& 
   return Value::of_tuple_rep(std::move(fields));
 }
 
-namespace {
-
-/// Shared body of the encode_packet overloads: everything except the channel
-/// tagging.
-asp::net::Packet encode_packet_core(const Value& v) {
+asp::net::Packet encode_packet(const Value& v, std::uint32_t chan_tag) {
   const auto& fields = v.as_tuple();
   asp::net::Packet p;
   p.ip = fields[0].as_ip();
+  p.channel_tag = chan_tag;
 
   std::size_t i = 1;
   if (i < fields.size()) {
@@ -303,20 +300,6 @@ asp::net::Packet encode_packet_core(const Value& v) {
   } else {
     p.payload = std::move(out);
   }
-  return p;
-}
-
-}  // namespace
-
-asp::net::Packet encode_packet(const Value& v, const std::string& channel_tag) {
-  asp::net::Packet p = encode_packet_core(v);
-  p.set_channel(channel_tag);
-  return p;
-}
-
-asp::net::Packet encode_packet(const Value& v, std::uint32_t chan_tag) {
-  asp::net::Packet p = encode_packet_core(v);
-  p.channel_tag = chan_tag;
   return p;
 }
 

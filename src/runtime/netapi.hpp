@@ -54,12 +54,9 @@ std::optional<planp::Value> decode_packet(const asp::net::Packet& p,
                                           const DecodePlan& plan,
                                           planp::TupleRep* reuse = nullptr);
 
-/// Encodes a PLAN-P packet value back onto the wire. `channel_tag` is attached
-/// for user-defined channels (empty for the distinguished `network` channel).
-asp::net::Packet encode_packet(const planp::Value& v, const std::string& channel_tag);
-
-/// Same, keyed by interned channel id — the send path of the compiled
-/// engines, which never touch a name string per packet (tag 0 = untagged).
+/// Encodes a PLAN-P packet value back onto the wire, tagged with the interned
+/// channel id `chan_tag` (net::ChannelTags; 0 = untagged, which the
+/// distinguished `network` channel and deliver() use).
 asp::net::Packet encode_packet(const planp::Value& v, std::uint32_t chan_tag);
 
 }  // namespace asp::runtime

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
-#include "planp/compile.hpp"
 #include "planp/interp.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
@@ -27,7 +26,6 @@ std::string which_name(Which w) {
 
 struct Loaded {
   CheckedProgram checked;
-  CompiledProgram compiled;
   std::unique_ptr<Engine> engine;
   std::unique_ptr<NullEnv> env;
 };
@@ -42,8 +40,7 @@ Loaded load(const std::string& src, Which w) {
       break;
     case Which::kJit:
     case Which::kJitNoFuse:
-      l.compiled = compile(l.checked);
-      l.engine = std::make_unique<JitEngine>(l.compiled, *l.env,
+      l.engine = std::make_unique<JitEngine>(l.checked, *l.env,
                                              /*fuse=*/w == Which::kJit);
       break;
   }
@@ -287,6 +284,49 @@ INSTANTIATE_TEST_SUITE_P(
         "if tcpDst(#2 p) = 80 then ps + blobLen(#3 p) else raise \"NoMatch\"",
         "#1 (ps + 1, ps + 2) * #2 (ps + 3, ps + 4)",
         "(if ps % 2 = 0 then min(ps, 0) else max(ps, 0)) - (ps - 1)"));
+
+// Sends are keyed by the channel tag the type checker interned: every engine
+// hands EnvApi the same tags, for a user channel and for `network` alike.
+TEST(EngineSends, InterpreterAndJitHandEnvTheSameTags) {
+  struct TagEnv : NullEnv {
+    void on_remote(std::uint32_t tag, const Value& p) override {
+      tags.push_back(tag);
+      NullEnv::on_remote(tag, p);
+    }
+    void on_neighbor(std::uint32_t tag, const Value& p) override {
+      tags.push_back(tag);
+      NullEnv::on_neighbor(tag, p);
+    }
+    std::vector<std::uint32_t> tags;
+  };
+  CheckedProgram checked = typecheck(parse(R"(
+channel audio(ps : int, ss : unit, p : ip*blob) is (drop(); (ps, ss))
+channel network(ps : int, ss : unit, p : ip*blob) is
+  (OnRemote(audio, p); OnNeighbor(network, p); OnRemote(network, (#1 p, #2 p));
+   (ps, ss))
+)"));
+  const std::vector<std::uint32_t> expected = {
+      asp::net::ChannelTags::intern("audio"), asp::net::ChannelTags::intern("network"),
+      asp::net::ChannelTags::intern("network")};
+  Value pkt = Value::of_tuple(
+      {Value::of_ip({asp::net::ip("1.1.1.1"), asp::net::ip("2.2.2.2"),
+                     asp::net::IpProto::kRaw}),
+       Value::of_blob({1, 2, 3})});
+  for (Which w : {Which::kInterp, Which::kJitNoFuse, Which::kJit}) {
+    TagEnv env;
+    std::unique_ptr<Engine> engine;
+    if (w == Which::kInterp) {
+      engine = std::make_unique<Interp>(checked, env);
+    } else {
+      engine = std::make_unique<JitEngine>(checked, env, w == Which::kJit);
+    }
+    engine->run_channel(1, Value::of_int(0), Value::unit(), pkt);
+    EXPECT_EQ(env.tags, expected) << which_name(w);
+    ASSERT_EQ(env.sends.size(), 3u) << which_name(w);
+    EXPECT_EQ(env.sends[0].first, "audio") << which_name(w);
+    EXPECT_EQ(env.sends[2].first, "network") << which_name(w);
+  }
+}
 
 }  // namespace
 }  // namespace asp::planp

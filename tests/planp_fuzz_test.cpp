@@ -14,7 +14,6 @@
 #include <random>
 
 #include "mem/pool.hpp"
-#include "planp/compile.hpp"
 #include "planp/interp.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
@@ -129,9 +128,8 @@ void check_engines_agree(std::uint32_t seed) {
 
   NullEnv env_i, env_j, env_u;
   Interp interp(checked, env_i);
-  CompiledProgram compiled = compile(checked);
-  JitEngine jit(compiled, env_j);
-  JitEngine unfused(compiled, env_u, /*fuse=*/false);
+  JitEngine jit(checked, env_j);
+  JitEngine unfused(checked, env_u, /*fuse=*/false);
 
   for (std::int64_t ps : {-17, -3, -1, 0, 1, 2, 5, 42, 1000}) {
     Outcome a = run_one(interp, ps);

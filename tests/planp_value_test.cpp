@@ -5,7 +5,7 @@
 #include <functional>
 
 #include "net/network.hpp"
-#include "planp/compile.hpp"
+#include "planp/jit.hpp"
 #include "planp/parser.hpp"
 #include "planp/value.hpp"
 
@@ -149,14 +149,14 @@ TEST(Value, FreezeLeavesNoWriteForConstReaders) {
 
 TEST(Value, CompiledConstantPoolIsFrozen) {
   // Literal tuples fold into constants, which every engine instance of the
-  // program reads at once: the compiler freezes each one, so no pair is left
-  // at any depth for as_tuple() to promote in place.
+  // program reads at once: the JIT's emitter freezes each one, so no pair is
+  // left at any depth for as_tuple() to promote in place.
   CheckedProgram checked = typecheck(parse(R"(
 channel network(ps : int, ss : int*int, p : ip*udp*blob) initstate (0, 0) is
   (deliver(p);
    (ps + #2 #1 ((1, 2), 3), if ss = (4, 5) then ss else (6, 7)))
 )"));
-  CompiledProgram prog = compile(checked);
+  JitProgram prog(checked);
   int tuples = 0;
   std::function<void(const Value&)> check = [&](const Value& v) {
     EXPECT_FALSE(std::holds_alternative<ScalarPair>(v.rep())) << v.str();

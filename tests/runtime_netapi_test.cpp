@@ -86,7 +86,7 @@ TEST(NetApi, EncodeDecodeRoundTrip) {
                               {'Z', 0, 0, 1, 0, 5, 6, 7});
   auto v = decode(p, "ip*tcp*char*int*blob");
   ASSERT_TRUE(v.has_value());
-  Packet q = encode_packet(*v, "");
+  Packet q = encode_packet(*v, 0u);
   EXPECT_EQ(q.ip.src, p.ip.src);
   EXPECT_EQ(q.ip.dst, p.ip.dst);
   EXPECT_EQ(q.tcp->sport, p.tcp->sport);
@@ -97,7 +97,7 @@ TEST(NetApi, EncodeDecodeRoundTrip) {
 TEST(NetApi, EncodeAttachesChannelTag) {
   Packet p = Packet::make_raw(ip("1.1.1.1"), ip("2.2.2.2"), {1});
   auto v = decode(p, "ip*blob");
-  Packet q = encode_packet(*v, "audio");
+  Packet q = encode_packet(*v, asp::net::ChannelTags::intern("audio"));
   EXPECT_EQ(q.channel_tag, asp::net::ChannelTags::intern("audio"));
   EXPECT_EQ(q.wire_size(), p.wire_size() + 4);
 }
@@ -112,7 +112,7 @@ TEST(NetApi, HeaderOnlyBlobCarriesTransportHeader) {
   // blob = 8-byte UDP header + payload
   EXPECT_EQ(v->as_tuple()[1].as_blob()->size(), 8u + 3u);
 
-  Packet q = encode_packet(*v, "");
+  Packet q = encode_packet(*v, 0u);
   ASSERT_TRUE(q.udp.has_value());
   EXPECT_EQ(q.udp->sport, 4321);
   EXPECT_EQ(q.udp->dport, 7);
@@ -126,7 +126,7 @@ TEST(NetApi, HeaderOnlyBlobRoundTripsTcp) {
   auto v = decode(p, "ip*blob");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->as_tuple()[1].as_blob()->size(), 20u + 2u);
-  Packet q = encode_packet(*v, "");
+  Packet q = encode_packet(*v, 0u);
   ASSERT_TRUE(q.tcp.has_value());
   EXPECT_EQ(q.tcp->sport, 1000);
   EXPECT_EQ(q.tcp->seq, 12345u);
@@ -141,7 +141,7 @@ TEST(NetApi, RawPacketsHaveNoHiddenHeader) {
   auto v = decode(p, "ip*blob");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->as_tuple()[1].as_blob()->size(), 2u);
-  Packet q = encode_packet(*v, "");
+  Packet q = encode_packet(*v, 0u);
   EXPECT_EQ(q.ip.proto, IpProto::kRaw);
   EXPECT_EQ(q.payload, p.payload);
 }

@@ -2,8 +2,8 @@
 //
 //   planpc check   file.planp      parse + type check
 //   planpc analyze file.planp      run the four safety analyses
-//   planpc disasm  file.planp      bytecode listing
-//   planpc jit     file.planp      specialized-template listing + codegen stats
+//   planpc disasm  file.planp      template listing of every block
+//   planpc jit     file.planp      codegen stats + the same listing
 //   planpc run     file.planp N    feed N synthetic packets through channel 0
 //
 // This is the "operating system designer" workflow of the paper: evolve the
@@ -109,31 +109,23 @@ int main(int argc, char** argv) {
       return r.accepted() ? 0 : 3;
     }
 
-    CompiledProgram compiled = compile(checked);
+    auto code = std::make_shared<const JitProgram>(checked);
 
-    if (std::strcmp(cmd, "disasm") == 0) {
-      std::fputs(disassemble(compiled).c_str(), stdout);
+    const bool jit_cmd = std::strcmp(cmd, "jit") == 0;
+    if (jit_cmd) {
+      const CodegenStats& s = code->stats;
+      std::printf("; %d lines -> %zu unfused templates -> %zu templates (%zu bytes)"
+                  " in %.4f ms\n",
+                  s.source_lines, s.input_instrs, s.output_instrs, s.code_bytes,
+                  s.generation_ms);
+    }
+    if (jit_cmd || std::strcmp(cmd, "disasm") == 0) {
+      std::fputs(disassemble(*code).c_str(), stdout);
       return 0;
     }
 
     NullEnv env;
-    JitEngine jit(compiled, env);
-
-    if (std::strcmp(cmd, "jit") == 0) {
-      const CodegenStats& s = jit.codegen_stats();
-      std::printf("; %d lines -> %zu bytecode instrs -> %zu templates (%zu bytes)"
-                  " in %.4f ms\n",
-                  s.source_lines, s.input_instrs, s.output_instrs, s.code_bytes,
-                  s.generation_ms);
-      for (std::size_t i = 0; i < compiled.channel_bodies.size(); ++i) {
-        std::printf("channel %s (%s):\n", checked.channels[i]->name.c_str(),
-                    checked.channels[i]->packet_type->str().c_str());
-        std::fputs(disassemble(specialize_block(compiled.channel_bodies[i], compiled))
-                       .c_str(),
-                   stdout);
-      }
-      return 0;
-    }
+    JitEngine jit(code, env);
 
     if (std::strcmp(cmd, "run") == 0) {
       if (checked.channels.empty()) {
