@@ -1,14 +1,15 @@
-// Event-scheduler bench: schedule/cancel/drain mixes shaped like the
+// Event-scheduler bench: schedule/drain mixes shaped like the
 // internet-scale scenario workload (DESIGN.md §6h), measuring events/sec and
 // heap allocations per executed event through EventQueue::run().
 //
 // Three mixes, all fully deterministic (fixed seeds, fixed event counts, no
 // wall-clock dependence in the workload itself):
 //   * timer_heavy    — a population of self-rescheduling workload timers,
-//                      each firing also re-arming an RTO-style helper timer
-//                      via cancel+schedule (the tcp.cpp pattern). This is the
-//                      shape the closed-loop workload synthesizer puts on
-//                      every host-bundle queue.
+//                      each firing also superseding an RTO-style helper
+//                      timer with a fresh one (its owner bumps a generation;
+//                      the stale helper runs as a no-op). This is the shape
+//                      the closed-loop workload synthesizer puts on every
+//                      host-bundle queue.
 //   * delivery_heavy — a driver timer fanning out same-time packet
 //                      deliveries, each one ranked event that captures a
 //                      pooled Packet box, i.e. the forwarding-plane shape of
@@ -16,10 +17,10 @@
 //   * mixed          — both at once, approximating a full scenario shard.
 //
 // What CI gates (see .github/workflows/ci.yml, Release job): allocs/event is
-// exactly 0 in steady state for every mix — scheduling, cancelling, and
-// draining live entirely in the queue's pooled slab after warmup. Events/sec
-// is written to BENCH_event.json for EXPERIMENTS.md, never asserted (it
-// depends on the runner).
+// exactly 0 in steady state for every mix — scheduling and draining live
+// entirely in the queue's pooled slab after warmup. Events/sec is written to
+// BENCH_event.json for EXPERIMENTS.md, never asserted (it depends on the
+// runner).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -100,17 +101,18 @@ std::uint64_t xorshift(std::uint64_t x) {
 
 // --- timer-heavy --------------------------------------------------------------
 // kTimers closed-loop "user" timers: each firing re-arms itself 0.2–2.0 ms
-// out (the synthesizer's think-time band) and, like tcp.cpp's arm_timer(),
-// cancels its previous RTO helper and schedules a fresh one +5 ms out. The
-// helpers almost never fire — they are churned through cancel() — so in
-// steady state the queue holds ~kTimers live timers plus a few multiples of
-// kTimers cancelled-but-undrained entries, exactly the shape the RTO path
-// puts on a busy shard.
+// out (the synthesizer's think-time band) and supersedes its previous
+// RTO-style helper with a fresh one +5 ms out, the way timer owners
+// invalidate their own timers: it bumps the timer's generation, and a helper
+// that finds its generation stale returns at once. Every helper is
+// superseded before it is due, so in steady state the queue holds ~kTimers
+// live timers plus a few multiples of kTimers superseded helpers, each of
+// which still runs as a (no-op) event.
 struct TimerSim {
   net::EventQueue q;
   struct Timer {
     std::uint64_t rng;
-    net::EventId rto = 0;
+    std::uint64_t gen = 0;  // bumped to supersede the armed helper
   };
   std::vector<Timer> timers;
 
@@ -125,8 +127,11 @@ struct TimerSim {
 
   void fire(std::size_t i) {
     Timer& t = timers[i];
-    q.cancel(t.rto);  // cancel-before-rearm, as TcpConnection does
-    t.rto = q.schedule_in(5'000'000, [] {});
+    // The check is ClientBundle's; the timer always re-fires within 2 ms,
+    // so no helper is still current when it runs.
+    q.schedule_in(5'000'000, [this, i, gen = ++t.gen] {
+      if (timers[i].gen == gen) fire(i);
+    });
     t.rng = xorshift(t.rng);
     q.schedule_in(200'000 + t.rng % 1'800'000, [this, i] { fire(i); });
   }
@@ -242,8 +247,11 @@ int main(int argc, char** argv) {
   bench::parse_options(argc, argv);  // shared flag harness (rejects unknowns)
 
   {
+    // Each firing also runs one superseded helper, so 4M warm-up events
+    // cover the simulated span that 2M covered when helpers were cancelled:
+    // enough for every wheel cell to have reserved its high-water capacity.
     TimerSim sim(16'384, 1);
-    MixResult r = measure(sim.q, 2'000'000, 4'000'000);
+    MixResult r = measure(sim.q, 4'000'000, 4'000'000);
     record("timer_heavy", r);
   }
   {

@@ -602,13 +602,11 @@ class FrameArena {
   };
 
   FrameArena() = default;
-  explicit FrameArena(std::string name) { register_pool_stats(name, &stats_); }
   FrameArena(const FrameArena&) = delete;
   FrameArena& operator=(const FrameArena&) = delete;
 
   Frame& at_depth(std::size_t d) {
     if (d >= frames_.size()) grow(d);
-    ++stats_.hits;
     return *frames_[d];
   }
 
@@ -625,19 +623,13 @@ class FrameArena {
     std::fill(f.args.begin(), f.args.end(), sentinel);
   }
 
-  const PoolStats& stats() const { return stats_; }
-
  private:
   void grow(std::size_t d) {
     ScopedAllocTag tag(AllocTag::kFrame);
-    while (frames_.size() <= d) {
-      frames_.push_back(std::make_unique<Frame>());
-      ++stats_.misses;
-    }
+    while (frames_.size() <= d) frames_.push_back(std::make_unique<Frame>());
   }
 
   std::vector<std::unique_ptr<Frame>> frames_;
-  PoolStats stats_;
 };
 
 }  // namespace asp::mem

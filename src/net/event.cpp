@@ -52,52 +52,29 @@ std::uint32_t EventQueue::alloc_slot() {
   }
   const std::uint32_t slot = free_head_;
   free_head_ = slab(slot).next_free;
-  ++occupied_;
   return slot;
 }
 
 void EventQueue::free_slot(std::uint32_t slot) {
-  Entry& e = slab(slot);
-  e.state = kFree;
-  if (++e.gen == 0) e.gen = 1;  // gen 0 is reserved for "never a valid id"
-  e.next_free = free_head_;
+  slab(slot).next_free = free_head_;
   free_head_ = slot;
-  --occupied_;
 }
 
 // --- scheduling ---------------------------------------------------------------
 
-EventId EventQueue::schedule_at(SimTime t, EventFn fn) {
+void EventQueue::schedule_at(SimTime t, EventFn fn) {
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) t = now_;
-  return schedule_ranked(t, now_, UINT32_MAX, std::move(fn));
+  schedule_ranked(t, now_, UINT32_MAX, std::move(fn));
 }
 
-EventId EventQueue::schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank,
-                                    EventFn fn) {
+void EventQueue::schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank,
+                                 EventFn fn) {
   assert(t >= now_ && "cannot schedule in the past");
   const std::uint32_t slot = alloc_slot();
-  Entry& e = slab(slot);
-  e.fn = std::move(fn);
-  e.state = kLive;
+  slab(slot).fn = std::move(fn);
   ++pending_;
   place(Key{t, sched, seq_++, rank, slot});
-  return (static_cast<EventId>(e.gen) << 32) | slot;
-}
-
-void EventQueue::cancel(EventId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id);
-  const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-  if (gen == 0) return;  // 0 (and any pre-handle id) was never issued
-  if ((slot >> kBucketBits) >= chunks_.size()) return;
-  Entry& e = slab(slot);
-  if (e.gen != gen || e.state != kLive) return;  // already ran, or slot reused
-  // Mark dead and destroy the payload eagerly (captures release now); the
-  // slot itself is reclaimed when its bucket drains past the key, so no
-  // bucket ever references a reused slot.
-  e.state = kDead;
-  e.fn = EventFn{};
-  --pending_;
 }
 
 // --- calendar -----------------------------------------------------------------
@@ -224,28 +201,13 @@ bool EventQueue::advance() {
   }
 }
 
-void EventQueue::prune_dead_heads() {
-  while (spos_ < sorted_.size() && slab(sorted_[spos_].slot).state == kDead) {
-    free_slot(sorted_[spos_].slot);
-    ++spos_;
-  }
-  while (!incur_.empty() && slab(incur_.front().slot).state == kDead) {
-    free_slot(incur_.front().slot);
-    std::pop_heap(incur_.begin(), incur_.end(),
-                  [](const Key& a, const Key& b) { return key_less(b, a); });
-    incur_.pop_back();
-  }
-}
-
-// The canonical head across the sealed bucket and the incursion heap,
-// reclaiming cancelled entries in its way; advances the cursor as needed.
-// Incursion entries sit in strictly earlier level-0 buckets than anything
-// still on the wheel, so comparing the two heads is a complete merge.
-// Returns null when no runnable event remains. The pointer is valid until
-// the next mutating call.
+// The canonical head across the sealed bucket and the incursion heap;
+// advances the cursor as needed. Incursion entries sit in strictly earlier
+// level-0 buckets than anything still on the wheel, so comparing the two
+// heads is a complete merge. Returns null when no event remains. The
+// pointer is valid until the next mutating call.
 const EventQueue::Key* EventQueue::peek_head() {
   for (;;) {
-    prune_dead_heads();
     const Key* s = spos_ < sorted_.size() ? &sorted_[spos_] : nullptr;
     const Key* i = incur_.empty() ? nullptr : incur_.data();
     if (s != nullptr && i != nullptr) return key_less(*s, *i) ? s : i;
@@ -274,12 +236,11 @@ bool EventQueue::take_head(Key& out) {
 bool EventQueue::run_head() {
   Key k;
   if (!take_head(k)) return false;
-  Entry& e = slab(k.slot);
   now_ = k.time;
   --pending_;
-  EventFn fn = std::move(e.fn);
-  // Reclaim before invoking: a handler cancelling its own id (or a fired
-  // id, the old cancelled_-set leak) hits a bumped generation and no-ops.
+  // Reclaim before invoking, so the handler's own schedules can reuse the
+  // slot.
+  EventFn fn = std::move(slab(k.slot).fn);
   free_slot(k.slot);
   fn();
   return true;
@@ -292,17 +253,16 @@ std::uint64_t EventQueue::run(std::uint64_t limit) {
 }
 
 SimTime EventQueue::next_event_time() {
-  if (pending_ == 0) return kNever;  // dead entries may linger; none will run
+  if (pending_ == 0) return kNever;  // skip the empty ring scan
   const Key* h = peek_head();
   return h != nullptr ? h->time : kNever;
 }
 
 std::uint64_t EventQueue::run_until(SimTime t) {
   std::uint64_t n = 0;
-  // next_event_time() reclaims cancelled heads, so a cancelled entry at time
-  // <= t can never smuggle in a live event scheduled past t. The peek may
-  // move the drain cursor past t; anything scheduled into the gap afterwards
-  // routes through the incursion heap, preserving canonical order.
+  // The peek may move the drain cursor past t; anything scheduled into the
+  // gap afterwards routes through the incursion heap, preserving canonical
+  // order.
   while (next_event_time() <= t) {
     run_head();
     ++n;

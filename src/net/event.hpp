@@ -11,11 +11,11 @@
 // Implementation (DESIGN.md §6h): a deterministic hierarchical calendar
 // queue. Entries live in a pooled slab (chunks tagged mem::AllocTag::kEvent)
 // and are ordered through 32-byte sort keys only — the payload (a SmallFn
-// capture) never moves during ordering. Scheduling and cancelling are O(1);
-// cancel is a generation-checked handle invalidation, so there is no
-// cancelled-id side table to leak or to rehash on the hot path. Buckets
-// drain in canonical (time, sched, rank, seq) order, byte-identical to the
-// previous binary-heap implementation.
+// capture) never moves during ordering. Scheduling is O(1), and every
+// scheduled event runs: an owner that re-arms or abandons a timer supersedes
+// it itself, through state the callback checks, and a superseded event runs
+// as a no-op. Buckets drain in canonical (time, sched, rank, seq) order,
+// byte-identical to the previous binary-heap implementation.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +26,6 @@
 #include "net/time.hpp"
 
 namespace asp::net {
-
-/// Identifies a scheduled event so it can be cancelled. Packed handle:
-/// (generation << 32) | slab slot. Generations start at 1 and bump when a
-/// slot is reclaimed, so 0 is never a valid id and a stale handle (the event
-/// already ran, or its slot was reused) cancels nothing.
-using EventId = std::uint64_t;
 
 /// Event callback type: move-only, with a 64-byte inline capture buffer (see
 /// mem/smallfn.hpp). Callbacks on the packet path must fit inline — see the
@@ -51,7 +45,7 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules `fn` to run at absolute time `t` (>= now()).
-  EventId schedule_at(SimTime t, EventFn fn);
+  void schedule_at(SimTime t, EventFn fn);
 
   /// Schedules `fn` at time `t` with an explicit tie-break key: `sched` is
   /// the sender's clock at transmit time and `rank` its topology index.
@@ -62,19 +56,12 @@ class EventQueue {
   /// (cross-shard) — the determinism contract's canonical order (DESIGN.md
   /// §6f). schedule_at() is the special case (sched = now(), rank =
   /// UINT32_MAX).
-  EventId schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank, EventFn fn);
+  void schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank, EventFn fn);
 
   /// Schedules `fn` to run `delay` after the current time.
-  EventId schedule_in(SimTime delay, EventFn fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  void schedule_in(SimTime delay, EventFn fn) {
+    schedule_at(now_ + delay, std::move(fn));
   }
-
-  /// Cancels a pending event in O(1): the handle's generation is checked
-  /// against the slot, the callback's captures are destroyed eagerly, and
-  /// the slot is reclaimed when its bucket drains. Cancelling an already-run,
-  /// stale, or unknown id (including 0) is a no-op — a handle can never hit
-  /// an event other than the one it was issued for.
-  void cancel(EventId id);
 
   /// Runs events until the queue is empty or `limit` events have run.
   /// Returns the number of events executed.
@@ -86,18 +73,16 @@ class EventQueue {
   /// Current simulated time.
   SimTime now() const { return now_; }
 
-  /// True if no runnable events remain.
+  /// True if no events remain.
   bool empty() const { return pending_ == 0; }
 
-  /// Number of pending (non-cancelled) events. Exact: cancelling an
-  /// already-run id no longer skews the count (it is a pure no-op).
+  /// Number of scheduled, not-yet-run events.
   std::size_t pending() const { return pending_; }
 
-  /// Sentinel returned by next_event_time() when no runnable event remains.
+  /// Sentinel returned by next_event_time() when no event remains.
   static constexpr SimTime kNever = ~SimTime{0};
 
-  /// Timestamp of the earliest runnable (non-cancelled) event, or kNever.
-  /// Lazily reclaims cancelled entries at the head. The parallel executor's
+  /// Timestamp of the earliest event, or kNever. The parallel executor's
   /// coordinator reads this at window barriers to size the next safe window.
   SimTime next_event_time();
 
@@ -129,11 +114,8 @@ class EventQueue {
   // entry is written once at schedule and read once at drain.
   struct Entry {
     EventFn fn;
-    std::uint32_t gen = 1;        // bumps on reclaim; 0 is never issued
-    std::uint32_t next_free = 0;  // freelist link while FREE
-    std::uint8_t state = 0;       // kFree / kLive / kDead
+    std::uint32_t next_free = 0;  // freelist link while free
   };
-  enum : std::uint8_t { kFree = 0, kLive = 1, kDead = 2 };
 
   // The 32-byte sort key — the only thing the calendar moves, sorts, or
   // heapifies. `seq` is the per-queue schedule sequence number: it plays
@@ -171,15 +153,13 @@ class EventQueue {
   // --- calendar ---------------------------------------------------------------
   void place(const Key& k);
   bool advance();                 // move cur_b_ to the next occupied bucket
-  bool take_head(Key& out);       // consume the canonical head (skips dead)
+  bool take_head(Key& out);       // consume the canonical head
   const Key* peek_head();         // canonical head without consuming, or null
-  void prune_dead_heads();
   bool run_head();                // runs the canonical head; false if none
 
   SimTime now_ = 0;
   std::uint64_t seq_ = 1;         // canonical FIFO tie-break (old next_id_)
-  std::size_t pending_ = 0;       // live (non-cancelled, not-yet-run) entries
-  std::size_t occupied_ = 0;      // live + cancelled-but-undrained slots
+  std::size_t pending_ = 0;       // scheduled, not-yet-run entries
 
   // Drain cursor: absolute level-0 bucket number currently sealed. Entries
   // landing at or before it go to the incursion heap.

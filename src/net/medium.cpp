@@ -19,12 +19,6 @@ void Interface::transmit(const Packet& p) {
   medium_->transmit(*this, packet_boxes().box(p));
 }
 
-void Interface::note_tx(std::size_t bytes) {
-  tx_bytes_ += bytes;
-  ++tx_packets_;
-  if (node_ != nullptr) node_->note_tx_metrics(bytes);
-}
-
 Medium::Medium(EventQueue& events, std::string name, double bits_per_sec,
                SimTime delay, std::uint64_t queue_capacity_bytes)
     : events_(&events),
@@ -143,7 +137,7 @@ void PointToPointLink::transmit(Interface& from, PacketBox p) {
     return;
   }
   busy_until_[dir] = start + serialize;
-  from.note_tx(bytes);
+  from.node()->note_tx(bytes);
   if (dir_meter_[dir]) dir_meter_[dir]->record(now, bytes);
   // A lost frame still occupied the wire and counted toward the tx meters:
   // the sender offered the load whether or not it arrived.
@@ -191,7 +185,7 @@ void EthernetSegment::transmit(Interface& from, PacketBox p) {
     return;
   }
   busy_until_ = start + serialize;
-  from.note_tx(bytes);
+  from.node()->note_tx(bytes);
   meter_.record(now, bytes);
   FramePlan plan = plan_frame();
   if (plan.lost) {

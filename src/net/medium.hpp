@@ -34,8 +34,7 @@ class Node;
 class Medium;
 
 /// A network interface: the attachment point between a Node and a Medium.
-/// Shard-confined to its node's shard (tx accounting is written only from
-/// the owning node's transmits).
+/// Shard-confined to its node's shard.
 class Interface {
  public:
   Interface(Node* node, int index) : node_(node), index_(index) {}
@@ -66,11 +65,6 @@ class Interface {
   void transmit(Packet&& p);
   void transmit(const Packet& p);
 
-  /// Egress accounting (bytes handed to the medium, pre-drop).
-  std::uint64_t tx_bytes() const { return tx_bytes_; }
-  std::uint64_t tx_packets() const { return tx_packets_; }
-  void note_tx(std::size_t bytes);  // defined in medium.cpp (needs Node)
-
   /// Attachment slot on the owning medium (set by the medium at attach time).
   /// Stable across interface relocation, so in-flight frames name their
   /// sender by slot rather than by Interface* (see Medium::repoint).
@@ -85,8 +79,6 @@ class Interface {
   Ipv4Addr addr_;
   bool promiscuous_ = false;
   bool gateway_ = false;
-  std::uint64_t tx_bytes_ = 0;
-  std::uint64_t tx_packets_ = 0;
 };
 
 /// Base class for transmission media.

@@ -122,8 +122,6 @@ bool Node::owns(Ipv4Addr a) const {
 Ipv4Addr Node::addr() const { return ifaces_.empty() ? Ipv4Addr{} : ifaces_[0].addr(); }
 
 void Node::receive(PacketBox p, Interface& in) {
-  ++rx_packets_;
-  rx_bytes_ += p->wire_size();
   m_rx_packets_->inc();
   m_rx_bytes_->inc(p->wire_size());
   for (const RxTap& tap : rx_taps_) tap(*p, in);
@@ -206,7 +204,6 @@ void Node::send_ip(Packet p) {
 }
 
 void Node::deliver_local(const Packet& p) {
-  ++delivered_packets_;
   m_delivered_->inc();
   if (p.ip.proto == IpProto::kUdp && p.udp) {
     if (UdpSocket* sock = udp_lookup(p.udp->dport)) {

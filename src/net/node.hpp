@@ -200,9 +200,6 @@ class Node {
   void deliver_local(const Packet& p);
 
   // --- statistics -----------------------------------------------------------
-  std::uint64_t rx_packets() const { return rx_packets_; }
-  std::uint64_t rx_bytes() const { return rx_bytes_; }
-  std::uint64_t delivered_packets() const { return delivered_packets_; }
   std::uint64_t dropped_no_route() const { return dropped_no_route_; }
   std::uint64_t dropped_ttl() const { return dropped_ttl_; }
   std::uint64_t dropped_no_listener() const { return dropped_no_listener_; }
@@ -210,9 +207,10 @@ class Node {
   /// Fresh packet id (node-scoped uniqueness is enough for tracing).
   std::uint64_t next_packet_id() { return ++packet_seq_; }
 
-  /// Egress accounting hook (called by Interface::note_tx): mirrors transmit
-  /// volume into the global metrics registry.
-  void note_tx_metrics(std::size_t bytes) {
+  /// Egress accounting hook, called by a medium for each frame it accepts
+  /// from one of this node's interfaces (bytes handed to the medium,
+  /// pre-drop).
+  void note_tx(std::size_t bytes) {
     m_tx_packets_->inc();
     m_tx_bytes_->inc(bytes);
   }
@@ -247,8 +245,8 @@ class Node {
   std::vector<std::pair<std::uint16_t, UdpSocket*>> udp_ports_;  // sorted by port
   std::unique_ptr<TcpStack> tcp_;
 
-  // Cached instruments in the global registry (node/<name>/net/...). The
-  // scalar accessors above stay per-instance; these accumulate process-wide.
+  // Cached instruments in the global registry (node/<name>/net/...), the
+  // one count of each fact; they accumulate process-wide.
   obs::Counter* m_rx_packets_ = nullptr;
   obs::Counter* m_rx_bytes_ = nullptr;
   obs::Counter* m_tx_packets_ = nullptr;
@@ -256,9 +254,6 @@ class Node {
   obs::Counter* m_delivered_ = nullptr;
   obs::Counter* m_dropped_ = nullptr;
 
-  std::uint64_t rx_packets_ = 0;
-  std::uint64_t rx_bytes_ = 0;
-  std::uint64_t delivered_packets_ = 0;
   std::uint64_t dropped_no_route_ = 0;
   std::uint64_t dropped_ttl_ = 0;
   std::uint64_t dropped_no_listener_ = 0;

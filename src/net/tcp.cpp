@@ -107,11 +107,15 @@ void TcpConnection::pump() {
 void TcpConnection::arm_timer() {
   if (timer_armed_) return;
   timer_armed_ = true;
-  auto self = shared_from_this();
-  rto_timer_ = stack_.node().events().schedule_in(rto_, [self]() {
-    self->timer_armed_ = false;
-    self->on_timeout();
-  });
+  // A weak capture: a closed connection is released when its last owner
+  // drops it, not when its superseded RTO finally runs.
+  stack_.node().events().schedule_in(
+      rto_, [weak = weak_from_this(), gen = timer_gen_]() {
+        std::shared_ptr<TcpConnection> self = weak.lock();
+        if (self == nullptr || self->timer_gen_ != gen) return;
+        self->timer_armed_ = false;
+        self->on_timeout();
+      });
 }
 
 void TcpConnection::on_timeout() {
@@ -250,10 +254,8 @@ void TcpConnection::handle(const Packet& p) {
 void TcpConnection::finish(bool notify) {
   if (state_ == State::kClosed) return;
   state_ = State::kClosed;
-  if (timer_armed_) {
-    stack_.node().events().cancel(rto_timer_);
-    timer_armed_ = false;
-  }
+  ++timer_gen_;  // supersede an armed RTO
+  timer_armed_ = false;
   auto self = shared_from_this();  // keep alive through callbacks
   stack_.drop(*this);
   // Clear the handlers: they commonly capture shared_ptrs back to this very

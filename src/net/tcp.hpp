@@ -109,7 +109,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint32_t cwnd_ = 2 * kMss;
   std::uint32_t ssthresh_ = kMaxWnd;
 
-  EventId rto_timer_ = 0;
+  // At most one RTO event is armed. finish() bumps timer_gen_, so an armed
+  // RTO that outlives the connection's life runs as a no-op.
+  std::uint64_t timer_gen_ = 0;
   bool timer_armed_ = false;
   SimTime rto_ = millis(200);
   int consecutive_timeouts_ = 0;

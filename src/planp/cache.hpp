@@ -80,9 +80,13 @@ class CacheStore {
   /// verifier assumes honest).
   static constexpr std::size_t kMaxEntries = 1 << 20;
 
-  // --- cache-key hashing (FNV-1a, same constants as the topology digest) ----
+  // --- cache-key hashing ------------------------------------------------------
+  /// FNV-1a 64 offset basis: the hash of no bytes.
+  static constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+  /// FNV-1a 64 of `len` bytes, continuing from `seed`. The project's one
+  /// copy: the DEPLOY/1 checksum and the topology digest use it too.
   static std::uint64_t fnv1a(const void* bytes, std::size_t len,
-                             std::uint64_t seed = 14695981039346656037ull);
+                             std::uint64_t seed = kFnvBasis);
   /// Key for a textual HTTP request line: method + host + path.
   static std::uint64_t key_of(const std::string& method, std::uint32_t host_bits,
                               const std::string& path);

@@ -158,8 +158,8 @@ class JitEngine : public Engine {
 
   /// Per-call-depth execution frames (locals/stack/args) on a shared arena:
   /// warm vectors reused packet after packet, no per-call allocation (part of
-  /// what run-time specialization buys the paper). The arena exports
-  /// mem/jit_frames/* pool metrics and supports poison scribbling.
+  /// what run-time specialization buys the paper). The arena supports poison
+  /// scribbling.
   using Buffers = mem::FrameArena<Value>::Frame;
 
   /// An active `try`: where its handler starts and the operand-stack depth

@@ -5,18 +5,14 @@
 #include <sstream>
 
 #include "net/node.hpp"
+#include "planp/cache.hpp"
 
 namespace asp::runtime {
 
 using asp::net::TcpConnection;
 
 std::uint64_t deploy_checksum(std::string_view body) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis
-  for (unsigned char c : body) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
+  return planp::CacheStore::fnv1a(body.data(), body.size());
 }
 
 namespace {

@@ -1,5 +1,8 @@
 #include "scenario/scn.hpp"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -15,25 +18,50 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-bool to_int(const std::string& v, int& out) {
+// The number readers accept a whole value inside its range or nothing: a
+// value out of range is an error, never a wrapped, truncated or (for a
+// double converted to SimTime) undefined conversion.
+
+// An integer in [lo, INT_MAX].
+bool to_int(const std::string& v, int& out, int lo) {
   char* end = nullptr;
-  long x = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') return false;
+  errno = 0;
+  const long x = std::strtol(v.c_str(), &end, 10);
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE) return false;
+  if (x < lo || x > INT_MAX) return false;
   out = static_cast<int>(x);
   return true;
 }
 
+// An unsigned integer; strtoull would wrap a negative one.
 bool to_u64(const std::string& v, std::uint64_t& out) {
+  if (v.find('-') != std::string::npos) return false;
   char* end = nullptr;
+  errno = 0;
   out = std::strtoull(v.c_str(), &end, 10);
-  return end != v.c_str() && *end == '\0';
+  return end != v.c_str() && *end == '\0' && errno != ERANGE;
 }
 
-bool to_double(const std::string& v, double& out) {
+// A finite number in [lo, hi].
+bool to_double(const std::string& v, double& out, double lo, double hi = HUGE_VAL) {
   char* end = nullptr;
-  out = std::strtod(v.c_str(), &end);
-  return end != v.c_str() && *end == '\0';
+  const double x = std::strtod(v.c_str(), &end);
+  if (end == v.c_str() || *end != '\0' || !std::isfinite(x)) return false;
+  if (x < lo || x > hi) return false;
+  out = x;
+  return true;
 }
+
+// A non-negative duration of `ns_per_unit` ns per unit that fits SimTime.
+bool to_time(const std::string& v, double ns_per_unit, net::SimTime& out) {
+  double d;
+  if (!to_double(v, d, 0) || d * ns_per_unit >= 0x1p64) return false;
+  out = static_cast<net::SimTime>(d * ns_per_unit);
+  return true;
+}
+
+const char* const kNotARate = ": not a number in [0, 1]";
+const char* const kNotADuration = ": not a duration >= 0 below 2^64 ns";
 
 struct Ctx {
   ScenarioConfig* cfg;
@@ -47,71 +75,64 @@ struct Ctx {
 
 bool apply_topology(Ctx& c, const std::string& k, const std::string& v) {
   TopologyParams& t = c.cfg->topology;
-  double d;
   if (k == "kind") {
     t.kind = v;
     return true;
   }
-  if (k == "k") return to_int(v, t.k) || c.fail("k: not an integer");
-  if (k == "hosts_per_edge")
-    return to_int(v, t.hosts_per_edge) || c.fail("hosts_per_edge: not an integer");
-  if (k == "t1_count") return to_int(v, t.t1_count) || c.fail("t1_count: not an integer");
-  if (k == "t2_per_t1") return to_int(v, t.t2_per_t1) || c.fail("t2_per_t1: not an integer");
-  if (k == "stubs_per_t2")
-    return to_int(v, t.stubs_per_t2) || c.fail("stubs_per_t2: not an integer");
-  if (k == "hosts_per_stub")
-    return to_int(v, t.hosts_per_stub) || c.fail("hosts_per_stub: not an integer");
-  if (k == "metros") return to_int(v, t.metros) || c.fail("metros: not an integer");
-  if (k == "aggs_per_metro")
-    return to_int(v, t.aggs_per_metro) || c.fail("aggs_per_metro: not an integer");
-  if (k == "lans_per_agg")
-    return to_int(v, t.lans_per_agg) || c.fail("lans_per_agg: not an integer");
-  if (k == "hosts_per_lan")
-    return to_int(v, t.hosts_per_lan) || c.fail("hosts_per_lan: not an integer");
-  if (k == "seed") return to_u64(v, t.seed) || c.fail("seed: not an integer");
-  if (k == "host_bps") return to_double(v, t.host_bps) || c.fail("host_bps: not a number");
-  if (k == "edge_bps") return to_double(v, t.edge_bps) || c.fail("edge_bps: not a number");
-  if (k == "agg_bps") return to_double(v, t.agg_bps) || c.fail("agg_bps: not a number");
-  if (k == "core_bps") return to_double(v, t.core_bps) || c.fail("core_bps: not a number");
-  if (k == "access_delay_us") {
-    if (!to_double(v, d)) return c.fail("access_delay_us: not a number");
-    t.access_delay = net::micros(d);
-    return true;
+  // Counts: the generator checks each kind's own limits (k even, ...).
+  static const std::pair<const char*, int TopologyParams::*> kCounts[] = {
+      {"k", &TopologyParams::k},
+      {"hosts_per_edge", &TopologyParams::hosts_per_edge},
+      {"t1_count", &TopologyParams::t1_count},
+      {"t2_per_t1", &TopologyParams::t2_per_t1},
+      {"stubs_per_t2", &TopologyParams::stubs_per_t2},
+      {"hosts_per_stub", &TopologyParams::hosts_per_stub},
+      {"metros", &TopologyParams::metros},
+      {"aggs_per_metro", &TopologyParams::aggs_per_metro},
+      {"lans_per_agg", &TopologyParams::lans_per_agg},
+      {"hosts_per_lan", &TopologyParams::hosts_per_lan},
+  };
+  for (const auto& [name, field] : kCounts) {
+    if (k == name) return to_int(v, t.*field, 0) || c.fail(k + ": not an integer >= 0");
   }
-  if (k == "fabric_delay_us") {
-    if (!to_double(v, d)) return c.fail("fabric_delay_us: not a number");
-    t.fabric_delay = net::micros(d);
-    return true;
+  // Link rates: at 1 b/s or more, any frame's serialization fits SimTime.
+  static const std::pair<const char*, double TopologyParams::*> kRates[] = {
+      {"host_bps", &TopologyParams::host_bps},
+      {"edge_bps", &TopologyParams::edge_bps},
+      {"agg_bps", &TopologyParams::agg_bps},
+      {"core_bps", &TopologyParams::core_bps},
+  };
+  for (const auto& [name, field] : kRates) {
+    if (k == name) return to_double(v, t.*field, 1) || c.fail(k + ": not a number >= 1");
   }
+  if (k == "seed") return to_u64(v, t.seed) || c.fail("seed: not an unsigned integer");
+  if (k == "access_delay_us")
+    return to_time(v, 1e3, t.access_delay) || c.fail(k + kNotADuration);
+  if (k == "fabric_delay_us")
+    return to_time(v, 1e3, t.fabric_delay) || c.fail(k + kNotADuration);
   return c.fail("unknown [topology] key: " + k);
 }
 
 bool apply_impairments(Ctx& c, const std::string& k, const std::string& v) {
   ImpairmentConfig& i = c.cfg->impairments;
-  double d;
   if (k == "scope") {
     if (v != "access" && v != "fabric" && v != "all" && v != "none")
       return c.fail("scope must be access|fabric|all|none");
     i.scope = v;
     return true;
   }
-  if (k == "loss_rate") return to_double(v, i.loss_rate) || c.fail("loss_rate: not a number");
+  if (k == "loss_rate") return to_double(v, i.loss_rate, 0, 1) || c.fail(k + kNotARate);
   if (k == "corrupt_rate")
-    return to_double(v, i.corrupt_rate) || c.fail("corrupt_rate: not a number");
+    return to_double(v, i.corrupt_rate, 0, 1) || c.fail(k + kNotARate);
   if (k == "duplicate_rate")
-    return to_double(v, i.duplicate_rate) || c.fail("duplicate_rate: not a number");
-  if (k == "jitter_us") {
-    if (!to_double(v, d)) return c.fail("jitter_us: not a number");
-    i.jitter = net::micros(d);
-    return true;
-  }
-  if (k == "seed") return to_u64(v, i.seed) || c.fail("seed: not an integer");
+    return to_double(v, i.duplicate_rate, 0, 1) || c.fail(k + kNotARate);
+  if (k == "jitter_us") return to_time(v, 1e3, i.jitter) || c.fail(k + kNotADuration);
+  if (k == "seed") return to_u64(v, i.seed) || c.fail("seed: not an unsigned integer");
   return c.fail("unknown [impairments] key: " + k);
 }
 
 bool apply_workload(Ctx& c, const std::string& k, const std::string& v) {
   WorkloadParams& w = c.cfg->workload;
-  double d;
   int n;
   if (k == "profile") {
     w.profile = v;
@@ -120,38 +141,35 @@ bool apply_workload(Ctx& c, const std::string& k, const std::string& v) {
     }
     return true;
   }
-  if (k == "users") return to_u64(v, w.users) || c.fail("users: not an integer");
+  if (k == "users") return to_u64(v, w.users) || c.fail("users: not an unsigned integer");
+  // A bundle draws mean * -ln(u) with u >= 2^-53, at most 37 means: a mean
+  // below 2^58 ns keeps every draw within SimTime.
   if (k == "think_ms")
-    return to_double(v, w.think_mean_ms) || c.fail("think_ms: not a number");
-  if (k == "timeout_ms") {
-    if (!to_double(v, d)) return c.fail("timeout_ms: not a number");
-    w.timeout = net::millis(d);
-    return true;
-  }
+    return to_double(v, w.think_mean_ms, 0, 0x1p58 / 1e6) ||
+           c.fail("think_ms: not a number in [0, 2.88e11]");
+  if (k == "timeout_ms") return to_time(v, 1e6, w.timeout) || c.fail(k + kNotADuration);
   if (k == "server_fraction")
-    return to_double(v, w.server_fraction) || c.fail("server_fraction: not a number");
-  if (k == "seed") return to_u64(v, w.seed) || c.fail("seed: not an integer");
+    return to_double(v, w.server_fraction, 0, 1) || c.fail(k + kNotARate);
+  if (k == "seed") return to_u64(v, w.seed) || c.fail("seed: not an unsigned integer");
   if (k == "request_bytes") {
-    if (!to_int(v, n) || n < 0) return c.fail("request_bytes: not an integer");
+    if (!to_int(v, n, 0)) return c.fail("request_bytes: not an integer >= 0");
     w.request_bytes = static_cast<std::uint32_t>(n);
     return true;
   }
   if (k == "frames_per_response") {
-    if (!to_int(v, n) || n < 1) return c.fail("frames_per_response: bad value");
+    if (!to_int(v, n, 1)) return c.fail("frames_per_response: not an integer >= 1");
     w.frames_per_response = static_cast<std::uint32_t>(n);
     return true;
   }
   if (k == "frame_bytes") {
-    if (!to_int(v, n) || n < 1) return c.fail("frame_bytes: bad value");
+    if (!to_int(v, n, 1)) return c.fail("frame_bytes: not an integer >= 1");
     w.frame_bytes = static_cast<std::uint32_t>(n);
     return true;
   }
-  if (k == "objects") return to_u64(v, w.objects) || c.fail("objects: not an integer");
-  if (k == "zipf_skew") {
-    if (!to_double(v, d) || d < 0) return c.fail("zipf_skew: bad value");
-    w.zipf_skew = d;
-    return true;
-  }
+  if (k == "objects")
+    return to_u64(v, w.objects) || c.fail("objects: not an unsigned integer");
+  if (k == "zipf_skew")
+    return to_double(v, w.zipf_skew, 0) || c.fail("zipf_skew: not a number >= 0");
   return c.fail("unknown [workload] key: " + k);
 }
 
@@ -169,12 +187,12 @@ bool apply_asp(Ctx& c, const std::string& k, const std::string& v) {
     return true;
   }
   if (k == "cache_entries") {
-    if (!to_int(v, n) || n < 1) return c.fail("cache_entries: bad value");
+    if (!to_int(v, n, 1)) return c.fail("cache_entries: not an integer >= 1");
     c.cfg->cache_entries = n;
     return true;
   }
   if (k == "cache_ttl_ms") {
-    if (!to_int(v, n) || n < 0) return c.fail("cache_ttl_ms: bad value");
+    if (!to_int(v, n, 0)) return c.fail("cache_ttl_ms: not an integer >= 0");
     c.cfg->cache_ttl_ms = n;
     return true;
   }
@@ -183,13 +201,10 @@ bool apply_asp(Ctx& c, const std::string& k, const std::string& v) {
 
 bool apply_run(Ctx& c, const std::string& k, const std::string& v) {
   RunConfig& r = c.cfg->run;
-  double d;
-  if (k == "shards") return to_int(v, r.shards) || c.fail("shards: not an integer");
-  if (k == "duration_ms") {
-    if (!to_double(v, d)) return c.fail("duration_ms: not a number");
-    r.duration = net::millis(d);
-    return true;
-  }
+  if (k == "shards")
+    return to_int(v, r.shards, 1) || c.fail("shards: not an integer >= 1");
+  if (k == "duration_ms")
+    return to_time(v, 1e6, r.duration) || c.fail(k + kNotADuration);
   return c.fail("unknown [run] key: " + k);
 }
 

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "planp/cache.hpp"
+
 namespace asp::scenario {
 
 namespace {
@@ -395,18 +397,14 @@ BuiltTopology build_topology(Network& net, const TopologyParams& p) {
 }
 
 std::uint64_t topology_digest(const net::Network& net) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ull;
-    }
+  std::uint64_t h = planp::CacheStore::kFnvBasis;
+  auto mix = [&h](std::uint64_t v) {  // little-endian bytes, on any host
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (i * 8));
+    h = planp::CacheStore::fnv1a(b, sizeof b, h);
   };
   auto mix_str = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
+    h = planp::CacheStore::fnv1a(s.data(), s.size(), h);
   };
   mix(net.nodes().size());
   for (const auto& n : net.nodes()) {

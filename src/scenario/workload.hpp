@@ -11,8 +11,8 @@
 // When n changes (a request leaves, a response or timeout returns a user to
 // thinking), the timer is resampled; the exponential's memorylessness makes
 // that statistically equivalent to keeping per-user timers. One generation
-// counter invalidates superseded timer events (the queue has no cheap
-// cancel for plain closures).
+// counter invalidates superseded timer events, which then run as no-ops (the
+// queue has no cancellation: owners supersede their own timers).
 //
 // Traffic is ASP-shaped: a request is one small UDP datagram to a server
 // drawn deterministically from the bundle's xorshift64 stream; the server

@@ -1,9 +1,6 @@
-// Calendar-queue internals (DESIGN.md §6h): generation-checked handle
-// cancellation (the cancelled-set accounting leak regression, stale-handle
-// safety across slot reuse) and canonical ordering across the wheel levels,
-// the far band and the incursion heap.
+// Calendar-queue internals (DESIGN.md §6h): canonical ordering across the
+// wheel levels, the far band and the incursion heap.
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -14,78 +11,6 @@
 
 namespace asp::net {
 namespace {
-
-// Regression for the cancelled-id leak: the old implementation kept every
-// cancel() of an already-run id in `cancelled_` forever, permanently skewing
-// pending()/empty() (computed as queue size minus cancelled size). The
-// tcp.cpp pattern — fire, then finish() cancels the stale rto_timer_ id —
-// hit this on every connection teardown.
-TEST(EventCalendar, CancelAfterFireKeepsAccountingExact) {
-  EventQueue q;
-  EventId rto = q.schedule_at(10, [] {});
-  q.run();
-  EXPECT_TRUE(q.empty());
-  q.cancel(rto);  // already ran: must be a pure no-op
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pending(), 0u);
-  bool ran = false;
-  q.schedule_at(20, [&] { ran = true; });
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_FALSE(q.empty());
-  EXPECT_EQ(q.run(), 1u);
-  EXPECT_TRUE(ran);
-  EXPECT_TRUE(q.empty()) << "cancel of a fired id must not skew empty()";
-}
-
-// A stale handle must never hit the event that reused its slot: the
-// generation half of the id changes when the slot is reclaimed.
-TEST(EventCalendar, StaleHandleCannotCancelReusedSlot) {
-  EventQueue q;
-  EventId a = q.schedule_at(10, [] {});
-  q.run();
-  bool b_ran = false;
-  EventId b = q.schedule_at(20, [&] { b_ran = true; });
-  EXPECT_EQ(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b))
-      << "test premise: b reuses a's slab slot";
-  EXPECT_NE(a, b) << "generations must differ";
-  q.cancel(a);  // stale: must not touch b
-  q.run();
-  EXPECT_TRUE(b_ran);
-}
-
-TEST(EventCalendar, DoubleCancelIsIdempotent) {
-  EventQueue q;
-  bool other = false;
-  EventId a = q.schedule_at(10, [] {});
-  q.schedule_at(20, [&] { other = true; });
-  q.cancel(a);
-  q.cancel(a);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.run(), 1u);
-  EXPECT_TRUE(other);
-}
-
-TEST(EventCalendar, HandlerCancellingOwnIdIsNoop) {
-  EventQueue q;
-  EventId self = 0;
-  bool later = false;
-  self = q.schedule_at(10, [&] { q.cancel(self); });
-  q.schedule_at(20, [&] { later = true; });
-  q.run();
-  EXPECT_TRUE(later);
-  EXPECT_TRUE(q.empty());
-}
-
-// cancel() destroys the callback's captures eagerly — a cancelled RTO timer
-// must not pin its connection state until the dead entry drains.
-TEST(EventCalendar, CancelReleasesCapturesEagerly) {
-  EventQueue q;
-  auto token = std::make_shared<int>(7);
-  EventId id = q.schedule_at(1'000'000, [token] { (void)*token; });
-  EXPECT_EQ(token.use_count(), 2);
-  q.cancel(id);
-  EXPECT_EQ(token.use_count(), 1) << "capture must be destroyed at cancel";
-}
 
 // Drain order across very spread-out timestamps (every wheel level, the far
 // band past the level-3 horizon, and the cascades between them) must be the

@@ -37,25 +37,6 @@ TEST(EventQueue, ScheduleInUsesCurrentTime) {
   EXPECT_EQ(seen, 75u);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  EventId id = q.schedule_at(10, [&] { ran = true; });
-  q.cancel(id);
-  q.run();
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop) {
-  EventQueue q;
-  q.cancel(12345);
-  bool ran = false;
-  q.schedule_at(1, [&] { ran = true; });
-  q.run();
-  EXPECT_TRUE(ran);
-}
-
 TEST(EventQueue, RunUntilStopsAtBoundaryAndAdvancesClock) {
   EventQueue q;
   std::vector<SimTime> fired;
@@ -91,15 +72,6 @@ TEST(EventQueue, RunLimitStopsEarly) {
   EXPECT_EQ(q.pending(), 7u);
 }
 
-TEST(EventQueue, PendingCountsOutCancelled) {
-  EventQueue q;
-  EventId a = q.schedule_at(10, [] {});
-  q.schedule_at(20, [] {});
-  q.cancel(a);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_FALSE(q.empty());
-}
-
 TEST(SimTimeHelpers, Conversions) {
   EXPECT_EQ(seconds(1.5), 1'500'000'000u);
   EXPECT_EQ(millis(2), 2'000'000u);
@@ -114,32 +86,23 @@ TEST(SimTimeHelpers, TxTimeMatchesLinkRate) {
   EXPECT_EQ(tx_time(1, 8.0), kNsPerSec);
 }
 
-
-TEST(EventQueue, NextEventTimeSkipsCancelledHead) {
-  EventQueue q;
-  EventId dead = q.schedule_at(10, [] {});
-  q.schedule_at(20, [] {});
-  q.cancel(dead);
-  EXPECT_EQ(q.next_event_time(), 20u);
-  q.run();
-  EXPECT_EQ(q.next_event_time(), EventQueue::kNever);
-}
-
-// Regression: run_until(t) used to look only at the raw heap head, so a
-// cancelled entry at the head with time <= t let it run a live event
-// scheduled PAST t. The parallel executor's window math relies on the bound
-// being exact.
+// run_until(t) runs every event at or before t and none after it, even when
+// an earlier event leaves the head past t. The parallel executor's window
+// math relies on the bound being exact.
 TEST(EventQueue, RunUntilNeverRunsPastTheBound) {
   EventQueue q;
+  int fired_early = 0;
   int fired_late = 0;
-  EventId dead = q.schedule_at(10, [] {});
+  q.schedule_at(10, [&] { ++fired_early; });
   q.schedule_at(100, [&] { ++fired_late; });
-  q.cancel(dead);
-  q.run_until(50);
+  EXPECT_EQ(q.run_until(50), 1u);
+  EXPECT_EQ(fired_early, 1);
   EXPECT_EQ(fired_late, 0) << "event at t=100 must not run in run_until(50)";
   EXPECT_EQ(q.now(), 50u);
+  EXPECT_EQ(q.next_event_time(), 100u);
   q.run_until(100);
   EXPECT_EQ(fired_late, 1);
+  EXPECT_EQ(q.next_event_time(), EventQueue::kNever);
 }
 
 // The canonical delivery tie-break: at one timestamp, events run by schedule

@@ -59,6 +59,35 @@ TEST(TcpEdge, AbortDropsStateImmediately) {
   EXPECT_EQ(c->state(), TcpConnection::State::kClosed);
 }
 
+// Closing a connection supersedes its armed RTO rather than removing it from
+// the queue. The timer holds the connection weakly, so the connection is
+// released as soon as the app drops its handle, and the stale RTO later runs
+// as a no-op.
+TEST(TcpEdge, AbortWithArmedTimerReleasesTheConnection) {
+  Pair p;
+  int at_b = 0;  // b swallows every frame, so the SYN is never answered
+  p.b->set_ip_hook([&at_b](Packet&, Interface&) {
+    ++at_b;
+    return true;
+  });
+  auto c = p.a->tcp().connect(p.b->addr(), 80);
+  const std::weak_ptr<TcpConnection> weak = c;
+  p.net.run_until(millis(50));  // SYN delivered; the 200 ms RTO is armed
+  ASSERT_EQ(at_b, 1);
+  ASSERT_EQ(p.net.events().pending(), 1u) << "test premise: only the RTO is pending";
+
+  c->abort();
+  EXPECT_EQ(p.a->tcp().open_connections(), 0u);
+  EXPECT_EQ(p.net.events().pending(), 1u) << "the superseded RTO stays queued";
+  c.reset();
+  EXPECT_TRUE(weak.expired()) << "the armed RTO kept a closed connection alive";
+
+  p.net.run_until(seconds(2));  // well past the RTO and its retries
+  EXPECT_TRUE(p.net.events().empty());
+  EXPECT_EQ(at_b, 1) << "the superseded RTO retransmitted the SYN";
+  EXPECT_EQ(p.a->tcp().open_connections(), 0u);
+}
+
 TEST(TcpEdge, StopListeningRefusesNewConnections) {
   Pair p;
   int accepted = 0;

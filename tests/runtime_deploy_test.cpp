@@ -248,6 +248,15 @@ TEST(Deploy, ReplyParserHandlesAllShapes) {
   EXPECT_EQ(truncated.channels, 0);
 }
 
+// The header's checksum is the FNV-1a 64 that deploy.hpp and DESIGN §6d
+// document, so a client written from the docs agrees with the daemon. The
+// expected values are FNV-1a 64's published test vectors.
+TEST(Deploy, ChecksumIsStandardFnv1a64) {
+  EXPECT_EQ(deploy_checksum(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(deploy_checksum("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(deploy_checksum("foobar"), 0x85944171f73967e8ull);
+}
+
 TEST(Deploy, ServerMetricsReachRegistry) {
   // The daemon reports into node/<name>/deploy/*; deltas across one
   // deployment must line up with the scalar accessors.

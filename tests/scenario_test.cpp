@@ -201,6 +201,23 @@ TEST(ScnParser, RejectsBadValues) {
   EXPECT_FALSE(parse_scn("[workload]\nprofile = cbr\n", cfg, err));
   EXPECT_FALSE(parse_scn("[impairments]\nscope = sometimes\n", cfg, err));
   EXPECT_FALSE(parse_scn("[asp]\nmonitors = everywhere\n", cfg, err));
+  // A number outside its key's range is an error on its line, not a wrapped,
+  // truncated or undefined conversion.
+  const char* const kOutOfRange[] = {
+      "[topology]\nk = 4294967330\n",     // does not fit an int
+      "[workload]\nusers = -1\n",         // negative, for an unsigned key
+      "[impairments]\nloss_rate = 1.5\n",
+      "[impairments]\nloss_rate = nan\n",
+      "[impairments]\njitter_us = -1\n",  // a negative SimTime
+      "[run]\nduration_ms = 1e30\n",      // past 2^64 ns
+      "[run]\nshards = -3\n",
+      "[workload]\nthink_ms = -5\n",
+  };
+  for (const char* text : kOutOfRange) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(parse_scn(text, cfg, err));
+    EXPECT_EQ(err.rfind("line 2: ", 0), 0u) << err;
+  }
 }
 
 TEST(ScnParser, CacheProfileSetsObjectUniverse) {
