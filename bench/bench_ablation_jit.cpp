@@ -1,10 +1,10 @@
 // Ablation: what each ingredient of the run-time specializer buys.
 //
-// DESIGN.md calls out two design choices in the Tempo-analog: (i) pre-decoded
-// templates with patched constants/primitive pointers, (ii) superinstruction
-// fusion of common sequences (header projections, 1-arg primitive calls,
-// compare-against-constant). This bench isolates them:
-//   interpreter -> JIT (no fusion)   : the value of compiling to patched
+// DESIGN.md calls out two design choices in the Tempo-analog: (i) typed,
+// pre-decoded register templates with patched constants and typed primitive
+// entry points over a packet read in place, (ii) superinstruction fusion
+// (compare-and-branch, operations on an immediate). This bench isolates them:
+//   interpreter -> JIT (no fusion)   : the value of compiling to typed
 //                                      templates
 //   JIT (no fusion) -> JIT (fusion)  : the value of fusion
 #include <benchmark/benchmark.h>
@@ -26,13 +26,10 @@ struct Fixture {
   Fixture() {
     checked = planp::typecheck(planp::parse(apps::asp_source("audio_router")));
     env.load_percent = 95;
-    net::IpHeader ip;
-    ip.src = net::ip("10.0.1.1");
-    ip.dst = net::ip("224.1.1.1");
-    ip.proto = net::IpProto::kUdp;
-    packet = Value::of_tuple({Value::of_ip(ip),
-                              Value::of_udp(net::UdpHeader{5004, 5004}),
-                              Value::of_blob(std::vector<std::uint8_t>(440))});
+    // As the runtime hands it to an engine: the interpreter's row includes
+    // its decode.
+    packet = net::Packet::make_udp(net::ip("10.0.1.1"), net::ip("224.1.1.1"), 5004, 5004,
+                                   std::vector<std::uint8_t>(440));
     ps = Value::of_int(0);
     ss = Value::unit();
   }
@@ -47,7 +44,8 @@ struct Fixture {
 
   planp::NullEnv env;
   planp::CheckedProgram checked;
-  Value packet, ps, ss;
+  net::Packet packet;
+  Value ps, ss;
 };
 
 void BM_Ablation_Interp(benchmark::State& state) {

@@ -22,12 +22,10 @@ namespace {
 using namespace asp;
 using planp::Value;
 
-Value make_frame(int i) {
-  net::IpHeader h;
-  h.src = net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(1 + i % 8));
-  h.dst = net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(11 + i % 8));
-  return Value::of_tuple(
-      {Value::of_ip(h), Value::of_blob(std::vector<std::uint8_t>(256))});
+net::Packet make_frame(int i) {
+  return net::Packet::make_raw(net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(1 + i % 8)),
+                               net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(11 + i % 8)),
+                               std::vector<std::uint8_t>(256));
 }
 
 void BM_Bridge_AspJit(benchmark::State& state) {
@@ -37,7 +35,7 @@ void BM_Bridge_AspJit(benchmark::State& state) {
   planp::JitEngine engine(checked, env);
   Value ps = planp::default_value(checked.channels[0]->ps_type);
   Value ss = Value::unit();
-  std::vector<Value> frames;
+  std::vector<net::Packet> frames;
   for (int i = 0; i < 64; ++i) frames.push_back(make_frame(i));
   int i = 0;
   for (auto _ : state) {
@@ -57,7 +55,7 @@ void BM_Bridge_AspInterp(benchmark::State& state) {
   planp::Interp engine(checked, env);
   Value ps = planp::default_value(checked.channels[0]->ps_type);
   Value ss = Value::unit();
-  std::vector<Value> frames;
+  std::vector<net::Packet> frames;
   for (int i = 0; i < 64; ++i) frames.push_back(make_frame(i));
   int i = 0;
   for (auto _ : state) {

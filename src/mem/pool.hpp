@@ -586,9 +586,9 @@ class BoxPool : public NodePool<BoxPool<T>, T, false> {
 
 // --- frame arena --------------------------------------------------------------
 
-/// Depth-indexed execution frames for the PLAN-P engines: frame d serves
-/// call depth d, so the LIFO call discipline reuses the same locals / stack /
-/// args vectors (and their capacity) packet after packet instead of
+/// Depth-indexed execution frames for the PLAN-P interpreter: frame d serves
+/// call depth d, so the LIFO call discipline reuses the same locals / args
+/// vectors (and their capacity) packet after packet instead of
 /// constructing fresh std::vectors per call. Frames are held by unique_ptr,
 /// so references handed out stay stable while deeper frames are created.
 /// Engine-confined (an engine runs on one shard at a time), so no routing.
@@ -597,7 +597,6 @@ class FrameArena {
  public:
   struct Frame {
     std::vector<T> locals;
-    std::vector<T> stack;
     std::vector<T> args;
   };
 
@@ -619,8 +618,14 @@ class FrameArena {
     if (d >= frames_.size()) return;
     Frame& f = *frames_[d];
     std::fill(f.locals.begin(), f.locals.end(), sentinel);
-    std::fill(f.stack.begin(), f.stack.end(), sentinel);
     std::fill(f.args.begin(), f.args.end(), sentinel);
+  }
+
+  /// Empties frame `d`, releasing every value it held (capacity is kept).
+  void clear(std::size_t d) {
+    if (d >= frames_.size()) return;
+    frames_[d]->locals.clear();
+    frames_[d]->args.clear();
   }
 
  private:

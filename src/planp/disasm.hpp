@@ -9,7 +9,7 @@
 
 namespace asp::planp {
 
-/// One block, one template per line, e.g. "  12: JumpIfFalse  -> 27".
+/// One block, one template per line, e.g. "  12: JumpIfFalse      r3 -> 27".
 std::string disassemble(const JitBlock& block);
 
 /// Every block of the program (functions, channel bodies and initstates,

@@ -13,6 +13,10 @@ struct DepthGuard {
 }  // namespace
 
 Interp::Interp(const CheckedProgram& prog, EnvApi& env) : prog_(prog), env_(env) {
+  for (const ChannelDef* c : prog_.channels) {
+    plans_.push_back(compile_decode_plan(c->packet_type));
+  }
+  scratch_.resize(prog_.channels.size());
   globals_.reserve(prog_.globals.size());
   auto& fr = arena_.at_depth(depth_);
   DepthGuard g(depth_);
@@ -34,24 +38,39 @@ Value Interp::init_state(int chan_idx) {
 }
 
 Value Interp::run_channel(int chan_idx, const Value& ps, const Value& ss,
-                          const Value& packet) {
-  const ChannelDef& c = *prog_.channels.at(static_cast<std::size_t>(chan_idx));
+                          const asp::net::Packet& packet) {
+  const auto idx = static_cast<std::size_t>(chan_idx);
+  const ChannelDef& c = *prog_.channels.at(idx);
+  std::optional<Value> decoded = decode_packet(packet, plans_[idx], &scratch_[idx]);
+  if (!decoded) throw EvalBug{"packet does not match channel '" + c.name + "'"};
   auto& fr = arena_.at_depth(depth_);
   DepthGuard g(depth_);
   fr.locals.clear();
   fr.locals.resize(static_cast<std::size_t>(c.frame_slots));
   fr.locals[0] = ps;
   fr.locals[1] = ss;
-  fr.locals[2] = packet;
+  fr.locals[2] = std::move(*decoded);
+  // However the run ends, the frames let go of what it bound: the packet's
+  // tuple, whose fields are dropped too unless the program kept it, so the
+  // next decode refills it in place and nothing pins the payload.
+  struct Release {
+    mem::FrameArena<Value>& arena;
+    TupleRep& scratch;
+    ~Release() {
+      if (mem::poison_enabled()) {
+        // Any reference still pointing into a frame now reads the sentinel;
+        // the differential fuzz suite runs with this on to catch
+        // use-after-reuse.
+        const Value sentinel = Value::of_int(mem::kPoisonInt);
+        for (std::size_t d = 0; d < arena.depth(); ++d) arena.scribble(d, sentinel);
+      } else {
+        for (std::size_t d = 0; d < arena.depth(); ++d) arena.clear(d);
+      }
+      if (scratch.use_count() == 1) scratch->clear();
+    }
+  } release{arena_, scratch_[idx]};
   Frame f{fr.locals};
-  Value out = eval(*c.body, f);
-  if (mem::poison_enabled()) {
-    // Any reference still pointing into a frame now reads the sentinel; the
-    // differential fuzz suite runs with this on to catch use-after-reuse.
-    const Value sentinel = Value::of_int(mem::kPoisonInt);
-    for (std::size_t d = 0; d < arena_.depth(); ++d) arena_.scribble(d, sentinel);
-  }
-  return out;
+  return eval(*c.body, f);
 }
 
 Value Interp::eval_expr(const Expr& e) {
@@ -199,13 +218,13 @@ Value Interp::eval(const Expr& e, Frame& f) {
     case K::kSend: {
       switch (e.send_kind) {
         case SendKind::kOnRemote:
-          env_.on_remote(e.chan_tag, eval(*e.args[0], f));
+          env_.on_remote(e.chan_tag, encode_packet(eval(*e.args[0], f), 0));
           break;
         case SendKind::kOnNeighbor:
-          env_.on_neighbor(e.chan_tag, eval(*e.args[0], f));
+          env_.on_neighbor(e.chan_tag, encode_packet(eval(*e.args[0], f), 0));
           break;
         case SendKind::kDeliver:
-          env_.deliver(eval(*e.args[0], f));
+          env_.deliver(encode_packet(eval(*e.args[0], f), 0));
           break;
         case SendKind::kDrop:
           env_.drop();

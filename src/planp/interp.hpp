@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mem/pool.hpp"
+#include "planp/netapi.hpp"
 #include "planp/primitives.hpp"
 #include "planp/typecheck.hpp"
 #include "planp/value.hpp"
@@ -26,21 +27,20 @@ class Engine {
   virtual Value init_state(int chan_idx) = 0;
 
   /// Runs one packet through channel `chan_idx`. Returns the (ps, ss) pair.
-  /// A PLAN-P exception escaping the channel propagates as PlanPException.
+  /// `packet` must match the channel's packet type (match_packet against
+  /// its DecodePlan, which the runtime checks first). A PLAN-P exception
+  /// escaping the channel propagates as PlanPException. When the run
+  /// returns, the engine holds no reference to the packet or its payload.
   virtual Value run_channel(int chan_idx, const Value& ps, const Value& ss,
-                            const Value& packet) = 0;
-
-  /// True when channel `chan_idx`'s body can observe its packet argument.
-  /// When false the caller may pass Value{} for `packet`: the match-action
-  /// dispatcher then skips payload materialization entirely (match-only
-  /// classification, the P4 shape: parse only what the action reads).
-  virtual bool packet_used(int chan_idx) const = 0;
+                            const asp::net::Packet& packet) = 0;
 
   virtual const CheckedProgram& program() const = 0;
   virtual const char* engine_name() const = 0;
 };
 
-/// Tree-walking interpreter over the type-annotated AST.
+/// Tree-walking interpreter over the type-annotated AST: the boxed
+/// reference. It decodes each packet into a tuple of Values (decode_packet)
+/// and encodes what it sends (encode_packet).
 class Interp : public Engine {
  public:
   /// Evaluates top-level `val` definitions immediately (program load time).
@@ -48,9 +48,7 @@ class Interp : public Engine {
 
   Value init_state(int chan_idx) override;
   Value run_channel(int chan_idx, const Value& ps, const Value& ss,
-                    const Value& packet) override;
-  /// No packet-use analysis: every channel is dispatched with its packet.
-  bool packet_used(int) const override { return true; }
+                    const asp::net::Packet& packet) override;
   const CheckedProgram& program() const override { return prog_; }
   const char* engine_name() const override { return "interp"; }
 
@@ -74,6 +72,10 @@ class Interp : public Engine {
   const CheckedProgram& prog_;
   EnvApi& env_;
   std::vector<Value> globals_;
+  /// Per channel: its decode plan and the tuple storage decode_packet
+  /// refills in place while nothing else holds it.
+  std::vector<DecodePlan> plans_;
+  std::vector<TupleRep> scratch_;
   mem::FrameArena<Value> arena_;
   std::size_t depth_ = 0;
 };

@@ -1,10 +1,6 @@
-#include "runtime/netapi.hpp"
+#include "planp/netapi.hpp"
 
-namespace asp::runtime {
-
-using planp::Type;
-using planp::TypePtr;
-using planp::Value;
+namespace asp::planp {
 
 namespace {
 
@@ -23,34 +19,8 @@ std::uint32_t get32(const std::uint8_t* b) {
   return (static_cast<std::uint32_t>(get16(b)) << 16) | get16(b + 2);
 }
 
-/// Serializes the transport header in front of the payload: an `ip*blob`
-/// channel sees "everything after the IP header" as the blob, so re-emitting
-/// the blob reconstructs the whole packet (e.g. the learning bridge).
-std::vector<std::uint8_t> raw_rest(const asp::net::Packet& p) {
-  std::vector<std::uint8_t> out;
-  if (p.tcp) {
-    out.reserve(asp::net::TcpHeader::kWireSize + p.payload.size());
-    put16(out, p.tcp->sport);
-    put16(out, p.tcp->dport);
-    put32(out, p.tcp->seq);
-    put32(out, p.tcp->ack);
-    out.push_back(p.tcp->flags);
-    out.push_back(0);  // header-length/reserved placeholder
-    put16(out, p.tcp->wnd);
-    put32(out, 0);  // checksum + urgent placeholder
-  } else if (p.udp) {
-    out.reserve(asp::net::UdpHeader::kWireSize + p.payload.size());
-    put16(out, p.udp->sport);
-    put16(out, p.udp->dport);
-    put16(out, static_cast<std::uint16_t>(p.payload.size() + 8));
-    put16(out, 0);  // checksum placeholder
-  }
-  out.insert(out.end(), p.payload.begin(), p.payload.end());
-  return out;
-}
-
-/// Inverse of raw_rest: splits the transport header back out of the blob,
-/// guided by ip.proto.
+/// Inverse of serialized_payload: splits the transport header back out of
+/// the bytes, guided by ip.proto.
 void split_rest(asp::net::Packet& p, std::vector<std::uint8_t> rest) {
   if (p.ip.proto == asp::net::IpProto::kTcp &&
       rest.size() >= asp::net::TcpHeader::kWireSize) {
@@ -78,6 +48,34 @@ void split_rest(asp::net::Packet& p, std::vector<std::uint8_t> rest) {
 }
 
 }  // namespace
+
+std::vector<std::uint8_t> serialized_payload(const asp::net::Packet& p) {
+  std::vector<std::uint8_t> out;
+  if (p.tcp) {
+    out.reserve(asp::net::TcpHeader::kWireSize + p.payload.size());
+    put16(out, p.tcp->sport);
+    put16(out, p.tcp->dport);
+    put32(out, p.tcp->seq);
+    put32(out, p.tcp->ack);
+    out.push_back(p.tcp->flags);
+    out.push_back(0);  // header-length/reserved placeholder
+    put16(out, p.tcp->wnd);
+    put32(out, 0);  // checksum + urgent placeholder
+  } else if (p.udp) {
+    out.reserve(asp::net::UdpHeader::kWireSize + p.payload.size());
+    put16(out, p.udp->sport);
+    put16(out, p.udp->dport);
+    put16(out, static_cast<std::uint16_t>(p.payload.size() + 8));
+    put16(out, 0);  // checksum placeholder
+  }
+  out.insert(out.end(), p.payload.begin(), p.payload.end());
+  return out;
+}
+
+bool transport_in_payload(const asp::net::Packet& p, const DecodePlan& plan) {
+  return plan.transport == DecodePlan::Transport::kAny &&
+         (p.tcp.has_value() || p.udp.has_value());
+}
 
 DecodePlan compile_decode_plan(const TypePtr& type) {
   DecodePlan plan;
@@ -123,7 +121,6 @@ DecodePlan compile_decode_plan(const TypePtr& type) {
 
 bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
   if (!plan.valid) return false;
-  bool transport_in_blob = false;
   switch (plan.transport) {
     case DecodePlan::Transport::kTcp:
       if (p.ip.proto != asp::net::IpProto::kTcp || !p.tcp) return false;
@@ -132,9 +129,9 @@ bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
       if (p.ip.proto != asp::net::IpProto::kUdp || !p.udp) return false;
       break;
     case DecodePlan::Transport::kAny:
-      transport_in_blob = p.tcp.has_value() || p.udp.has_value();
       break;
   }
+  const bool transport_in_blob = transport_in_payload(p, plan);
   std::size_t hdr = 0;
   if (transport_in_blob) {
     hdr = p.tcp ? asp::net::TcpHeader::kWireSize : asp::net::UdpHeader::kWireSize;
@@ -150,7 +147,7 @@ bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
         if (bytes[off] > 1) return false;
       }
     } else {
-      std::vector<std::uint8_t> rest = raw_rest(p);
+      std::vector<std::uint8_t> rest = serialized_payload(p);
       for (std::uint32_t off : plan.bool_offsets) {
         if (rest[off] > 1) return false;
       }
@@ -160,9 +157,8 @@ bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
 }
 
 std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& plan,
-                                   planp::TupleRep* reuse) {
+                                   TupleRep* reuse) {
   if (!plan.valid) return std::nullopt;
-  bool transport_in_blob = false;
   switch (plan.transport) {
     case DecodePlan::Transport::kTcp:
       if (p.ip.proto != asp::net::IpProto::kTcp || !p.tcp) return std::nullopt;
@@ -171,14 +167,14 @@ std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& 
       if (p.ip.proto != asp::net::IpProto::kUdp || !p.udp) return std::nullopt;
       break;
     case DecodePlan::Transport::kAny:
-      transport_in_blob = p.tcp.has_value() || p.udp.has_value();
       break;
   }
+  const bool transport_in_blob = transport_in_payload(p, plan);
 
   // Steady-state storage reuse: when the caller's scratch tuple is uniquely
   // owned (the previous packet's decoded value has died), refill it in place;
   // otherwise fall back to pooled storage (e.g. the handler kept the tuple).
-  planp::TupleRep fields;
+  TupleRep fields;
   if (reuse != nullptr && *reuse != nullptr && reuse->use_count() == 1 &&
       (*reuse)->capacity() >= plan.arity) {
     fields = *reuse;
@@ -196,7 +192,7 @@ std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& 
   }
 
   std::vector<std::uint8_t> scratch;
-  if (transport_in_blob) scratch = raw_rest(p);
+  if (transport_in_blob) scratch = serialized_payload(p);
   const std::vector<std::uint8_t>& rest =
       transport_in_blob ? scratch : p.payload.bytes();
 
@@ -241,66 +237,143 @@ std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& 
   return Value::of_tuple_rep(std::move(fields));
 }
 
-asp::net::Packet encode_packet(const Value& v, std::uint32_t chan_tag) {
-  const auto& fields = v.as_tuple();
-  asp::net::Packet p;
-  p.ip = fields[0].as_ip();
-  p.channel_tag = chan_tag;
+PacketBuilder::PacketBuilder(const asp::net::IpHeader& ip, std::uint32_t chan_tag) {
+  p_.ip = ip;
+  p_.channel_tag = chan_tag;
+}
 
-  std::size_t i = 1;
-  if (i < fields.size()) {
-    if (const auto* tcp = std::get_if<asp::net::TcpHeader>(&fields[i].rep())) {
-      p.tcp = *tcp;
-      p.ip.proto = asp::net::IpProto::kTcp;
-      ++i;
-    } else if (const auto* udp = std::get_if<asp::net::UdpHeader>(&fields[i].rep())) {
-      p.udp = *udp;
-      p.ip.proto = asp::net::IpProto::kUdp;
-      ++i;
-    }
+void PacketBuilder::tcp(const asp::net::TcpHeader& h) {
+  p_.tcp = h;
+  p_.ip.proto = asp::net::IpProto::kTcp;
+}
+
+void PacketBuilder::udp(const asp::net::UdpHeader& h) {
+  p_.udp = h;
+  p_.ip.proto = asp::net::IpProto::kUdp;
+}
+
+void PacketBuilder::flush_blob() {
+  if (sole_blob_ != nullptr) {
+    bytes_.insert(bytes_.end(), sole_blob_->begin(), sole_blob_->end());
+    sole_blob_ = nullptr;
   }
+}
 
+void PacketBuilder::put_char(char c) {
+  flush_blob();
+  bytes_.push_back(static_cast<std::uint8_t>(c));
+  ++fields_;
+}
+
+void PacketBuilder::put_bool(bool b) {
+  flush_blob();
+  bytes_.push_back(b ? 1 : 0);
+  ++fields_;
+}
+
+void PacketBuilder::put_int(std::int64_t n) {
+  flush_blob();
+  std::uint32_t u = static_cast<std::uint32_t>(n);
+  put32(bytes_, u);
+  ++fields_;
+}
+
+void PacketBuilder::put_blob(const Blob& b) {
+  flush_blob();
+  if (fields_ == 0) {
+    sole_blob_ = b;
+  } else {
+    bytes_.insert(bytes_.end(), b->begin(), b->end());
+  }
+  ++fields_;
+}
+
+asp::net::Packet PacketBuilder::finish() {
   // Header-only values (ip*blob and friends) carry the transport header at
   // the front of the bytes; it must be split back out so the packet stays
   // whole.
   const bool needs_split =
-      !p.tcp && !p.udp && p.ip.proto != asp::net::IpProto::kRaw;
-
+      !p_.tcp && !p_.udp && p_.ip.proto != asp::net::IpProto::kRaw;
   // Fast path: the whole payload is one blob and needs no splitting — alias
   // the blob's buffer instead of copying it (the common re-emission shape:
   // OnRemote(chan, (hdr..., #n p)) forwards the arriving bytes untouched).
-  if (i + 1 == fields.size() && !needs_split) {
-    if (const auto* blob = std::get_if<planp::Blob>(&fields[i].rep())) {
-      p.payload = asp::net::Payload(*blob);
-      return p;
+  if (sole_blob_ != nullptr && !needs_split) {
+    p_.payload = asp::net::Payload(std::move(sole_blob_));
+    return std::move(p_);
+  }
+  flush_blob();
+  if (needs_split) {
+    split_rest(p_, std::move(bytes_));
+  } else {
+    p_.payload = std::move(bytes_);
+  }
+  return std::move(p_);
+}
+
+asp::net::Packet encode_packet(const Value& v, std::uint32_t chan_tag) {
+  const auto& fields = v.as_tuple();
+  PacketBuilder b(fields[0].as_ip(), chan_tag);
+  std::size_t i = 1;
+  if (i < fields.size()) {
+    if (const auto* tcp = std::get_if<asp::net::TcpHeader>(&fields[i].rep())) {
+      b.tcp(*tcp);
+      ++i;
+    } else if (const auto* udp = std::get_if<asp::net::UdpHeader>(&fields[i].rep())) {
+      b.udp(*udp);
+      ++i;
     }
   }
-
-  std::vector<std::uint8_t> out;
   for (; i < fields.size(); ++i) {
     const auto& rep = fields[i].rep();
     if (const auto* c = std::get_if<char>(&rep)) {
-      out.push_back(static_cast<std::uint8_t>(*c));
-    } else if (const auto* b = std::get_if<bool>(&rep)) {
-      out.push_back(*b ? 1 : 0);
+      b.put_char(*c);
+    } else if (const auto* f = std::get_if<bool>(&rep)) {
+      b.put_bool(*f);
     } else if (const auto* n = std::get_if<std::int64_t>(&rep)) {
-      std::uint32_t u = static_cast<std::uint32_t>(*n);
-      out.push_back(static_cast<std::uint8_t>(u >> 24));
-      out.push_back(static_cast<std::uint8_t>(u >> 16));
-      out.push_back(static_cast<std::uint8_t>(u >> 8));
-      out.push_back(static_cast<std::uint8_t>(u));
-    } else if (const auto* blob = std::get_if<planp::Blob>(&rep)) {
-      out.insert(out.end(), (*blob)->begin(), (*blob)->end());
+      b.put_int(*n);
+    } else if (const auto* blob = std::get_if<Blob>(&rep)) {
+      b.put_blob(*blob);
     } else {
-      throw planp::EvalBug{"encode_packet: unsupported payload field"};
+      throw EvalBug{"encode_packet: unsupported payload field"};
     }
   }
-  if (needs_split) {
-    split_rest(p, std::move(out));
-  } else {
-    p.payload = std::move(out);
-  }
-  return p;
+  return b.finish();
 }
 
-}  // namespace asp::runtime
+asp::net::Packet reemit_packet(const asp::net::Packet& p, const DecodePlan& plan) {
+  using asp::net::IpProto;
+  // The shapes whose round trip through the tuple gives back the packet's own
+  // headers and bytes: the decoded fields cover the whole payload (a trailing
+  // blob, or scalars that fill it exactly), and the transport header is
+  // either a typed field or splits back out of the bytes unchanged.
+  const bool covers = plan.has_blob || plan.fixed_bytes == p.payload.size();
+  asp::net::Packet q;
+  q.ip = p.ip;
+  bool same = false;
+  switch (plan.transport) {
+    case DecodePlan::Transport::kTcp:
+      q.tcp = p.tcp;
+      same = covers;
+      break;
+    case DecodePlan::Transport::kUdp:
+      q.udp = p.udp;
+      same = covers;
+      break;
+    case DecodePlan::Transport::kAny:
+      if (!p.tcp && !p.udp) {
+        same = covers && p.ip.proto == IpProto::kRaw;
+      } else if (p.tcp && !p.udp && p.ip.proto == IpProto::kTcp) {
+        q.tcp = p.tcp;
+        same = plan.has_blob;
+      } else if (p.udp && !p.tcp && p.ip.proto == IpProto::kUdp) {
+        q.udp = p.udp;
+        same = plan.has_blob;
+      }
+      break;
+  }
+  if (!same) return encode_packet(*decode_packet(p, plan), 0);
+  q.payload = p.payload;
+  return q;
+}
+
+}  // namespace asp::planp

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "planp/cache.hpp"
 
@@ -90,17 +92,364 @@ TypePtr VA() { return Type::Var(0); }
 TypePtr VB() { return Type::Var(1); }
 TypePtr TAB() { return Type::Table(Type::Var(0), Type::Var(1)); }
 
+// --- typed primitives ----------------------------------------------------------
+// A typed primitive is one C++ function over C++ types. Typed<F> derives from
+// that one definition its PLAN-P signature, the boxed entry the interpreter
+// calls and the typed entry the JIT calls on its frame. Conv<T> says how a
+// C++ type maps to a PLAN-P type, a boxed Value and a frame slot.
+template <class T>
+struct Conv;
+template <>
+struct Conv<std::int64_t> {
+  static TypePtr type() { return I(); }
+  static std::int64_t get(const Value& v) { return v.as_int(); }
+  static std::int64_t get(TypedFrame f, std::int32_t o) { return f.r[o]; }
+  static Value box(std::int64_t x) { return Value::of_int(x); }
+  static void put(TypedFrame f, std::int32_t o, std::int64_t x) { f.r[o] = x; }
+};
+template <>
+struct Conv<bool> {
+  static TypePtr type() { return B(); }
+  static bool get(const Value& v) { return v.as_bool(); }
+  static bool get(TypedFrame f, std::int32_t o) { return f.r[o] != 0; }
+  static Value box(bool x) { return Value::of_bool(x); }
+  static void put(TypedFrame f, std::int32_t o, bool x) { f.r[o] = x ? 1 : 0; }
+};
+template <>
+struct Conv<char> {
+  static TypePtr type() { return C(); }
+  static char get(const Value& v) { return v.as_char(); }
+  static char get(TypedFrame f, std::int32_t o) { return static_cast<char>(f.r[o]); }
+  static Value box(char x) { return Value::of_char(x); }
+  static void put(TypedFrame f, std::int32_t o, char x) { f.r[o] = x; }
+};
+template <>
+struct Conv<net::Ipv4Addr> {
+  static TypePtr type() { return H(); }
+  static net::Ipv4Addr get(const Value& v) { return v.as_host(); }
+  static net::Ipv4Addr get(TypedFrame f, std::int32_t o) {
+    return net::Ipv4Addr(static_cast<std::uint32_t>(f.r[o]));
+  }
+  static Value box(net::Ipv4Addr x) { return Value::of_host(x); }
+  static void put(TypedFrame f, std::int32_t o, net::Ipv4Addr x) { f.r[o] = x.bits(); }
+};
+template <class Hdr, TypePtr (*T)(), const Hdr& (Value::*As)() const,
+          Value (*Of)(Hdr)>
+struct HeaderConv {
+  static TypePtr type() { return T(); }
+  static const Hdr& get(const Value& v) { return (v.*As)(); }
+  static Hdr get(TypedFrame f, std::int32_t o) { return load_header<Hdr>(f.r + o); }
+  static Value box(const Hdr& x) { return Of(x); }
+  static void put(TypedFrame f, std::int32_t o, const Hdr& x) { store_header(f.r + o, x); }
+};
+template <>
+struct Conv<net::IpHeader>
+    : HeaderConv<net::IpHeader, IP, &Value::as_ip, &Value::of_ip> {};
+template <>
+struct Conv<net::TcpHeader>
+    : HeaderConv<net::TcpHeader, TCP, &Value::as_tcp, &Value::of_tcp> {};
+template <>
+struct Conv<net::UdpHeader>
+    : HeaderConv<net::UdpHeader, UDP, &Value::as_udp, &Value::of_udp> {};
+template <>
+struct Conv<Blob> {
+  static TypePtr type() { return BL(); }
+  static const Blob& get(const Value& v) { return v.as_blob(); }
+  static const Blob& get(TypedFrame f, std::int32_t o) { return f.v[o].as_blob(); }
+  static Value box(Blob x) { return Value::of_blob_shared(std::move(x)); }
+  static void put(TypedFrame f, std::int32_t o, Blob x) {
+    f.v[o] = Value::of_blob_shared(std::move(x));
+  }
+};
+template <>
+struct Conv<TableRef> {
+  static TypePtr type() { return TAB(); }
+  static const TableRef& get(const Value& v) { return v.as_table(); }
+  static const TableRef& get(TypedFrame f, std::int32_t o) { return f.v[o].as_table(); }
+};
+/// A value of a type-variable parameter or result: boxed, read in place. Its
+/// primitive's signature is spelled out (add_typed_sig).
+template <>
+struct Conv<Value> {
+  static const Value& get(const Value& v) { return v; }
+  static const Value& get(TypedFrame f, std::int32_t o) { return f.v[o]; }
+  static Value box(Value x) { return x; }
+  static void put(TypedFrame f, std::int32_t o, Value x) { f.v[o] = std::move(x); }
+};
+template <>
+struct Conv<std::string> {
+  static TypePtr type() { return S(); }
+  static const std::string& get(const Value& v) { return v.as_string(); }
+  static const std::string& get(TypedFrame f, std::int32_t o) {
+    return f.v[o].as_string();
+  }
+};
+
+template <class T>
+using ConvOf = Conv<std::remove_cvref_t<T>>;
+
+template <auto F>
+struct Typed;
+template <class R, class... A, R (*F)(EnvApi&, A...)>
+struct Typed<F> {
+  using Seq = std::index_sequence_for<A...>;
+
+  static std::vector<TypePtr> params() { return {ConvOf<A>::type()...}; }
+  static TypePtr ret() {
+    if constexpr (std::is_void_v<R>) {
+      return U();
+    } else {
+      return Conv<R>::type();
+    }
+  }
+  static Value boxed(EnvApi& env, const Args& a) { return call(env, a, Seq{}); }
+  static void typed(EnvApi& env, TypedFrame f, const std::int32_t* o) {
+    call(env, f, o, Seq{});
+  }
+
+ private:
+  template <std::size_t... K>
+  static Value call(EnvApi& env, const Args& a, std::index_sequence<K...>) {
+    if constexpr (std::is_void_v<R>) {
+      F(env, ConvOf<A>::get(a[K])...);
+      return Value::unit();
+    } else {
+      return Conv<R>::box(F(env, ConvOf<A>::get(a[K])...));
+    }
+  }
+  template <std::size_t... K>
+  static void call(EnvApi& env, TypedFrame f, const std::int32_t* o,
+                   std::index_sequence<K...>) {
+    if constexpr (std::is_void_v<R>) {
+      F(env, ConvOf<A>::get(f, o[K + 1])...);
+      f.r[o[0]] = 0;
+    } else {
+      Conv<R>::put(f, o[0], F(env, ConvOf<A>::get(f, o[K + 1])...));
+    }
+  }
+};
+
+// The typed primitives' bodies: one definition each, boxed and typed entries
+// derived by Typed<F>.
+std::int64_t char_pos(EnvApi&, char c) { return static_cast<unsigned char>(c); }
+std::int64_t abs_int(EnvApi&, std::int64_t v) { return v < 0 ? -v : v; }
+std::int64_t min_int(EnvApi&, std::int64_t a, std::int64_t b) { return std::min(a, b); }
+std::int64_t max_int(EnvApi&, std::int64_t a, std::int64_t b) { return std::max(a, b); }
+
+net::Ipv4Addr ip_src(EnvApi&, const net::IpHeader& h) { return h.src; }
+net::Ipv4Addr ip_dst(EnvApi&, const net::IpHeader& h) { return h.dst; }
+net::IpHeader ip_src_set(EnvApi&, net::IpHeader h, net::Ipv4Addr a) {
+  h.src = a;
+  return h;
+}
+net::IpHeader ip_dst_set(EnvApi&, net::IpHeader h, net::Ipv4Addr a) {
+  h.dst = a;
+  return h;
+}
+std::int64_t ip_proto(EnvApi&, const net::IpHeader& h) {
+  return static_cast<std::int64_t>(h.proto);
+}
+std::int64_t ip_ttl(EnvApi&, const net::IpHeader& h) { return h.ttl; }
+std::int64_t ip_tos(EnvApi&, const net::IpHeader& h) { return h.tos; }
+net::IpHeader ip_tos_set(EnvApi&, net::IpHeader h, std::int64_t tos) {
+  h.tos = static_cast<std::uint8_t>(tos);
+  return h;
+}
+bool is_multicast(EnvApi&, net::Ipv4Addr a) { return a.is_multicast(); }
+std::int64_t host_to_int(EnvApi&, net::Ipv4Addr a) { return a.bits(); }
+
+std::int64_t tcp_src(EnvApi&, const net::TcpHeader& h) { return h.sport; }
+std::int64_t tcp_dst(EnvApi&, const net::TcpHeader& h) { return h.dport; }
+std::int64_t tcp_seq(EnvApi&, const net::TcpHeader& h) { return h.seq; }
+std::int64_t tcp_ack_no(EnvApi&, const net::TcpHeader& h) { return h.ack; }
+net::TcpHeader tcp_src_set(EnvApi&, net::TcpHeader h, std::int64_t port) {
+  h.sport = static_cast<std::uint16_t>(port);
+  return h;
+}
+net::TcpHeader tcp_dst_set(EnvApi&, net::TcpHeader h, std::int64_t port) {
+  h.dport = static_cast<std::uint16_t>(port);
+  return h;
+}
+bool tcp_syn(EnvApi&, const net::TcpHeader& h) { return h.has(net::tcpflag::kSyn); }
+bool tcp_ack(EnvApi&, const net::TcpHeader& h) { return h.has(net::tcpflag::kAck); }
+bool tcp_fin(EnvApi&, const net::TcpHeader& h) { return h.has(net::tcpflag::kFin); }
+bool tcp_rst(EnvApi&, const net::TcpHeader& h) { return h.has(net::tcpflag::kRst); }
+
+std::int64_t udp_src(EnvApi&, const net::UdpHeader& h) { return h.sport; }
+std::int64_t udp_dst(EnvApi&, const net::UdpHeader& h) { return h.dport; }
+net::UdpHeader udp_src_set(EnvApi&, net::UdpHeader h, std::int64_t port) {
+  h.sport = static_cast<std::uint16_t>(port);
+  return h;
+}
+net::UdpHeader udp_dst_set(EnvApi&, net::UdpHeader h, std::int64_t port) {
+  h.dport = static_cast<std::uint16_t>(port);
+  return h;
+}
+
+std::int64_t blob_len(EnvApi&, const Blob& b) { return static_cast<std::int64_t>(b->size()); }
+// 64-bit little-endian field access, for binary wire formats (the scenario
+// cache profile's object ids / sequence numbers). Both are TOTAL — an
+// out-of-range offset reads 0 / writes nothing — so verified caching ASPs
+// can parse packets without a try (a raising read would cost them the
+// guaranteed-delivery verdict; see cacheGetDefault below).
+std::int64_t blob_int(EnvApi&, const Blob& blob, std::int64_t off) {
+  const auto& b = *blob;
+  if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) return 0;
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + off, 8);  // LE hosts only, like sample16
+  return static_cast<std::int64_t>(v);
+}
+Blob blob_put_int(EnvApi&, const Blob& blob, std::int64_t off, std::int64_t val) {
+  const auto& b = *blob;
+  if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) {
+    return blob;  // nothing to patch: the blob passes through unchanged
+  }
+  // Copy into a pooled buffer (capacity guaranteed, so the assignment does
+  // not allocate in steady state), then patch the field.
+  net::Buffer out = net::acquire_buffer(b.size());
+  auto& bytes = const_cast<std::vector<std::uint8_t>&>(*out);
+  bytes = b;
+  std::uint64_t v = static_cast<std::uint64_t>(val);
+  std::memcpy(bytes.data() + off, &v, 8);
+  return out;
+}
+
+// Keys are 64-bit FNV-1a digests carried as PLAN-P ints; bodies are blobs
+// aliased into the node's CacheStore, so a fill pins the packet's pooled
+// payload buffer and an eviction releases it — no copies on either side.
+std::int64_t cache_key3(EnvApi&, const std::string& method, net::Ipv4Addr host,
+                        const std::string& path) {
+  return static_cast<std::int64_t>(CacheStore::key_of(method, host.bits(), path));
+}
+std::int64_t cache_key2(EnvApi&, std::int64_t id, net::Ipv4Addr host) {
+  return static_cast<std::int64_t>(
+      CacheStore::key_of(static_cast<std::uint64_t>(id), host.bits()));
+}
+// Non-raising lookup (mirrors tableGetDefault): the form verified caching
+// ASPs use on the fast path — a raising call would force a try whose handler
+// either re-sends (breaking the duplication analysis, which sums a try's body
+// and handler) or drops (breaking guaranteed delivery).
+Blob cache_get_default(EnvApi& env, std::int64_t key, const Blob& dflt) {
+  const net::Buffer* b = env.cache().lookup(static_cast<std::uint64_t>(key), env.time_ms());
+  return b == nullptr ? dflt : *b;
+}
+void cache_store(EnvApi& env, std::int64_t key, const Blob& body) {
+  env.cache().store(static_cast<std::uint64_t>(key), body, env.time_ms());
+}
+bool cache_has(EnvApi& env, std::int64_t key) {
+  return env.cache().contains(static_cast<std::uint64_t>(key), env.time_ms());
+}
+
+Value table_get(EnvApi&, const TableRef& t, const Value& key) {
+  std::optional<Value> v = t->get(key);
+  if (!v) raise("NotFound");
+  return std::move(*v);
+}
+Value table_get_default(EnvApi&, const TableRef& t, const Value& key, const Value& dflt) {
+  std::optional<Value> v = t->get(key);
+  return v ? std::move(*v) : dflt;
+}
+void table_set(EnvApi&, const TableRef& t, const Value& key, const Value& v) {
+  t->set(key, v);
+}
+bool table_mem(EnvApi&, const TableRef& t, const Value& key) { return t->contains(key); }
+void table_remove(EnvApi&, const TableRef& t, const Value& key) { t->remove(key); }
+std::int64_t table_size(EnvApi&, const TableRef& t) {
+  return static_cast<std::int64_t>(t->size());
+}
+
+net::Ipv4Addr this_host(EnvApi& env) { return env.this_host(); }
+std::int64_t get_time(EnvApi& env) { return env.time_ms(); }
+std::int64_t link_load(EnvApi& env) { return env.link_load_percent(); }
+std::int64_t link_bandwidth(EnvApi& env) { return env.link_bandwidth_kbps(); }
+std::int64_t arrival_iface(EnvApi& env) { return env.arrival_iface(); }
+
+/// Registers typed primitive F: signature, boxed and typed entries all come
+/// from its one definition.
+template <auto F, class Add>
+void add_typed(Add& add, std::string name, bool pure, int cost = 1) {
+  add(std::move(name), Typed<F>::params(), Typed<F>::ret(), &Typed<F>::boxed,
+      /*may_raise=*/false, cost, pure, &Typed<F>::typed);
+}
+/// The same for a polymorphic F, whose signature is spelled out: its
+/// type-variable operands are boxed Values.
+template <auto F, class Add>
+void add_typed_sig(Add& add, std::string name, std::vector<TypePtr> params, TypePtr ret,
+                   bool may_raise, int cost) {
+  add(std::move(name), std::move(params), std::move(ret), &Typed<F>::boxed, may_raise, cost,
+      /*pure=*/false, &Typed<F>::typed);
+}
+
 }  // namespace
+
+Rep rep_of(const TypePtr& t) {
+  switch (t->kind()) {
+    case Type::Kind::kUnit: return Rep::kUnit;
+    case Type::Kind::kInt: return Rep::kInt;
+    case Type::Kind::kBool: return Rep::kBool;
+    case Type::Kind::kChar: return Rep::kChar;
+    case Type::Kind::kHost: return Rep::kHost;
+    case Type::Kind::kIp: return Rep::kIp;
+    case Type::Kind::kTcp: return Rep::kTcp;
+    case Type::Kind::kUdp: return Rep::kUdp;
+    default: return Rep::kBox;
+  }
+}
+
+int reg_width(Rep rep) {
+  switch (rep) {
+    case Rep::kIp:
+    case Rep::kTcp:
+    case Rep::kUdp: return 2;
+    case Rep::kBox: return 0;
+    default: return 1;
+  }
+}
+
+Value box(Rep rep, TypedFrame f, std::int32_t o) {
+  switch (rep) {
+    case Rep::kUnit: return Value::unit();
+    case Rep::kInt: return Conv<std::int64_t>::box(Conv<std::int64_t>::get(f, o));
+    case Rep::kBool: return Conv<bool>::box(Conv<bool>::get(f, o));
+    case Rep::kChar: return Conv<char>::box(Conv<char>::get(f, o));
+    case Rep::kHost: return Conv<net::Ipv4Addr>::box(Conv<net::Ipv4Addr>::get(f, o));
+    case Rep::kIp: return Conv<net::IpHeader>::box(Conv<net::IpHeader>::get(f, o));
+    case Rep::kTcp: return Conv<net::TcpHeader>::box(Conv<net::TcpHeader>::get(f, o));
+    case Rep::kUdp: return Conv<net::UdpHeader>::box(Conv<net::UdpHeader>::get(f, o));
+    case Rep::kBox: return f.v[o];
+  }
+  throw EvalBug{"box: bad representation"};
+}
+
+void unbox(Rep rep, const Value& v, TypedFrame f, std::int32_t o) {
+  switch (rep) {
+    case Rep::kUnit: f.r[o] = 0; return;
+    case Rep::kInt: Conv<std::int64_t>::put(f, o, Conv<std::int64_t>::get(v)); return;
+    case Rep::kBool: Conv<bool>::put(f, o, Conv<bool>::get(v)); return;
+    case Rep::kChar: Conv<char>::put(f, o, Conv<char>::get(v)); return;
+    case Rep::kHost: Conv<net::Ipv4Addr>::put(f, o, Conv<net::Ipv4Addr>::get(v)); return;
+    case Rep::kIp: Conv<net::IpHeader>::put(f, o, Conv<net::IpHeader>::get(v)); return;
+    case Rep::kTcp: Conv<net::TcpHeader>::put(f, o, Conv<net::TcpHeader>::get(v)); return;
+    case Rep::kUdp: Conv<net::UdpHeader>::put(f, o, Conv<net::UdpHeader>::get(v)); return;
+    case Rep::kBox: f.v[o] = v; return;
+  }
+}
 
 Primitives::Primitives() {
   auto add = [this](std::string name, std::vector<TypePtr> params, TypePtr ret,
                     std::function<Value(EnvApi&, const Args&)> fn,
-                    bool may_raise = false, int cost = 1) {
+                    bool may_raise = false, int cost = 1, bool pure = false,
+                    TypedFn typed = nullptr) {
     int idx = static_cast<int>(prims_.size());
     by_name_[name].push_back(idx);
-    prims_.push_back(
-        Primitive{std::move(name), std::move(params), std::move(ret), may_raise,
-                  std::move(fn), cost});
+    prims_.push_back(Primitive{std::move(name), std::move(params), std::move(ret),
+                               may_raise, std::move(fn), cost, pure, typed});
+  };
+  // Pure and boxed: no environment, no raise, an immutable result.
+  auto add_pure = [&add](std::string name, std::vector<TypePtr> params, TypePtr ret,
+                         std::function<Value(EnvApi&, const Args&)> fn, int cost = 1) {
+    add(std::move(name), std::move(params), std::move(ret), std::move(fn),
+        /*may_raise=*/false, cost, /*pure=*/true);
   };
 
   // --- output ---------------------------------------------------------------
@@ -120,16 +469,12 @@ Primitives::Primitives() {
   }
 
   // --- conversions / scalar helpers ------------------------------------------
-  add("intToString", {I()}, S(),
+  add_pure("intToString", {I()}, S(),
       [](EnvApi&, const Args& a) { return Value::of_string(std::to_string(a[0].as_int())); });
-  add("hostToString", {H()}, S(),
+  add_pure("hostToString", {H()}, S(),
       [](EnvApi&, const Args& a) { return Value::of_string(a[0].as_host().str()); });
-  add("charPos", {C()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(static_cast<unsigned char>(a[0].as_char()));
-  });
-  add("ord", {C()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(static_cast<unsigned char>(a[0].as_char()));
-  });
+  add_typed<&char_pos>(add, "charPos", /*pure=*/true);
+  add_typed<&char_pos>(add, "ord", /*pure=*/true);
   add(
       "chr", {I()}, C(),
       [](EnvApi&, const Args& a) {
@@ -138,17 +483,10 @@ Primitives::Primitives() {
         return Value::of_char(static_cast<char>(v));
       },
       /*may_raise=*/true);
-  add("abs", {I()}, I(), [](EnvApi&, const Args& a) {
-    std::int64_t v = a[0].as_int();
-    return Value::of_int(v < 0 ? -v : v);
-  });
-  add("min", {I(), I()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(std::min(a[0].as_int(), a[1].as_int()));
-  });
-  add("max", {I(), I()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(std::max(a[0].as_int(), a[1].as_int()));
-  });
-  add("stringLen", {S()}, I(), [](EnvApi&, const Args& a) {
+  add_typed<&abs_int>(add, "abs", /*pure=*/true);
+  add_typed<&min_int>(add, "min", /*pure=*/true);
+  add_typed<&max_int>(add, "max", /*pure=*/true);
+  add_pure("stringLen", {S()}, I(), [](EnvApi&, const Args& a) {
     return Value::of_int(static_cast<std::int64_t>(a[0].as_string().size()));
   });
   add(
@@ -163,12 +501,12 @@ Primitives::Primitives() {
                                          static_cast<std::size_t>(len)));
       },
       /*may_raise=*/true, /*cost=*/8);
-  add("startsWith", {S(), S()}, B(), [](EnvApi&, const Args& a) {
+  add_pure("startsWith", {S(), S()}, B(), [](EnvApi&, const Args& a) {
     const std::string& s = a[0].as_string();
     const std::string& pre = a[1].as_string();
     return Value::of_bool(s.rfind(pre, 0) == 0);
   });
-  add("strIndex", {S(), S()}, I(), [](EnvApi&, const Args& a) {
+  add_pure("strIndex", {S(), S()}, I(), [](EnvApi&, const Args& a) {
     auto pos = a[0].as_string().find(a[1].as_string());
     return Value::of_int(pos == std::string::npos ? -1 : static_cast<std::int64_t>(pos));
   });
@@ -223,127 +561,47 @@ Primitives::Primitives() {
             static_cast<std::size_t>(std::max<std::int64_t>(1, a[0].as_int()))));
       },
       /*may_raise=*/false, /*cost=*/64);
-  add(
-      "tableGet", {TAB(), VA()}, VB(),
-      [](EnvApi&, const Args& a) {
-        auto v = a[0].as_table()->get(a[1]);
-        if (!v) raise("NotFound");
-        return *v;
-      },
-      /*may_raise=*/true, /*cost=*/4);
-  add("tableSet", {TAB(), VA(), VB()}, U(),
-      [](EnvApi&, const Args& a) {
-        a[0].as_table()->set(a[1], a[2]);
-        return Value::unit();
-      },
-      /*may_raise=*/false, /*cost=*/4);
-  add("tableMem", {TAB(), VA()}, B(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_bool(a[0].as_table()->contains(a[1]));
-      },
-      /*may_raise=*/false, /*cost=*/4);
-  add("tableRemove", {TAB(), VA()}, U(),
-      [](EnvApi&, const Args& a) {
-        a[0].as_table()->remove(a[1]);
-        return Value::unit();
-      },
-      /*may_raise=*/false, /*cost=*/4);
-  add("tableSize", {TAB()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(static_cast<std::int64_t>(a[0].as_table()->size()));
-  });
-  add("tableGetDefault", {TAB(), VA(), VB()}, VB(),
-      [](EnvApi&, const Args& a) {
-        auto v = a[0].as_table()->get(a[1]);
-        return v ? *v : a[2];
-      },
-      /*may_raise=*/false, /*cost=*/4);
+  add_typed_sig<&table_get>(add, "tableGet", {TAB(), VA()}, VB(), /*may_raise=*/true,
+                            /*cost=*/4);
+  add_typed_sig<&table_set>(add, "tableSet", {TAB(), VA(), VB()}, U(), false, /*cost=*/4);
+  add_typed_sig<&table_mem>(add, "tableMem", {TAB(), VA()}, B(), false, /*cost=*/4);
+  add_typed_sig<&table_remove>(add, "tableRemove", {TAB(), VA()}, U(), false, /*cost=*/4);
+  add_typed_sig<&table_size>(add, "tableSize", {TAB()}, I(), false, /*cost=*/1);
+  add_typed_sig<&table_get_default>(add, "tableGetDefault", {TAB(), VA(), VB()}, VB(), false,
+                                    /*cost=*/4);
 
   // --- IP header --------------------------------------------------------------
-  add("ipSrc", {IP()}, H(),
-      [](EnvApi&, const Args& a) { return Value::of_host(a[0].as_ip().src); });
-  add("ipDst", {IP()}, H(),
-      [](EnvApi&, const Args& a) { return Value::of_host(a[0].as_ip().dst); });
-  add("ipSrcSet", {IP(), H()}, IP(), [](EnvApi&, const Args& a) {
-    asp::net::IpHeader h = a[0].as_ip();
-    h.src = a[1].as_host();
-    return Value::of_ip(h);
-  });
-  add("ipDestSet", {IP(), H()}, IP(), [](EnvApi&, const Args& a) {
-    asp::net::IpHeader h = a[0].as_ip();
-    h.dst = a[1].as_host();
-    return Value::of_ip(h);
-  });
-  add("ipProto", {IP()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(static_cast<std::int64_t>(a[0].as_ip().proto));
-  });
-  add("ipTtl", {IP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_ip().ttl); });
-  add("ipTos", {IP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_ip().tos); });
-  add("ipTosSet", {IP(), I()}, IP(), [](EnvApi&, const Args& a) {
-    asp::net::IpHeader h = a[0].as_ip();
-    h.tos = static_cast<std::uint8_t>(a[1].as_int());
-    return Value::of_ip(h);
-  });
-  add("isMulticast", {H()}, B(), [](EnvApi&, const Args& a) {
-    return Value::of_bool(a[0].as_host().is_multicast());
-  });
-  add("hostToInt", {H()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(a[0].as_host().bits());
-  });
+  add_typed<&ip_src>(add, "ipSrc", /*pure=*/true);
+  add_typed<&ip_dst>(add, "ipDst", /*pure=*/true);
+  add_typed<&ip_src_set>(add, "ipSrcSet", /*pure=*/true);
+  add_typed<&ip_dst_set>(add, "ipDestSet", /*pure=*/true);
+  add_typed<&ip_proto>(add, "ipProto", /*pure=*/true);
+  add_typed<&ip_ttl>(add, "ipTtl", /*pure=*/true);
+  add_typed<&ip_tos>(add, "ipTos", /*pure=*/true);
+  add_typed<&ip_tos_set>(add, "ipTosSet", /*pure=*/true);
+  add_typed<&is_multicast>(add, "isMulticast", /*pure=*/true);
+  add_typed<&host_to_int>(add, "hostToInt", /*pure=*/true);
 
   // --- TCP header --------------------------------------------------------------
-  add("tcpSrc", {TCP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_tcp().sport); });
-  add("tcpDst", {TCP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_tcp().dport); });
-  add("tcpSeq", {TCP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_tcp().seq); });
-  add("tcpAckNo", {TCP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_tcp().ack); });
-  add("tcpSrcSet", {TCP(), I()}, TCP(), [](EnvApi&, const Args& a) {
-    asp::net::TcpHeader h = a[0].as_tcp();
-    h.sport = static_cast<std::uint16_t>(a[1].as_int());
-    return Value::of_tcp(h);
-  });
-  add("tcpDstSet", {TCP(), I()}, TCP(), [](EnvApi&, const Args& a) {
-    asp::net::TcpHeader h = a[0].as_tcp();
-    h.dport = static_cast<std::uint16_t>(a[1].as_int());
-    return Value::of_tcp(h);
-  });
-  add("tcpSyn", {TCP()}, B(), [](EnvApi&, const Args& a) {
-    return Value::of_bool(a[0].as_tcp().has(asp::net::tcpflag::kSyn));
-  });
-  add("tcpAck", {TCP()}, B(), [](EnvApi&, const Args& a) {
-    return Value::of_bool(a[0].as_tcp().has(asp::net::tcpflag::kAck));
-  });
-  add("tcpFin", {TCP()}, B(), [](EnvApi&, const Args& a) {
-    return Value::of_bool(a[0].as_tcp().has(asp::net::tcpflag::kFin));
-  });
-  add("tcpRst", {TCP()}, B(), [](EnvApi&, const Args& a) {
-    return Value::of_bool(a[0].as_tcp().has(asp::net::tcpflag::kRst));
-  });
+  add_typed<&tcp_src>(add, "tcpSrc", /*pure=*/true);
+  add_typed<&tcp_dst>(add, "tcpDst", /*pure=*/true);
+  add_typed<&tcp_seq>(add, "tcpSeq", /*pure=*/true);
+  add_typed<&tcp_ack_no>(add, "tcpAckNo", /*pure=*/true);
+  add_typed<&tcp_src_set>(add, "tcpSrcSet", /*pure=*/true);
+  add_typed<&tcp_dst_set>(add, "tcpDstSet", /*pure=*/true);
+  add_typed<&tcp_syn>(add, "tcpSyn", /*pure=*/true);
+  add_typed<&tcp_ack>(add, "tcpAck", /*pure=*/true);
+  add_typed<&tcp_fin>(add, "tcpFin", /*pure=*/true);
+  add_typed<&tcp_rst>(add, "tcpRst", /*pure=*/true);
 
   // --- UDP header --------------------------------------------------------------
-  add("udpSrc", {UDP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_udp().sport); });
-  add("udpDst", {UDP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_udp().dport); });
-  add("udpSrcSet", {UDP(), I()}, UDP(), [](EnvApi&, const Args& a) {
-    asp::net::UdpHeader h = a[0].as_udp();
-    h.sport = static_cast<std::uint16_t>(a[1].as_int());
-    return Value::of_udp(h);
-  });
-  add("udpDstSet", {UDP(), I()}, UDP(), [](EnvApi&, const Args& a) {
-    asp::net::UdpHeader h = a[0].as_udp();
-    h.dport = static_cast<std::uint16_t>(a[1].as_int());
-    return Value::of_udp(h);
-  });
+  add_typed<&udp_src>(add, "udpSrc", /*pure=*/true);
+  add_typed<&udp_dst>(add, "udpDst", /*pure=*/true);
+  add_typed<&udp_src_set>(add, "udpSrcSet", /*pure=*/true);
+  add_typed<&udp_dst_set>(add, "udpDstSet", /*pure=*/true);
 
   // --- blobs ---------------------------------------------------------------------
-  add("blobLen", {BL()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(static_cast<std::int64_t>(a[0].as_blob()->size()));
-  });
+  add_typed<&blob_len>(add, "blobLen", /*pure=*/true);
   add(
       "blobByte", {BL(), I()}, I(),
       [](EnvApi&, const Args& a) {
@@ -365,82 +623,50 @@ Primitives::Primitives() {
             b.begin() + from, b.begin() + from + len));
       },
       /*may_raise=*/true, /*cost=*/32);
-  add("blobCat", {BL(), BL()}, BL(),
+  add_pure("blobCat", {BL(), BL()}, BL(),
       [](EnvApi&, const Args& a) {
         std::vector<std::uint8_t> out = *a[0].as_blob();
         const auto& b = *a[1].as_blob();
         out.insert(out.end(), b.begin(), b.end());
         return Value::of_blob(std::move(out));
       },
-      /*may_raise=*/false, /*cost=*/32);
-  add("blobFromString", {S()}, BL(),
+      /*cost=*/32);
+  add_pure("blobFromString", {S()}, BL(),
       [](EnvApi&, const Args& a) {
         const std::string& s = a[0].as_string();
         return Value::of_blob(std::vector<std::uint8_t>(s.begin(), s.end()));
       },
-      /*may_raise=*/false, /*cost=*/16);
-  add("blobToString", {BL()}, S(),
+      /*cost=*/16);
+  add_pure("blobToString", {BL()}, S(),
       [](EnvApi&, const Args& a) {
         const auto& b = *a[0].as_blob();
         return Value::of_string(std::string(b.begin(), b.end()));
       },
-      /*may_raise=*/false, /*cost=*/16);
-  // 64-bit little-endian field access, for binary wire formats (the scenario
-  // cache profile's object ids / sequence numbers). Both are TOTAL — an
-  // out-of-range offset reads 0 / writes nothing — so verified caching ASPs
-  // can parse packets without a try (a raising read would cost them the
-  // guaranteed-delivery verdict; see cacheGetDefault below).
-  add("blobInt", {BL(), I()}, I(),
-      [](EnvApi&, const Args& a) {
-        const auto& b = *a[0].as_blob();
-        std::int64_t off = a[1].as_int();
-        if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) {
-          return Value::of_int(0);
-        }
-        std::uint64_t v = 0;
-        std::memcpy(&v, b.data() + off, 8);  // LE hosts only, like sample16
-        return Value::of_int(static_cast<std::int64_t>(v));
-      },
-      /*may_raise=*/false, /*cost=*/2);
-  add("blobPutInt", {BL(), I(), I()}, BL(),
-      [](EnvApi&, const Args& a) {
-        const auto& b = *a[0].as_blob();
-        std::int64_t off = a[1].as_int();
-        if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) {
-          return a[0];  // nothing to patch: the blob passes through unchanged
-        }
-        // Copy into a pooled buffer (capacity guaranteed, so the assignment
-        // does not allocate in steady state), then patch the field.
-        net::Buffer out = net::acquire_buffer(b.size());
-        auto& bytes = const_cast<std::vector<std::uint8_t>&>(*out);
-        bytes = b;
-        std::uint64_t v = static_cast<std::uint64_t>(a[2].as_int());
-        std::memcpy(bytes.data() + off, &v, 8);
-        return Value::of_blob_shared(std::move(out));
-      },
-      /*may_raise=*/false, /*cost=*/32);
+      /*cost=*/16);
+  add_typed<&blob_int>(add, "blobInt", /*pure=*/true, /*cost=*/2);
+  add_typed<&blob_put_int>(add, "blobPutInt", /*pure=*/true, /*cost=*/32);
 
   // --- audio transcoding (paper §3.1: degrade 16-bit stereo to 8-bit mono) ----
-  add("audioStereoToMono", {BL()}, BL(),
+  add_pure("audioStereoToMono", {BL()}, BL(),
       [](EnvApi&, const Args& a) {
         return Value::of_blob(audio_stereo_to_mono16(*a[0].as_blob()));
       },
-      /*may_raise=*/false, /*cost=*/64);
-  add("audioMonoToStereo", {BL()}, BL(),
+      /*cost=*/64);
+  add_pure("audioMonoToStereo", {BL()}, BL(),
       [](EnvApi&, const Args& a) {
         return Value::of_blob(audio_mono_to_stereo16(*a[0].as_blob()));
       },
-      /*may_raise=*/false, /*cost=*/64);
-  add("audio16To8", {BL()}, BL(),
+      /*cost=*/64);
+  add_pure("audio16To8", {BL()}, BL(),
       [](EnvApi&, const Args& a) {
         return Value::of_blob(audio_16_to_8(*a[0].as_blob()));
       },
-      /*may_raise=*/false, /*cost=*/64);
-  add("audio8To16", {BL()}, BL(),
+      /*cost=*/64);
+  add_pure("audio8To16", {BL()}, BL(),
       [](EnvApi&, const Args& a) {
         return Value::of_blob(audio_8_to_16(*a[0].as_blob()));
       },
-      /*may_raise=*/false, /*cost=*/64);
+      /*cost=*/64);
 
   // --- image distillation (paper §5: "integration of image distillation
   // support into PLAN-P" for low-bandwidth adaptation) -------------------------
@@ -461,9 +687,6 @@ Primitives::Primitives() {
       /*may_raise=*/true, /*cost=*/64);
 
   // --- object cache (HTTP edge caching ASPs; planp/cache.hpp, DESIGN.md §6i) --
-  // Keys are 64-bit FNV-1a digests carried as PLAN-P ints; bodies are blobs
-  // aliased into the node's CacheStore, so a fill pins the packet's pooled
-  // payload buffer and an eviction releases it — no copies on either side.
   add("cacheConfigure", {I(), I()}, U(),
       [](EnvApi& env, const Args& a) {
         env.cache().configure(
@@ -472,18 +695,8 @@ Primitives::Primitives() {
         return Value::unit();
       },
       /*may_raise=*/false, /*cost=*/64);
-  add("cacheKey", {S(), H(), S()}, I(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_int(static_cast<std::int64_t>(CacheStore::key_of(
-            a[0].as_string(), a[1].as_host().bits(), a[2].as_string())));
-      },
-      /*may_raise=*/false, /*cost=*/8);
-  add("cacheKey", {I(), H()}, I(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_int(static_cast<std::int64_t>(CacheStore::key_of(
-            static_cast<std::uint64_t>(a[0].as_int()), a[1].as_host().bits())));
-      },
-      /*may_raise=*/false, /*cost=*/2);
+  add_typed<&cache_key3>(add, "cacheKey", /*pure=*/true, /*cost=*/8);
+  add_typed<&cache_key2>(add, "cacheKey", /*pure=*/true, /*cost=*/2);
   add(
       "cacheLookup", {I()}, BL(),
       [](EnvApi& env, const Args& a) {
@@ -493,46 +706,19 @@ Primitives::Primitives() {
         return Value::of_blob_shared(*b);
       },
       /*may_raise=*/true, /*cost=*/8);
-  // Non-raising lookup (mirrors tableGetDefault): the form verified caching
-  // ASPs use on the fast path — a raising call would force a try whose
-  // handler either re-sends (breaking the duplication analysis, which sums a
-  // try's body and handler) or drops (breaking guaranteed delivery).
-  add("cacheGetDefault", {I(), BL()}, BL(),
-      [](EnvApi& env, const Args& a) {
-        const net::Buffer* b = env.cache().lookup(
-            static_cast<std::uint64_t>(a[0].as_int()), env.time_ms());
-        return b == nullptr ? a[1] : Value::of_blob_shared(*b);
-      },
-      /*may_raise=*/false, /*cost=*/8);
-  add("cacheStore", {I(), BL()}, U(),
-      [](EnvApi& env, const Args& a) {
-        env.cache().store(static_cast<std::uint64_t>(a[0].as_int()),
-                          a[1].as_blob(), env.time_ms());
-        return Value::unit();
-      },
-      /*may_raise=*/false, /*cost=*/8);
-  add("cacheHas", {I()}, B(),
-      [](EnvApi& env, const Args& a) {
-        return Value::of_bool(env.cache().contains(
-            static_cast<std::uint64_t>(a[0].as_int()), env.time_ms()));
-      },
-      /*may_raise=*/false, /*cost=*/4);
+  add_typed<&cache_get_default>(add, "cacheGetDefault", /*pure=*/false, /*cost=*/8);
+  add_typed<&cache_store>(add, "cacheStore", /*pure=*/false, /*cost=*/8);
+  add_typed<&cache_has>(add, "cacheHas", /*pure=*/false, /*cost=*/4);
   add("cacheSize", {}, I(), [](EnvApi& env, const Args&) {
     return Value::of_int(static_cast<std::int64_t>(env.cache().size()));
   });
 
   // --- environment ------------------------------------------------------------
-  add("thisHost", {}, H(),
-      [](EnvApi& env, const Args&) { return Value::of_host(env.this_host()); });
-  add("getTime", {}, I(),
-      [](EnvApi& env, const Args&) { return Value::of_int(env.time_ms()); });
-  add("linkLoad", {}, I(),
-      [](EnvApi& env, const Args&) { return Value::of_int(env.link_load_percent()); });
-  add("linkBandwidth", {}, I(), [](EnvApi& env, const Args&) {
-    return Value::of_int(env.link_bandwidth_kbps());
-  });
-  add("arrivalIface", {}, I(),
-      [](EnvApi& env, const Args&) { return Value::of_int(env.arrival_iface()); });
+  add_typed<&this_host>(add, "thisHost", /*pure=*/false);
+  add_typed<&get_time>(add, "getTime", /*pure=*/false);
+  add_typed<&link_load>(add, "linkLoad", /*pure=*/false);
+  add_typed<&link_bandwidth>(add, "linkBandwidth", /*pure=*/false);
+  add_typed<&arrival_iface>(add, "arrivalIface", /*pure=*/false);
 }
 
 const Primitives& Primitives::instance() {

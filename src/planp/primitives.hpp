@@ -7,9 +7,11 @@
 // signature (with type variables resolved by unification in the checker).
 #pragma once
 
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -54,9 +56,11 @@ class EnvApi {
   // Packet emission, used by the kSend AST node (not by primitives). The
   // channel is the net::ChannelTags id the type checker interned for the
   // send's channel name (Expr::chan_tag), so no packet path hashes a string.
-  virtual void on_remote(std::uint32_t chan_tag, const Value& packet) = 0;
-  virtual void on_neighbor(std::uint32_t chan_tag, const Value& packet) = 0;
-  virtual void deliver(const Value& packet) = 0;
+  // The engines hand over the packet built and untagged (channel_tag 0);
+  // tagging it is the environment's business.
+  virtual void on_remote(std::uint32_t chan_tag, asp::net::Packet packet) = 0;
+  virtual void on_neighbor(std::uint32_t chan_tag, asp::net::Packet packet) = 0;
+  virtual void deliver(asp::net::Packet packet) = 0;
   virtual void drop() = 0;
 
   /// The node's object cache, backing the cache* primitives (planp/cache.hpp,
@@ -78,13 +82,13 @@ class NullEnv : public EnvApi {
   std::int64_t link_load_percent() override { return load_percent; }
   std::int64_t link_bandwidth_kbps() override { return bandwidth_kbps; }
   std::int64_t arrival_iface() override { return arrival; }
-  void on_remote(std::uint32_t tag, const Value& p) override {
-    sends.push_back({net::ChannelTags::name_of(tag), p});
+  void on_remote(std::uint32_t tag, asp::net::Packet p) override {
+    sends.push_back({net::ChannelTags::name_of(tag), std::move(p)});
   }
-  void on_neighbor(std::uint32_t tag, const Value& p) override {
-    sends.push_back({net::ChannelTags::name_of(tag), p});
+  void on_neighbor(std::uint32_t tag, asp::net::Packet p) override {
+    sends.push_back({net::ChannelTags::name_of(tag), std::move(p)});
   }
-  void deliver(const Value& p) override { delivered.push_back(p); }
+  void deliver(asp::net::Packet p) override { delivered.push_back(std::move(p)); }
   void drop() override { ++drops; }
 
   std::string output;
@@ -93,10 +97,53 @@ class NullEnv : public EnvApi {
   std::int64_t load_percent = 0;
   std::int64_t bandwidth_kbps = 10'000;
   std::int64_t arrival = 0;
-  std::vector<std::pair<std::string, Value>> sends;
-  std::vector<Value> delivered;
+  std::vector<std::pair<std::string, asp::net::Packet>> sends;
+  std::vector<asp::net::Packet> delivered;
   int drops = 0;
 };
+
+// --- the JIT's typed frame -----------------------------------------------------
+
+/// How a value of a checked type is held in the JIT's typed frame. Scalars
+/// are one unboxed 8-byte register (int as is, bool 0/1, char sign-extended,
+/// host as its address bits, unit 0); a header is two registers holding the
+/// header struct; everything else (strings, blobs, tuples, tables) is one
+/// boxed Value slot.
+enum class Rep : std::uint8_t { kUnit, kInt, kBool, kChar, kHost, kIp, kTcp, kUdp, kBox };
+
+Rep rep_of(const TypePtr& t);
+/// Registers a value of `rep` occupies (2 for headers, 1 for other scalars);
+/// 0 for boxed values, which take a Value slot instead.
+int reg_width(Rep rep);
+
+/// The frame a typed template or primitive entry reads and writes: registers
+/// `r` and boxed slots `v`, each indexed by slot number.
+struct TypedFrame {
+  std::int64_t* r;
+  Value* v;
+};
+
+/// A header held in two registers, copied bytewise (headers are trivially
+/// copyable and at most 16 bytes).
+template <class H>
+H load_header(const std::int64_t* r) {
+  static_assert(sizeof(H) <= 2 * sizeof(std::int64_t) && std::is_trivially_copyable_v<H>);
+  H h;
+  std::memcpy(static_cast<void*>(&h), r, sizeof(H));
+  return h;
+}
+template <class H>
+void store_header(std::int64_t* r, const H& h) {
+  std::memcpy(r, &h, sizeof(H));
+}
+
+/// Boxes the value of `rep` held at slot `o`; unboxes `v` into it.
+Value box(Rep rep, TypedFrame f, std::int32_t o);
+void unbox(Rep rep, const Value& v, TypedFrame f, std::int32_t o);
+
+/// A primitive's typed entry point: reads its arguments from frame slots
+/// o[1], o[2], ... and writes its result to slot o[0], boxing nothing.
+using TypedFn = void (*)(EnvApi& env, TypedFrame f, const std::int32_t* o);
 
 /// One primitive overload.
 struct Primitive {
@@ -108,6 +155,13 @@ struct Primitive {
   /// Abstract work units charged by the bounded-cost analysis (analysis.cpp):
   /// 1 for scalar ops, more for ops that touch whole payloads or state.
   int cost = 1;
+  /// Reads no environment, cannot raise and returns an immutable value: a
+  /// call whose arguments are all literals is folded into a constant when the
+  /// JIT lowers it.
+  bool pure = false;
+  /// The JIT's entry point over the typed frame; null for the primitives it
+  /// calls through `fn`, with boxed arguments.
+  TypedFn typed = nullptr;
 };
 
 /// The global primitive table. Indices are stable: Expr::call_target holds one.

@@ -68,8 +68,7 @@ const planp::Protocol& AspRuntime::install(
   // Compile the match-action table: channel name -> interned tag id, header
   // shape -> prepared action lists, each action carrying its decode plan,
   // channel index and metric handle (DESIGN.md §6c).
-  inst->table = MatchActionTable::build(inst->proto->checked(), *inst->engine,
-                                        channel_counters_);
+  inst->table = MatchActionTable::build(inst->proto->checked(), channel_counters_);
 
   cur_ = std::move(inst);
   node_.set_ip_hook([this](asp::net::Packet& p, asp::net::Interface& in) {
@@ -99,18 +98,10 @@ bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
   for (std::size_t j = 0; j < candidates.size(); ++j) {
     if (generation_ != generation) break;  // protocol swapped mid-dispatch
     const std::uint16_t i = candidates[j];
-    MatchAction& a = inst->table.action(i);
-    // Parse only what the action reads (the P4 shape): a body that never
-    // touches its packet argument dispatches match-only — the plan validates
-    // the packet but no tuple is materialized.
-    Value decoded;
-    if (a.needs_values) {
-      std::optional<Value> d = decode_packet(p, a.plan, &a.scratch);
-      if (!d) continue;
-      decoded = std::move(*d);
-    } else if (!match_packet(p, a.plan)) {
-      continue;
-    }
+    const MatchAction& a = inst->table.action(i);
+    // The plan checks the packet; the engine reads it (the JIT in place, the
+    // interpreter through its own decode).
+    if (!planp::match_packet(p, a.plan)) continue;
     // Handler wall-clock is sampled 1-in-16 (the first dispatch always):
     // two clock reads per packet cost more than the whole classification on
     // the fast path, and the latency distribution doesn't need every point.
@@ -119,7 +110,7 @@ bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
     if (timed) t0 = std::chrono::steady_clock::now();
     try {
       Value out = inst->engine->run_channel(a.channel_idx, protocol_state_,
-                                            channel_states_[i], decoded);
+                                            channel_states_[i], p);
       if (generation_ == generation) {
         // tuple_at, not as_tuple(): the (ps, ss) result is usually an inline
         // ScalarPair and must not be promoted to a heap tuple per packet.
@@ -189,9 +180,10 @@ std::int64_t AspRuntime::link_bandwidth_kbps() {
   return static_cast<std::int64_t>(m->bandwidth_bps() / 1000.0);
 }
 
-void AspRuntime::on_remote(std::uint32_t chan_tag, const Value& packet) {
+void AspRuntime::on_remote(std::uint32_t chan_tag, asp::net::Packet packet) {
   // The distinguished `network` channel emits untagged traffic (tag 0).
-  send_remote(encode_packet(packet, chan_tag == network_tag_ ? 0u : chan_tag));
+  packet.channel_tag = chan_tag == network_tag_ ? 0u : chan_tag;
+  send_remote(std::move(packet));
 }
 
 void AspRuntime::send_remote(asp::net::Packet p) {
@@ -210,8 +202,9 @@ void AspRuntime::send_remote(asp::net::Packet p) {
   node_.forward(std::move(p));
 }
 
-void AspRuntime::on_neighbor(std::uint32_t chan_tag, const Value& packet) {
-  send_neighbor(encode_packet(packet, chan_tag == network_tag_ ? 0u : chan_tag));
+void AspRuntime::on_neighbor(std::uint32_t chan_tag, asp::net::Packet packet) {
+  packet.channel_tag = chan_tag == network_tag_ ? 0u : chan_tag;
+  send_neighbor(std::move(packet));
 }
 
 void AspRuntime::send_neighbor(asp::net::Packet p) {
@@ -227,10 +220,9 @@ void AspRuntime::send_neighbor(asp::net::Packet p) {
   }
 }
 
-void AspRuntime::deliver(const Value& packet) {
-  asp::net::Packet p = encode_packet(packet, 0u);
-  p.id = node_.next_packet_id();
-  node_.deliver_local(p);
+void AspRuntime::deliver(asp::net::Packet packet) {
+  packet.id = node_.next_packet_id();
+  node_.deliver_local(packet);
 }
 
 }  // namespace asp::runtime

@@ -17,7 +17,6 @@
 #include "planp/cache.hpp"
 #include "planp/program.hpp"
 #include "runtime/match_action.hpp"
-#include "runtime/netapi.hpp"
 
 namespace asp::runtime {
 
@@ -95,9 +94,9 @@ class AspRuntime : public planp::EnvApi {
   std::int64_t arrival_iface() override {
     return current_in_ != nullptr ? current_in_->index() : -1;
   }
-  void on_remote(std::uint32_t chan_tag, const planp::Value& packet) override;
-  void on_neighbor(std::uint32_t chan_tag, const planp::Value& packet) override;
-  void deliver(const planp::Value& packet) override;
+  void on_remote(std::uint32_t chan_tag, asp::net::Packet packet) override;
+  void on_neighbor(std::uint32_t chan_tag, asp::net::Packet packet) override;
+  void deliver(asp::net::Packet packet) override;
   void drop() override { m_dropped_->inc(); }
   /// The node's object cache, created on first cache-primitive use so nodes
   /// without caching ASPs pay nothing. Counters land under cache/<node>/*.

@@ -5,7 +5,6 @@
 namespace asp::runtime {
 
 MatchActionTable MatchActionTable::build(const planp::CheckedProgram& prog,
-                                         planp::Engine& engine,
                                          const std::vector<obs::Counter*>& counters) {
   MatchActionTable t;
   const auto& channels = prog.channels;
@@ -26,8 +25,7 @@ MatchActionTable MatchActionTable::build(const planp::CheckedProgram& prog,
     MatchAction a;
     a.channel_idx = static_cast<std::uint16_t>(i);
     a.def = &c;
-    a.plan = compile_decode_plan(c.packet_type);
-    a.needs_values = engine.packet_used(static_cast<int>(i));
+    a.plan = planp::compile_decode_plan(c.packet_type);
     a.handled = i < counters.size() ? counters[i] : nullptr;
     t.actions_.push_back(std::move(a));
 
@@ -36,9 +34,9 @@ MatchActionTable MatchActionTable::build(const planp::CheckedProgram& prog,
     Rule& r = t.rules_[tags[i]];
     const std::uint16_t idx = static_cast<std::uint16_t>(i);
     switch (t.actions_.back().plan.transport) {
-      case DecodePlan::Transport::kTcp: r.by_proto[1].push_back(idx); break;
-      case DecodePlan::Transport::kUdp: r.by_proto[2].push_back(idx); break;
-      case DecodePlan::Transport::kAny:
+      case planp::DecodePlan::Transport::kTcp: r.by_proto[1].push_back(idx); break;
+      case planp::DecodePlan::Transport::kUdp: r.by_proto[2].push_back(idx); break;
+      case planp::DecodePlan::Transport::kAny:
         for (auto& slot : r.by_proto) slot.push_back(idx);
         break;
     }

@@ -4,11 +4,10 @@
 // compiled into an Action — engine channel index, flat decode plan,
 // pre-resolved metric handle — and the channel set into a classification
 // table keyed by (interned channel tag, transport shape). The per-packet
-// path is then: classify -> run prepared actions; no string hashing, no
-// type-tree walk, no registry lookup. Channels whose bodies never read the
-// packet argument (Engine::packet_used() == false) are dispatched
-// match-only: the packet is validated against the plan but no tuple is
-// materialized.
+// path is then: classify -> check the packet against each candidate's plan
+// -> hand the packet itself to the engine; no string hashing, no type-tree
+// walk, no registry lookup. The JIT reads the fields its body projects in
+// place; only the interpreter decodes the packet into a tuple.
 #pragma once
 
 #include <array>
@@ -19,7 +18,7 @@
 #include "obs/metrics.hpp"
 #include "planp/interp.hpp"
 #include "planp/typecheck.hpp"
-#include "runtime/netapi.hpp"
+#include "planp/netapi.hpp"
 
 namespace asp::runtime {
 
@@ -28,10 +27,8 @@ namespace asp::runtime {
 struct MatchAction {
   std::uint16_t channel_idx = 0;          // Engine::run_channel's index
   const planp::ChannelDef* def = nullptr; // for error reporting (name)
-  DecodePlan plan;
-  bool needs_values = true;               // Engine::packet_used(channel_idx)
+  planp::DecodePlan plan;
   obs::Counter* handled = nullptr;        // pre-resolved per-channel counter
-  planp::TupleRep scratch;                // reusable decode storage
 };
 
 /// The install-time-compiled dispatch table: interned tag -> transport shape
@@ -49,7 +46,6 @@ class MatchActionTable {
   /// Compiles the table for `prog`'s channels. `counters` is the aligned
   /// per-channel dispatch counter list (may be shorter; missing -> null).
   static MatchActionTable build(const planp::CheckedProgram& prog,
-                                planp::Engine& engine,
                                 const std::vector<obs::Counter*>& counters);
 
   /// Transport shape slot of `p` (raw 0 / tcp 1 / udp 2).
@@ -72,7 +68,6 @@ class MatchActionTable {
                : &r;
   }
 
-  MatchAction& action(std::uint16_t idx) { return actions_[idx]; }
   const MatchAction& action(std::uint16_t idx) const { return actions_[idx]; }
   std::size_t size() const { return actions_.size(); }
 

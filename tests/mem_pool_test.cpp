@@ -274,13 +274,15 @@ TEST(FrameArena, ScribbleOverwritesEverySlot) {
   mem::FrameArena<int> arena;
   auto& f = arena.at_depth(0);
   f.locals.assign({1, 2});
-  f.stack.assign({3});
   f.args.assign({4, 5, 6});
   arena.scribble(0, 99);
   for (int v : f.locals) EXPECT_EQ(v, 99);
-  for (int v : f.stack) EXPECT_EQ(v, 99);
   for (int v : f.args) EXPECT_EQ(v, 99);
   arena.scribble(12, 99);  // beyond depth: must be a no-op, not a crash
+  arena.clear(0);
+  EXPECT_TRUE(f.locals.empty());
+  EXPECT_TRUE(f.args.empty());
+  arena.clear(12);  // likewise
 }
 
 // --- SmallFn ------------------------------------------------------------------

@@ -25,14 +25,17 @@ val limit : int = 7
 channel c(ps : int, ss : int, p : ip*blob) initstate 5 is (deliver(p); (ps + 42, ss))
 )"));
   std::string listing = disassemble(JitProgram(checked));
-  // Every block is listed under its own header.
+  // Every block is listed under its own header; the channel's is followed by
+  // none of its packet fields, since the body reads none.
   EXPECT_NE(listing.find("val limit:"), std::string::npos) << listing;
   EXPECT_NE(listing.find("initstate c:"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("channel c (ip*blob, slots=3):"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("LoadLocal"), std::string::npos);
+  EXPECT_NE(listing.find("channel c (ip*blob, regs=5, boxes=3):"), std::string::npos)
+      << listing;
+  EXPECT_EQ(listing.find("packet #"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("AddImm* "), std::string::npos) << listing;
   EXPECT_NE(listing.find("; 42"), std::string::npos);
   EXPECT_NE(listing.find("; 7"), std::string::npos);
-  EXPECT_NE(listing.find("Send"), std::string::npos);
+  EXPECT_NE(listing.find("SendPacket"), std::string::npos);
   EXPECT_NE(listing.find("Return"), std::string::npos);
 }
 
@@ -46,10 +49,13 @@ channel c(ps : int, ss : unit, p : ip*tcp*blob) is
   JitProgram fused(checked, /*fuse=*/true);
   JitProgram plain(checked, /*fuse=*/false);
   std::string listing = disassemble(fused.channel_bodies[0]);
-  // `val iph = #1 p` fuses to MoveField; `tcpDst(#2 p)` projects then calls;
-  // `= 80` fuses to EqConst.
-  EXPECT_NE(listing.find("MoveField*"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("EqConst*"), std::string::npos) << listing;
+  // `val iph = #1 p` shares the packet field's slot (no template);
+  // `tcpDst(#2 p)` reads the field loaded in place; the test on `= 80`
+  // becomes one compare-and-branch, `ps + 1` one add of an immediate.
+  EXPECT_EQ(listing.find("Move2"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("tcpDst(r"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("JumpUnlessEqImm*"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("AddImm*"), std::string::npos) << listing;
   EXPECT_LT(fused.channel_bodies[0].code.size(), plain.channel_bodies[0].code.size());
   // The unfused listing has no superinstructions at all.
   std::string plain_listing = disassemble(plain.channel_bodies[0]);
@@ -73,11 +79,10 @@ channel c(ps : int, ss : unit, p : ip*blob) is
     JitProgram plain(checked, /*fuse=*/false);
     for (const JitProgram* code : {&fused, &plain}) {
       for (const JitBlock* block : blocks(*code)) {
-        for (const SInstr& in : block->code) {
-          if (in.op == jop::kJump || in.op == jop::kJumpIfFalse ||
-              in.op == jop::kJumpIfTrue || in.op == jop::kTryPush) {
-            EXPECT_GE(in.a, 0) << name;
-            EXPECT_LE(in.a, static_cast<std::int32_t>(block->code.size())) << name;
+        for (const TInstr& in : block->code) {
+          if (is_branch(in.op)) {
+            EXPECT_GE(in.o[0], 0) << name;
+            EXPECT_LE(in.o[0], static_cast<std::int32_t>(block->code.size())) << name;
           }
         }
       }

@@ -5,7 +5,9 @@
 // the interpreter and preserves its semantics.
 #include <gtest/gtest.h>
 
+#include "mem/shard.hpp"
 #include "net/network.hpp"
+#include "planp/disasm.hpp"
 #include "planp/interp.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
@@ -49,12 +51,20 @@ Loaded load(const std::string& src, Which w) {
 
 class EngineSuite : public ::testing::TestWithParam<Which> {};
 
-Value mk_tcp_packet(const char* src, const char* dst, std::uint16_t sport,
-                    std::uint16_t dport, std::vector<std::uint8_t> body = {1, 2, 3}) {
-  return Value::of_tuple(
-      {Value::of_ip({asp::net::ip(src), asp::net::ip(dst), asp::net::IpProto::kTcp}),
-       Value::of_tcp({sport, dport, 0, 0, 0, 0}), Value::of_blob(std::move(body))});
+asp::net::Packet mk_tcp_packet(const char* src, const char* dst, std::uint16_t sport,
+                               std::uint16_t dport,
+                               std::vector<std::uint8_t> body = {1, 2, 3}) {
+  return asp::net::Packet::make_tcp(asp::net::ip(src), asp::net::ip(dst),
+                                    {sport, dport, 0, 0, 0, 0}, std::move(body));
 }
+
+asp::net::Packet mk_udp_packet(std::uint8_t i) {
+  return asp::net::Packet::make_udp(asp::net::ip("10.0.0.1"), asp::net::ip("10.0.0.2"), 9, 7,
+                                    std::vector<std::uint8_t>(16, i));
+}
+
+/// The packet a packet value encodes to (ip.proto follows its transport).
+asp::net::Packet wire(const Value& v) { return encode_packet(v, 0); }
 
 TEST_P(EngineSuite, CountsPacketsInState) {
   Loaded l = load(
@@ -110,7 +120,7 @@ initstate mkTable(256) is
         l.engine->run_channel(0, ps, ss, mk_tcp_packet(src, "9.9.9.9", sport, dport));
     ps = out.as_tuple()[0];
     ss = out.as_tuple()[1];
-    return l.env->sends.back().second.as_tuple()[0].as_ip().dst.str();
+    return l.env->sends.back().second.ip.dst.str();
   };
 
   // Two distinct connections alternate between the physical servers.
@@ -133,14 +143,14 @@ channel network(ps : unit, ss : int, p : ip*tcp*char*bool) initstate 0 is
   (deliver(p); (ps, if #4 p then ss + 1 else ss))
 )",
                   GetParam());
-  Value p_int = Value::of_tuple(
-      {Value::of_ip({}), Value::of_tcp({}), Value::of_char('A'), Value::of_int(10)});
+  asp::net::Packet p_int = wire(Value::of_tuple(
+      {Value::of_ip({}), Value::of_tcp({}), Value::of_char('A'), Value::of_int(10)}));
   Value out =
       l.engine->run_channel(0, Value::unit(), l.engine->init_state(0), p_int);
   EXPECT_EQ(out.as_tuple()[1].as_int(), 10);
 
-  Value p_bool = Value::of_tuple(
-      {Value::of_ip({}), Value::of_tcp({}), Value::of_char('B'), Value::of_bool(true)});
+  asp::net::Packet p_bool = wire(Value::of_tuple(
+      {Value::of_ip({}), Value::of_tcp({}), Value::of_char('B'), Value::of_bool(true)}));
   Value out2 =
       l.engine->run_channel(1, Value::unit(), l.engine->init_state(1), p_bool);
   EXPECT_EQ(out2.as_tuple()[1].as_int(), 1);
@@ -151,8 +161,8 @@ TEST_P(EngineSuite, ExceptionInChannelPropagates) {
       "channel c(ps : unit, ss : unit, p : ip*blob) is\n"
       "  (if blobLen(#2 p) > 100 then raise \"TooBig\" else deliver(p); (ps, ss))",
       GetParam());
-  Value small = Value::of_tuple({Value::of_ip({}), Value::of_blob(std::vector<std::uint8_t>(10))});
-  Value big = Value::of_tuple({Value::of_ip({}), Value::of_blob(std::vector<std::uint8_t>(200))});
+  asp::net::Packet small = asp::net::Packet::make_raw({}, {}, std::vector<std::uint8_t>(10));
+  asp::net::Packet big = asp::net::Packet::make_raw({}, {}, std::vector<std::uint8_t>(200));
   EXPECT_NO_THROW(l.engine->run_channel(0, Value::unit(), Value::unit(), small));
   EXPECT_THROW(l.engine->run_channel(0, Value::unit(), Value::unit(), big),
                PlanPException);
@@ -167,7 +177,7 @@ initstate mkTable(4) is
 )",
                   GetParam());
   Value ss = l.engine->init_state(0);
-  Value pkt = Value::of_tuple({Value::of_ip({}), Value::of_blob({1, 2})});
+  asp::net::Packet pkt = asp::net::Packet::make_raw({}, {}, {1, 2});
   // First packet: miss -> -1; records 0. Second: hit -> 0.
   Value o1 = l.engine->run_channel(0, Value::of_int(0), ss, pkt);
   EXPECT_EQ(o1.as_tuple()[0].as_int(), -1);
@@ -182,7 +192,7 @@ channel c(ps : int, ss : unit, p : ip*blob) is
   (deliver(p); (if blobLen(#2 p) > threshold then ps + 1 else ps, ss))
 )",
                   GetParam());
-  Value big = Value::of_tuple({Value::of_ip({}), Value::of_blob(std::vector<std::uint8_t>(60))});
+  asp::net::Packet big = asp::net::Packet::make_raw({}, {}, std::vector<std::uint8_t>(60));
   Value out = l.engine->run_channel(0, Value::of_int(0), Value::unit(), big);
   EXPECT_EQ(out.as_tuple()[0].as_int(), 1);
 }
@@ -196,7 +206,7 @@ channel c(ps : int, ss : unit, p : ip*blob) is
   (deliver(p); (g(ps) + f(1, 2) + (if ps % 2 = 0 then 100 else 200), ss))
 )",
                   GetParam());
-  Value pkt = Value::of_tuple({Value::of_ip({}), Value::of_blob({})});
+  asp::net::Packet pkt;
   // ps=4: f(12,11)=1, try 4/0 -> 11 => g=12; f(1,2)=1; even -> +100 => 113.
   Value out = l.engine->run_channel(0, Value::of_int(4), Value::unit(), pkt);
   EXPECT_EQ(out.as_tuple()[0].as_int(), 113);
@@ -213,10 +223,28 @@ channel c(ps : unit, ss : unit, p : ip*tcp*char*int) is
   else (deliver(p); (ps, ss))
 )",
                   GetParam());
-  Value pkt = Value::of_tuple(
-      {Value::of_ip({}), Value::of_tcp({}), Value::of_char('A'), Value::of_int(42)});
+  asp::net::Packet pkt = wire(Value::of_tuple(
+      {Value::of_ip({}), Value::of_tcp({}), Value::of_char('A'), Value::of_int(42)}));
   l.engine->run_channel(0, Value::unit(), Value::unit(), pkt);
   EXPECT_EQ(l.env->output, "CmdA: 42\n");
+}
+
+TEST_P(EngineSuite, InitializersBindMoreThanEightNames) {
+  // Ten nested lets in a top-level val and in an initstate: the lowering
+  // sizes their frames from the names they bind, not from a fixed guess.
+  std::string lets = "0";
+  for (int i = 9; i >= 0; --i) {
+    lets = "let val x" + std::to_string(i) + " : int = " + std::to_string(i + 1) + " in " +
+           (i == 9 ? "x9" : "x" + std::to_string(i) + " + (" + lets + ")") + " end";
+  }
+  Loaded l = load("val total : int = " + lets +
+                      "\nchannel c(ps : int, ss : int, p : ip*blob) initstate " + lets +
+                      " is (deliver(p); (ps + total, ss))",
+                  GetParam());
+  const Value ss = l.engine->init_state(0);
+  EXPECT_EQ(ss.as_int(), 55);
+  Value out = l.engine->run_channel(0, Value::of_int(0), ss, asp::net::Packet{});
+  EXPECT_EQ(out.tuple_at(0).as_int(), 55);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite,
@@ -246,8 +274,9 @@ TEST_P(DifferentialSweep, EnginesAgree) {
     Loaded l = load(src, w);
     Value acc = Value::of_int(0);
     for (int ps = -3; ps <= 3; ++ps) {
-      Value pkt = mk_tcp_packet("10.0.0.1", "10.0.0.2", 1000 + ps, 80,
-                                std::vector<std::uint8_t>(static_cast<std::size_t>(ps + 4)));
+      asp::net::Packet pkt =
+          mk_tcp_packet("10.0.0.1", "10.0.0.2", static_cast<std::uint16_t>(1000 + ps), 80,
+                        std::vector<std::uint8_t>(static_cast<std::size_t>(ps + 4)));
       Value out = l.engine->run_channel(0, Value::of_int(ps), Value::of_int(0), pkt);
       acc = Value::of_int(acc.as_int() * 31 + out.as_tuple()[0].as_int());
     }
@@ -285,17 +314,53 @@ INSTANTIATE_TEST_SUITE_P(
         "#1 (ps + 1, ps + 2) * #2 (ps + 3, ps + 4)",
         "(if ps % 2 = 0 then min(ps, 0) else max(ps, 0)) - (ps - 1)"));
 
+// A pure primitive called on literals is folded into a frozen constant when
+// the JIT lowers it: `blobFromString("")` costs no buffer per packet (it was
+// Const "" then CallPrim blobFromString, a pooled buffer on every object
+// request of the edge-cache ASPs). Both engines still agree.
+TEST(EngineFolding, LiteralCallOfPurePrimitiveTakesNoBufferPerPacket) {
+  const std::string src = R"(
+channel network(ps : int, ss : unit, p : ip*udp*blob) is
+  let val b : blob = #3 p
+      val cached : blob = cacheGetDefault(cacheKey(blobInt(b, 0), ipDst(#1 p)),
+                                          blobFromString(""))
+  in (OnRemote(network, p); (ps + blobLen(cached) + min(3, 4), ss)) end
+)";
+  CheckedProgram checked = typecheck(parse(src));
+  EXPECT_EQ(disassemble(JitProgram(checked)).find("blobFromString"), std::string::npos);
+  std::vector<std::int64_t> results[2];
+  for (Which w : {Which::kInterp, Which::kJit}) {
+    Loaded l = load(src, w);
+    Value ps = Value::of_int(0);
+    std::uint64_t acquired = 0;
+    for (int i = 0; i < 4; ++i) {
+      const asp::net::Packet pkt = mk_udp_packet(static_cast<std::uint8_t>(i));
+      const mem::PoolStats& st = mem::buffer_pool().stats();
+      const std::uint64_t before = st.hits + st.misses;
+      Value out = l.engine->run_channel(0, ps, Value::unit(), pkt);
+      acquired += st.hits + st.misses - before;
+      ps = out.tuple_at(0);
+      results[w == Which::kJit].push_back(ps.as_int());
+    }
+    if (w == Which::kJit) {
+      EXPECT_EQ(acquired, 0u);
+    }
+    EXPECT_EQ(l.env->sends.size(), 4u) << which_name(w);
+  }
+  EXPECT_EQ(results[0], results[1]);
+}
+
 // Sends are keyed by the channel tag the type checker interned: every engine
 // hands EnvApi the same tags, for a user channel and for `network` alike.
 TEST(EngineSends, InterpreterAndJitHandEnvTheSameTags) {
   struct TagEnv : NullEnv {
-    void on_remote(std::uint32_t tag, const Value& p) override {
+    void on_remote(std::uint32_t tag, asp::net::Packet p) override {
       tags.push_back(tag);
-      NullEnv::on_remote(tag, p);
+      NullEnv::on_remote(tag, std::move(p));
     }
-    void on_neighbor(std::uint32_t tag, const Value& p) override {
+    void on_neighbor(std::uint32_t tag, asp::net::Packet p) override {
       tags.push_back(tag);
-      NullEnv::on_neighbor(tag, p);
+      NullEnv::on_neighbor(tag, std::move(p));
     }
     std::vector<std::uint32_t> tags;
   };
@@ -308,10 +373,8 @@ channel network(ps : int, ss : unit, p : ip*blob) is
   const std::vector<std::uint32_t> expected = {
       asp::net::ChannelTags::intern("audio"), asp::net::ChannelTags::intern("network"),
       asp::net::ChannelTags::intern("network")};
-  Value pkt = Value::of_tuple(
-      {Value::of_ip({asp::net::ip("1.1.1.1"), asp::net::ip("2.2.2.2"),
-                     asp::net::IpProto::kRaw}),
-       Value::of_blob({1, 2, 3})});
+  asp::net::Packet pkt =
+      asp::net::Packet::make_raw(asp::net::ip("1.1.1.1"), asp::net::ip("2.2.2.2"), {1, 2, 3});
   for (Which w : {Which::kInterp, Which::kJitNoFuse, Which::kJit}) {
     TagEnv env;
     std::unique_ptr<Engine> engine;

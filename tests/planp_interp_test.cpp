@@ -150,16 +150,14 @@ channel c(ps : unit, ss : unit, p : ip*tcp*blob) is
   in (OnRemote(c, (iph, tcpDstSet(#2 p, 8080), #3 p)); (ps, ss)) end
 )"));
   Interp interp(p, env);
-  Value pkt = Value::of_tuple(
-      {Value::of_ip({asp::net::ip("1.1.1.1"), asp::net::ip("2.2.2.2"),
-                     asp::net::IpProto::kTcp}),
-       Value::of_tcp({1234, 80, 0, 0, 0, 0}), Value::of_blob({1, 2, 3})});
+  asp::net::Packet pkt = asp::net::Packet::make_tcp(
+      asp::net::ip("1.1.1.1"), asp::net::ip("2.2.2.2"), {1234, 80, 0, 0, 0, 0}, {1, 2, 3});
   interp.run_channel(0, Value::unit(), Value::unit(), pkt);
   ASSERT_EQ(env.sends.size(), 1u);
-  const auto& sent = env.sends[0].second.as_tuple();
-  EXPECT_EQ(sent[0].as_ip().dst.str(), "9.9.9.9");
-  EXPECT_EQ(sent[0].as_ip().src.str(), "1.1.1.1");
-  EXPECT_EQ(sent[1].as_tcp().dport, 8080);
+  const asp::net::Packet& sent = env.sends[0].second;
+  EXPECT_EQ(sent.ip.dst.str(), "9.9.9.9");
+  EXPECT_EQ(sent.ip.src.str(), "1.1.1.1");
+  EXPECT_EQ(sent.tcp->dport, 8080);
 }
 
 TEST(Interp, ChannelStateThreading) {
@@ -169,8 +167,7 @@ TEST(Interp, ChannelStateThreading) {
       "  (deliver(p); (ps + 1, ss + 2))"));
   Interp interp(p, env);
   EXPECT_EQ(interp.init_state(0).as_int(), 100);
-  Value pkt = Value::of_tuple({Value::of_ip({}), Value::of_blob({})});
-  Value out = interp.run_channel(0, Value::of_int(0), Value::of_int(100), pkt);
+  Value out = interp.run_channel(0, Value::of_int(0), Value::of_int(100), asp::net::Packet{});
   EXPECT_EQ(out.as_tuple()[0].as_int(), 1);
   EXPECT_EQ(out.as_tuple()[1].as_int(), 102);
 }
@@ -206,10 +203,9 @@ TEST(Interp, DropAndDeliverEffects) {
       "channel c(ps : unit, ss : unit, p : ip*blob) is\n"
       "  (if blobLen(#2 p) > 0 then deliver(p) else drop(); (ps, ss))"));
   Interp interp(p, env);
-  Value with_data = Value::of_tuple({Value::of_ip({}), Value::of_blob({1})});
-  Value empty = Value::of_tuple({Value::of_ip({}), Value::of_blob({})});
+  asp::net::Packet with_data = asp::net::Packet::make_raw({}, {}, {1});
   interp.run_channel(0, Value::unit(), Value::unit(), with_data);
-  interp.run_channel(0, Value::unit(), Value::unit(), empty);
+  interp.run_channel(0, Value::unit(), Value::unit(), asp::net::Packet{});
   EXPECT_EQ(env.delivered.size(), 1u);
   EXPECT_EQ(env.drops, 1);
 }

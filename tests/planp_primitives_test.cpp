@@ -133,8 +133,9 @@ channel c(ps : unit, ss : unit, p : ip*blob) is
   hdr.dst = asp::net::ip("8.8.8.8");
   hdr.ttl = 33;
   hdr.proto = asp::net::IpProto::kUdp;
-  interp.run_channel(0, Value::unit(), Value::unit(),
-                     Value::of_tuple({Value::of_ip(hdr), Value::of_blob({})}));
+  asp::net::Packet pkt;
+  pkt.ip = hdr;
+  interp.run_channel(0, Value::unit(), Value::unit(), pkt);
   EXPECT_EQ(env.output, "2.2.2.2\n1.1.1.1\n7\n33\n17\ntrue\nfalse\n");
 }
 
@@ -153,8 +154,7 @@ channel c(ps : unit, ss : unit, p : ip*tcp*blob) is
   Interp interp(p, env);
   asp::net::TcpHeader t{1, 2, 100, 200, asp::net::tcpflag::kSyn, 0};
   interp.run_channel(0, Value::unit(), Value::unit(),
-                     Value::of_tuple({Value::of_ip({}), Value::of_tcp(t),
-                                      Value::of_blob({})}));
+                     asp::net::Packet::make_tcp({}, {}, t, {}));
   EXPECT_EQ(env.output, "999\n8080\n100\n200\ntrue\nfalse\nfalse\nfalse\n");
 }
 
@@ -167,9 +167,7 @@ channel c(ps : unit, ss : unit, p : ip*udp*blob) is
 )"));
   Interp interp(p, env);
   interp.run_channel(0, Value::unit(), Value::unit(),
-                     Value::of_tuple({Value::of_ip({}),
-                                      Value::of_udp(asp::net::UdpHeader{1, 2}),
-                                      Value::of_blob({})}));
+                     asp::net::Packet::make_udp({}, {}, 1, 2, {}));
   EXPECT_EQ(env.output, "5353\n53\n");
 }
 

@@ -11,6 +11,7 @@
 #include "net/exec.hpp"
 #include "net/network.hpp"
 #include "net/tcp.hpp"
+#include "mem/pool.hpp"
 
 namespace asp::runtime {
 namespace {
@@ -326,6 +327,40 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
     for (int i = 0; i < 3; ++i) src.send_to(b.addr(), 7, asp::net::bytes_of("x"));
     net.run();
     EXPECT_EQ(rt.log(), "0\n2\n4\n") << "engine " << static_cast<int>(kind);
+  }
+}
+
+// A channel run pins nothing: once inject returns, the caller's reference is
+// the payload's only one, on either engine. That is also what lets the
+// interpreter's decode refill its scratch tuple in place: from the second
+// packet on, a run acquires nothing from any pool.
+TEST(AspRuntime, ChannelRunKeepsNoReferenceToItsPacket) {
+  for (planp::EngineKind kind : {planp::EngineKind::kInterp, planp::EngineKind::kJit}) {
+    Network net;
+    Node& n = net.add_node("n");
+    AspRuntime rt(n);
+    planp::Protocol::Options opts;
+    opts.engine = kind;
+    opts.require_verified = false;  // consumes without sending
+    rt.install(R"(
+channel network(ps : int, ss : unit, p : ip*udp*blob) is
+  let val b : blob = #3 p in (ps + blobLen(b) + blobInt(b, 0), ss) end
+)",
+               opts);
+    Packet p = Packet::make_udp(ip("10.0.0.1"), ip("10.0.0.2"), 9, 7,
+                                std::vector<std::uint8_t>(64, 1));
+    ASSERT_EQ(p.payload.buffer().use_count(), 1);
+    std::uint64_t acquired = 0;
+    for (int i = 0; i < 3; ++i) {
+      const mem::PoolTotals before = mem::total_pool_stats();
+      ASSERT_TRUE(rt.inject(p));
+      const mem::PoolTotals after = mem::total_pool_stats();
+      EXPECT_EQ(p.payload.buffer().use_count(), 1)
+          << "engine " << rt.engine().engine_name() << ", packet " << i;
+      if (i > 0) acquired += (after.hits + after.misses) - (before.hits + before.misses);
+    }
+    EXPECT_EQ(acquired, 0u) << "engine " << rt.engine().engine_name();
+    EXPECT_EQ(rt.stats().packets_handled, 3u);
   }
 }
 

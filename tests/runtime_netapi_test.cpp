@@ -1,28 +1,26 @@
-#include "runtime/netapi.hpp"
+#include "planp/netapi.hpp"
 
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
 #include "planp/parser.hpp"
 
-namespace asp::runtime {
+namespace asp::planp {
 namespace {
 
 using asp::net::ip;
 using asp::net::IpProto;
 using asp::net::Packet;
-using planp::TypePtr;
-using planp::Value;
 
 TypePtr ptype(const std::string& t) {
   // Parse a packet type by embedding it in a channel declaration.
-  planp::Program p = planp::parse(
+  Program p = parse(
       "channel c(ps : unit, ss : unit, p : " + t + ") is (deliver(p); (ps, ss))");
-  return std::get<planp::ChannelDef>(p.decls[0]).packet_type;
+  return std::get<ChannelDef>(p.decls[0]).packet_type;
 }
 
 /// Decodes `p` as packet type `t` through a compiled plan, as the runtime
-/// does, and checks that the match-only half of dispatch agrees.
+/// does, and checks that the match check the runtime makes first agrees.
 std::optional<Value> decode(const Packet& p, const std::string& t) {
   const DecodePlan plan = compile_decode_plan(ptype(t));
   std::optional<Value> v = decode_packet(p, plan);
@@ -157,5 +155,70 @@ TEST(NetApi, BoolStrictEncoding) {
   EXPECT_FALSE(decode(two, "ip*bool*blob").has_value());
 }
 
+/// Every field of a packet that reaches the wire or the next hop.
+std::string describe(const Packet& p) {
+  std::string s = p.ip.src.str() + ">" + p.ip.dst.str() +
+                  " proto=" + std::to_string(static_cast<int>(p.ip.proto)) +
+                  " ttl=" + std::to_string(p.ip.ttl) + " tos=" + std::to_string(p.ip.tos) +
+                  " tag=" + std::to_string(p.channel_tag) + " id=" + std::to_string(p.id) +
+                  " l2=" + p.l2_next_hop.str();
+  if (p.tcp) {
+    s += " tcp " + std::to_string(p.tcp->sport) + ">" + std::to_string(p.tcp->dport) + " " +
+         std::to_string(p.tcp->seq) + " " + std::to_string(p.tcp->ack) + " " +
+         std::to_string(p.tcp->flags) + " " + std::to_string(p.tcp->wnd);
+  }
+  if (p.udp) s += " udp " + std::to_string(p.udp->sport) + ">" + std::to_string(p.udp->dport);
+  s += " payload=";
+  for (std::uint8_t b : p.payload) s += std::to_string(b) + ",";
+  return s;
+}
+
+// The JIT sends its unmodified packet as reemit_packet's copy; it must be
+// exactly what the interpreter's decode-then-encode builds, for every shape
+// a plan accepts: typed transports, header-only plans on raw, TCP and UDP
+// packets, payloads longer than fixed scalar fields, and inconsistent
+// packets whose headers disagree with ip.proto.
+TEST(NetApi, ReemitEqualsDecodeThenEncode) {
+  std::vector<Packet> packets = {
+      Packet::make_tcp(ip("1.1.1.1"), ip("2.2.2.2"), {1000, 80, 7, 8, 0x12, 99},
+                       {'A', 0, 0, 1, 0, 1, 9, 9}),
+      Packet::make_udp(ip("1.1.1.1"), ip("2.2.2.2"), 4321, 7, {'B', 0, 0, 0, 2, 0}),
+      Packet::make_raw(ip("1.1.1.1"), ip("2.2.2.2"), {'C', 1, 2, 3, 4, 1}),
+      Packet::make_tcp(ip("1.1.1.1"), ip("2.2.2.2"), {}, {'D', 1, 2, 3, 4}),
+      Packet::make_udp(ip("1.1.1.1"), ip("2.2.2.2"), 1, 2, {}),
+  };
+  // ip.proto says TCP, but there is no TCP header: split_rest parses bytes.
+  Packet lying = Packet::make_raw(ip("3.3.3.3"), ip("4.4.4.4"),
+                                  std::vector<std::uint8_t>(30, 0x01));
+  lying.ip.proto = IpProto::kTcp;
+  packets.push_back(lying);
+  // Both transport headers at once.
+  Packet both = Packet::make_udp(ip("5.5.5.5"), ip("6.6.6.6"), 5, 6, {1, 1, 1, 1, 1});
+  both.tcp = asp::net::TcpHeader{1, 2, 3, 4, 5, 6};
+  packets.push_back(both);
+  for (Packet& p : packets) {
+    p.id = 77;  // what the sender stamped: the copy is a new packet
+    p.channel_tag = asp::net::ChannelTags::intern("audio");
+    p.l2_next_hop = ip("9.9.9.9");
+    p.ip.ttl = 12;
+    p.ip.tos = 3;
+  }
+  const char* types[] = {"ip*blob",      "ip*tcp*blob",   "ip*udp*blob",
+                         "ip*char*blob", "ip*tcp*char*int", "ip*udp*char*int*bool",
+                         "ip*char*int",  "ip*int*bool*blob", "ip*tcp*char*int*bool*blob"};
+  int matched = 0;
+  for (const char* t : types) {
+    const DecodePlan plan = compile_decode_plan(ptype(t));
+    for (const Packet& p : packets) {
+      if (!match_packet(p, plan)) continue;
+      ++matched;
+      EXPECT_EQ(describe(reemit_packet(p, plan)),
+                describe(encode_packet(*decode_packet(p, plan), 0)))
+          << t << " on " << describe(p);
+    }
+  }
+  EXPECT_GE(matched, 20);
+}
+
 }  // namespace
-}  // namespace asp::runtime
+}  // namespace asp::planp

@@ -63,7 +63,10 @@ def check_links():
 def registered_primitives():
     src = open(os.path.join(ROOT, "src/planp/primitives.cpp"),
                encoding="utf-8").read()
-    return sorted(set(re.findall(r'\badd\(\s*"(\w+)"', src)))
+    # add("name", ...), add_pure("name", ...), add_typed<&f>(add, "name", ...)
+    # and add_typed_sig<&f>(add, "name", ...) all register one.
+    return sorted(set(re.findall(
+        r'\badd(?:_pure|_typed(?:_sig)?<[^>]*>)?\(\s*(?:add,\s*)?"(\w+)"', src)))
 
 
 def check_primitives_table():

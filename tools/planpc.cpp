@@ -15,6 +15,7 @@
 
 #include "planp/analysis.hpp"
 #include "planp/disasm.hpp"
+#include "planp/netapi.hpp"
 #include "planp/parser.hpp"
 #include "planp/program.hpp"
 
@@ -39,7 +40,7 @@ std::string slurp(const char* path) {
   return out.str();
 }
 
-Value synthetic_packet(const TypePtr& type, int i) {
+asp::net::Packet synthetic_packet(const TypePtr& type, int i) {
   std::vector<Value> fields;
   for (const TypePtr& part : type->args()) {
     switch (part->kind()) {
@@ -72,7 +73,7 @@ Value synthetic_packet(const TypePtr& type, int i) {
         break;
     }
   }
-  return Value::of_tuple(std::move(fields));
+  return encode_packet(Value::of_tuple(std::move(fields)), 0);
 }
 
 }  // namespace
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
       Value ps = default_value(checked.channels[0]->ps_type);
       Value ss = jit.init_state(0);
       for (int i = 0; i < n; ++i) {
-        Value pkt = synthetic_packet(checked.channels[0]->packet_type, i);
+        asp::net::Packet pkt = synthetic_packet(checked.channels[0]->packet_type, i);
         try {
           Value out = jit.run_channel(0, ps, ss, pkt);
           ps = out.as_tuple()[0];
