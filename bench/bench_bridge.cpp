@@ -40,8 +40,7 @@ void BM_Bridge_AspJit(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     env.arrival = i % 2;
-    Value out = engine.run_channel(0, ps, ss, frames[i++ & 63]);
-    ps = out.as_tuple()[0];
+    ps = engine.run_channel(0, ps, ss, frames[i++ & 63]).ps;
     env.sends.clear();
   }
   state.SetItemsProcessed(state.iterations());
@@ -60,8 +59,7 @@ void BM_Bridge_AspInterp(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     env.arrival = i % 2;
-    Value out = engine.run_channel(0, ps, ss, frames[i++ & 63]);
-    ps = out.as_tuple()[0];
+    ps = engine.run_channel(0, ps, ss, frames[i++ & 63]).ps;
     env.sends.clear();
   }
   state.SetItemsProcessed(state.iterations());

@@ -70,9 +70,9 @@ void run_engine_bench(benchmark::State& state, planp::EngineKind kind) {
   GatewayFixture fx(kind);
   int i = 0;
   for (auto _ : state) {
-    Value out = fx.engine->run_channel(0, fx.ps, fx.ss, fx.packets[i++ & 255]);
+    planp::States out = fx.engine->run_channel(0, fx.ps, fx.ss, fx.packets[i++ & 255]);
     benchmark::DoNotOptimize(out);
-    fx.ps = out.as_tuple()[0];
+    fx.ps = std::move(out.ps);
     fx.env.sends.clear();
   }
   state.SetItemsProcessed(state.iterations());

@@ -52,8 +52,6 @@ std::mutex& stats_list_mu() {
   return *mu;
 }
 
-obs::RelaxedU64 g_heap_captures;
-obs::RelaxedU64 g_heap_capture_bytes;
 obs::RelaxedU64 g_event_slab_chunks;
 obs::RelaxedU64 g_event_slab_bytes;
 }  // namespace
@@ -79,9 +77,6 @@ void publish_metrics() {
         .set(static_cast<double>(e.stats->remote_drained.load()));
     reg.gauge(e.name + "/spills").set(static_cast<double>(e.stats->spills.load()));
   }
-  reg.gauge("mem/event/heap_captures").set(static_cast<double>(g_heap_captures.load()));
-  reg.gauge("mem/event/heap_capture_bytes")
-      .set(static_cast<double>(g_heap_capture_bytes.load()));
   reg.gauge("mem/event/slab_chunks")
       .set(static_cast<double>(g_event_slab_chunks.load()));
   reg.gauge("mem/event/slab_bytes")
@@ -102,13 +97,6 @@ PoolTotals total_pool_stats() {
   }
   return t;
 }
-
-void note_heap_capture(std::size_t bytes) {
-  ++g_heap_captures;
-  g_heap_capture_bytes += bytes;
-}
-
-std::uint64_t heap_capture_count() { return g_heap_captures.load(); }
 
 void note_event_slab_chunk(std::size_t bytes) {
   ++g_event_slab_chunks;

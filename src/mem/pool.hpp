@@ -153,7 +153,7 @@ void register_pool_stats(const std::string& name, const PoolStats* stats);
 
 /// Copies every registered pool's counters into obs::registry() as gauges
 /// (mem/shard<K>/<pool>/{hits,misses,recycled,recycled_bytes,live,
-/// remote_freed,remote_drained,spills}), plus mem/event/heap_captures.
+/// remote_freed,remote_drained,spills}), plus mem/event/slab_{chunks,bytes}.
 /// Benches call this right before exporting JSON.
 void publish_metrics();
 
@@ -172,11 +172,6 @@ struct PoolTotals {
   std::uint64_t spills = 0;
 };
 PoolTotals total_pool_stats();
-
-/// Oversized event-callback captures that fell back to the heap (see
-/// SmallFn in smallfn.hpp). Kept here so pool.cpp owns all counters.
-void note_heap_capture(std::size_t bytes);
-std::uint64_t heap_capture_count();
 
 /// Event-queue slab growth: one chunk of pooled calendar-queue entries
 /// (net/event.cpp). Process-wide (queues are shard-confined but short-lived

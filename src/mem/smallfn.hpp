@@ -7,17 +7,14 @@
 // schedule time. The event queue is on the per-packet path, so EventQueue
 // stores SmallFn<64> instead: any capture up to 64 bytes (a this-pointer,
 // two shared_ptrs, and a pooled box handle fit comfortably) lives inline in
-// the queue entry. Larger captures still work via a counted heap fallback
-// (mem::note_heap_capture), which bench_fastpath surfaces so an oversized
-// capture is a visible regression, not a silent slowdown.
+// the queue entry. A larger capture, or one whose move can throw, does not
+// compile: there is no heap fallback to regress to.
 #pragma once
 
 #include <cstddef>
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "mem/pool.hpp"
 
 namespace asp::mem {
 
@@ -33,17 +30,13 @@ class SmallFn {
   SmallFn(F&& f) {  // NOLINT: converting, mirrors std::function
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_r_v<void, Fn&>, "SmallFn target must be callable as void()");
-    if constexpr (sizeof(Fn) <= N && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      // Oversized (or throwing-move) capture: box it on the heap and count
-      // it — the fast path should never take this branch.
-      note_heap_capture(sizeof(Fn));
-      heap_ = new Fn(std::forward<F>(f));
-      ops_ = &heap_ops<Fn>;
-    }
+    static_assert(sizeof(Fn) <= N && alignof(Fn) <= alignof(std::max_align_t),
+                  "SmallFn capture exceeds its inline buffer: capture a handle (a "
+                  "net::PacketBox, a pointer) instead of the object");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "SmallFn capture must be nothrow-movable");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    ops_ = &ops<Fn>;
   }
 
   SmallFn(SmallFn&& o) noexcept { move_from(o); }
@@ -64,21 +57,15 @@ class SmallFn {
 
   void operator()() { ops_->invoke(this); }
 
-  /// True when the target lives in the inline buffer (test hook).
-  bool is_inline() const noexcept { return ops_ != nullptr && ops_->inline_storage; }
-
  private:
   struct Ops {
     void (*invoke)(SmallFn*);
     void (*move)(SmallFn* dst, SmallFn* src) noexcept;
     void (*destroy)(SmallFn*) noexcept;
-    bool inline_storage;
   };
 
   template <typename Fn>
-  static const Ops inline_ops;
-  template <typename Fn>
-  static const Ops heap_ops;
+  static const Ops ops;
 
   void reset() noexcept {
     if (ops_ != nullptr) {
@@ -96,41 +83,24 @@ class SmallFn {
   }
 
   template <typename Fn>
-  Fn* inline_target() noexcept {
+  Fn* target() noexcept {
     return std::launder(reinterpret_cast<Fn*>(buf_));
   }
 
   const Ops* ops_ = nullptr;
-  union {
-    alignas(std::max_align_t) unsigned char buf_[N];
-    void* heap_;
-  };
+  alignas(std::max_align_t) unsigned char buf_[N];
 };
 
 template <std::size_t N>
 template <typename Fn>
-const typename SmallFn<N>::Ops SmallFn<N>::inline_ops = {
-    /*invoke=*/[](SmallFn* s) { (*s->template inline_target<Fn>())(); },
+const typename SmallFn<N>::Ops SmallFn<N>::ops = {
+    /*invoke=*/[](SmallFn* s) { (*s->template target<Fn>())(); },
     /*move=*/
     [](SmallFn* dst, SmallFn* src) noexcept {
-      ::new (static_cast<void*>(dst->buf_)) Fn(std::move(*src->template inline_target<Fn>()));
-      src->template inline_target<Fn>()->~Fn();
+      ::new (static_cast<void*>(dst->buf_)) Fn(std::move(*src->template target<Fn>()));
+      src->template target<Fn>()->~Fn();
     },
-    /*destroy=*/[](SmallFn* s) noexcept { s->template inline_target<Fn>()->~Fn(); },
-    /*inline_storage=*/true,
-};
-
-template <std::size_t N>
-template <typename Fn>
-const typename SmallFn<N>::Ops SmallFn<N>::heap_ops = {
-    /*invoke=*/[](SmallFn* s) { (*static_cast<Fn*>(s->heap_))(); },
-    /*move=*/
-    [](SmallFn* dst, SmallFn* src) noexcept {
-      dst->heap_ = src->heap_;
-      src->heap_ = nullptr;
-    },
-    /*destroy=*/[](SmallFn* s) noexcept { delete static_cast<Fn*>(s->heap_); },
-    /*inline_storage=*/false,
+    /*destroy=*/[](SmallFn* s) noexcept { s->template target<Fn>()->~Fn(); },
 };
 
 }  // namespace asp::mem

@@ -28,8 +28,8 @@
 namespace asp::net {
 
 /// Event callback type: move-only, with a 64-byte inline capture buffer (see
-/// mem/smallfn.hpp). Callbacks on the packet path must fit inline — see the
-/// capture budget note on EventQueue::Entry.
+/// mem/smallfn.hpp). Every callback must fit inline — see the capture budget
+/// note on EventQueue::Entry.
 using EventFn = mem::SmallFn<64>;
 
 /// A calendar queue of timestamped callbacks. Events at equal times run in
@@ -103,12 +103,10 @@ class EventQueue {
 
   // Capture budget: `fn` stores its capture inline up to EventFn::kInlineBytes
   // (64 bytes — a `this` pointer plus several shared_ptrs, or a pooled
-  // Packet box handle, all fit). Anything larger silently falls back to a
-  // heap allocation per scheduled event, which bench_fastpath surfaces as
-  // mem/event/heap_captures. When a callback needs a Packet, capture the
-  // pointer-sized net::PacketBox handle (the one the packet already travels
-  // in, or a fresh net::packet_boxes() box) instead of the 72-byte Packet
-  // (see medium.cpp / node.cpp).
+  // Packet box handle, all fit). A larger capture does not compile. When a
+  // callback needs a Packet, capture the pointer-sized net::PacketBox handle
+  // (the one the packet already travels in, or a fresh net::packet_boxes()
+  // box) instead of the 72-byte Packet (see medium.cpp / node.cpp).
   //
   // The slot's payload. Ordering fields live in Key, not here: the slab
   // entry is written once at schedule and read once at drain.

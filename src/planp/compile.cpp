@@ -63,11 +63,14 @@ bool generic(const TypePtr& t) {
 
 /// Where an expression's value must go.
 struct Dest {
-  enum class Kind { kAny, kDiscard, kAt } kind = Kind::kAny;
-  Operand at;  // kAt
+  enum class Kind { kAny, kDiscard, kAt, kPair } kind = Kind::kAny;
+  Operand at{};      // kAt; kPair: where the pair's first element goes
+  Operand second{};  // kPair: where its second element goes
   static Dest any() { return {}; }
-  static Dest discard() { return {Kind::kDiscard, {}}; }
-  static Dest to(Operand o) { return {Kind::kAt, o}; }
+  static Dest discard() { return {.kind = Kind::kDiscard}; }
+  static Dest to(Operand o) { return {.kind = Kind::kAt, .at = o}; }
+  /// A pair delivered as its two elements: a channel body's new states.
+  static Dest pair(Operand a, Operand b) { return {.kind = Kind::kPair, .at = a, .second = b}; }
 };
 
 /// Lowers one block at a time, tracking the frame slots it needs.
@@ -81,10 +84,13 @@ class Emitter {
     for (std::size_t i = 0; i < f.params.size(); ++i) {
       block_.params.push_back(bind_param(static_cast<int>(i), f.params[i].second));
     }
-    return finish(*f.body, rep_of(f.ret));
+    block_.result = alloc(rep_of(f.ret));
+    return finish(*f.body, Dest::to(block_.result));
   }
 
   /// A channel body: ps, ss and the packet's fields own the first slots.
+  /// The new states get slots of their own, since a body may still read ps
+  /// after it has computed the new ps (`(ss, ps)`).
   JitBlock channel(const ChannelDef& c, const DecodePlan& plan) {
     begin();
     block_.params.push_back(bind_param(0, c.ps_type));
@@ -92,7 +98,9 @@ class Emitter {
     in_channel_ = true;
     packet_type_ = c.packet_type.get();
     reserve_packet_fields(plan);
-    JitBlock b = finish(*c.body, Rep::kBox);
+    block_.result = alloc(rep_of(c.ps_type));
+    block_.ss_result = alloc(rep_of(c.ss_type));
+    JitBlock b = finish(*c.body, Dest::pair(block_.result, block_.ss_result));
     in_channel_ = false;
     // Only the fields the body reads are loaded when it runs.
     std::vector<PacketField> read;
@@ -107,7 +115,8 @@ class Emitter {
   /// A parameterless expression (global or channel initializer).
   JitBlock expr(const Expr& e) {
     begin();
-    return finish(e, rep_of(e.type));
+    block_.result = alloc(rep_of(e.type));
+    return finish(e, Dest::to(block_.result));
   }
 
  private:
@@ -119,9 +128,9 @@ class Emitter {
     packet_read_ = false;
   }
 
-  JitBlock finish(const Expr& body, Rep result_rep) {
-    block_.result = alloc(result_rep);
-    lower(body, Dest::to(block_.result));
+  /// Lowers `body` into the block's result slots and closes the block.
+  JitBlock finish(const Expr& body, Dest result) {
+    lower(body, result);
     emit({.op = jop::kReturn}, 1);
     block_.frame_regs = block_.regs + callee_regs_;
     block_.frame_boxes = block_.boxes + callee_boxes_;
@@ -214,8 +223,6 @@ class Emitter {
   std::int32_t here() const { return static_cast<std::int32_t>(block_.code.size()); }
 
   const Value* constant(Value v) {
-    // Every engine instance of the program reads the pool at once.
-    freeze(v);
     // Scalars are deduplicated; aggregates appended as-is.
     for (const Value& c : out_.consts) {
       const auto& rep = c.rep();
@@ -257,8 +264,6 @@ class Emitter {
           if (!v) return std::nullopt;
           elems.push_back(std::move(*v));
         }
-        // The shapes kTuple builds: pairs via of_pair, others pooled.
-        if (elems.size() == 2) return Value::of_pair(std::move(elems[0]), std::move(elems[1]));
         return Value::of_tuple(std::move(elems));
       }
       case K::kCall: {
@@ -310,10 +315,41 @@ class Emitter {
     return v;
   }
 
+  /// The destination an expression hands on to the subexpression that gives
+  /// its value: `d` itself, or for kAny a slot allocated here, outside the
+  /// scope of the names the expression binds.
+  Dest hand_on(Dest d, Rep rep) { return d.kind == Dest::Kind::kAny ? Dest::to(alloc(rep)) : d; }
+
+  /// Lowers the pair `e` into the two slots of `d`. A tuple expression writes
+  /// its elements there; any other (a variable, a call, a projection) is
+  /// built and projected twice.
+  Operand lower_pair(const Expr& e, Dest d) {
+    if (e.kind == Expr::Kind::kTuple) {
+      lower(*e.args[0], Dest::to(d.at));
+      lower(*e.args[1], Dest::to(d.second));
+      return d.at;
+    }
+    Mark m = mark();
+    const Operand t = lower(e, Dest::any());
+    const Operand to[2] = {d.at, d.second};
+    for (std::int32_t i = 0; i < 2; ++i) {
+      emit({.op = jop::kProj, .o = {to[i].slot, t.slot, i},
+            .imm = static_cast<std::int64_t>(to[i].rep)});
+    }
+    release(m);
+    return d.at;
+  }
+
   // --- expressions ---------------------------------------------------------------
   Operand lower(const Expr& e, Dest d) {
     using K = Expr::Kind;
     const Rep rep = rep_of(e.type);
+    // If, let, sequences and try hand a pair destination on (raise ignores
+    // it); every other expression delivers it here.
+    if (d.kind == Dest::Kind::kPair && e.kind != K::kIf && e.kind != K::kLet &&
+        e.kind != K::kSeq && e.kind != K::kTry && e.kind != K::kRaise) {
+      return lower_pair(e, d);
+    }
     if (e.kind != K::kVar || !is_local_var(e.var_slot)) {
       if (std::optional<Value> v = literal(e)) {
         if (d.kind == Dest::Kind::kDiscard) return {};
@@ -341,9 +377,7 @@ class Emitter {
       }
 
       case K::kLet: {
-        // A result slot outside the let's scope, so the variable can go.
-        Operand t = d.kind == Dest::Kind::kAny ? alloc(rep) : d.at;
-        Dest inner = d.kind == Dest::Kind::kDiscard ? d : Dest::to(t);
+        Dest inner = hand_on(d, rep);
         Mark m = mark();
         // Bound to a variable or a packet field, which outlives the let, the
         // new name shares its slot (values are immutable). The name is bound
@@ -356,19 +390,18 @@ class Emitter {
         var(e.var_slot) = *bound;
         lower(*e.args[1], inner);
         release(m);
-        return t;
+        return inner.at;
       }
 
       case K::kIf: {
-        Operand t = d.kind == Dest::Kind::kAny ? alloc(rep) : d.at;
-        Dest inner = d.kind == Dest::Kind::kDiscard ? d : Dest::to(t);
+        Dest inner = hand_on(d, rep);
         std::vector<int> to_else = branch_unless(*e.args[0]);
         lower(*e.args[1], inner);
         int jend = emit({.op = jop::kJump});
         for (int j : to_else) patch(j, here());
         lower(*e.args[2], inner);
         patch(jend, here());
-        return t;
+        return inner.at;
       }
 
       case K::kSeq:
@@ -440,11 +473,10 @@ class Emitter {
 
       case K::kRaise:
         emit({.op = jop::kRaise, .k = constant(Value::of_string(e.str_val))});
-        return d.kind == Dest::Kind::kDiscard ? Operand{} : target(d, rep);
+        return d.kind == Dest::Kind::kAny ? alloc(rep) : d.at;
 
       case K::kTry: {
-        Operand t = d.kind == Dest::Kind::kAny ? alloc(rep) : d.at;
-        Dest inner = d.kind == Dest::Kind::kDiscard ? d : Dest::to(t);
+        Dest inner = hand_on(d, rep);
         int tp = emit({.op = jop::kTryPush});
         lower(*e.args[0], inner);
         emit({.op = jop::kTryPop});
@@ -452,7 +484,7 @@ class Emitter {
         patch(tp, here());
         lower(*e.args[1], inner);
         patch(jend, here());
-        return t;
+        return inner.at;
       }
 
       case K::kSend: {

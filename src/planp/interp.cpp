@@ -37,8 +37,8 @@ Value Interp::init_state(int chan_idx) {
   return eval(*c.init_state, f);
 }
 
-Value Interp::run_channel(int chan_idx, const Value& ps, const Value& ss,
-                          const asp::net::Packet& packet) {
+States Interp::run_channel(int chan_idx, const Value& ps, const Value& ss,
+                           const asp::net::Packet& packet) {
   const auto idx = static_cast<std::size_t>(chan_idx);
   const ChannelDef& c = *prog_.channels.at(idx);
   std::optional<Value> decoded = decode_packet(packet, plans_[idx], &scratch_[idx]);
@@ -70,7 +70,8 @@ Value Interp::run_channel(int chan_idx, const Value& ps, const Value& ss,
     }
   } release{arena_, scratch_[idx]};
   Frame f{fr.locals};
-  return eval(*c.body, f);
+  const Value out = eval(*c.body, f);
+  return {out.as_tuple()[0], out.as_tuple()[1]};
 }
 
 Value Interp::eval_expr(const Expr& e) {
@@ -127,19 +128,13 @@ Value Interp::eval(const Expr& e, Frame& f) {
     }
 
     case K::kTuple: {
-      if (e.args.size() == 2) {
-        // Pairs dominate; scalar pairs are stored inline (zero-alloc).
-        Value a = eval(*e.args[0], f);
-        Value b = eval(*e.args[1], f);
-        return Value::of_pair(std::move(a), std::move(b));
-      }
       TupleRep t = Value::make_tuple_storage(e.args.size());
       for (const auto& a : e.args) t->push_back(eval(*a, f));
       return Value::of_tuple_rep(std::move(t));
     }
 
     case K::kProj:
-      return eval(*e.args[0], f).tuple_at(static_cast<std::size_t>(e.proj_index - 1));
+      return eval(*e.args[0], f).as_tuple()[static_cast<std::size_t>(e.proj_index - 1)];
 
     case K::kCall: {
       // Stage arguments directly in the callee's arena frame. The depth is

@@ -1,7 +1,7 @@
 // PLAN-P execution engines.
 //
 // `Engine` is the common interface: given a channel and the current states,
-// process one packet and return the (protocol state, channel state) pair.
+// process one packet and return the new protocol state and channel state.
 // Two implementations exist, mirroring the paper's architecture:
 //   * Interp (this header)        — portable AST interpreter,
 //   * JitEngine (jit.hpp)         — run-time-specialized threaded code,
@@ -19,6 +19,13 @@
 
 namespace asp::planp {
 
+/// The two states a channel run leaves (paper §2): the new protocol state,
+/// shared by all of a program's channels, and the new state of the channel.
+struct States {
+  Value ps;
+  Value ss;
+};
+
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -26,13 +33,13 @@ class Engine {
   /// Evaluates channel `chan_idx`'s initstate expression (or a type-default).
   virtual Value init_state(int chan_idx) = 0;
 
-  /// Runs one packet through channel `chan_idx`. Returns the (ps, ss) pair.
+  /// Runs one packet through channel `chan_idx` and returns the new states.
   /// `packet` must match the channel's packet type (match_packet against
   /// its DecodePlan, which the runtime checks first). A PLAN-P exception
   /// escaping the channel propagates as PlanPException. When the run
   /// returns, the engine holds no reference to the packet or its payload.
-  virtual Value run_channel(int chan_idx, const Value& ps, const Value& ss,
-                            const asp::net::Packet& packet) = 0;
+  virtual States run_channel(int chan_idx, const Value& ps, const Value& ss,
+                             const asp::net::Packet& packet) = 0;
 
   virtual const CheckedProgram& program() const = 0;
   virtual const char* engine_name() const = 0;
@@ -47,8 +54,9 @@ class Interp : public Engine {
   Interp(const CheckedProgram& prog, EnvApi& env);
 
   Value init_state(int chan_idx) override;
-  Value run_channel(int chan_idx, const Value& ps, const Value& ss,
-                    const asp::net::Packet& packet) override;
+  /// Evaluates the body to its (ps, ss) tuple and splits it.
+  States run_channel(int chan_idx, const Value& ps, const Value& ss,
+                     const asp::net::Packet& packet) override;
   const CheckedProgram& program() const override { return prog_; }
   const char* engine_name() const override { return "interp"; }
 

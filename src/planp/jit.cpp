@@ -123,8 +123,8 @@ void JitEngine::bind_packet(const JitBlock& body, const DecodePlan& plan,
   if (body.packet.slot >= 0) f.v[body.packet.slot] = *decode_packet(pkt, plan);
 }
 
-Value JitEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
-                             const asp::net::Packet& packet) {
+States JitEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
+                              const asp::net::Packet& packet) {
   const auto idx = static_cast<std::size_t>(chan_idx);
   const JitBlock& b = code_->channel_bodies.at(idx);
   Activation act(*this);
@@ -135,7 +135,10 @@ Value JitEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
   plan_ = &code_->plans[idx];
   bind_packet(b, *plan_, packet, f);
   run_block(this, b, f);
-  return std::move(f.v[b.result.slot]);
+  auto take = [f](Operand o) {
+    return o.rep == Rep::kBox ? std::move(f.v[o.slot]) : box(o.rep, f, o.slot);
+  };
+  return {take(b.result), take(b.ss_result)};
 }
 
 // Direct-threaded dispatch (GCC/Clang labels-as-values): every template
@@ -289,20 +292,13 @@ void JitEngine::run_block(JitEngine* self, const JitBlock& block, TypedFrame f,
       VM_DISPATCH();
       lbl_kTuple: {
         const auto& ops = static_cast<const JitSpec*>(in->k)->ops;
-        if (ops.size() == 2) {
-          // Pairs dominate ASP tuples; scalar pairs store inline in the
-          // Value (no shared_ptr<vector>, no allocation).
-          v[D] = Value::of_pair(box(ops[0].rep, f, ops[0].slot),
-                                box(ops[1].rep, f, ops[1].slot));
-        } else {
-          TupleRep t = Value::make_tuple_storage(ops.size());
-          for (const Operand& o : ops) t->push_back(box(o.rep, f, o.slot));
-          v[D] = Value::of_tuple_rep(std::move(t));
-        }
+        TupleRep t = Value::make_tuple_storage(ops.size());
+        for (const Operand& o : ops) t->push_back(box(o.rep, f, o.slot));
+        v[D] = Value::of_tuple_rep(std::move(t));
       }
       VM_DISPATCH();
       lbl_kProj:
-        unbox(static_cast<Rep>(in->imm), v[A].tuple_at(static_cast<std::size_t>(B)), f, D);
+        unbox(static_cast<Rep>(in->imm), v[A].as_tuple()[static_cast<std::size_t>(B)], f, D);
       VM_DISPATCH();
       lbl_kPrim: static_cast<const Primitive*>(in->k)->typed(env, f, in->o);
       VM_DISPATCH();

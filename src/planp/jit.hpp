@@ -76,7 +76,7 @@ enum : std::int32_t {
   kRaise,        // throw PlanPException{k->as_string()}
   kTryPush,      // push handler at pc = d
   kTryPop,       // leave protected region
-  kReturn,       // the block's result is in its result slot
+  kReturn,       // the block's result is in its result slot(s)
   kAdd,          // r[d] = r[a] op r[b], one template per operator
   kSub,
   kMul,
@@ -95,7 +95,7 @@ enum : std::int32_t {
   kCmpBox,       // r[d] = compare(v[a], v[b]) <relation imm> 0  (strings)
   kConcat,       // v[d] = v[a] ^ v[b]
   kTuple,        // v[d] = tuple of spec ops
-  kProj,         // d = v[a].tuple_at(b), unboxed as Rep imm
+  kProj,         // d = element b of tuple v[a], unboxed as Rep imm
   kPrim,         // typed primitive entry k on o
   kPrimBoxed,    // d = spec.prim(boxed spec ops), unboxed as Rep imm
   kCallFun,      // d = functions[spec.fun](spec ops), Rep imm
@@ -143,7 +143,8 @@ struct PacketField {
 struct JitBlock {
   std::vector<TInstr> code;
   std::vector<Operand> params;  // functions: arguments; channels: ps, ss
-  Operand result;               // where kReturn leaves the value
+  Operand result;               // where kReturn leaves the value (channels: ps)
+  Operand ss_result;            // channels: where kReturn leaves the new ss
   std::int32_t regs = 0;        // registers and boxed slots of this block
   std::int32_t boxes = 0;
   std::int32_t frame_regs = 0;  // ... plus those of its deepest call chain
@@ -180,8 +181,8 @@ struct JitProgram {
 
   const CheckedProgram& prog;
   /// The constant pool and the operand specs. Deques, so the emitter can
-  /// append while earlier templates already point at their elements.
-  /// Frozen: every engine instance reads them at once.
+  /// append while earlier templates already point at their elements. Every
+  /// engine instance reads them at once; no const Value member writes.
   std::deque<Value> consts;
   std::deque<JitSpec> specs;
   std::vector<JitBlock> functions;
@@ -207,8 +208,8 @@ class JitEngine : public Engine {
   JitEngine(const CheckedProgram& prog, EnvApi& env, bool fuse = true);
 
   Value init_state(int chan_idx) override;
-  Value run_channel(int chan_idx, const Value& ps, const Value& ss,
-                    const asp::net::Packet& packet) override;
+  States run_channel(int chan_idx, const Value& ps, const Value& ss,
+                     const asp::net::Packet& packet) override;
   const CheckedProgram& program() const override { return code_->prog; }
   const char* engine_name() const override { return "jit"; }
 

@@ -341,13 +341,13 @@ bool cache_has(EnvApi& env, std::int64_t key) {
 }
 
 Value table_get(EnvApi&, const TableRef& t, const Value& key) {
-  std::optional<Value> v = t->get(key);
-  if (!v) raise("NotFound");
-  return std::move(*v);
+  const Value* v = t->get(key);
+  if (v == nullptr) raise("NotFound");
+  return *v;
 }
 Value table_get_default(EnvApi&, const TableRef& t, const Value& key, const Value& dflt) {
-  std::optional<Value> v = t->get(key);
-  return v ? std::move(*v) : dflt;
+  const Value* v = t->get(key);
+  return v != nullptr ? *v : dflt;
 }
 void table_set(EnvApi&, const TableRef& t, const Value& key, const Value& v) {
   t->set(key, v);

@@ -83,10 +83,10 @@ class NullEnv : public EnvApi {
   std::int64_t link_bandwidth_kbps() override { return bandwidth_kbps; }
   std::int64_t arrival_iface() override { return arrival; }
   void on_remote(std::uint32_t tag, asp::net::Packet p) override {
-    sends.push_back({net::ChannelTags::name_of(tag), std::move(p)});
+    sends.push_back({tag, std::move(p)});
   }
   void on_neighbor(std::uint32_t tag, asp::net::Packet p) override {
-    sends.push_back({net::ChannelTags::name_of(tag), std::move(p)});
+    sends.push_back({tag, std::move(p)});
   }
   void deliver(asp::net::Packet p) override { delivered.push_back(std::move(p)); }
   void drop() override { ++drops; }
@@ -97,7 +97,8 @@ class NullEnv : public EnvApi {
   std::int64_t load_percent = 0;
   std::int64_t bandwidth_kbps = 10'000;
   std::int64_t arrival = 0;
-  std::vector<std::pair<std::string, asp::net::Packet>> sends;
+  /// Each send's interned channel tag (net::ChannelTags) and packet.
+  std::vector<std::pair<std::uint32_t, asp::net::Packet>> sends;
   std::vector<asp::net::Packet> delivered;
   int drops = 0;
 };

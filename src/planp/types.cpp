@@ -24,7 +24,6 @@ std::string Type::str() const {
     case Kind::kIp: return "ip";
     case Kind::kTcp: return "tcp";
     case Kind::kUdp: return "udp";
-    case Kind::kChan: return "chan";
     case Kind::kTuple: {
       std::string s;
       for (std::size_t i = 0; i < args_.size(); ++i) {
@@ -66,7 +65,6 @@ BASE_SINGLETON(Blob, kBlob)
 BASE_SINGLETON(Ip, kIp)
 BASE_SINGLETON(Tcp, kTcp)
 BASE_SINGLETON(Udp, kUdp)
-BASE_SINGLETON(Chan, kChan)
 BASE_SINGLETON(Bottom, kBottom)
 #undef BASE_SINGLETON
 

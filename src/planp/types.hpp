@@ -1,8 +1,8 @@
 // PLAN-P type representation.
 //
-// The language is monomorphic: base types, tuple types (`ip*tcp*blob`),
-// hash tables (`(host, int) hash_table`) and channel references. Types are
-// hash-consed-ish via shared_ptr; equality is structural.
+// The language is monomorphic: base types, tuple types (`ip*tcp*blob`) and
+// hash tables (`(host, int) hash_table`). Types are hash-consed-ish via
+// shared_ptr; equality is structural.
 #pragma once
 
 #include <memory>
@@ -29,7 +29,6 @@ class Type {
     kUdp,   // UDP header
     kTuple,
     kTable,  // args = {key, value}
-    kChan,   // a channel name used as a value (OnRemote's first argument)
     kVar,    // type variable in primitive signatures ('a in tableGet)
     kBottom, // type of `raise`: compatible with everything
   };
@@ -61,7 +60,6 @@ class Type {
   static TypePtr Ip();
   static TypePtr Tcp();
   static TypePtr Udp();
-  static TypePtr Chan();
   static TypePtr Bottom();
   static TypePtr Tuple(std::vector<TypePtr> elems);
   static TypePtr Table(TypePtr key, TypePtr value);

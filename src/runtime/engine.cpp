@@ -109,13 +109,11 @@ bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
     std::chrono::steady_clock::time_point t0;
     if (timed) t0 = std::chrono::steady_clock::now();
     try {
-      Value out = inst->engine->run_channel(a.channel_idx, protocol_state_,
-                                            channel_states_[i], p);
+      planp::States out = inst->engine->run_channel(a.channel_idx, protocol_state_,
+                                                    channel_states_[i], p);
       if (generation_ == generation) {
-        // tuple_at, not as_tuple(): the (ps, ss) result is usually an inline
-        // ScalarPair and must not be promoted to a heap tuple per packet.
-        protocol_state_ = out.tuple_at(0);
-        channel_states_[i] = out.tuple_at(1);
+        protocol_state_ = std::move(out.ps);
+        channel_states_[i] = std::move(out.ss);
       }
       m_handled_->inc();
       if (a.handled != nullptr) a.handled->inc();

@@ -26,10 +26,11 @@ channel c(ps : int, ss : int, p : ip*blob) initstate 5 is (deliver(p); (ps + 42,
 )"));
   std::string listing = disassemble(JitProgram(checked));
   // Every block is listed under its own header; the channel's is followed by
-  // none of its packet fields, since the body reads none.
+  // none of its packet fields, since the body reads none. Its registers are
+  // ps, ss, the ip header (two) and the two new states.
   EXPECT_NE(listing.find("val limit:"), std::string::npos) << listing;
   EXPECT_NE(listing.find("initstate c:"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("channel c (ip*blob, regs=5, boxes=3):"), std::string::npos)
+  EXPECT_NE(listing.find("channel c (ip*blob, regs=6, boxes=2):"), std::string::npos)
       << listing;
   EXPECT_EQ(listing.find("packet #"), std::string::npos) << listing;
   EXPECT_NE(listing.find("AddImm* "), std::string::npos) << listing;

@@ -5,12 +5,16 @@
 // the interpreter and preserves its semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "mem/shard.hpp"
 #include "net/network.hpp"
 #include "planp/disasm.hpp"
 #include "planp/interp.hpp"
 #include "planp/jit.hpp"
 #include "planp/parser.hpp"
+#include "planp/program.hpp"
 
 namespace asp::planp {
 namespace {
@@ -75,9 +79,9 @@ TEST_P(EngineSuite, CountsPacketsInState) {
   Value ss = l.engine->init_state(0);
   EXPECT_EQ(ss.as_int(), 0);
   for (int i = 0; i < 5; ++i) {
-    Value out = l.engine->run_channel(0, ps, ss, mk_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2));
-    ps = out.as_tuple()[0];
-    ss = out.as_tuple()[1];
+    States out = l.engine->run_channel(0, ps, ss, mk_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2));
+    ps = out.ps;
+    ss = out.ss;
   }
   EXPECT_EQ(ps.as_int(), 5);
   EXPECT_EQ(ss.as_int(), 15);
@@ -116,10 +120,10 @@ initstate mkTable(256) is
   Value ss = l.engine->init_state(0);
 
   auto run = [&](const char* src, std::uint16_t sport, std::uint16_t dport) {
-    Value out =
+    States out =
         l.engine->run_channel(0, ps, ss, mk_tcp_packet(src, "9.9.9.9", sport, dport));
-    ps = out.as_tuple()[0];
-    ss = out.as_tuple()[1];
+    ps = out.ps;
+    ss = out.ss;
     return l.env->sends.back().second.ip.dst.str();
   };
 
@@ -145,15 +149,15 @@ channel network(ps : unit, ss : int, p : ip*tcp*char*bool) initstate 0 is
                   GetParam());
   asp::net::Packet p_int = wire(Value::of_tuple(
       {Value::of_ip({}), Value::of_tcp({}), Value::of_char('A'), Value::of_int(10)}));
-  Value out =
+  States out =
       l.engine->run_channel(0, Value::unit(), l.engine->init_state(0), p_int);
-  EXPECT_EQ(out.as_tuple()[1].as_int(), 10);
+  EXPECT_EQ(out.ss.as_int(), 10);
 
   asp::net::Packet p_bool = wire(Value::of_tuple(
       {Value::of_ip({}), Value::of_tcp({}), Value::of_char('B'), Value::of_bool(true)}));
-  Value out2 =
+  States out2 =
       l.engine->run_channel(1, Value::unit(), l.engine->init_state(1), p_bool);
-  EXPECT_EQ(out2.as_tuple()[1].as_int(), 1);
+  EXPECT_EQ(out2.ss.as_int(), 1);
 }
 
 TEST_P(EngineSuite, ExceptionInChannelPropagates) {
@@ -179,10 +183,10 @@ initstate mkTable(4) is
   Value ss = l.engine->init_state(0);
   asp::net::Packet pkt = asp::net::Packet::make_raw({}, {}, {1, 2});
   // First packet: miss -> -1; records 0. Second: hit -> 0.
-  Value o1 = l.engine->run_channel(0, Value::of_int(0), ss, pkt);
-  EXPECT_EQ(o1.as_tuple()[0].as_int(), -1);
-  Value o2 = l.engine->run_channel(0, Value::of_int(7), o1.as_tuple()[1], pkt);
-  EXPECT_EQ(o2.as_tuple()[0].as_int(), 0);
+  States o1 = l.engine->run_channel(0, Value::of_int(0), ss, pkt);
+  EXPECT_EQ(o1.ps.as_int(), -1);
+  States o2 = l.engine->run_channel(0, Value::of_int(7), o1.ss, pkt);
+  EXPECT_EQ(o2.ps.as_int(), 0);
 }
 
 TEST_P(EngineSuite, GlobalsSharedAcrossChannels) {
@@ -193,8 +197,8 @@ channel c(ps : int, ss : unit, p : ip*blob) is
 )",
                   GetParam());
   asp::net::Packet big = asp::net::Packet::make_raw({}, {}, std::vector<std::uint8_t>(60));
-  Value out = l.engine->run_channel(0, Value::of_int(0), Value::unit(), big);
-  EXPECT_EQ(out.as_tuple()[0].as_int(), 1);
+  States out = l.engine->run_channel(0, Value::of_int(0), Value::unit(), big);
+  EXPECT_EQ(out.ps.as_int(), 1);
 }
 
 TEST_P(EngineSuite, DeepExpressionNesting) {
@@ -208,11 +212,11 @@ channel c(ps : int, ss : unit, p : ip*blob) is
                   GetParam());
   asp::net::Packet pkt;
   // ps=4: f(12,11)=1, try 4/0 -> 11 => g=12; f(1,2)=1; even -> +100 => 113.
-  Value out = l.engine->run_channel(0, Value::of_int(4), Value::unit(), pkt);
-  EXPECT_EQ(out.as_tuple()[0].as_int(), 113);
+  States out = l.engine->run_channel(0, Value::of_int(4), Value::unit(), pkt);
+  EXPECT_EQ(out.ps.as_int(), 113);
   // ps=5: f(15,12)=3 + 11 = 14; +1; odd -> +200 => 215.
-  Value out2 = l.engine->run_channel(0, Value::of_int(5), Value::unit(), pkt);
-  EXPECT_EQ(out2.as_tuple()[0].as_int(), 215);
+  States out2 = l.engine->run_channel(0, Value::of_int(5), Value::unit(), pkt);
+  EXPECT_EQ(out2.ps.as_int(), 215);
 }
 
 TEST_P(EngineSuite, PrintsMatchReference) {
@@ -243,8 +247,8 @@ TEST_P(EngineSuite, InitializersBindMoreThanEightNames) {
                   GetParam());
   const Value ss = l.engine->init_state(0);
   EXPECT_EQ(ss.as_int(), 55);
-  Value out = l.engine->run_channel(0, Value::of_int(0), ss, asp::net::Packet{});
-  EXPECT_EQ(out.tuple_at(0).as_int(), 55);
+  States out = l.engine->run_channel(0, Value::of_int(0), ss, asp::net::Packet{});
+  EXPECT_EQ(out.ps.as_int(), 55);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite,
@@ -277,8 +281,8 @@ TEST_P(DifferentialSweep, EnginesAgree) {
       asp::net::Packet pkt =
           mk_tcp_packet("10.0.0.1", "10.0.0.2", static_cast<std::uint16_t>(1000 + ps), 80,
                         std::vector<std::uint8_t>(static_cast<std::size_t>(ps + 4)));
-      Value out = l.engine->run_channel(0, Value::of_int(ps), Value::of_int(0), pkt);
-      acc = Value::of_int(acc.as_int() * 31 + out.as_tuple()[0].as_int());
+      States out = l.engine->run_channel(0, Value::of_int(ps), Value::of_int(0), pkt);
+      acc = Value::of_int(acc.as_int() * 31 + out.ps.as_int());
     }
     results.push_back(acc);
     outputs.push_back(l.env->output);
@@ -305,7 +309,7 @@ INSTANTIATE_TEST_SUITE_P(
         "abs(ps) + charPos('a')",
         "stringLen(intToString(ps * 1000))",
         "(try raise \"X\" with 5) + ps",
-        // Literal tuples fold into frozen constants; mixed ones are built.
+        // Literal tuples fold into constants; mixed ones are built.
         "#2 (1, 2) + #1 #1 ((ps, 3), 4) + #3 (5, 6, 7) + "
         "(if (ps, 1) = (0, 1) then 10 else 0)",
         "(let val t : ((int*int*int)*int, int) hash_table = mkTable(4) in "
@@ -314,7 +318,7 @@ INSTANTIATE_TEST_SUITE_P(
         "#1 (ps + 1, ps + 2) * #2 (ps + 3, ps + 4)",
         "(if ps % 2 = 0 then min(ps, 0) else max(ps, 0)) - (ps - 1)"));
 
-// A pure primitive called on literals is folded into a frozen constant when
+// A pure primitive called on literals is folded into a constant when
 // the JIT lowers it: `blobFromString("")` costs no buffer per packet (it was
 // Const "" then CallPrim blobFromString, a pooled buffer on every object
 // request of the edge-cache ASPs). Both engines still agree.
@@ -337,9 +341,9 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
       const asp::net::Packet pkt = mk_udp_packet(static_cast<std::uint8_t>(i));
       const mem::PoolStats& st = mem::buffer_pool().stats();
       const std::uint64_t before = st.hits + st.misses;
-      Value out = l.engine->run_channel(0, ps, Value::unit(), pkt);
+      States out = l.engine->run_channel(0, ps, Value::unit(), pkt);
       acquired += st.hits + st.misses - before;
-      ps = out.tuple_at(0);
+      ps = out.ps;
       results[w == Which::kJit].push_back(ps.as_int());
     }
     if (w == Which::kJit) {
@@ -353,17 +357,6 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
 // Sends are keyed by the channel tag the type checker interned: every engine
 // hands EnvApi the same tags, for a user channel and for `network` alike.
 TEST(EngineSends, InterpreterAndJitHandEnvTheSameTags) {
-  struct TagEnv : NullEnv {
-    void on_remote(std::uint32_t tag, asp::net::Packet p) override {
-      tags.push_back(tag);
-      NullEnv::on_remote(tag, std::move(p));
-    }
-    void on_neighbor(std::uint32_t tag, asp::net::Packet p) override {
-      tags.push_back(tag);
-      NullEnv::on_neighbor(tag, std::move(p));
-    }
-    std::vector<std::uint32_t> tags;
-  };
   CheckedProgram checked = typecheck(parse(R"(
 channel audio(ps : int, ss : unit, p : ip*blob) is (drop(); (ps, ss))
 channel network(ps : int, ss : unit, p : ip*blob) is
@@ -376,7 +369,7 @@ channel network(ps : int, ss : unit, p : ip*blob) is
   asp::net::Packet pkt =
       asp::net::Packet::make_raw(asp::net::ip("1.1.1.1"), asp::net::ip("2.2.2.2"), {1, 2, 3});
   for (Which w : {Which::kInterp, Which::kJitNoFuse, Which::kJit}) {
-    TagEnv env;
+    NullEnv env;
     std::unique_ptr<Engine> engine;
     if (w == Which::kInterp) {
       engine = std::make_unique<Interp>(checked, env);
@@ -384,10 +377,138 @@ channel network(ps : int, ss : unit, p : ip*blob) is
       engine = std::make_unique<JitEngine>(checked, env, w == Which::kJit);
     }
     engine->run_channel(1, Value::of_int(0), Value::unit(), pkt);
-    EXPECT_EQ(env.tags, expected) << which_name(w);
+    std::vector<std::uint32_t> tags;
+    for (const auto& [tag, p] : env.sends) tags.push_back(tag);
+    EXPECT_EQ(tags, expected) << which_name(w);
     ASSERT_EQ(env.sends.size(), 3u) << which_name(w);
-    EXPECT_EQ(env.sends[0].first, "audio") << which_name(w);
-    EXPECT_EQ(env.sends[2].first, "network") << which_name(w);
+    EXPECT_EQ(asp::net::ChannelTags::name_of(env.sends[0].first), "audio") << which_name(w);
+    EXPECT_EQ(asp::net::ChannelTags::name_of(env.sends[2].first), "network") << which_name(w);
+  }
+}
+
+// The JIT lowers a channel body's result into the two new states, passing
+// that destination through if, let, sequences and try; any other result
+// expression is built as a tuple and projected twice. Every shape must leave
+// the interpreter's states, and a raise none: a body that has written the new
+// ps when it raises must not have changed a state.
+TEST(ChannelResults, EveryResultShapeAgreesAcrossEngines) {
+  struct Shape {
+    const char* name;
+    std::string src;
+    const char* want;  // the states after each of five packets
+  };
+  auto ints = [](const std::string& body) {
+    return "val start : int*int = (1, 2)\n"
+           "fun step(a : int, b : int) : int*int = (b + 1, a)\n"
+           "channel c(ps : int, ss : int, p : ip*blob) initstate 5 is\n"
+           "  (deliver(p); " + body + ")";
+  };
+  const std::vector<Shape> shapes = {
+      {"constant pair", ints("(7, 9)"), "7,9;7,9;7,9;7,9;7,9;"},
+      {"pair", ints("(ps + 1, ss * 2)"), "1,10;2,20;3,40;4,80;5,160;"},
+      {"swap", ints("(ss, ps)"), "5,0;0,5;5,0;0,5;5,0;"},
+      {"let-bound pair", ints("let val r : int*int = (ps + 1, ss * 2) in r end"),
+       "1,10;2,20;3,40;4,80;5,160;"},
+      {"function result", ints("step(ps, ss)"), "6,0;1,6;7,1;2,7;8,2;"},
+      {"global pair", ints("start"), "1,2;1,2;1,2;1,2;1,2;"},
+      {"projection", ints("#1 ((ps + 1, ss), 0)"), "1,5;2,5;3,5;4,5;5,5;"},
+      {"if: pair or variable",
+       ints("let val r : int*int = (ss, ps + 1) in "
+            "if ps % 2 = 0 then (ps + 3, ss - 1) else r end"),
+       "3,4;4,4;7,3;3,8;8,4;"},
+      {"try: handler pair",
+       ints("try (ps + 1, if ps > 2 then raise \"Big\" else ss + 1) with (ss, 0)"),
+       "1,6;2,7;3,8;8,0;0,0;"},
+      {"tail raise", ints("if ps > 1 then raise \"Stop\" else (ps + 1, ss + 1)"),
+       "1,6;2,7;raise Stop;raise Stop;raise Stop;"},
+      {"raise after the new ps", ints("(ps + 1, if ps > 1 then raise \"Stop\" else ss)"),
+       "1,5;2,5;raise Stop;raise Stop;raise Stop;"},
+      {"boxed swap",
+       "channel c(ps : string, ss : string, p : ip*blob) initstate \"b\" is\n"
+       "  (deliver(p); (ss, ps ^ \"a\"))",
+       "b,a;a,ba;ba,aa;aa,baa;baa,aaa;"},
+      {"tuple state",
+       "channel c(ps : int*int, ss : unit, p : ip*blob) is\n"
+       "  (deliver(p); ((#2 ps, #1 ps + 1), ss))",
+       "(0, 1),();(1, 1),();(1, 2),();(2, 2),();(2, 3),();"},
+  };
+  const asp::net::Packet pkt = asp::net::Packet::make_raw({}, {}, {1, 2, 3});
+  for (const Shape& shape : shapes) {
+    for (Which w : {Which::kInterp, Which::kJitNoFuse, Which::kJit}) {
+      Loaded l = load(shape.src, w);
+      Value ps = default_value(l.checked.channels[0]->ps_type);
+      Value ss = l.engine->init_state(0);
+      std::string trace;
+      for (int i = 0; i < 5; ++i) {
+        try {
+          States out = l.engine->run_channel(0, ps, ss, pkt);
+          ps = std::move(out.ps);
+          ss = std::move(out.ss);
+          trace += ps.str() + "," + ss.str() + ";";
+        } catch (const PlanPException& e) {
+          trace += "raise " + e.name + ";";
+        }
+      }
+      EXPECT_EQ(trace, shape.want) << shape.name << " on " << which_name(w);
+    }
+  }
+}
+
+// A compiled Protocol is shared by every node it is installed on, across
+// shards: four threads run one program at once, each on its own engine.
+// Its constants (a nested tuple used as a table key, projected and compared,
+// and a blob) are read by all of them, and no const read may write: an
+// engine copies a constant into its frame, but hashing the copy hashes the
+// inner triple where the shared tuple stores it.
+TEST(SharedProtocol, FourThreadsRunOneCompiledProgram) {
+  const std::string src = R"(
+val key : (int*int*int)*int = ((1, 2, 3), 4)
+val tag : blob = blobFromString("abcd")
+channel network(ps : int, ss : ((int*int*int)*int, int) hash_table, p : ip*blob)
+initstate mkTable(16) is
+  let val n : int = tableGetDefault(ss, key, 0) + 1 in
+    (tableSet(ss, ((1, 2, 3), 4), n);
+     deliver(p);
+     (if key = ((1, 2, 3), 4) and #2 #1 key = 2 then ps + blobLen(tag) + n else ps, ss))
+  end
+)";
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kPackets = 500;
+  for (EngineKind kind : {EngineKind::kJit, EngineKind::kInterp}) {
+    std::shared_ptr<const Protocol> proto =
+        Protocol::compile(src, {.engine = kind, .require_verified = false});
+    std::atomic<int> ready{0};
+    std::vector<std::int64_t> result(kThreads, -1);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        mem::bind_shard(-1);
+        NullEnv env;
+        std::unique_ptr<Engine> engine = proto->instantiate(env);
+        Value ps = Value::of_int(0);
+        Value ss = engine->init_state(0);
+        const asp::net::Packet pkt = asp::net::Packet::make_raw({}, {}, {1, 2, 3});
+        ++ready;
+        while (ready.load() < kThreads) std::this_thread::yield();
+        try {
+          for (std::int64_t i = 0; i < kPackets; ++i) {
+            States out = engine->run_channel(0, ps, ss, pkt);
+            ps = std::move(out.ps);
+            ss = std::move(out.ss);
+            env.delivered.clear();
+          }
+          result[static_cast<std::size_t>(t)] = ps.as_int();
+        } catch (...) {
+          // The thread's result stays -1, which the check below reports.
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    // Packet n adds blobLen(tag) + n.
+    for (std::int64_t r : result) {
+      EXPECT_EQ(r, 4 * kPackets + kPackets * (kPackets + 1) / 2)
+          << (kind == EngineKind::kJit ? "jit" : "interp");
+    }
   }
 }
 

@@ -330,15 +330,17 @@ struct Run {
   Outcome step(const net::Packet& pkt) {
     Outcome out;
     try {
-      Value result = engine->run_channel(0, ps, ss, pkt);
-      ps = result.tuple_at(0);
-      ss = result.tuple_at(1);
+      States result = engine->run_channel(0, ps, ss, pkt);
+      ps = result.ps;
+      ss = result.ss;
       out.value = ps.as_int();
     } catch (const PlanPException& e) {
       out.raised = true;
       out.exception = e.name;
     }
-    for (const auto& [chan, p] : env.sends) out.emitted.push_back(chan + " " + describe(p));
+    for (const auto& [tag, p] : env.sends) {
+      out.emitted.push_back(net::ChannelTags::name_of(tag) + " " + describe(p));
+    }
     for (const net::Packet& p : env.delivered) out.emitted.push_back("deliver " + describe(p));
     env.sends.clear();
     env.delivered.clear();

@@ -167,9 +167,9 @@ TEST(Interp, ChannelStateThreading) {
       "  (deliver(p); (ps + 1, ss + 2))"));
   Interp interp(p, env);
   EXPECT_EQ(interp.init_state(0).as_int(), 100);
-  Value out = interp.run_channel(0, Value::of_int(0), Value::of_int(100), asp::net::Packet{});
-  EXPECT_EQ(out.as_tuple()[0].as_int(), 1);
-  EXPECT_EQ(out.as_tuple()[1].as_int(), 102);
+  States out = interp.run_channel(0, Value::of_int(0), Value::of_int(100), asp::net::Packet{});
+  EXPECT_EQ(out.ps.as_int(), 1);
+  EXPECT_EQ(out.ss.as_int(), 102);
 }
 
 TEST(Interp, EnvPrimitives) {

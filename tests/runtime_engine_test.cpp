@@ -333,7 +333,8 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
 // A channel run pins nothing: once inject returns, the caller's reference is
 // the payload's only one, on either engine. That is also what lets the
 // interpreter's decode refill its scratch tuple in place: from the second
-// packet on, a run acquires nothing from any pool.
+// packet on, a JIT run acquires nothing from any pool, and an interpreter run
+// only the (ps, ss) tuple its body evaluates to.
 TEST(AspRuntime, ChannelRunKeepsNoReferenceToItsPacket) {
   for (planp::EngineKind kind : {planp::EngineKind::kInterp, planp::EngineKind::kJit}) {
     Network net;
@@ -359,8 +360,33 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
           << "engine " << rt.engine().engine_name() << ", packet " << i;
       if (i > 0) acquired += (after.hits + after.misses) - (before.hits + before.misses);
     }
-    EXPECT_EQ(acquired, 0u) << "engine " << rt.engine().engine_name();
+    EXPECT_EQ(acquired, kind == planp::EngineKind::kInterp ? 2u : 0u)
+        << "engine " << rt.engine().engine_name();
     EXPECT_EQ(rt.stats().packets_handled, 3u);
+  }
+}
+
+// A channel whose body ends in `raise` leaves both states as they were: the
+// runtime assigns the new states only when a run returns.
+TEST(AspRuntime, TailRaiseKeepsBothStates) {
+  for (planp::EngineKind kind : {planp::EngineKind::kInterp, planp::EngineKind::kJit}) {
+    Network net;
+    Node& n = net.add_node("n");
+    AspRuntime rt(n);
+    planp::Protocol::Options opts;
+    opts.engine = kind;
+    opts.require_verified = false;  // raises instead of sending
+    rt.install(R"(
+channel network(ps : int, ss : int, p : ip*udp*blob) initstate 10 is
+  (println(ps); println(ss); if ps >= 2 then raise "Stop" else (ps + 1, ss + 10))
+)",
+               opts);
+    Packet p = Packet::make_udp(ip("10.0.0.1"), ip("10.0.0.2"), 9, 7, {1});
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(rt.inject(p));
+    const std::string raised = "[runtime] unhandled exception 'Stop' in channel 'network'\n";
+    EXPECT_EQ(rt.log(), "0\n10\n1\n20\n2\n30\n" + raised + "2\n30\n" + raised)
+        << "engine " << rt.engine().engine_name();
+    EXPECT_EQ(rt.stats().runtime_errors, 2u);
   }
 }
 
@@ -400,9 +426,9 @@ TEST(AspRuntime, MetricsReachGlobalRegistry) {
 
 // Per-node state a shared program must not share: a global read from
 // thisHost(), a hash table held in a global, the protocol and channel
-// states, the counters and the cache. Its constants include a scalar pair
-// (the initstate and the comparison) and a tuple holding a tuple, used as a
-// hash-table key, so every engine instance reads frozen constants.
+// states, the counters and the cache. Its constants include pairs (the
+// initstate and the comparison) and a tuple holding a tuple, used as a
+// hash-table key, which every engine instance reads at once.
 const char* kSharedAsp = R"(
 val me : host = thisHost()
 val seen : ((int*int*int)*int, int) hash_table = mkTable(16)

@@ -139,9 +139,9 @@ int main(int argc, char** argv) {
       for (int i = 0; i < n; ++i) {
         asp::net::Packet pkt = synthetic_packet(checked.channels[0]->packet_type, i);
         try {
-          Value out = jit.run_channel(0, ps, ss, pkt);
-          ps = out.as_tuple()[0];
-          ss = out.as_tuple()[1];
+          States out = jit.run_channel(0, ps, ss, pkt);
+          ps = std::move(out.ps);
+          ss = std::move(out.ss);
           std::printf("packet %d: ps=%s sends=%zu delivers=%zu drops=%d\n", i,
                       ps.str().c_str(), env.sends.size(), env.delivered.size(),
                       env.drops);
