@@ -7,8 +7,8 @@
 // a channel reads own their slots; temporaries are allocated and released in
 // stack order. Constants go into the JitProgram's pool, calls of pure
 // primitives on literals are folded into it, primitives are patched in as
-// typed entry points where they have one, channel names as the tags the type
-// checker interned. With fusion on, the emitter picks superinstructions as
+// their typed entry points, channel names as the tags the type checker
+// interned. With fusion on, the emitter picks superinstructions as
 // it goes (compare-and-branch, operations on an immediate); each counts as
 // the templates it replaces in CodegenStats::input_instrs.
 #include <chrono>
@@ -91,13 +91,12 @@ class Emitter {
   /// A channel body: ps, ss and the packet's fields own the first slots.
   /// The new states get slots of their own, since a body may still read ps
   /// after it has computed the new ps (`(ss, ps)`).
-  JitBlock channel(const ChannelDef& c, const DecodePlan& plan) {
+  JitBlock channel(const ChannelDef& c) {
     begin();
     block_.params.push_back(bind_param(0, c.ps_type));
     block_.params.push_back(bind_param(1, c.ss_type));
     in_channel_ = true;
-    packet_type_ = c.packet_type.get();
-    reserve_packet_fields(plan);
+    reserve_packet_fields(*c.packet_type);
     block_.result = alloc(rep_of(c.ps_type));
     block_.ss_result = alloc(rep_of(c.ss_type));
     JitBlock b = finish(*c.body, Dest::pair(block_.result, block_.ss_result));
@@ -171,22 +170,10 @@ class Emitter {
   // --- packet fields -------------------------------------------------------------
   /// Channel bodies keep their packet in local slot 2. Its fields get slots
   /// of their own up front; the body marks the ones it reads.
-  void reserve_packet_fields(const DecodePlan& plan) {
+  void reserve_packet_fields(const Type& packet_type) {
     fields_.clear();
-    const auto& parts = packet_type_->args();
-    std::uint32_t off = 0;
-    std::size_t payload = 0;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      PacketField f;
-      f.index = static_cast<std::int32_t>(i);
-      f.at = alloc(rep_of(parts[i]));
-      const bool header = i == 0 || (i == 1 && plan.transport != DecodePlan::Transport::kAny);
-      if (!header && payload < plan.fields.size()) {
-        f.op = plan.fields[payload++];
-        f.offset = off;
-        off += f.op == DecodePlan::FieldOp::kInt ? 4 : 1;
-      }
-      fields_.push_back(f);
+    for (const TypePtr& part : packet_type.args()) {
+      fields_.push_back({static_cast<std::int32_t>(fields_.size()), alloc(rep_of(part))});
     }
     field_read_.assign(fields_.size(), false);
     packet_ = alloc(Rep::kBox);
@@ -512,23 +499,17 @@ class Emitter {
             .k = spec({.ops = std::move(args), .fun = fun})});
     } else {
       const Primitive& prim = Primitives::instance().at(e.call_target);
-      if (prim.typed != nullptr && args.size() <= 3) {
-        // A polymorphic primitive takes and returns its type-variable
-        // operands boxed.
-        TInstr s{.op = jop::kPrim, .o = {t.slot}, .k = &prim};
-        for (std::size_t i = 0; i < args.size(); ++i) {
-          s.o[i + 1] = (generic(prim.params[i]) ? boxed(args[i]) : args[i]).slot;
-        }
-        const bool unbox_result = generic(prim.ret) && rep != Rep::kBox;
-        if (unbox_result) s.o[0] = alloc(Rep::kBox).slot;
-        emit(s);
-        if (unbox_result) {
-          emit({.op = jop::kUnbox, .o = {t.slot, s.o[0]},
-                .imm = static_cast<std::int64_t>(rep)});
-        }
-      } else {
-        emit({.op = jop::kPrimBoxed, .o = {t.slot}, .imm = static_cast<std::int64_t>(rep),
-              .k = spec({.ops = std::move(args), .prim = &prim})});
+      // A polymorphic primitive takes and returns its type-variable operands
+      // boxed.
+      TInstr s{.op = jop::kPrim, .o = {t.slot}, .k = &prim};
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        s.o[i + 1] = (generic(prim.params[i]) ? boxed(args[i]) : args[i]).slot;
+      }
+      const bool unbox_result = generic(prim.ret) && rep != Rep::kBox;
+      if (unbox_result) s.o[0] = alloc(Rep::kBox).slot;
+      emit(s);
+      if (unbox_result) {
+        emit({.op = jop::kUnbox, .o = {t.slot, s.o[0]}, .imm = static_cast<std::int64_t>(rep)});
       }
     }
     release(m);
@@ -650,7 +631,6 @@ class Emitter {
   std::int32_t next_reg_ = 0, next_box_ = 0;
   std::int32_t callee_regs_ = 0, callee_boxes_ = 0;
   bool in_channel_ = false;
-  const Type* packet_type_ = nullptr;
   std::vector<PacketField> fields_;
   std::vector<bool> field_read_;
   Operand packet_;
@@ -673,8 +653,7 @@ JitProgram::JitProgram(const CheckedProgram& checked, bool fuse)
   for (const FunDef* f : prog.functions) functions.push_back(emitter.function(*f));
   for (const ValDef* v : prog.globals) global_inits.push_back(emitter.expr(*v->init));
   for (const ChannelDef* c : prog.channels) {
-    plans.push_back(compile_decode_plan(c->packet_type));
-    channel_bodies.push_back(emitter.channel(*c, plans.back()));
+    channel_bodies.push_back(emitter.channel(*c));
     channel_inits.push_back(c->init_state != nullptr ? emitter.expr(*c->init_state)
                                                      : JitBlock{});
   }

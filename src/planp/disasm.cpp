@@ -42,7 +42,6 @@ const char* jop_name(std::int32_t op) {
     case jop::kTuple: return "Tuple";
     case jop::kProj: return "Proj";
     case jop::kPrim: return "Prim";
-    case jop::kPrimBoxed: return "PrimBoxed";
     case jop::kCallFun: return "CallFun";
     case jop::kSendPacket: return "SendPacket";
     case jop::kSendFields: return "SendFields";
@@ -142,9 +141,6 @@ std::string disassemble(const JitBlock& block) {
         out += ")";
         break;
       }
-      case jop::kPrimBoxed:
-        out += " " + slot(rep, d) + " = " + spec->prim->name + "(" + operands(spec->ops) + ")";
-        break;
       case jop::kCallFun:
         out += " " + slot(rep, d) + fmt(" = fun#%d(", spec->fun) + operands(spec->ops) + ")";
         break;
@@ -199,10 +195,12 @@ std::string disassemble(const JitProgram& prog) {
       out += disassemble(prog.channel_inits[i]);
     }
     out += "channel " + c.name + " (" + c.packet_type->str() + ", " + header(b) + "):\n";
+    const DecodePlan& plan = src.plans[i];
     for (const PacketField& f : b.fields) {
       out += fmt("      packet #%d -> ", f.index + 1) + slot(f.at);
-      if (f.at.rep != Rep::kIp && f.at.rep != Rep::kTcp && f.at.rep != Rep::kUdp) {
-        out += fmt(" (payload byte %u)", f.offset);
+      const auto field = static_cast<std::size_t>(f.index);
+      if (field >= plan.headers()) {
+        out += fmt(" (payload byte %u)", plan.fields[field - plan.headers()].offset);
       }
       out += "\n";
     }

@@ -13,9 +13,6 @@ struct DepthGuard {
 }  // namespace
 
 Interp::Interp(const CheckedProgram& prog, EnvApi& env) : prog_(prog), env_(env) {
-  for (const ChannelDef* c : prog_.channels) {
-    plans_.push_back(compile_decode_plan(c->packet_type));
-  }
   scratch_.resize(prog_.channels.size());
   globals_.reserve(prog_.globals.size());
   auto& fr = arena_.at_depth(depth_);
@@ -41,7 +38,7 @@ States Interp::run_channel(int chan_idx, const Value& ps, const Value& ss,
                            const asp::net::Packet& packet) {
   const auto idx = static_cast<std::size_t>(chan_idx);
   const ChannelDef& c = *prog_.channels.at(idx);
-  std::optional<Value> decoded = decode_packet(packet, plans_[idx], &scratch_[idx]);
+  std::optional<Value> decoded = decode_packet(packet, prog_.plans[idx], &scratch_[idx]);
   if (!decoded) throw EvalBug{"packet does not match channel '" + c.name + "'"};
   auto& fr = arena_.at_depth(depth_);
   DepthGuard g(depth_);
@@ -184,9 +181,7 @@ Value Interp::eval(const Expr& e, Frame& f) {
       if (op == "+") return Value::of_int(a + b);
       if (op == "-") return Value::of_int(a - b);
       if (op == "*") return Value::of_int(a * b);
-      if (b == 0) throw PlanPException{"DivByZero"};
-      if (op == "/") return Value::of_int(a / b);
-      return Value::of_int(a % b);  // "%"
+      return Value::of_int(op == "/" ? int_div(a, b) : int_mod(a, b));
     }
 
     case K::kUnOp:

@@ -26,6 +26,18 @@ struct States {
   Value ss;
 };
 
+/// PLAN-P's `/` and `%`, as both engines evaluate them: a zero divisor
+/// raises DivByZero, and the most negative int divided by -1 gives itself
+/// (remainder 0) where the machine instruction would trap.
+inline std::int64_t int_div(std::int64_t a, std::int64_t b) {
+  if (b == 0) throw PlanPException{"DivByZero"};
+  return b == -1 ? static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a)) : a / b;
+}
+inline std::int64_t int_mod(std::int64_t a, std::int64_t b) {
+  if (b == 0) throw PlanPException{"DivByZero"};
+  return b == -1 ? 0 : a % b;
+}
+
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -80,9 +92,8 @@ class Interp : public Engine {
   const CheckedProgram& prog_;
   EnvApi& env_;
   std::vector<Value> globals_;
-  /// Per channel: its decode plan and the tuple storage decode_packet
-  /// refills in place while nothing else holds it.
-  std::vector<DecodePlan> plans_;
+  /// Per channel: the tuple storage decode_packet refills in place while
+  /// nothing else holds it.
   std::vector<TupleRep> scratch_;
   mem::FrameArena<Value> arena_;
   std::size_t depth_ = 0;

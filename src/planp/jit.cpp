@@ -20,12 +20,6 @@ void copy_slot(Rep rep, TypedFrame from, std::int32_t a, TypedFrame to, std::int
   }
 }
 
-/// Reads the big-endian int32 at `b`, sign-extended, as decode_packet does.
-std::int64_t get_int32(const std::uint8_t* b) {
-  return static_cast<std::int32_t>((std::uint32_t{b[0]} << 24) | (std::uint32_t{b[1]} << 16) |
-                                   (std::uint32_t{b[2]} << 8) | b[3]);
-}
-
 }  // namespace
 
 JitEngine::JitEngine(std::shared_ptr<const JitProgram> code, EnvApi& env)
@@ -54,7 +48,6 @@ JitEngine::Activation::Activation(JitEngine& e)
       plan_(e.plan_) {}
 
 JitEngine::Activation::~Activation() {
-  e_.args_.clear();
   if (mem::poison_enabled()) {
     // A stale read of any slot now sees the sentinel; the differential fuzz
     // suite runs with this on to catch reads of slots a run did not write.
@@ -87,37 +80,20 @@ Value JitEngine::init_state(int chan_idx) {
 
 void JitEngine::bind_packet(const JitBlock& body, const DecodePlan& plan,
                             const asp::net::Packet& pkt, TypedFrame f) {
-  if (!plan.valid) throw EvalBug{"packet type has no wire decoding"};
-  // A header-only plan on a TCP or UDP packet reads its payload fields from
-  // the transport header serialized in front of the payload.
-  Blob serialized;
-  const std::vector<std::uint8_t>* bytes = &pkt.payload.bytes();
+  PayloadReader reader(pkt, plan);
   for (const PacketField& fld : body.fields) {
+    const std::int32_t o = fld.at.slot;
     switch (fld.at.rep) {
-      case Rep::kIp: store_header(f.r + fld.at.slot, pkt.ip); continue;
-      case Rep::kTcp: store_header(f.r + fld.at.slot, *pkt.tcp); continue;
-      case Rep::kUdp: store_header(f.r + fld.at.slot, *pkt.udp); continue;
+      case Rep::kIp: store_header(f.r + o, pkt.ip); continue;
+      case Rep::kTcp: store_header(f.r + o, *pkt.tcp); continue;
+      case Rep::kUdp: store_header(f.r + o, *pkt.udp); continue;
       default: break;
     }
-    if (serialized == nullptr && transport_in_payload(pkt, plan)) {
-      serialized = asp::net::make_buffer(serialized_payload(pkt));
-      bytes = serialized.get();
-    }
-    const std::uint8_t* at = bytes->data() + fld.offset;
-    switch (fld.op) {
-      case DecodePlan::FieldOp::kChar: f.r[fld.at.slot] = static_cast<char>(*at); break;
-      case DecodePlan::FieldOp::kBool: f.r[fld.at.slot] = *at != 0; break;
-      case DecodePlan::FieldOp::kInt: f.r[fld.at.slot] = get_int32(at); break;
-      case DecodePlan::FieldOp::kBlob:
-        // A blob that starts the bytes aliases their buffer, as decode does.
-        if (fld.offset == 0) {
-          f.v[fld.at.slot] =
-              Value::of_blob_shared(serialized != nullptr ? serialized : pkt.payload.buffer());
-        } else {
-          f.v[fld.at.slot] = Value::of_blob(
-              std::vector<std::uint8_t>(at, bytes->data() + bytes->size()));
-        }
-        break;
+    const auto field = plan.fields[static_cast<std::size_t>(fld.index) - plan.headers()];
+    if (fld.at.rep == Rep::kBox) {
+      f.v[o] = Value::of_blob_shared(reader.blob(field));
+    } else {
+      f.r[o] = reader.scalar(field);
     }
   }
   if (body.packet.slot >= 0) f.v[body.packet.slot] = *decode_packet(pkt, plan);
@@ -132,7 +108,7 @@ States JitEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
   unbox(b.params[0].rep, ps, f, b.params[0].slot);
   unbox(b.params[1].rep, ss, f, b.params[1].slot);
   packet_ = &packet;
-  plan_ = &code_->plans[idx];
+  plan_ = &code_->prog.plans[idx];
   bind_packet(b, *plan_, packet, f);
   run_block(this, b, f);
   auto take = [f](Operand o) {
@@ -165,7 +141,7 @@ void JitEngine::run_block(JitEngine* self, const JitBlock& block, TypedFrame f,
       &&lbl_kGe,           &&lbl_kNot,          &&lbl_kNeg,
       &&lbl_kEqBox,        &&lbl_kNeBox,        &&lbl_kCmpBox,
       &&lbl_kConcat,       &&lbl_kTuple,        &&lbl_kProj,
-      &&lbl_kPrim,         &&lbl_kPrimBoxed,    &&lbl_kCallFun,
+      &&lbl_kPrim,         &&lbl_kCallFun,
       &&lbl_kSendPacket,   &&lbl_kSendFields,   &&lbl_kSendValue,
       &&lbl_kDrop,         &&lbl_kAddImm,
       &&lbl_kSubImm,       &&lbl_kEqImm,        &&lbl_kNeImm,
@@ -260,16 +236,8 @@ void JitEngine::run_block(JitEngine* self, const JitBlock& block, TypedFrame f,
       BINOP(kAdd, r[A] + r[B])
       BINOP(kSub, r[A] - r[B])
       BINOP(kMul, r[A] * r[B])
-      lbl_kDiv: {
-        if (r[B] == 0) throw PlanPException{"DivByZero"};
-        r[D] = r[A] / r[B];
-      }
-      VM_DISPATCH();
-      lbl_kMod: {
-        if (r[B] == 0) throw PlanPException{"DivByZero"};
-        r[D] = r[A] % r[B];
-      }
-      VM_DISPATCH();
+      BINOP(kDiv, int_div(r[A], r[B]))
+      BINOP(kMod, int_mod(r[A], r[B]))
       BINOP(kEq, r[A] == r[B])
       BINOP(kNe, r[A] != r[B])
       BINOP(kLt, r[A] < r[B])
@@ -301,16 +269,6 @@ void JitEngine::run_block(JitEngine* self, const JitBlock& block, TypedFrame f,
         unbox(static_cast<Rep>(in->imm), v[A].as_tuple()[static_cast<std::size_t>(B)], f, D);
       VM_DISPATCH();
       lbl_kPrim: static_cast<const Primitive*>(in->k)->typed(env, f, in->o);
-      VM_DISPATCH();
-      lbl_kPrimBoxed: {
-        const JitSpec& s = *static_cast<const JitSpec*>(in->k);
-        std::vector<Value>& args = e.args_;
-        args.clear();
-        for (const Operand& o : s.ops) args.push_back(box(o.rep, f, o.slot));
-        Value out = s.prim->fn(env, args);
-        args.clear();
-        unbox(static_cast<Rep>(in->imm), out, f, D);
-      }
       VM_DISPATCH();
       lbl_kCallFun: {
         const JitSpec& s = *static_cast<const JitSpec*>(in->k);

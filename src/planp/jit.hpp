@@ -13,13 +13,17 @@
 //     are boxed Values,
 //   * constants patched in as immediates or direct pointers; calls of pure
 //     primitives on literals folded into constants,
-//   * primitive entry points resolved to typed function pointers that read
-//     their operands from the frame (planp/primitives.hpp),
+//   * every primitive call one template (kPrim) patched with the primitive's
+//     typed entry, which reads its operands straight from the frame; Typed<F>
+//     derives that entry and the interpreter's boxed one from the same C++
+//     function (planp/primitives.hpp),
 //   * common sequences fused into superinstructions (compare-and-branch,
 //     operations on an immediate).
 // A channel reads its packet in place: the fields the body projects are
-// loaded by offset from the arriving net::Packet when the channel starts,
-// and sending the unmodified packet emits a copy of it (reemit_packet).
+// loaded from the arriving net::Packet when the channel starts, through the
+// channel's one decode plan (CheckedProgram::plans) and the PayloadReader
+// decode_packet uses too, and sending the unmodified packet emits a copy of
+// it (reemit_packet).
 // Code generation is a cheap linear pass — the property Figure 3 of the
 // paper measures.
 #pragma once
@@ -52,11 +56,10 @@ struct TInstr {
   const void* k = nullptr;    // patched constant, primitive, spec or name
 };
 
-/// Operands that do not fit a template: tuple elements, boxed-call and
-/// user-call arguments, the fields of a packet built for sending.
+/// Operands that do not fit a template: tuple elements, user-call
+/// arguments, the fields of a packet built for sending.
 struct JitSpec {
   std::vector<Operand> ops;
-  const Primitive* prim = nullptr;
   std::int32_t fun = -1;  // callee function index
 };
 
@@ -97,7 +100,6 @@ enum : std::int32_t {
   kTuple,        // v[d] = tuple of spec ops
   kProj,         // d = element b of tuple v[a], unboxed as Rep imm
   kPrim,         // typed primitive entry k on o
-  kPrimBoxed,    // d = spec.prim(boxed spec ops), unboxed as Rep imm
   kCallFun,      // d = functions[spec.fun](spec ops), Rep imm
   kSendPacket,   // send the arriving packet unmodified: kind a, tag b
   kSendFields,   // send a packet built from spec ops: kind a, tag b
@@ -131,13 +133,12 @@ enum : std::int32_t {
 /// True for the templates whose o[0] is a jump target.
 bool is_branch(std::int32_t op);
 
-/// A packet field a channel body projects: where it lies in the arriving
-/// packet and which frame slot it is loaded into when the channel starts.
+/// A packet field a channel body projects: its position in the packet tuple
+/// (a payload field is described by the channel's plan) and the frame slot
+/// it is loaded into when the channel starts.
 struct PacketField {
-  std::int32_t index = 0;       // position in the packet tuple
-  Operand at;                   // frame slot it is loaded into
-  DecodePlan::FieldOp op = DecodePlan::FieldOp::kBlob;  // payload fields
-  std::uint32_t offset = 0;     // byte offset of a payload field
+  std::int32_t index = 0;
+  Operand at;
 };
 
 struct JitBlock {
@@ -189,7 +190,6 @@ struct JitProgram {
   std::vector<JitBlock> channel_bodies;
   std::vector<JitBlock> channel_inits;  // empty code => default_value(ss)
   std::vector<JitBlock> global_inits;   // one per top-level val
-  std::vector<DecodePlan> plans;        // one per channel
   /// The flat frame an engine needs: the largest of its blocks' frames.
   std::int32_t frame_regs = 0;
   std::int32_t frame_boxes = 0;
@@ -256,7 +256,7 @@ class JitEngine : public Engine {
 
   /// Runs a parameterless block (global or channel init) and boxes its result.
   Value run_boxed(const JitBlock& block);
-  /// Loads the packet fields `body` reads from `pkt`, by offset.
+  /// Loads the packet fields `body` reads from `pkt`, as `plan` lays them out.
   static void bind_packet(const JitBlock& body, const DecodePlan& plan,
                           const asp::net::Packet& pkt, TypedFrame f);
 
@@ -265,7 +265,6 @@ class JitEngine : public Engine {
   std::vector<Value> globals_;
   std::vector<std::unique_ptr<Frame>> frames_;  // by activation depth
   std::size_t depth_ = 0;
-  std::vector<Value> args_;  // boxed arguments of a kPrimBoxed call
   /// The handlers of every active `try`, across all nested blocks: each
   /// run_block owns the entries above the size it found on entry. Reused
   /// call after call, so entering a `try` never allocates.

@@ -19,6 +19,31 @@ std::uint32_t get32(const std::uint8_t* b) {
   return (static_cast<std::uint32_t>(get16(b)) << 16) | get16(b + 2);
 }
 
+/// The transport header serialized in front of the payload: what an
+/// `ip*blob` channel sees as its blob.
+std::vector<std::uint8_t> serialized_payload(const asp::net::Packet& p) {
+  std::vector<std::uint8_t> out;
+  if (p.tcp) {
+    out.reserve(asp::net::TcpHeader::kWireSize + p.payload.size());
+    put16(out, p.tcp->sport);
+    put16(out, p.tcp->dport);
+    put32(out, p.tcp->seq);
+    put32(out, p.tcp->ack);
+    out.push_back(p.tcp->flags);
+    out.push_back(0);  // header-length/reserved placeholder
+    put16(out, p.tcp->wnd);
+    put32(out, 0);  // checksum + urgent placeholder
+  } else if (p.udp) {
+    out.reserve(asp::net::UdpHeader::kWireSize + p.payload.size());
+    put16(out, p.udp->sport);
+    put16(out, p.udp->dport);
+    put16(out, static_cast<std::uint16_t>(p.payload.size() + 8));
+    put16(out, 0);  // checksum placeholder
+  }
+  out.insert(out.end(), p.payload.begin(), p.payload.end());
+  return out;
+}
+
 /// Inverse of serialized_payload: splits the transport header back out of
 /// the bytes, guided by ip.proto.
 void split_rest(asp::net::Packet& p, std::vector<std::uint8_t> rest) {
@@ -49,78 +74,34 @@ void split_rest(asp::net::Packet& p, std::vector<std::uint8_t> rest) {
 
 }  // namespace
 
-std::vector<std::uint8_t> serialized_payload(const asp::net::Packet& p) {
-  std::vector<std::uint8_t> out;
-  if (p.tcp) {
-    out.reserve(asp::net::TcpHeader::kWireSize + p.payload.size());
-    put16(out, p.tcp->sport);
-    put16(out, p.tcp->dport);
-    put32(out, p.tcp->seq);
-    put32(out, p.tcp->ack);
-    out.push_back(p.tcp->flags);
-    out.push_back(0);  // header-length/reserved placeholder
-    put16(out, p.tcp->wnd);
-    put32(out, 0);  // checksum + urgent placeholder
-  } else if (p.udp) {
-    out.reserve(asp::net::UdpHeader::kWireSize + p.payload.size());
-    put16(out, p.udp->sport);
-    put16(out, p.udp->dport);
-    put16(out, static_cast<std::uint16_t>(p.payload.size() + 8));
-    put16(out, 0);  // checksum placeholder
-  }
-  out.insert(out.end(), p.payload.begin(), p.payload.end());
-  return out;
-}
-
-bool transport_in_payload(const asp::net::Packet& p, const DecodePlan& plan) {
-  return plan.transport == DecodePlan::Transport::kAny &&
-         (p.tcp.has_value() || p.udp.has_value());
-}
-
 DecodePlan compile_decode_plan(const TypePtr& type) {
+  using Op = DecodePlan::FieldOp;
+  if (!is_packet_type(type)) throw EvalBug{"not a packet type: " + type->str()};
   DecodePlan plan;
   const auto& parts = type->args();
-  plan.arity = static_cast<std::uint16_t>(parts.size());
-  std::size_t i = 1;  // parts[0] is the ip header
-  if (i < parts.size() && parts[i]->is(Type::Kind::kTcp)) {
+  if (parts.size() > 1 && parts[1]->is(Type::Kind::kTcp)) {
     plan.transport = DecodePlan::Transport::kTcp;
-    ++i;
-  } else if (i < parts.size() && parts[i]->is(Type::Kind::kUdp)) {
+  } else if (parts.size() > 1 && parts[1]->is(Type::Kind::kUdp)) {
     plan.transport = DecodePlan::Transport::kUdp;
-    ++i;
   }
-  plan.valid = true;
-  for (; i < parts.size(); ++i) {
+  for (std::size_t i = plan.headers(); i < parts.size(); ++i) {
+    DecodePlan::Field f{Op::kBlob, plan.fixed_bytes};
     switch (parts[i]->kind()) {
-      case Type::Kind::kChar:
-        plan.fields.push_back(DecodePlan::FieldOp::kChar);
-        plan.fixed_bytes += 1;
-        break;
-      case Type::Kind::kBool:
-        plan.fields.push_back(DecodePlan::FieldOp::kBool);
-        plan.bool_offsets.push_back(plan.fixed_bytes);
-        plan.fixed_bytes += 1;
-        break;
-      case Type::Kind::kInt:
-        plan.fields.push_back(DecodePlan::FieldOp::kInt);
-        plan.fixed_bytes += 4;
-        break;
-      case Type::Kind::kBlob:
-        plan.fields.push_back(DecodePlan::FieldOp::kBlob);
-        plan.has_blob = true;
-        break;
-      default:
-        // A payload field that has no wire decoding: the channel can never
-        // match, which match_packet reports without per-packet work.
-        plan.valid = false;
-        return plan;
+      case Type::Kind::kChar: f.op = Op::kChar; plan.fixed_bytes += 1; break;
+      case Type::Kind::kBool: f.op = Op::kBool; plan.fixed_bytes += 1; break;
+      case Type::Kind::kInt: f.op = Op::kInt; plan.fixed_bytes += 4; break;
+      default: plan.has_blob = true; break;  // the trailing blob
     }
+    plan.fields.push_back(f);
   }
   return plan;
 }
 
-bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
-  if (!plan.valid) return false;
+namespace {
+
+/// match_packet over a reader the caller goes on to decode with, so a
+/// serialized transport header is built at most once per packet.
+bool matches(const asp::net::Packet& p, const DecodePlan& plan, PayloadReader& reader) {
   switch (plan.transport) {
     case DecodePlan::Transport::kTcp:
       if (p.ip.proto != asp::net::IpProto::kTcp || !p.tcp) return false;
@@ -131,56 +112,57 @@ bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
     case DecodePlan::Transport::kAny:
       break;
   }
-  const bool transport_in_blob = transport_in_payload(p, plan);
-  std::size_t hdr = 0;
-  if (transport_in_blob) {
-    hdr = p.tcp ? asp::net::TcpHeader::kWireSize : asp::net::UdpHeader::kWireSize;
-  }
-  if (plan.fixed_bytes > hdr + p.payload.size()) return false;
-  if (!plan.bool_offsets.empty()) {
-    // Strict bool encoding is part of matching. Offsets inside a serialized
-    // transport header are rare (header-only pattern with scalar fields);
-    // that slow path materializes the bytes exactly like decode would.
-    if (hdr == 0) {
-      const auto& bytes = p.payload.bytes();
-      for (std::uint32_t off : plan.bool_offsets) {
-        if (bytes[off] > 1) return false;
-      }
-    } else {
-      std::vector<std::uint8_t> rest = serialized_payload(p);
-      for (std::uint32_t off : plan.bool_offsets) {
-        if (rest[off] > 1) return false;
-      }
-    }
+  if (plan.fixed_bytes > reader.size()) return false;
+  // Strict bool encoding is part of matching.
+  for (const DecodePlan::Field& f : plan.fields) {
+    if (f.op == DecodePlan::FieldOp::kBool && reader.scalar(f) > 1) return false;
   }
   return true;
 }
 
+}  // namespace
+
+bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
+  PayloadReader reader(p, plan);
+  return matches(p, plan, reader);
+}
+
+const std::vector<std::uint8_t>& PayloadReader::serialized() {
+  if (serialized_ == nullptr) serialized_ = asp::net::make_buffer(serialized_payload(p_));
+  return *serialized_;
+}
+
+Blob PayloadReader::blob(DecodePlan::Field f) {
+  const std::vector<std::uint8_t>& b = bytes();
+  if (f.offset == 0) return serialize_ ? serialized_ : p_.payload.buffer();
+  return asp::net::make_buffer(std::vector<std::uint8_t>(b.begin() + f.offset, b.end()));
+}
+
+Value PayloadReader::value(DecodePlan::Field f) {
+  switch (f.op) {
+    case DecodePlan::FieldOp::kChar: return Value::of_char(static_cast<char>(scalar(f)));
+    case DecodePlan::FieldOp::kBool: return Value::of_bool(scalar(f) != 0);
+    case DecodePlan::FieldOp::kInt: return Value::of_int(scalar(f));
+    case DecodePlan::FieldOp::kBlob: return Value::of_blob_shared(blob(f));
+  }
+  throw EvalBug{"bad payload field"};
+}
+
 std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& plan,
                                    TupleRep* reuse) {
-  if (!plan.valid) return std::nullopt;
-  switch (plan.transport) {
-    case DecodePlan::Transport::kTcp:
-      if (p.ip.proto != asp::net::IpProto::kTcp || !p.tcp) return std::nullopt;
-      break;
-    case DecodePlan::Transport::kUdp:
-      if (p.ip.proto != asp::net::IpProto::kUdp || !p.udp) return std::nullopt;
-      break;
-    case DecodePlan::Transport::kAny:
-      break;
-  }
-  const bool transport_in_blob = transport_in_payload(p, plan);
+  PayloadReader reader(p, plan);
+  if (!matches(p, plan, reader)) return std::nullopt;
 
   // Steady-state storage reuse: when the caller's scratch tuple is uniquely
   // owned (the previous packet's decoded value has died), refill it in place;
   // otherwise fall back to pooled storage (e.g. the handler kept the tuple).
   TupleRep fields;
   if (reuse != nullptr && *reuse != nullptr && reuse->use_count() == 1 &&
-      (*reuse)->capacity() >= plan.arity) {
+      (*reuse)->capacity() >= plan.arity()) {
     fields = *reuse;
     fields->clear();
   } else {
-    fields = Value::make_tuple_storage(plan.arity);
+    fields = Value::make_tuple_storage(plan.arity());
     if (reuse != nullptr) *reuse = fields;
   }
 
@@ -190,50 +172,7 @@ std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& 
   } else if (plan.transport == DecodePlan::Transport::kUdp) {
     fields->push_back(Value::of_udp(*p.udp));
   }
-
-  std::vector<std::uint8_t> scratch;
-  if (transport_in_blob) scratch = serialized_payload(p);
-  const std::vector<std::uint8_t>& rest =
-      transport_in_blob ? scratch : p.payload.bytes();
-
-  std::size_t off = 0;
-  for (DecodePlan::FieldOp op : plan.fields) {
-    switch (op) {
-      case DecodePlan::FieldOp::kChar:
-        if (off + 1 > rest.size()) return std::nullopt;
-        fields->push_back(Value::of_char(static_cast<char>(rest[off])));
-        off += 1;
-        break;
-      case DecodePlan::FieldOp::kBool:
-        if (off + 1 > rest.size()) return std::nullopt;
-        if (rest[off] > 1) return std::nullopt;  // strict bool encoding
-        fields->push_back(Value::of_bool(rest[off] != 0));
-        off += 1;
-        break;
-      case DecodePlan::FieldOp::kInt: {
-        if (off + 4 > rest.size()) return std::nullopt;
-        std::int32_t v = static_cast<std::int32_t>(
-            (std::uint32_t{rest[off]} << 24) | (std::uint32_t{rest[off + 1]} << 16) |
-            (std::uint32_t{rest[off + 2]} << 8) | rest[off + 3]);
-        fields->push_back(Value::of_int(v));
-        off += 4;
-        break;
-      }
-      case DecodePlan::FieldOp::kBlob: {
-        const std::size_t blob_off = off;
-        off = rest.size();
-        if (!transport_in_blob && blob_off == 0) {
-          fields->push_back(Value::of_blob_shared(p.payload.buffer()));
-        } else if (transport_in_blob && blob_off == 0) {
-          fields->push_back(Value::of_blob(std::move(scratch)));
-        } else {
-          fields->push_back(Value::of_blob(std::vector<std::uint8_t>(
-              rest.begin() + static_cast<std::ptrdiff_t>(blob_off), rest.end())));
-        }
-        break;
-      }
-    }
-  }
+  for (const DecodePlan::Field& f : plan.fields) fields->push_back(reader.value(f));
   return Value::of_tuple_rep(std::move(fields));
 }
 

@@ -5,10 +5,13 @@
 // relies on this to dispatch on the first payload byte). Scalar payload fields
 // are decoded in order; a trailing `blob` takes the rest.
 //
-// The interpreter decodes each packet into that tuple and encodes what it
-// sends. The JIT reads the arriving packet in place and builds what it sends
-// straight from its typed frame (PacketBuilder, reemit_packet); both follow
-// the same wire rules, which live here once.
+// This file is the only place that knows the payload's byte layout. The type
+// checker compiles each channel's packet type into a DecodePlan once
+// (CheckedProgram::plans), and the runtime and both engines read that plan.
+// The interpreter decodes each packet into a tuple and encodes what it
+// sends; the JIT loads the fields it reads in place and builds what it sends
+// straight from its typed frame (PacketBuilder, reemit_packet). Both read
+// payload fields through one PayloadReader.
 #pragma once
 
 #include <cstdint>
@@ -22,25 +25,35 @@
 namespace asp::planp {
 
 /// Compiled decode recipe for one channel packet type. The walk over the
-/// type tree happens once, at install time, so the per-packet path runs a
-/// flat loop over field ops (the "parser" stage of the match-action
-/// pipeline, DESIGN.md §6c). Built once per channel by compile_decode_plan.
+/// type tree happens once, when the program is type-checked, so the
+/// per-packet path runs a flat loop over fields (the "parser" stage of the
+/// match-action pipeline, DESIGN.md §6c).
 struct DecodePlan {
   /// kAny = header-only pattern (`ip*...`): accepts any transport, the
   /// transport header rides at the front of the logical payload bytes.
   enum class Transport : std::uint8_t { kAny, kTcp, kUdp };
   enum class FieldOp : std::uint8_t { kChar, kBool, kInt, kBlob };
+  /// One payload field: how it is read and the byte it starts at (a blob
+  /// takes the rest of the bytes from there).
+  struct Field {
+    FieldOp op;
+    std::uint32_t offset;
+  };
 
   Transport transport = Transport::kAny;
-  std::vector<FieldOp> fields;            // payload fields, in order
-  std::vector<std::uint32_t> bool_offsets;  // strict-encoding check offsets
-  std::uint32_t fixed_bytes = 0;          // bytes consumed by scalar fields
-  bool has_blob = false;                  // trailing blob takes the rest
-  bool valid = false;                     // false: type can never decode
-  std::uint16_t arity = 0;                // decoded tuple arity
+  std::vector<Field> fields;      // payload fields, in order
+  std::uint32_t fixed_bytes = 0;  // bytes consumed by scalar fields
+  bool has_blob = false;          // trailing blob takes the rest
+
+  /// Tuple position of the first payload field: after the IP header and a
+  /// typed transport header.
+  std::size_t headers() const { return transport == Transport::kAny ? 1 : 2; }
+  /// Elements of the decoded tuple.
+  std::size_t arity() const { return headers() + fields.size(); }
 };
 
-/// Compiles `type` (a packet tuple type) into a flat decode plan.
+/// Compiles `type`, a packet type the checker accepted (is_packet_type),
+/// into a flat decode plan.
 DecodePlan compile_decode_plan(const TypePtr& type);
 
 /// Validation only: true iff decode_packet(p, plan, ...) would succeed.
@@ -49,21 +62,65 @@ DecodePlan compile_decode_plan(const TypePtr& type);
 /// both engines require a matching packet.
 bool match_packet(const asp::net::Packet& p, const DecodePlan& plan);
 
-/// True when a packet matching `plan` carries its transport header inside
-/// the payload bytes the plan reads (a header-only plan on a TCP or UDP
-/// packet): those bytes are then serialized_payload(p), not p.payload.
-bool transport_in_payload(const asp::net::Packet& p, const DecodePlan& plan);
+/// The one reader of a packet's payload fields, behind match_packet,
+/// decode_packet and the JIT's in-place loads. The bytes the fields lie in
+/// are the payload, or, for a header-only plan on a TCP or UDP packet, the
+/// transport header serialized in front of it (built on first use). A blob
+/// that starts the bytes aliases their buffer; a later one copies the rest.
+/// Reads assume the packet matches the plan's transport and length.
+class PayloadReader {
+ public:
+  PayloadReader(const asp::net::Packet& p, const DecodePlan& plan)
+      : p_(p),
+        serialize_(plan.transport == DecodePlan::Transport::kAny &&
+                   (p.tcp.has_value() || p.udp.has_value())) {}
 
-/// The transport header serialized in front of the payload: what an
-/// `ip*blob` channel sees as its blob.
-std::vector<std::uint8_t> serialized_payload(const asp::net::Packet& p);
+  /// Length of the bytes the fields lie in (serializes nothing).
+  std::size_t size() const {
+    if (!serialize_) return p_.payload.size();
+    return p_.payload.size() + (p_.tcp ? asp::net::TcpHeader::kWireSize
+                                       : asp::net::UdpHeader::kWireSize);
+  }
+  /// A char, bool or int field in register form: the byte sign-extended,
+  /// the byte as is (0 or 1 in a matching packet), the big-endian int32
+  /// sign-extended. Inline: the JIT binds every scalar field it reads
+  /// through here on every packet.
+  std::int64_t scalar(DecodePlan::Field f) {
+    const std::uint8_t* at = bytes().data() + f.offset;
+    switch (f.op) {
+      case DecodePlan::FieldOp::kChar: return static_cast<char>(*at);
+      case DecodePlan::FieldOp::kBool: return *at;
+      case DecodePlan::FieldOp::kInt:
+        return static_cast<std::int32_t>(
+            (std::uint32_t{at[0]} << 24) | (std::uint32_t{at[1]} << 16) |
+            (std::uint32_t{at[2]} << 8) | at[3]);
+      case DecodePlan::FieldOp::kBlob: break;
+    }
+    throw EvalBug{"payload field is not a scalar"};
+  }
+  /// A blob field: the bytes from its offset on.
+  Blob blob(DecodePlan::Field f);
+  /// Either, as a Value.
+  Value value(DecodePlan::Field f);
+
+ private:
+  const std::vector<std::uint8_t>& bytes() {
+    return serialize_ ? serialized() : p_.payload.bytes();
+  }
+  /// The transport header serialized in front of the payload, built once.
+  const std::vector<std::uint8_t>& serialized();
+
+  const asp::net::Packet& p_;
+  const bool serialize_;
+  Blob serialized_;
+};
 
 /// Decodes `p` as a value of the plan's packet type. Returns nullopt when the
-/// packet does not match (wrong protocol, payload too short, ...). `reuse`
-/// (optional) supplies tuple storage that is refilled in place when uniquely
-/// owned — the interpreter's steady-state zero-allocation path; when the
-/// previous packet's tuple is still alive (e.g. stored into channel state)
-/// fresh pooled storage is used instead.
+/// packet does not match (match_packet). `reuse` (optional) supplies tuple
+/// storage that is refilled in place when uniquely owned — the interpreter's
+/// steady-state zero-allocation path; when the previous packet's tuple is
+/// still alive (e.g. stored into channel state) fresh pooled storage is used
+/// instead.
 std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& plan,
                                    TupleRep* reuse = nullptr);
 

@@ -137,6 +137,13 @@ class Parser {
         TypePtr second = type();
         expect(Tok::kRParen, "hash_table type");
         expect(Tok::kHashTable, "hash_table type");
+        // Every table type is built here, so this one check keeps the
+        // engines from ever hashing a key kind Value::hash() has no rule for.
+        if (!is_key_type(first)) {
+          throw err("hash_table key type " + first->str() +
+                    " is not hashable (want int, bool, char, string, host or a "
+                    "tuple of them)");
+        }
         TypePtr t = Type::Table(std::move(first), std::move(second));
         // Allow nested tables: ((k,v) hash_table, v2) would re-enter here,
         // but a postfix hash_table on a table is not meaningful; stop.

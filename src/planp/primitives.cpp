@@ -1,6 +1,7 @@
 #include "planp/primitives.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <type_traits>
 #include <utility>
@@ -93,10 +94,10 @@ TypePtr VB() { return Type::Var(1); }
 TypePtr TAB() { return Type::Table(Type::Var(0), Type::Var(1)); }
 
 // --- typed primitives ----------------------------------------------------------
-// A typed primitive is one C++ function over C++ types. Typed<F> derives from
-// that one definition its PLAN-P signature, the boxed entry the interpreter
-// calls and the typed entry the JIT calls on its frame. Conv<T> says how a
-// C++ type maps to a PLAN-P type, a boxed Value and a frame slot.
+// A primitive is one C++ function over C++ types. Typed<F> derives from that
+// one definition its PLAN-P signature, the boxed entry the interpreter calls
+// and the typed entry the JIT calls on its frame. Conv<T> says how a C++ type
+// maps to a PLAN-P type, a boxed Value and a frame slot.
 template <class T>
 struct Conv;
 template <>
@@ -151,22 +152,21 @@ struct Conv<net::TcpHeader>
 template <>
 struct Conv<net::UdpHeader>
     : HeaderConv<net::UdpHeader, UDP, &Value::as_udp, &Value::of_udp> {};
-template <>
-struct Conv<Blob> {
-  static TypePtr type() { return BL(); }
-  static const Blob& get(const Value& v) { return v.as_blob(); }
-  static const Blob& get(TypedFrame f, std::int32_t o) { return f.v[o].as_blob(); }
-  static Value box(Blob x) { return Value::of_blob_shared(std::move(x)); }
-  static void put(TypedFrame f, std::int32_t o, Blob x) {
-    f.v[o] = Value::of_blob_shared(std::move(x));
-  }
+/// The boxed kinds, held in a Value slot and read in place.
+template <class T, TypePtr (*Ty)(), const T& (Value::*As)() const, Value (*Of)(T)>
+struct BoxConv {
+  static TypePtr type() { return Ty(); }
+  static const T& get(const Value& v) { return (v.*As)(); }
+  static const T& get(TypedFrame f, std::int32_t o) { return (f.v[o].*As)(); }
+  static Value box(T x) { return Of(std::move(x)); }
+  static void put(TypedFrame f, std::int32_t o, T x) { f.v[o] = Of(std::move(x)); }
 };
 template <>
-struct Conv<TableRef> {
-  static TypePtr type() { return TAB(); }
-  static const TableRef& get(const Value& v) { return v.as_table(); }
-  static const TableRef& get(TypedFrame f, std::int32_t o) { return f.v[o].as_table(); }
-};
+struct Conv<std::string> : BoxConv<std::string, S, &Value::as_string, &Value::of_string> {};
+template <>
+struct Conv<Blob> : BoxConv<Blob, BL, &Value::as_blob, &Value::of_blob_shared> {};
+template <>
+struct Conv<TableRef> : BoxConv<TableRef, TAB, &Value::as_table, &Value::of_table> {};
 /// A value of a type-variable parameter or result: boxed, read in place. Its
 /// primitive's signature is spelled out (add_typed_sig).
 template <>
@@ -176,14 +176,6 @@ struct Conv<Value> {
   static Value box(Value x) { return x; }
   static void put(TypedFrame f, std::int32_t o, Value x) { f.v[o] = std::move(x); }
 };
-template <>
-struct Conv<std::string> {
-  static TypePtr type() { return S(); }
-  static const std::string& get(const Value& v) { return v.as_string(); }
-  static const std::string& get(TypedFrame f, std::int32_t o) {
-    return f.v[o].as_string();
-  }
-};
 
 template <class T>
 using ConvOf = Conv<std::remove_cvref_t<T>>;
@@ -192,6 +184,8 @@ template <auto F>
 struct Typed;
 template <class R, class... A, R (*F)(EnvApi&, A...)>
 struct Typed<F> {
+  // A TInstr carries a destination and three operands.
+  static_assert(sizeof...(A) <= 3, "a primitive takes at most three parameters");
   using Seq = std::index_sequence_for<A...>;
 
   static std::vector<TypePtr> params() { return {ConvOf<A>::type()...}; }
@@ -229,12 +223,102 @@ struct Typed<F> {
   }
 };
 
-// The typed primitives' bodies: one definition each, boxed and typed entries
-// derived by Typed<F>.
+/// True when [from, from + len) lies within [0, size). Nothing is summed
+/// that could overflow, so hostile offsets near the int range are refused.
+bool in_bounds(std::int64_t from, std::int64_t len, std::size_t size) {
+  return from >= 0 && len >= 0 && static_cast<std::uint64_t>(from) <= size &&
+         static_cast<std::uint64_t>(len) <= size - static_cast<std::uint64_t>(from);
+}
+
+// --- the primitives' bodies: one definition each --------------------------------
+
+template <class T>
+void print(EnvApi& env, T v) {
+  env.print(ConvOf<T>::box(v).str());
+}
+template <class T>
+void println(EnvApi& env, T v) {
+  env.print(ConvOf<T>::box(v).str() + "\n");
+}
+
+std::string int_to_string(EnvApi&, std::int64_t v) { return std::to_string(v); }
+std::string host_to_string(EnvApi&, net::Ipv4Addr a) { return a.str(); }
 std::int64_t char_pos(EnvApi&, char c) { return static_cast<unsigned char>(c); }
+char chr(EnvApi&, std::int64_t v) {
+  if (v < 0 || v > 255) raise("InvalidChar");
+  return static_cast<char>(v);
+}
 std::int64_t abs_int(EnvApi&, std::int64_t v) { return v < 0 ? -v : v; }
 std::int64_t min_int(EnvApi&, std::int64_t a, std::int64_t b) { return std::min(a, b); }
 std::int64_t max_int(EnvApi&, std::int64_t a, std::int64_t b) { return std::max(a, b); }
+
+std::int64_t string_len(EnvApi&, const std::string& s) {
+  return static_cast<std::int64_t>(s.size());
+}
+std::string substring(EnvApi&, const std::string& s, std::int64_t from, std::int64_t len) {
+  if (!in_bounds(from, len, s.size())) raise("OutOfBounds");
+  return s.substr(static_cast<std::size_t>(from), static_cast<std::size_t>(len));
+}
+bool starts_with(EnvApi&, const std::string& s, const std::string& pre) {
+  return s.rfind(pre, 0) == 0;
+}
+std::int64_t str_index(EnvApi&, const std::string& s, const std::string& sub) {
+  const auto pos = s.find(sub);
+  return pos == std::string::npos ? -1 : static_cast<std::int64_t>(pos);
+}
+// ASP extensions (paper §2.3: primitives added when PLAN-P moved from pure
+// routing to ASPs — protocol text parsing for the MPEG monitor).
+std::string str_word(EnvApi&, const std::string& s, std::int64_t want) {
+  std::size_t pos = 0;
+  std::int64_t idx = 0;
+  while (pos < s.size()) {
+    while (pos < s.size() && s[pos] == ' ') ++pos;
+    std::size_t start = pos;
+    while (pos < s.size() && s[pos] != ' ') ++pos;
+    if (start == pos) break;
+    if (idx == want) return s.substr(start, pos - start);
+    ++idx;
+  }
+  raise("OutOfBounds");
+}
+/// An optional '-' and decimal digits, within the int range.
+std::int64_t string_to_int(EnvApi&, const std::string& s) {
+  std::int64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) raise("BadNumber");
+  return v;
+}
+net::Ipv4Addr string_to_host(EnvApi&, const std::string& s) {
+  const auto h = net::Ipv4Addr::parse(s);
+  if (!h) raise("BadHost");
+  return *h;
+}
+
+/// mkTable's size is a reserve hint; a hostile one must not allocate the node
+/// out of memory, so it is capped here (tables still grow past it).
+constexpr std::int64_t kMaxTableReserve = 1 << 16;
+TableRef mk_table(EnvApi&, std::int64_t hint) {
+  return std::make_shared<HashTable>(
+      static_cast<std::size_t>(std::clamp<std::int64_t>(hint, 1, kMaxTableReserve)));
+}
+Value table_get(EnvApi&, const TableRef& t, const Value& key) {
+  const Value* v = t->get(key);
+  if (v == nullptr) raise("NotFound");
+  return *v;
+}
+Value table_get_default(EnvApi&, const TableRef& t, const Value& key, const Value& dflt) {
+  const Value* v = t->get(key);
+  return v != nullptr ? *v : dflt;
+}
+void table_set(EnvApi&, const TableRef& t, const Value& key, const Value& v) {
+  t->set(key, v);
+}
+bool table_mem(EnvApi&, const TableRef& t, const Value& key) { return t->contains(key); }
+void table_remove(EnvApi&, const TableRef& t, const Value& key) { t->remove(key); }
+std::int64_t table_size(EnvApi&, const TableRef& t) {
+  return static_cast<std::int64_t>(t->size());
+}
 
 net::Ipv4Addr ip_src(EnvApi&, const net::IpHeader& h) { return h.src; }
 net::Ipv4Addr ip_dst(EnvApi&, const net::IpHeader& h) { return h.dst; }
@@ -287,6 +371,24 @@ net::UdpHeader udp_dst_set(EnvApi&, net::UdpHeader h, std::int64_t port) {
 }
 
 std::int64_t blob_len(EnvApi&, const Blob& b) { return static_cast<std::int64_t>(b->size()); }
+std::int64_t blob_byte(EnvApi&, const Blob& b, std::int64_t i) {
+  if (!in_bounds(i, 1, b->size())) raise("OutOfBounds");
+  return (*b)[static_cast<std::size_t>(i)];
+}
+Blob blob_sub(EnvApi&, const Blob& b, std::int64_t from, std::int64_t len) {
+  if (!in_bounds(from, len, b->size())) raise("OutOfBounds");
+  const auto at = b->begin() + from;
+  return net::make_buffer(std::vector<std::uint8_t>(at, at + len));
+}
+Blob blob_cat(EnvApi&, const Blob& a, const Blob& b) {
+  std::vector<std::uint8_t> out = *a;
+  out.insert(out.end(), b->begin(), b->end());
+  return net::make_buffer(std::move(out));
+}
+Blob blob_from_string(EnvApi&, const std::string& s) {
+  return net::make_buffer(std::vector<std::uint8_t>(s.begin(), s.end()));
+}
+std::string blob_to_string(EnvApi&, const Blob& b) { return std::string(b->begin(), b->end()); }
 // 64-bit little-endian field access, for binary wire formats (the scenario
 // cache profile's object ids / sequence numbers). Both are TOTAL — an
 // out-of-range offset reads 0 / writes nothing — so verified caching ASPs
@@ -294,14 +396,14 @@ std::int64_t blob_len(EnvApi&, const Blob& b) { return static_cast<std::int64_t>
 // guaranteed-delivery verdict; see cacheGetDefault below).
 std::int64_t blob_int(EnvApi&, const Blob& blob, std::int64_t off) {
   const auto& b = *blob;
-  if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) return 0;
+  if (!in_bounds(off, 8, b.size())) return 0;
   std::uint64_t v = 0;
   std::memcpy(&v, b.data() + off, 8);  // LE hosts only, like sample16
   return static_cast<std::int64_t>(v);
 }
 Blob blob_put_int(EnvApi&, const Blob& blob, std::int64_t off, std::int64_t val) {
   const auto& b = *blob;
-  if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) {
+  if (!in_bounds(off, 8, b.size())) {
     return blob;  // nothing to patch: the blob passes through unchanged
   }
   // Copy into a pooled buffer (capacity guaranteed, so the assignment does
@@ -314,9 +416,32 @@ Blob blob_put_int(EnvApi&, const Blob& blob, std::int64_t off, std::int64_t val)
   return out;
 }
 
+// Audio transcoding (paper §3.1: degrade 16-bit stereo to 8-bit mono) runs
+// the kernels the built-in C baseline shares.
+template <std::vector<std::uint8_t> (*Kernel)(const std::vector<std::uint8_t>&)>
+Blob transcode(EnvApi&, const Blob& pcm) {
+  return net::make_buffer(Kernel(*pcm));
+}
+// Image distillation (paper §5: "integration of image distillation support
+// into PLAN-P" for low-bandwidth adaptation).
+Blob distill_image(EnvApi&, const Blob& blob, std::int64_t q) {
+  if (q < 1 || q > 16) raise("BadQuality");
+  if (q == 1) return blob;
+  const auto& img = *blob;
+  std::vector<std::uint8_t> out;
+  out.reserve(img.size() / static_cast<std::size_t>(q) + 1);
+  for (std::size_t i = 0; i < img.size(); i += static_cast<std::size_t>(q)) {
+    out.push_back(img[i]);
+  }
+  return net::make_buffer(std::move(out));
+}
+
 // Keys are 64-bit FNV-1a digests carried as PLAN-P ints; bodies are blobs
 // aliased into the node's CacheStore, so a fill pins the packet's pooled
 // payload buffer and an eviction releases it — no copies on either side.
+void cache_configure(EnvApi& env, std::int64_t entries, std::int64_t ttl_ms) {
+  env.cache().configure(static_cast<std::size_t>(std::max<std::int64_t>(1, entries)), ttl_ms);
+}
 std::int64_t cache_key3(EnvApi&, const std::string& method, net::Ipv4Addr host,
                         const std::string& path) {
   return static_cast<std::int64_t>(CacheStore::key_of(method, host.bits(), path));
@@ -324,6 +449,11 @@ std::int64_t cache_key3(EnvApi&, const std::string& method, net::Ipv4Addr host,
 std::int64_t cache_key2(EnvApi&, std::int64_t id, net::Ipv4Addr host) {
   return static_cast<std::int64_t>(
       CacheStore::key_of(static_cast<std::uint64_t>(id), host.bits()));
+}
+Blob cache_lookup(EnvApi& env, std::int64_t key) {
+  const net::Buffer* b = env.cache().lookup(static_cast<std::uint64_t>(key), env.time_ms());
+  if (b == nullptr) raise("CacheMiss");
+  return *b;
 }
 // Non-raising lookup (mirrors tableGetDefault): the form verified caching
 // ASPs use on the fast path — a raising call would force a try whose handler
@@ -339,24 +469,7 @@ void cache_store(EnvApi& env, std::int64_t key, const Blob& body) {
 bool cache_has(EnvApi& env, std::int64_t key) {
   return env.cache().contains(static_cast<std::uint64_t>(key), env.time_ms());
 }
-
-Value table_get(EnvApi&, const TableRef& t, const Value& key) {
-  const Value* v = t->get(key);
-  if (v == nullptr) raise("NotFound");
-  return *v;
-}
-Value table_get_default(EnvApi&, const TableRef& t, const Value& key, const Value& dflt) {
-  const Value* v = t->get(key);
-  return v != nullptr ? *v : dflt;
-}
-void table_set(EnvApi&, const TableRef& t, const Value& key, const Value& v) {
-  t->set(key, v);
-}
-bool table_mem(EnvApi&, const TableRef& t, const Value& key) { return t->contains(key); }
-void table_remove(EnvApi&, const TableRef& t, const Value& key) { t->remove(key); }
-std::int64_t table_size(EnvApi&, const TableRef& t) {
-  return static_cast<std::int64_t>(t->size());
-}
+std::int64_t cache_size(EnvApi& env) { return static_cast<std::int64_t>(env.cache().size()); }
 
 net::Ipv4Addr this_host(EnvApi& env) { return env.this_host(); }
 std::int64_t get_time(EnvApi& env) { return env.time_ms(); }
@@ -364,20 +477,43 @@ std::int64_t link_load(EnvApi& env) { return env.link_load_percent(); }
 std::int64_t link_bandwidth(EnvApi& env) { return env.link_bandwidth_kbps(); }
 std::int64_t arrival_iface(EnvApi& env) { return env.arrival_iface(); }
 
-/// Registers typed primitive F: signature, boxed and typed entries all come
-/// from its one definition.
-template <auto F, class Add>
-void add_typed(Add& add, std::string name, bool pure, int cost = 1) {
-  add(std::move(name), Typed<F>::params(), Typed<F>::ret(), &Typed<F>::boxed,
-      /*may_raise=*/false, cost, pure, &Typed<F>::typed);
+// --- registration ----------------------------------------------------------------
+
+/// What a primitive may do besides computing its result.
+enum class Effect {
+  /// Reads no environment and no table, cannot raise, returns an immutable
+  /// value: a call on literals is folded into a constant.
+  kPure,
+  /// Cannot raise, but reads or changes the node, its cache or a table.
+  kTotal,
+  /// May raise a PLAN-P exception (the guaranteed-delivery analysis).
+  kRaises,
+};
+
+Primitive make_primitive(std::string name, std::vector<TypePtr> params, TypePtr ret,
+                         Effect effect, int cost, BoxedFn fn, TypedFn typed) {
+  return Primitive{std::move(name), std::move(params), std::move(ret),
+                   effect == Effect::kRaises, cost, effect == Effect::kPure, fn, typed};
+}
+
+/// Registers F: its signature and both entries come from its one definition.
+template <auto F>
+void add_typed(std::vector<Primitive>& out, std::string name, Effect effect, int cost = 1) {
+  out.push_back(make_primitive(std::move(name), Typed<F>::params(), Typed<F>::ret(), effect,
+                               cost, &Typed<F>::boxed, &Typed<F>::typed));
 }
 /// The same for a polymorphic F, whose signature is spelled out: its
 /// type-variable operands are boxed Values.
-template <auto F, class Add>
-void add_typed_sig(Add& add, std::string name, std::vector<TypePtr> params, TypePtr ret,
-                   bool may_raise, int cost) {
-  add(std::move(name), std::move(params), std::move(ret), &Typed<F>::boxed, may_raise, cost,
-      /*pure=*/false, &Typed<F>::typed);
+template <auto F>
+void add_typed_sig(std::vector<Primitive>& out, std::string name, std::vector<TypePtr> params,
+                   TypePtr ret, Effect effect, int cost) {
+  out.push_back(make_primitive(std::move(name), std::move(params), std::move(ret), effect,
+                               cost, &Typed<F>::boxed, &Typed<F>::typed));
+}
+template <class T>
+void add_prints(std::vector<Primitive>& out) {
+  add_typed<&print<T>>(out, "print", Effect::kTotal, 8);
+  add_typed<&println<T>>(out, "println", Effect::kTotal, 8);
 }
 
 }  // namespace
@@ -436,289 +572,110 @@ void unbox(Rep rep, const Value& v, TypedFrame f, std::int32_t o) {
 }
 
 Primitives::Primitives() {
-  auto add = [this](std::string name, std::vector<TypePtr> params, TypePtr ret,
-                    std::function<Value(EnvApi&, const Args&)> fn,
-                    bool may_raise = false, int cost = 1, bool pure = false,
-                    TypedFn typed = nullptr) {
-    int idx = static_cast<int>(prims_.size());
-    by_name_[name].push_back(idx);
-    prims_.push_back(Primitive{std::move(name), std::move(params), std::move(ret),
-                               may_raise, std::move(fn), cost, pure, typed});
-  };
-  // Pure and boxed: no environment, no raise, an immutable result.
-  auto add_pure = [&add](std::string name, std::vector<TypePtr> params, TypePtr ret,
-                         std::function<Value(EnvApi&, const Args&)> fn, int cost = 1) {
-    add(std::move(name), std::move(params), std::move(ret), std::move(fn),
-        /*may_raise=*/false, cost, /*pure=*/true);
-  };
+  using E = Effect;
+  std::vector<Primitive>& p = prims_;
 
   // --- output ---------------------------------------------------------------
-  for (TypePtr t : {S(), I(), B(), C(), H()}) {
-    add("print", {t}, U(),
-        [](EnvApi& env, const Args& a) {
-          env.print(a[0].str());
-          return Value::unit();
-        },
-        /*may_raise=*/false, /*cost=*/8);
-    add("println", {t}, U(),
-        [](EnvApi& env, const Args& a) {
-          env.print(a[0].str() + "\n");
-          return Value::unit();
-        },
-        /*may_raise=*/false, /*cost=*/8);
-  }
+  add_prints<const std::string&>(p);
+  add_prints<std::int64_t>(p);
+  add_prints<bool>(p);
+  add_prints<char>(p);
+  add_prints<net::Ipv4Addr>(p);
 
   // --- conversions / scalar helpers ------------------------------------------
-  add_pure("intToString", {I()}, S(),
-      [](EnvApi&, const Args& a) { return Value::of_string(std::to_string(a[0].as_int())); });
-  add_pure("hostToString", {H()}, S(),
-      [](EnvApi&, const Args& a) { return Value::of_string(a[0].as_host().str()); });
-  add_typed<&char_pos>(add, "charPos", /*pure=*/true);
-  add_typed<&char_pos>(add, "ord", /*pure=*/true);
-  add(
-      "chr", {I()}, C(),
-      [](EnvApi&, const Args& a) {
-        std::int64_t v = a[0].as_int();
-        if (v < 0 || v > 255) raise("InvalidChar");
-        return Value::of_char(static_cast<char>(v));
-      },
-      /*may_raise=*/true);
-  add_typed<&abs_int>(add, "abs", /*pure=*/true);
-  add_typed<&min_int>(add, "min", /*pure=*/true);
-  add_typed<&max_int>(add, "max", /*pure=*/true);
-  add_pure("stringLen", {S()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(static_cast<std::int64_t>(a[0].as_string().size()));
-  });
-  add(
-      "substring", {S(), I(), I()}, S(),
-      [](EnvApi&, const Args& a) {
-        const std::string& s = a[0].as_string();
-        std::int64_t from = a[1].as_int(), len = a[2].as_int();
-        if (from < 0 || len < 0 || from + len > static_cast<std::int64_t>(s.size())) {
-          raise("OutOfBounds");
-        }
-        return Value::of_string(s.substr(static_cast<std::size_t>(from),
-                                         static_cast<std::size_t>(len)));
-      },
-      /*may_raise=*/true, /*cost=*/8);
-  add_pure("startsWith", {S(), S()}, B(), [](EnvApi&, const Args& a) {
-    const std::string& s = a[0].as_string();
-    const std::string& pre = a[1].as_string();
-    return Value::of_bool(s.rfind(pre, 0) == 0);
-  });
-  add_pure("strIndex", {S(), S()}, I(), [](EnvApi&, const Args& a) {
-    auto pos = a[0].as_string().find(a[1].as_string());
-    return Value::of_int(pos == std::string::npos ? -1 : static_cast<std::int64_t>(pos));
-  });
-  // ASP extensions (paper §2.3: primitives added when PLAN-P moved from pure
-  // routing to ASPs — protocol text parsing for the MPEG monitor).
-  add(
-      "strWord", {S(), I()}, S(),
-      [](EnvApi&, const Args& a) {
-        const std::string& s = a[0].as_string();
-        std::int64_t want = a[1].as_int();
-        std::size_t pos = 0;
-        std::int64_t idx = 0;
-        while (pos < s.size()) {
-          while (pos < s.size() && s[pos] == ' ') ++pos;
-          std::size_t start = pos;
-          while (pos < s.size() && s[pos] != ' ') ++pos;
-          if (start == pos) break;
-          if (idx == want) return Value::of_string(s.substr(start, pos - start));
-          ++idx;
-        }
-        raise("OutOfBounds");
-      },
-      /*may_raise=*/true, /*cost=*/8);
-  add(
-      "stringToInt", {S()}, I(),
-      [](EnvApi&, const Args& a) {
-        const std::string& s = a[0].as_string();
-        if (s.empty()) raise("BadNumber");
-        std::size_t i = s[0] == '-' ? 1 : 0;
-        if (i == s.size()) raise("BadNumber");
-        std::int64_t v = 0;
-        for (; i < s.size(); ++i) {
-          if (s[i] < '0' || s[i] > '9') raise("BadNumber");
-          v = v * 10 + (s[i] - '0');
-        }
-        return Value::of_int(s[0] == '-' ? -v : v);
-      },
-      /*may_raise=*/true);
-  add(
-      "stringToHost", {S()}, H(),
-      [](EnvApi&, const Args& a) {
-        auto h = asp::net::Ipv4Addr::parse(a[0].as_string());
-        if (!h) raise("BadHost");
-        return Value::of_host(*h);
-      },
-      /*may_raise=*/true);
+  add_typed<&int_to_string>(p, "intToString", E::kPure);
+  add_typed<&host_to_string>(p, "hostToString", E::kPure);
+  add_typed<&char_pos>(p, "charPos", E::kPure);
+  add_typed<&char_pos>(p, "ord", E::kPure);
+  add_typed<&chr>(p, "chr", E::kRaises);
+  add_typed<&abs_int>(p, "abs", E::kPure);
+  add_typed<&min_int>(p, "min", E::kPure);
+  add_typed<&max_int>(p, "max", E::kPure);
+  add_typed<&string_len>(p, "stringLen", E::kPure);
+  add_typed<&substring>(p, "substring", E::kRaises, 8);
+  add_typed<&starts_with>(p, "startsWith", E::kPure);
+  add_typed<&str_index>(p, "strIndex", E::kPure);
+  add_typed<&str_word>(p, "strWord", E::kRaises, 8);
+  add_typed<&string_to_int>(p, "stringToInt", E::kRaises);
+  add_typed<&string_to_host>(p, "stringToHost", E::kRaises);
 
   // --- hash tables ------------------------------------------------------------
-  add("mkTable", {I()}, TAB(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_table(std::make_shared<HashTable>(
-            static_cast<std::size_t>(std::max<std::int64_t>(1, a[0].as_int()))));
-      },
-      /*may_raise=*/false, /*cost=*/64);
-  add_typed_sig<&table_get>(add, "tableGet", {TAB(), VA()}, VB(), /*may_raise=*/true,
-                            /*cost=*/4);
-  add_typed_sig<&table_set>(add, "tableSet", {TAB(), VA(), VB()}, U(), false, /*cost=*/4);
-  add_typed_sig<&table_mem>(add, "tableMem", {TAB(), VA()}, B(), false, /*cost=*/4);
-  add_typed_sig<&table_remove>(add, "tableRemove", {TAB(), VA()}, U(), false, /*cost=*/4);
-  add_typed_sig<&table_size>(add, "tableSize", {TAB()}, I(), false, /*cost=*/1);
-  add_typed_sig<&table_get_default>(add, "tableGetDefault", {TAB(), VA(), VB()}, VB(), false,
-                                    /*cost=*/4);
+  add_typed<&mk_table>(p, "mkTable", E::kTotal, 64);
+  add_typed_sig<&table_get>(p, "tableGet", {TAB(), VA()}, VB(), E::kRaises, 4);
+  add_typed_sig<&table_set>(p, "tableSet", {TAB(), VA(), VB()}, U(), E::kTotal, 4);
+  add_typed_sig<&table_mem>(p, "tableMem", {TAB(), VA()}, B(), E::kTotal, 4);
+  add_typed_sig<&table_remove>(p, "tableRemove", {TAB(), VA()}, U(), E::kTotal, 4);
+  add_typed_sig<&table_size>(p, "tableSize", {TAB()}, I(), E::kTotal, 1);
+  add_typed_sig<&table_get_default>(p, "tableGetDefault", {TAB(), VA(), VB()}, VB(),
+                                    E::kTotal, 4);
 
   // --- IP header --------------------------------------------------------------
-  add_typed<&ip_src>(add, "ipSrc", /*pure=*/true);
-  add_typed<&ip_dst>(add, "ipDst", /*pure=*/true);
-  add_typed<&ip_src_set>(add, "ipSrcSet", /*pure=*/true);
-  add_typed<&ip_dst_set>(add, "ipDestSet", /*pure=*/true);
-  add_typed<&ip_proto>(add, "ipProto", /*pure=*/true);
-  add_typed<&ip_ttl>(add, "ipTtl", /*pure=*/true);
-  add_typed<&ip_tos>(add, "ipTos", /*pure=*/true);
-  add_typed<&ip_tos_set>(add, "ipTosSet", /*pure=*/true);
-  add_typed<&is_multicast>(add, "isMulticast", /*pure=*/true);
-  add_typed<&host_to_int>(add, "hostToInt", /*pure=*/true);
+  add_typed<&ip_src>(p, "ipSrc", E::kPure);
+  add_typed<&ip_dst>(p, "ipDst", E::kPure);
+  add_typed<&ip_src_set>(p, "ipSrcSet", E::kPure);
+  add_typed<&ip_dst_set>(p, "ipDestSet", E::kPure);
+  add_typed<&ip_proto>(p, "ipProto", E::kPure);
+  add_typed<&ip_ttl>(p, "ipTtl", E::kPure);
+  add_typed<&ip_tos>(p, "ipTos", E::kPure);
+  add_typed<&ip_tos_set>(p, "ipTosSet", E::kPure);
+  add_typed<&is_multicast>(p, "isMulticast", E::kPure);
+  add_typed<&host_to_int>(p, "hostToInt", E::kPure);
 
   // --- TCP header --------------------------------------------------------------
-  add_typed<&tcp_src>(add, "tcpSrc", /*pure=*/true);
-  add_typed<&tcp_dst>(add, "tcpDst", /*pure=*/true);
-  add_typed<&tcp_seq>(add, "tcpSeq", /*pure=*/true);
-  add_typed<&tcp_ack_no>(add, "tcpAckNo", /*pure=*/true);
-  add_typed<&tcp_src_set>(add, "tcpSrcSet", /*pure=*/true);
-  add_typed<&tcp_dst_set>(add, "tcpDstSet", /*pure=*/true);
-  add_typed<&tcp_syn>(add, "tcpSyn", /*pure=*/true);
-  add_typed<&tcp_ack>(add, "tcpAck", /*pure=*/true);
-  add_typed<&tcp_fin>(add, "tcpFin", /*pure=*/true);
-  add_typed<&tcp_rst>(add, "tcpRst", /*pure=*/true);
+  add_typed<&tcp_src>(p, "tcpSrc", E::kPure);
+  add_typed<&tcp_dst>(p, "tcpDst", E::kPure);
+  add_typed<&tcp_seq>(p, "tcpSeq", E::kPure);
+  add_typed<&tcp_ack_no>(p, "tcpAckNo", E::kPure);
+  add_typed<&tcp_src_set>(p, "tcpSrcSet", E::kPure);
+  add_typed<&tcp_dst_set>(p, "tcpDstSet", E::kPure);
+  add_typed<&tcp_syn>(p, "tcpSyn", E::kPure);
+  add_typed<&tcp_ack>(p, "tcpAck", E::kPure);
+  add_typed<&tcp_fin>(p, "tcpFin", E::kPure);
+  add_typed<&tcp_rst>(p, "tcpRst", E::kPure);
 
   // --- UDP header --------------------------------------------------------------
-  add_typed<&udp_src>(add, "udpSrc", /*pure=*/true);
-  add_typed<&udp_dst>(add, "udpDst", /*pure=*/true);
-  add_typed<&udp_src_set>(add, "udpSrcSet", /*pure=*/true);
-  add_typed<&udp_dst_set>(add, "udpDstSet", /*pure=*/true);
+  add_typed<&udp_src>(p, "udpSrc", E::kPure);
+  add_typed<&udp_dst>(p, "udpDst", E::kPure);
+  add_typed<&udp_src_set>(p, "udpSrcSet", E::kPure);
+  add_typed<&udp_dst_set>(p, "udpDstSet", E::kPure);
 
   // --- blobs ---------------------------------------------------------------------
-  add_typed<&blob_len>(add, "blobLen", /*pure=*/true);
-  add(
-      "blobByte", {BL(), I()}, I(),
-      [](EnvApi&, const Args& a) {
-        const auto& b = *a[0].as_blob();
-        std::int64_t i = a[1].as_int();
-        if (i < 0 || i >= static_cast<std::int64_t>(b.size())) raise("OutOfBounds");
-        return Value::of_int(b[static_cast<std::size_t>(i)]);
-      },
-      /*may_raise=*/true);
-  add(
-      "blobSub", {BL(), I(), I()}, BL(),
-      [](EnvApi&, const Args& a) {
-        const auto& b = *a[0].as_blob();
-        std::int64_t from = a[1].as_int(), len = a[2].as_int();
-        if (from < 0 || len < 0 || from + len > static_cast<std::int64_t>(b.size())) {
-          raise("OutOfBounds");
-        }
-        return Value::of_blob(std::vector<std::uint8_t>(
-            b.begin() + from, b.begin() + from + len));
-      },
-      /*may_raise=*/true, /*cost=*/32);
-  add_pure("blobCat", {BL(), BL()}, BL(),
-      [](EnvApi&, const Args& a) {
-        std::vector<std::uint8_t> out = *a[0].as_blob();
-        const auto& b = *a[1].as_blob();
-        out.insert(out.end(), b.begin(), b.end());
-        return Value::of_blob(std::move(out));
-      },
-      /*cost=*/32);
-  add_pure("blobFromString", {S()}, BL(),
-      [](EnvApi&, const Args& a) {
-        const std::string& s = a[0].as_string();
-        return Value::of_blob(std::vector<std::uint8_t>(s.begin(), s.end()));
-      },
-      /*cost=*/16);
-  add_pure("blobToString", {BL()}, S(),
-      [](EnvApi&, const Args& a) {
-        const auto& b = *a[0].as_blob();
-        return Value::of_string(std::string(b.begin(), b.end()));
-      },
-      /*cost=*/16);
-  add_typed<&blob_int>(add, "blobInt", /*pure=*/true, /*cost=*/2);
-  add_typed<&blob_put_int>(add, "blobPutInt", /*pure=*/true, /*cost=*/32);
+  add_typed<&blob_len>(p, "blobLen", E::kPure);
+  add_typed<&blob_byte>(p, "blobByte", E::kRaises);
+  add_typed<&blob_sub>(p, "blobSub", E::kRaises, 32);
+  add_typed<&blob_cat>(p, "blobCat", E::kPure, 32);
+  add_typed<&blob_from_string>(p, "blobFromString", E::kPure, 16);
+  add_typed<&blob_to_string>(p, "blobToString", E::kPure, 16);
+  add_typed<&blob_int>(p, "blobInt", E::kPure, 2);
+  add_typed<&blob_put_int>(p, "blobPutInt", E::kPure, 32);
 
-  // --- audio transcoding (paper §3.1: degrade 16-bit stereo to 8-bit mono) ----
-  add_pure("audioStereoToMono", {BL()}, BL(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_blob(audio_stereo_to_mono16(*a[0].as_blob()));
-      },
-      /*cost=*/64);
-  add_pure("audioMonoToStereo", {BL()}, BL(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_blob(audio_mono_to_stereo16(*a[0].as_blob()));
-      },
-      /*cost=*/64);
-  add_pure("audio16To8", {BL()}, BL(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_blob(audio_16_to_8(*a[0].as_blob()));
-      },
-      /*cost=*/64);
-  add_pure("audio8To16", {BL()}, BL(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_blob(audio_8_to_16(*a[0].as_blob()));
-      },
-      /*cost=*/64);
-
-  // --- image distillation (paper §5: "integration of image distillation
-  // support into PLAN-P" for low-bandwidth adaptation) -------------------------
-  add(
-      "distillImage", {BL(), I()}, BL(),
-      [](EnvApi&, const Args& a) {
-        const auto& img = *a[0].as_blob();
-        std::int64_t q = a[1].as_int();
-        if (q < 1 || q > 16) raise("BadQuality");
-        if (q == 1) return a[0];
-        std::vector<std::uint8_t> out;
-        out.reserve(img.size() / static_cast<std::size_t>(q) + 1);
-        for (std::size_t i = 0; i < img.size(); i += static_cast<std::size_t>(q)) {
-          out.push_back(img[i]);
-        }
-        return Value::of_blob(std::move(out));
-      },
-      /*may_raise=*/true, /*cost=*/64);
+  // --- media transforms -----------------------------------------------------------
+  add_typed<&transcode<&audio_stereo_to_mono16>>(p, "audioStereoToMono", E::kPure, 64);
+  add_typed<&transcode<&audio_mono_to_stereo16>>(p, "audioMonoToStereo", E::kPure, 64);
+  add_typed<&transcode<&audio_16_to_8>>(p, "audio16To8", E::kPure, 64);
+  add_typed<&transcode<&audio_8_to_16>>(p, "audio8To16", E::kPure, 64);
+  add_typed<&distill_image>(p, "distillImage", E::kRaises, 64);
 
   // --- object cache (HTTP edge caching ASPs; planp/cache.hpp, DESIGN.md §6i) --
-  add("cacheConfigure", {I(), I()}, U(),
-      [](EnvApi& env, const Args& a) {
-        env.cache().configure(
-            static_cast<std::size_t>(std::max<std::int64_t>(1, a[0].as_int())),
-            a[1].as_int());
-        return Value::unit();
-      },
-      /*may_raise=*/false, /*cost=*/64);
-  add_typed<&cache_key3>(add, "cacheKey", /*pure=*/true, /*cost=*/8);
-  add_typed<&cache_key2>(add, "cacheKey", /*pure=*/true, /*cost=*/2);
-  add(
-      "cacheLookup", {I()}, BL(),
-      [](EnvApi& env, const Args& a) {
-        const net::Buffer* b = env.cache().lookup(
-            static_cast<std::uint64_t>(a[0].as_int()), env.time_ms());
-        if (b == nullptr) raise("CacheMiss");
-        return Value::of_blob_shared(*b);
-      },
-      /*may_raise=*/true, /*cost=*/8);
-  add_typed<&cache_get_default>(add, "cacheGetDefault", /*pure=*/false, /*cost=*/8);
-  add_typed<&cache_store>(add, "cacheStore", /*pure=*/false, /*cost=*/8);
-  add_typed<&cache_has>(add, "cacheHas", /*pure=*/false, /*cost=*/4);
-  add("cacheSize", {}, I(), [](EnvApi& env, const Args&) {
-    return Value::of_int(static_cast<std::int64_t>(env.cache().size()));
-  });
+  add_typed<&cache_configure>(p, "cacheConfigure", E::kTotal, 64);
+  add_typed<&cache_key3>(p, "cacheKey", E::kPure, 8);
+  add_typed<&cache_key2>(p, "cacheKey", E::kPure, 2);
+  add_typed<&cache_lookup>(p, "cacheLookup", E::kRaises, 8);
+  add_typed<&cache_get_default>(p, "cacheGetDefault", E::kTotal, 8);
+  add_typed<&cache_store>(p, "cacheStore", E::kTotal, 8);
+  add_typed<&cache_has>(p, "cacheHas", E::kTotal, 4);
+  add_typed<&cache_size>(p, "cacheSize", E::kTotal);
 
   // --- environment ------------------------------------------------------------
-  add_typed<&this_host>(add, "thisHost", /*pure=*/false);
-  add_typed<&get_time>(add, "getTime", /*pure=*/false);
-  add_typed<&link_load>(add, "linkLoad", /*pure=*/false);
-  add_typed<&link_bandwidth>(add, "linkBandwidth", /*pure=*/false);
-  add_typed<&arrival_iface>(add, "arrivalIface", /*pure=*/false);
+  add_typed<&this_host>(p, "thisHost", E::kTotal);
+  add_typed<&get_time>(p, "getTime", E::kTotal);
+  add_typed<&link_load>(p, "linkLoad", E::kTotal);
+  add_typed<&link_bandwidth>(p, "linkBandwidth", E::kTotal);
+  add_typed<&arrival_iface>(p, "arrivalIface", E::kTotal);
+
+  for (std::size_t i = 0; i < prims_.size(); ++i) {
+    by_name_[prims_[i].name].push_back(static_cast<int>(i));
+  }
 }
 
 const Primitives& Primitives::instance() {

@@ -3,12 +3,15 @@
 // The paper (§2.3): "Extending the interpreter with a new primitive involves
 // defining two C functions. One function performs the calculation of the
 // primitive, while the second computes the return type of the primitive given
-// the types of its arguments." Here the two roles are the `fn` member and the
-// signature (with type variables resolved by unification in the checker).
+// the types of its arguments." Here a primitive is one C++ function over C++
+// types (primitives.cpp), registered once with its cost and whether it may
+// raise. Typed<F> derives from that function both roles and the two engines'
+// entry points: the PLAN-P signature (type variables resolved by unification
+// in the checker), the boxed entry the interpreter calls and the typed entry
+// the JIT calls on its frame. No primitive is written twice.
 #pragma once
 
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -145,14 +148,19 @@ void unbox(Rep rep, const Value& v, TypedFrame f, std::int32_t o);
 /// A primitive's typed entry point: reads its arguments from frame slots
 /// o[1], o[2], ... and writes its result to slot o[0], boxing nothing.
 using TypedFn = void (*)(EnvApi& env, TypedFrame f, const std::int32_t* o);
+/// A primitive's boxed entry point: the interpreter calls it, and the JIT
+/// folds a call of a pure primitive on literals with it.
+using BoxedFn = Value (*)(EnvApi& env, const std::vector<Value>& args);
 
-/// One primitive overload.
+/// One primitive overload. Both entries are derived from the primitive's one
+/// C++ function, so every primitive has both.
 struct Primitive {
   std::string name;
-  std::vector<TypePtr> params;  // may contain Type::Var(n)
+  /// May contain Type::Var(n). At most three: a JIT template carries a
+  /// destination and three operands (checked where primitives register).
+  std::vector<TypePtr> params;
   TypePtr ret;
   bool may_raise = false;  // used by the guaranteed-delivery analysis
-  std::function<Value(EnvApi&, const std::vector<Value>&)> fn;
   /// Abstract work units charged by the bounded-cost analysis (analysis.cpp):
   /// 1 for scalar ops, more for ops that touch whole payloads or state.
   int cost = 1;
@@ -160,8 +168,7 @@ struct Primitive {
   /// call whose arguments are all literals is folded into a constant when the
   /// JIT lowers it.
   bool pure = false;
-  /// The JIT's entry point over the typed frame; null for the primitives it
-  /// calls through `fn`, with boxed arguments.
+  BoxedFn fn = nullptr;
   TypedFn typed = nullptr;
 };
 

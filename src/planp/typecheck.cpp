@@ -111,6 +111,7 @@ class Checker {
         }
         int idx = static_cast<int>(checked_.channels.size());
         checked_.channels.push_back(c);
+        checked_.plans.push_back(compile_decode_plan(c->packet_type));
         auto& overloads = checked_.channels_by_name[c->name];
         for (int prev : overloads) {
           if (checked_.channels[prev]->packet_type->equals(*c->packet_type)) {

@@ -8,7 +8,8 @@
 //   * enforces the no-recursion rule (a function may only call functions
 //     defined before it — the basis of the local-termination guarantee),
 //   * assigns frame slots to locals and indices to globals for the compiler,
-//   * validates channel packet types and overloaded channels.
+//   * validates channel packet types and overloaded channels, and compiles
+//     each channel's packet type into its decode plan.
 #pragma once
 
 #include <string>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "planp/ast.hpp"
+#include "planp/netapi.hpp"
 
 namespace asp::planp {
 
@@ -28,6 +30,9 @@ struct CheckedProgram {
   std::vector<ValDef*> globals;
   std::vector<FunDef*> functions;
   std::vector<ChannelDef*> channels;
+  /// Per channel, its packet type's decode plan: the one copy the runtime's
+  /// match-action table and both engines read.
+  std::vector<DecodePlan> plans;
 
   /// Channel-name -> indices into `channels` (overloaded channels share one).
   std::unordered_map<std::string, std::vector<int>> channels_by_name;

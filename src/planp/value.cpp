@@ -97,11 +97,6 @@ std::size_t Value::hash() const {
           return std::hash<std::string>{}(a);
         } else if constexpr (std::is_same_v<T, asp::net::Ipv4Addr>) {
           return std::hash<asp::net::Ipv4Addr>{}(a);
-        } else if constexpr (std::is_same_v<T, Blob>) {
-          // Content hash, consistent with equals() comparing contents.
-          std::size_t h = 0xB10B;
-          for (std::uint8_t byte : *a) h = mix(h, byte);
-          return h;
         } else if constexpr (std::is_same_v<T, TupleRep>) {
           std::size_t h = 0xABCD;
           for (const Value& v : *a) h = mix(h, v.hash());

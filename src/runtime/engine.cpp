@@ -101,7 +101,7 @@ bool AspRuntime::run_actions(Installed* inst, std::uint64_t generation,
     const MatchAction& a = inst->table.action(i);
     // The plan checks the packet; the engine reads it (the JIT in place, the
     // interpreter through its own decode).
-    if (!planp::match_packet(p, a.plan)) continue;
+    if (!planp::match_packet(p, *a.plan)) continue;
     // Handler wall-clock is sampled 1-in-16 (the first dispatch always):
     // two clock reads per packet cost more than the whole classification on
     // the fast path, and the latency distribution doesn't need every point.

@@ -25,15 +25,15 @@ MatchActionTable MatchActionTable::build(const planp::CheckedProgram& prog,
     MatchAction a;
     a.channel_idx = static_cast<std::uint16_t>(i);
     a.def = &c;
-    a.plan = planp::compile_decode_plan(c.packet_type);
+    a.plan = &prog.plans[i];
     a.handled = i < counters.size() ? counters[i] : nullptr;
-    t.actions_.push_back(std::move(a));
+    t.actions_.push_back(a);
 
     // File the channel under its transport slots (overload order preserved:
     // channels are visited in declaration order and appended).
     Rule& r = t.rules_[tags[i]];
     const std::uint16_t idx = static_cast<std::uint16_t>(i);
-    switch (t.actions_.back().plan.transport) {
+    switch (prog.plans[i].transport) {
       case planp::DecodePlan::Transport::kTcp: r.by_proto[1].push_back(idx); break;
       case planp::DecodePlan::Transport::kUdp: r.by_proto[2].push_back(idx); break;
       case planp::DecodePlan::Transport::kAny:

@@ -1,8 +1,9 @@
 // Match-action classification for the packet path (DESIGN.md §6c).
 //
 // The P4 shape, applied to ASP dispatch: at install time every channel is
-// compiled into an Action — engine channel index, flat decode plan,
-// pre-resolved metric handle — and the channel set into a classification
+// compiled into an Action — engine channel index, its decode plan (the one
+// the type checker built, CheckedProgram::plans), pre-resolved metric
+// handle — and the channel set into a classification
 // table keyed by (interned channel tag, transport shape). The per-packet
 // path is then: classify -> check the packet against each candidate's plan
 // -> hand the packet itself to the engine; no string hashing, no type-tree
@@ -27,7 +28,7 @@ namespace asp::runtime {
 struct MatchAction {
   std::uint16_t channel_idx = 0;          // Engine::run_channel's index
   const planp::ChannelDef* def = nullptr; // for error reporting (name)
-  planp::DecodePlan plan;
+  const planp::DecodePlan* plan = nullptr;  // prog.plans[channel_idx]
   obs::Counter* handled = nullptr;        // pre-resolved per-channel counter
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "mem/shard.hpp"
@@ -249,6 +250,64 @@ TEST_P(EngineSuite, InitializersBindMoreThanEightNames) {
   EXPECT_EQ(ss.as_int(), 55);
   States out = l.engine->run_channel(0, Value::of_int(0), ss, asp::net::Packet{});
   EXPECT_EQ(out.ps.as_int(), 55);
+}
+
+TEST_P(EngineSuite, MostNegativeIntDividedByMinusOne) {
+  // The gate accepts this channel, and the machine's division traps on it:
+  // `/` gives the most negative int back and `%` gives 0.
+  Loaded l = load(R"(
+channel c(ps : int, ss : int, p : ip*blob) initstate 0 is
+  let val m : int = 0 - 9223372036854775807 - 1
+      val d : int = blobLen(#2 p) - 65
+  in (deliver(p); (m / d, m % d)) end
+)",
+                  GetParam());
+  const asp::net::Packet pkt =
+      asp::net::Packet::make_raw({}, {}, std::vector<std::uint8_t>(64, 7));
+  const States out = l.engine->run_channel(0, Value::of_int(1), Value::of_int(1), pkt);
+  EXPECT_EQ(out.ps.as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(out.ss.as_int(), 0);
+}
+
+TEST_P(EngineSuite, OperandsNearTheIntRangeStayInBounds) {
+  // Offsets, lengths and sizes a gate-accepted program can pass. Each of
+  // these once overflowed a bounds check, escaped a library exception or
+  // asked for an impossible reservation, and took the node down; now the
+  // blob reads stay total and the rest raise their PLAN-P exception.
+  struct Case {
+    std::string expr;
+    std::int64_t value;  // when nothing is raised
+    const char* raises;
+  };
+  const Case cases[] = {
+      {"blobInt(b, 9223372036854775804)", 0, nullptr},
+      {"if blobToString(blobPutInt(b, 9223372036854775804, 1)) = blobToString(b) "
+       "then 1 else 0",
+       1, nullptr},
+      {"blobLen(blobSub(b, 9223372036854775807, 2))", 0, "OutOfBounds"},
+      {"stringLen(substring(\"abc\", 9223372036854775807, 2))", 0, "OutOfBounds"},
+      {"let val t : (int, int) hash_table = mkTable(4611686018427387904) in "
+       "(tableSet(t, 1, 2); tableSize(t)) end",
+       1, nullptr},
+      {"stringToInt(\"99999999999999999999\")", 0, "BadNumber"},
+      {"stringToInt(\"-9223372036854775808\")", std::numeric_limits<std::int64_t>::min(),
+       nullptr},
+  };
+  const asp::net::Packet pkt =
+      asp::net::Packet::make_raw({}, {}, std::vector<std::uint8_t>(64, 7));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expr);
+    Loaded l = load("channel c(ps : int, ss : unit, p : ip*blob) is\n"
+                    "  let val b : blob = #2 p in (deliver(p); (" + c.expr + ", ss)) end",
+                    GetParam());
+    try {
+      const States out = l.engine->run_channel(0, Value::of_int(-1), Value::unit(), pkt);
+      EXPECT_EQ(c.raises, nullptr);
+      EXPECT_EQ(out.ps.as_int(), c.value);
+    } catch (const PlanPException& e) {
+      EXPECT_STREQ(e.name.c_str(), c.raises);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite,

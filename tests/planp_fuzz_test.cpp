@@ -8,10 +8,12 @@
 // Every typed template is reached: the programs are channels over
 // `ip*udp*blob` or `ip*tcp*int*blob` that read `int`, `bool`, `char` and
 // `host` values, header getters and setters, `blobInt`, `blobLen` and
-// `blobPutInt`, pairs and triples, a hash table, user functions over headers,
-// `raise` and `try`, and send the unmodified packet as well as rewritten
-// ones. They run on net::Packets, so the JIT's plan-driven in-place reads
-// and the interpreter's decode both see the same bytes.
+// `blobPutInt`, strings and blobs built and taken apart by the string and
+// blob primitives (the raising ones under `try`), pairs and triples, a hash
+// table, user functions over headers, `raise` and `try`, and send the
+// unmodified packet as well as rewritten ones. They run on net::Packets, so
+// the JIT's plan-driven in-place reads and the interpreter's decode both see
+// the same bytes.
 //
 // The same corpus also runs with mem pool poisoning on (ASP_MEM_POISON
 // semantics): recycled buffers/tuple slots/frames are scribbled with
@@ -34,8 +36,9 @@ namespace {
 /// The two packet shapes a generated channel reads.
 enum class Shape { kUdp, kTcp };
 
-/// Generates random well-typed channels. Every integer a program computes
-/// stays far below 2^62, so no engine can overflow.
+/// Generates random well-typed channels. Every integer a program adds,
+/// subtracts or multiplies stays far below 2^62 (a parsed string is reduced
+/// `% 1000` first), so no engine can overflow.
 class ExprGen {
  public:
   ExprGen(std::uint32_t seed, Shape shape) : rng_(seed), shape_(shape) {}
@@ -67,7 +70,7 @@ class ExprGen {
  private:
   std::string int_expr(int depth) {
     if (depth <= 0) return int_leaf();
-    switch (rng_() % 17) {
+    switch (rng_() % 21) {
       case 0: return int_leaf();
       case 1: return "(" + int_expr(depth - 1) + " + " + int_expr(depth - 1) + ")";
       case 2: return "(" + int_expr(depth - 1) + " - " + int_expr(depth - 1) + ")";
@@ -106,6 +109,17 @@ class ExprGen {
         return "(tableSet(ss, " + int_expr(depth - 1) + ", " + int_expr(depth - 1) + "); " +
                small() + ")";
       case 15: return "bump(ss, " + int_expr(depth - 1) + " % 4)";
+      case 16: return "stringLen(" + string_expr(depth - 1) + ")";
+      case 17:
+        return "strIndex(" + string_expr(depth - 1) + ", " + string_expr(depth - 1) + ")";
+      case 18:
+        // Digits from intToString can concatenate past the int range, which
+        // raises BadNumber; a result is cut down like blobInt's.
+        return "((try stringToInt(" + string_expr(depth - 1) + ") with " + small() +
+               ") % 1000)";
+      case 19:
+        return "(try blobByte(" + blob_expr(depth - 1) + ", " + offset() + ") with " +
+               small() + ")";
       default: return "charPos(" + char_expr(depth - 1) + ")";
     }
   }
@@ -139,7 +153,7 @@ class ExprGen {
         default: return shape_ == Shape::kTcp ? "tcpSyn(th)" : "isMulticast(ipDst(iph))";
       }
     }
-    switch (rng_() % 11) {
+    switch (rng_() % 13) {
       case 0: return "(" + int_expr(depth - 1) + " < " + int_expr(depth - 1) + ")";
       case 1: return "(" + int_expr(depth - 1) + " = " + int_expr(depth - 1) + ")";
       case 2: return "(" + bool_expr(depth - 1) + " and " + bool_expr(depth - 1) + ")";
@@ -152,6 +166,11 @@ class ExprGen {
       case 9:
         if (!tuples_) return "true";
         return "(pr = (" + int_expr(depth - 1) + ", " + host_expr(depth - 1) + "))";
+      case 10:
+        return "startsWith(" + string_expr(depth - 1) + ", " + string_expr(depth - 1) + ")";
+      case 11:
+        return "(" + string_expr(depth - 1) + (rng_() % 2 == 0 ? " = " : " < ") +
+               string_expr(depth - 1) + ")";
       default: return "(blobLen(" + blob_expr(depth - 1) + ") > " + small() + ")";
     }
   }
@@ -217,14 +236,42 @@ class ExprGen {
 
   std::string blob_expr(int depth) {
     if (depth <= 0) return rng_() % 4 == 0 ? "blobFromString(\"hi\")" : "b";
-    switch (rng_() % 3) {
+    switch (rng_() % 6) {
       case 0:
         return "blobPutInt(" + blob_expr(depth - 1) + ", " + offset() + ", " +
                int_expr(depth - 1) + ")";
       case 1:
         return "(if " + bool_expr(depth - 1) + " then " + blob_expr(depth - 1) + " else " +
                blob_expr(depth - 1) + ")";
+      case 2:
+        return "(try blobSub(" + blob_expr(depth - 1) + ", " + offset() + ", " + offset() +
+               ") with b)";
+      case 3: return "blobCat(" + blob_expr(depth - 1) + ", " + blob_expr(depth - 1) + ")";
+      case 4: return "blobFromString(" + string_expr(depth - 1) + ")";
       default: return blob_expr(0);
+    }
+  }
+
+  std::string string_expr(int depth) {
+    if (depth <= 0) {
+      switch (rng_() % 4) {
+        case 0: return "\"GET /a b\"";
+        case 1: return "\"42\"";
+        case 2: return "\"\"";
+        default: return "intToString(" + int_leaf() + ")";
+      }
+    }
+    switch (rng_() % 7) {
+      case 0: return "intToString(" + int_expr(depth - 1) + ")";
+      case 1: return "hostToString(" + host_expr(depth - 1) + ")";
+      case 2:
+        return "(try substring(" + string_expr(depth - 1) + ", " + small() + ", " + small() +
+               ") with \"s\")";
+      case 3:
+        return "(try strWord(" + string_expr(depth - 1) + ", " + small() + ") with \"w\")";
+      case 4: return "blobToString(" + blob_expr(depth - 1) + ")";
+      case 5: return "(" + string_expr(depth - 1) + " ^ " + string_expr(depth - 1) + ")";
+      default: return string_expr(0);
     }
   }
 

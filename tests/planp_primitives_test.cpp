@@ -278,5 +278,17 @@ TEST(Primitives, EnvironmentFamily) {
   EXPECT_EQ(interp.global(4).as_int(), 3);
 }
 
+// --- registration -----------------------------------------------------------------
+
+TEST(Primitives, EveryOverloadHasBothEntries) {
+  // The interpreter calls every primitive through its boxed entry and the
+  // JIT through its typed one, a template with three operand slots.
+  for (const Primitive& prim : Primitives::instance().all()) {
+    EXPECT_NE(prim.fn, nullptr) << prim.name;
+    EXPECT_NE(prim.typed, nullptr) << prim.name;
+    EXPECT_LE(prim.params.size(), 3u) << prim.name;
+  }
+}
+
 }  // namespace
 }  // namespace asp::planp

@@ -149,6 +149,19 @@ val b : bool = tableMem(t, 1.2.3.4)
       "val u : unit = tableSet(t, 1.2.3.4, true)");
 }
 
+TEST(Typecheck, TableKeyTypesMustBeHashable) {
+  expect_type_error("val t : (blob, int) hash_table = mkTable(4)", "not hashable");
+  expect_type_error("val t : ((int*blob), int) hash_table = mkTable(4)",
+                    "not hashable");
+  expect_type_error("val t : (ip, int) hash_table = mkTable(4)", "not hashable");
+  expect_type_error(
+      "channel c(ps : (blob, int) hash_table, ss : unit, p : ip*blob) is\n"
+      "  (tableSet(ps, #2 p, 1); deliver(p); (ps, ss))",
+      "not hashable");
+  check("val t : ((int*int*int)*int, bool*char) hash_table = mkTable(4)");
+  check("val t : (string*host, (int, int) hash_table) hash_table = mkTable(4)");
+}
+
 TEST(Typecheck, PrimitiveOverloadsResolveByArgument) {
   check("val a : unit = println(1)\n"
         "val b : unit = println(\"s\")\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency gate (CI: "Docs link check").
 
-Two checks, both cheap and both about drift that review misses:
+Three checks, all cheap and all about drift that review misses:
 
  1. Every relative markdown link in README.md, DESIGN.md, EXPERIMENTS.md
     and docs/*.md resolves to a file in the repo (anchors are checked
@@ -9,6 +9,8 @@ Two checks, both cheap and both about drift that review misses:
  2. Every primitive registered in src/planp/primitives.cpp appears in
     docs/ASP_GUIDE.md's reference tables — adding a primitive without
     documenting it fails CI here, not in review.
+ 3. Every primitive those tables (ASP_GUIDE §6) name is registered, so a
+    deleted or renamed primitive cannot stay documented.
 
 Run from the repo root: python3 tools/check_docs.py
 """
@@ -63,10 +65,17 @@ def check_links():
 def registered_primitives():
     src = open(os.path.join(ROOT, "src/planp/primitives.cpp"),
                encoding="utf-8").read()
-    # add("name", ...), add_pure("name", ...), add_typed<&f>(add, "name", ...)
-    # and add_typed_sig<&f>(add, "name", ...) all register one.
+    # add_typed<&f>(p, "name", ...) and add_typed_sig<&f>(p, "name", ...)
+    # each register one; the template argument may nest (&transcode<&k>).
     return sorted(set(re.findall(
-        r'\badd(?:_pure|_typed(?:_sig)?<[^>]*>)?\(\s*(?:add,\s*)?"(\w+)"', src)))
+        r'\badd_typed(?:_sig)?<[^\n]*?>\(\s*\w+,\s*"(\w+)"', src)))
+
+
+def documented_primitives(guide):
+    """Names in the table rows of ASP_GUIDE §6 (`name(...)` in backticks)."""
+    section = guide.split("## 6. Primitive reference", 1)[-1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    return sorted(set(re.findall(r"`(\w+)\(", "\n".join(rows))))
 
 
 def check_primitives_table():
@@ -75,9 +84,13 @@ def check_primitives_table():
         return ["docs/ASP_GUIDE.md missing (primitives manual)"]
     guide = open(guide_path, encoding="utf-8").read()
     prims = registered_primitives()
-    missing = [p for p in prims if f"`{p}(" not in guide and f" {p}(" not in guide]
-    return [f"docs/ASP_GUIDE.md: primitive `{p}` registered in "
-            "src/planp/primitives.cpp but not documented" for p in missing]
+    documented = documented_primitives(guide)
+    missing = [p for p in prims if p not in documented]
+    stale = [p for p in documented if p not in prims]
+    return ([f"docs/ASP_GUIDE.md: primitive `{p}` registered in "
+             "src/planp/primitives.cpp but not documented" for p in missing] +
+            [f"docs/ASP_GUIDE.md: primitive `{p}` documented in §6 but not "
+             "registered in src/planp/primitives.cpp" for p in stale])
 
 
 def main():
