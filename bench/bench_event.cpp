@@ -18,7 +18,7 @@
 //
 // What CI gates (see .github/workflows/ci.yml, Release job): allocs/event is
 // exactly 0 in steady state for every mix — scheduling and draining live
-// entirely in the queue's pooled slab after warmup. Events/sec is written to
+// entirely in the queue's pooled slab and key blocks after warmup. Events/sec is written to
 // BENCH_event.json for EXPERIMENTS.md, never asserted (it depends on the
 // runner).
 #include <chrono>
@@ -249,7 +249,8 @@ int main(int argc, char** argv) {
   {
     // Each firing also runs one superseded helper, so 4M warm-up events
     // cover the simulated span that 2M covered when helpers were cancelled:
-    // enough for every wheel cell to have reserved its high-water capacity.
+    // enough for the queue's key-block pool to reach the most blocks the
+    // wheel ever holds at once, after which every block is a reused one.
     TimerSim sim(16'384, 1);
     MixResult r = measure(sim.q, 4'000'000, 4'000'000);
     record("timer_heavy", r);

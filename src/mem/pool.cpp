@@ -1,6 +1,7 @@
 #include "mem/pool.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -107,24 +108,21 @@ std::uint64_t event_slab_chunk_count() { return g_event_slab_chunks.load(); }
 
 // --- buffer pool --------------------------------------------------------------
 
+// In the doubling [2^e, 2^(e+1)) the classes are 4, 5, 6 and 7 quarters of
+// 2^e, and class 4 * (e - 6) + q - 4 holds q quarters (class 0 is 64 B).
 int BufferPool::class_for_request(std::size_t n) {
-  std::size_t cap = kBaseCapacity;
-  for (int c = 0; c < kClasses; ++c, cap *= 2) {
-    if (n <= cap) return c;
-  }
-  return kClasses;  // oversized: pooled node, unclassed capacity
+  static_assert(class_capacity(kClasses - 1) == std::size_t{2} << 20, "classes end at 2 MiB");
+  if (n <= kBaseCapacity) return 0;
+  const int e = static_cast<int>(std::bit_width(n - 1)) - 1;  // 2^e <= n - 1
+  const int q = static_cast<int>((n - 1) >> (e - 2)) + 1;     // quarters covering n
+  return std::min(4 * (e - 6) + q - 4, kClasses);  // kClasses: unclassed
 }
 
 int BufferPool::class_for_capacity(std::size_t n) {
   if (n < kBaseCapacity) return -1;  // too small to guarantee any class
-  std::size_t cap = kBaseCapacity;
-  int fit = 0;
-  for (int c = 1; c < kClasses; ++c) {
-    cap *= 2;
-    if (cap > n) break;
-    fit = c;
-  }
-  return fit;
+  const int e = static_cast<int>(std::bit_width(n)) - 1;  // 2^e <= n
+  const int q = static_cast<int>(n >> (e - 2));           // whole quarters in n
+  return std::min(4 * (e - 6) + q - 4, kClasses - 1);
 }
 
 BufferPool::Handle BufferPool::acquire(std::size_t capacity_hint) {
@@ -132,7 +130,7 @@ BufferPool::Handle BufferPool::acquire(std::size_t capacity_hint) {
   const int c = class_for_request(capacity_hint);
   Node* n = obtain(c, std::min(c + 1, kClasses));
   // A recycled node already holds its class's capacity; a new one gets it.
-  n->value.reserve(std::max(capacity_hint, kBaseCapacity << c));
+  n->value.reserve(c < kClasses ? class_capacity(c) : capacity_hint);
   return share(n);
 }
 

@@ -104,26 +104,41 @@ void EventQueue::place(const Key& k) {
       if ((occ_[L][idx >> 6] & bit) == 0) {
         occ_[L][idx >> 6] |= bit;
         c.num = bL;
-        const std::size_t want = std::bit_ceil(bucket_hiwat_);
-        if (c.keys.capacity() < want) {
-          // Bring every cell up to the largest bucket seen so far (rounded
-          // to a power of two, so high-water creep within a band is free).
-          // The seal step swaps key vectors between cells and sorted_,
-          // which circulates capacities around the ring — without this, a
-          // cell that periodically hosts an outsized bucket keeps re-growing
-          // whatever small vector migrated in, and steady state never
-          // reaches 0 allocs/event.
-          mem::ScopedAllocTag tag(mem::AllocTag::kEvent);
-          c.keys.reserve(want);
-        }
       }
       assert(c.num == bL && "wheel cell residue collision");
-      c.keys.push_back(k);
+      push_key(c, k);
       return;
     }
   }
   far_.push_back(k);
   if (k.time < far_min_) far_min_ = k.time;
+}
+
+// Appends `k` to the cell's chain, taking a block off the free list when the
+// tail block is full. A block is allocated only when the free list is empty,
+// so the blocks allocated are the most ever in use at once: the keys then
+// pending plus at most one partly filled block per occupied cell.
+void EventQueue::push_key(Cell& c, const Key& k) {
+  KeyBlock* b = c.tail;
+  if (b == nullptr || b->n == kBlockKeys) {
+    if (free_blocks_ != nullptr) {
+      b = free_blocks_;
+      free_blocks_ = b->next;
+    } else {
+      mem::ScopedAllocTag tag(mem::AllocTag::kEvent);
+      blocks_.push_back(std::make_unique<KeyBlock>());
+      b = blocks_.back().get();
+    }
+    b->next = nullptr;
+    b->n = 0;
+    if (c.tail != nullptr) {
+      c.tail->next = b;
+    } else {
+      c.head = b;
+    }
+    c.tail = b;
+  }
+  b->keys[b->n++] = k;
 }
 
 // Moves the drain cursor to the next occupied bucket: seals the nearest
@@ -181,23 +196,38 @@ bool EventQueue::advance() {
     const unsigned L = static_cast<unsigned>(best_level);
     Cell& c = cells_[L][best_idx];
     occ_[L][best_idx >> 6] &= ~(std::uint64_t{1} << (best_idx & 63));
+    KeyBlock* chain = c.head;
+    KeyBlock* const last = c.tail;
+    c.head = c.tail = nullptr;
     if (L == 0) {
+      // Seal: copy the keys out and give the whole chain back at once.
       cur_b_ = c.num;
       sorted_.clear();
       spos_ = 0;
-      std::swap(sorted_, c.keys);  // capacities recycle between cell and seal
-      if (sorted_.size() > bucket_hiwat_) bucket_hiwat_ = sorted_.size();
+      {
+        mem::ScopedAllocTag tag(mem::AllocTag::kEvent);  // sorted_ growth
+        for (const KeyBlock* b = chain; b != nullptr; b = b->next) {
+          sorted_.insert(sorted_.end(), b->keys, b->keys + b->n);
+        }
+      }
+      last->next = free_blocks_;
+      free_blocks_ = chain;
       std::sort(sorted_.begin(), sorted_.end(),
                 [](const Key& a, const Key& b) { return key_less(a, b); });
       return true;
     }
     // Cascade: every key in the coarse bucket lands strictly after the new
-    // cursor and within the next-finer window, so this terminates.
+    // cursor and within the next-finer window, so this terminates. Each
+    // block goes back as soon as its keys are re-placed, so the finer cells
+    // can reuse it.
     cur_b_ = (c.num << (kBucketBits * L)) - 1;
-    cascade_.clear();
-    std::swap(cascade_, c.keys);
-    for (const Key& k : cascade_) place(k);
-    cascade_.clear();
+    while (chain != nullptr) {
+      KeyBlock* b = chain;
+      chain = b->next;
+      for (std::uint32_t i = 0; i < b->n; ++i) place(b->keys[i]);
+      b->next = free_blocks_;
+      free_blocks_ = b;
+    }
   }
 }
 

@@ -11,11 +11,13 @@
 // Implementation (DESIGN.md §6h): a deterministic hierarchical calendar
 // queue. Entries live in a pooled slab (chunks tagged mem::AllocTag::kEvent)
 // and are ordered through 32-byte sort keys only — the payload (a SmallFn
-// capture) never moves during ordering. Scheduling is O(1), and every
-// scheduled event runs: an owner that re-arms or abandons a timer supersedes
-// it itself, through state the callback checks, and a superseded event runs
-// as a no-op. Buckets drain in canonical (time, sched, rank, seq) order,
-// byte-identical to the previous binary-heap implementation.
+// capture) never moves during ordering. Wheel cells keep their keys in
+// fixed-size blocks from one queue-wide free list, so key storage follows
+// the pending events. Scheduling is O(1), and every scheduled event runs:
+// an owner that re-arms or abandons a timer supersedes it itself, through
+// state the callback checks, and a superseded event runs as a no-op.
+// Buckets drain in canonical (time, sched, rank, seq) order, byte-identical
+// to the previous binary-heap implementation.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +88,6 @@ class EventQueue {
   /// coordinator reads this at window barriers to size the next safe window.
   SimTime next_event_time();
 
- private:
   // --- geometry ---------------------------------------------------------------
   // kLevels wheel levels of kBuckets buckets each; level L buckets are
   // 2^(kWidthLog2 + kBucketBits*L) ns wide (level 0: 1.024 µs). Level 0 is
@@ -99,6 +100,18 @@ class EventQueue {
   static constexpr unsigned kBucketBits = 8;
   static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;  // 256
   static constexpr unsigned kLevels = 4;
+  static constexpr std::size_t kBlockKeys = 32;  // keys per wheel-cell block
+
+  /// Keys the calendar's storage can hold: its key blocks plus the sealed
+  /// bucket's vector. A cell returns its blocks to one queue-wide free list
+  /// when it seals or cascades, so the blocks hold at most the peak of
+  /// pending events plus one partly filled block per wheel cell
+  /// (DESIGN.md §6h).
+  std::size_t key_capacity() const {
+    return blocks_.size() * kBlockKeys + sorted_.capacity();
+  }
+
+ private:
   static constexpr std::size_t kChunkSlots = 256;  // slab slots per chunk
 
   // Capture budget: `fn` stores its capture inline up to EventFn::kInlineBytes
@@ -133,12 +146,23 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
+  // A block of a wheel cell's keys, linked through `next` into the cell's
+  // chain or onto the queue-wide free list.
+  struct KeyBlock {
+    KeyBlock* next = nullptr;
+    std::uint32_t n = 0;  // keys held
+    Key keys[kBlockKeys];
+  };
+
   // One wheel cell. `num` is the absolute bucket number held (valid iff the
   // occupancy bit is set); the placement window guarantees at most one
-  // absolute bucket maps to a cell at a time.
+  // absolute bucket maps to a cell at a time. Its keys fill a chain of
+  // blocks from `head` (oldest) to `tail`, in placement order; an empty
+  // cell holds no block.
   struct Cell {
     std::uint64_t num = 0;
-    std::vector<Key> keys;
+    KeyBlock* head = nullptr;
+    KeyBlock* tail = nullptr;
   };
 
   // --- slab -------------------------------------------------------------------
@@ -150,6 +174,7 @@ class EventQueue {
 
   // --- calendar ---------------------------------------------------------------
   void place(const Key& k);
+  void push_key(Cell& c, const Key& k);  // appends to c's chain
   bool advance();                 // move cur_b_ to the next occupied bucket
   bool take_head(Key& out);       // consume the canonical head
   const Key* peek_head();         // canonical head without consuming, or null
@@ -166,13 +191,14 @@ class EventQueue {
   std::vector<std::unique_ptr<Entry[]>> chunks_;
   std::uint32_t free_head_ = UINT32_MAX;  // slab freelist head (slot index)
 
+  std::vector<std::unique_ptr<KeyBlock>> blocks_;  // every key block
+  KeyBlock* free_blocks_ = nullptr;  // key-block free list head
+
   std::vector<Key> sorted_;       // sealed current bucket, canonically sorted
   std::size_t spos_ = 0;          // consumption index into sorted_
-  std::size_t bucket_hiwat_ = 0;  // largest bucket sealed so far (see place())
   std::vector<Key> incur_;        // min-heap: entries at/behind the cursor
   std::vector<Key> far_;          // beyond the wheel horizon, unsorted
   SimTime far_min_ = kNever;
-  std::vector<Key> cascade_;      // scratch for redistributing a coarse bucket
 
   Cell cells_[kLevels][kBuckets];
   std::uint64_t occ_[kLevels][kBuckets / 64] = {};

@@ -38,15 +38,13 @@ States Interp::run_channel(int chan_idx, const Value& ps, const Value& ss,
                            const asp::net::Packet& packet) {
   const auto idx = static_cast<std::size_t>(chan_idx);
   const ChannelDef& c = *prog_.channels.at(idx);
-  std::optional<Value> decoded = decode_packet(packet, prog_.plans[idx], &scratch_[idx]);
-  if (!decoded) throw EvalBug{"packet does not match channel '" + c.name + "'"};
   auto& fr = arena_.at_depth(depth_);
   DepthGuard g(depth_);
   fr.locals.clear();
   fr.locals.resize(static_cast<std::size_t>(c.frame_slots));
   fr.locals[0] = ps;
   fr.locals[1] = ss;
-  fr.locals[2] = std::move(*decoded);
+  fr.locals[2] = decode_matched(packet, prog_.plans[idx], &scratch_[idx]);
   // However the run ends, the frames let go of what it bound: the packet's
   // tuple, whose fields are dropped too unless the program kept it, so the
   // next decode refills it in place and nothing pins the payload.
@@ -178,15 +176,15 @@ Value Interp::eval(const Expr& e, Frame& f) {
       }
       std::int64_t a = eval(*e.args[0], f).as_int();
       std::int64_t b = eval(*e.args[1], f).as_int();
-      if (op == "+") return Value::of_int(a + b);
-      if (op == "-") return Value::of_int(a - b);
-      if (op == "*") return Value::of_int(a * b);
+      if (op == "+") return Value::of_int(int_add(a, b));
+      if (op == "-") return Value::of_int(int_sub(a, b));
+      if (op == "*") return Value::of_int(int_mul(a, b));
       return Value::of_int(op == "/" ? int_div(a, b) : int_mod(a, b));
     }
 
     case K::kUnOp:
       if (e.name == "not") return Value::of_bool(!eval(*e.args[0], f).as_bool());
-      return Value::of_int(-eval(*e.args[0], f).as_int());
+      return Value::of_int(int_neg(eval(*e.args[0], f).as_int()));
 
     case K::kAnd:
       return Value::of_bool(eval(*e.args[0], f).as_bool() &&

@@ -26,12 +26,31 @@ struct States {
   Value ss;
 };
 
+/// PLAN-P's `+`, `-`, `*`, unary `-` and `abs`, as both engines evaluate
+/// them: two's-complement wrapping, so the max int plus 1 gives the most
+/// negative int, and negating the most negative int (or taking its abs)
+/// gives itself, where the signed operation would be undefined.
+inline std::int64_t int_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_neg(std::int64_t a) { return int_sub(0, a); }
+inline std::int64_t int_abs(std::int64_t a) { return a < 0 ? int_neg(a) : a; }
+
 /// PLAN-P's `/` and `%`, as both engines evaluate them: a zero divisor
 /// raises DivByZero, and the most negative int divided by -1 gives itself
 /// (remainder 0) where the machine instruction would trap.
 inline std::int64_t int_div(std::int64_t a, std::int64_t b) {
   if (b == 0) throw PlanPException{"DivByZero"};
-  return b == -1 ? static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a)) : a / b;
+  return b == -1 ? int_neg(a) : a / b;
 }
 inline std::int64_t int_mod(std::int64_t a, std::int64_t b) {
   if (b == 0) throw PlanPException{"DivByZero"};
@@ -58,8 +77,9 @@ class Engine {
 };
 
 /// Tree-walking interpreter over the type-annotated AST: the boxed
-/// reference. It decodes each packet into a tuple of Values (decode_packet)
-/// and encodes what it sends (encode_packet).
+/// reference. It decodes each packet into a tuple of Values (decode_matched:
+/// the runtime has already matched it) and encodes what it sends
+/// (encode_packet).
 class Interp : public Engine {
  public:
   /// Evaluates top-level `val` definitions immediately (program load time).
@@ -92,7 +112,7 @@ class Interp : public Engine {
   const CheckedProgram& prog_;
   EnvApi& env_;
   std::vector<Value> globals_;
-  /// Per channel: the tuple storage decode_packet refills in place while
+  /// Per channel: the tuple storage decode_matched refills in place while
   /// nothing else holds it.
   std::vector<TupleRep> scratch_;
   mem::FrameArena<Value> arena_;

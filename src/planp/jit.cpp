@@ -96,7 +96,7 @@ void JitEngine::bind_packet(const JitBlock& body, const DecodePlan& plan,
       f.r[o] = reader.scalar(field);
     }
   }
-  if (body.packet.slot >= 0) f.v[body.packet.slot] = *decode_packet(pkt, plan);
+  if (body.packet.slot >= 0) f.v[body.packet.slot] = decode_matched(pkt, plan);
 }
 
 States JitEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
@@ -233,9 +233,9 @@ void JitEngine::run_block(JitEngine* self, const JitBlock& block, TypedFrame f,
       VM_DISPATCH();
       lbl_kReturn: return;
 
-      BINOP(kAdd, r[A] + r[B])
-      BINOP(kSub, r[A] - r[B])
-      BINOP(kMul, r[A] * r[B])
+      BINOP(kAdd, int_add(r[A], r[B]))
+      BINOP(kSub, int_sub(r[A], r[B]))
+      BINOP(kMul, int_mul(r[A], r[B]))
       BINOP(kDiv, int_div(r[A], r[B]))
       BINOP(kMod, int_mod(r[A], r[B]))
       BINOP(kEq, r[A] == r[B])
@@ -245,7 +245,7 @@ void JitEngine::run_block(JitEngine* self, const JitBlock& block, TypedFrame f,
       BINOP(kGt, r[A] > r[B])
       BINOP(kGe, r[A] >= r[B])
       BINOP(kNot, r[A] == 0)
-      BINOP(kNeg, -r[A])
+      BINOP(kNeg, int_neg(r[A]))
       BINOP(kEqBox, v[A].equals(v[B]))
       BINOP(kNeBox, !v[A].equals(v[B]))
       lbl_kCmpBox: {
@@ -308,8 +308,8 @@ void JitEngine::run_block(JitEngine* self, const JitBlock& block, TypedFrame f,
       VM_DISPATCH();
 
       // --- superinstructions --------------------------------------------------
-      BINOP(kAddImm, r[A] + in->imm)
-      BINOP(kSubImm, r[A] - in->imm)
+      BINOP(kAddImm, int_add(r[A], in->imm))
+      BINOP(kSubImm, int_sub(r[A], in->imm))
       BINOP(kEqImm, r[A] == in->imm)
       BINOP(kNeImm, r[A] != in->imm)
       BINOP(kLtImm, r[A] < in->imm)

@@ -22,7 +22,7 @@
 // A channel reads its packet in place: the fields the body projects are
 // loaded from the arriving net::Packet when the channel starts, through the
 // channel's one decode plan (CheckedProgram::plans) and the PayloadReader
-// decode_packet uses too, and sending the unmodified packet emits a copy of
+// decode_matched uses too, and sending the unmodified packet emits a copy of
 // it (reemit_packet).
 // Code generation is a cheap linear pass — the property Figure 3 of the
 // paper measures.

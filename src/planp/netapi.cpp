@@ -97,11 +97,7 @@ DecodePlan compile_decode_plan(const TypePtr& type) {
   return plan;
 }
 
-namespace {
-
-/// match_packet over a reader the caller goes on to decode with, so a
-/// serialized transport header is built at most once per packet.
-bool matches(const asp::net::Packet& p, const DecodePlan& plan, PayloadReader& reader) {
+bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
   switch (plan.transport) {
     case DecodePlan::Transport::kTcp:
       if (p.ip.proto != asp::net::IpProto::kTcp || !p.tcp) return false;
@@ -112,19 +108,13 @@ bool matches(const asp::net::Packet& p, const DecodePlan& plan, PayloadReader& r
     case DecodePlan::Transport::kAny:
       break;
   }
+  PayloadReader reader(p, plan);
   if (plan.fixed_bytes > reader.size()) return false;
   // Strict bool encoding is part of matching.
   for (const DecodePlan::Field& f : plan.fields) {
     if (f.op == DecodePlan::FieldOp::kBool && reader.scalar(f) > 1) return false;
   }
   return true;
-}
-
-}  // namespace
-
-bool match_packet(const asp::net::Packet& p, const DecodePlan& plan) {
-  PayloadReader reader(p, plan);
-  return matches(p, plan, reader);
 }
 
 const std::vector<std::uint8_t>& PayloadReader::serialized() {
@@ -148,11 +138,8 @@ Value PayloadReader::value(DecodePlan::Field f) {
   throw EvalBug{"bad payload field"};
 }
 
-std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& plan,
-                                   TupleRep* reuse) {
+Value decode_matched(const asp::net::Packet& p, const DecodePlan& plan, TupleRep* reuse) {
   PayloadReader reader(p, plan);
-  if (!matches(p, plan, reader)) return std::nullopt;
-
   // Steady-state storage reuse: when the caller's scratch tuple is uniquely
   // owned (the previous packet's decoded value has died), refill it in place;
   // otherwise fall back to pooled storage (e.g. the handler kept the tuple).
@@ -174,6 +161,11 @@ std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& 
   }
   for (const DecodePlan::Field& f : plan.fields) fields->push_back(reader.value(f));
   return Value::of_tuple_rep(std::move(fields));
+}
+
+std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& plan) {
+  if (!match_packet(p, plan)) return std::nullopt;
+  return decode_matched(p, plan);
 }
 
 PacketBuilder::PacketBuilder(const asp::net::IpHeader& ip, std::uint32_t chan_tag) {
@@ -310,7 +302,7 @@ asp::net::Packet reemit_packet(const asp::net::Packet& p, const DecodePlan& plan
       }
       break;
   }
-  if (!same) return encode_packet(*decode_packet(p, plan), 0);
+  if (!same) return encode_packet(decode_matched(p, plan), 0);
   q.payload = p.payload;
   return q;
 }

@@ -56,14 +56,14 @@ struct DecodePlan {
 /// into a flat decode plan.
 DecodePlan compile_decode_plan(const TypePtr& type);
 
-/// Validation only: true iff decode_packet(p, plan, ...) would succeed.
+/// Validation only: true iff decode_packet(p, plan) would succeed.
 /// Checks transport shape, payload length and strict-bool bytes without
 /// materializing a tuple. The runtime calls it before every channel run;
 /// both engines require a matching packet.
 bool match_packet(const asp::net::Packet& p, const DecodePlan& plan);
 
 /// The one reader of a packet's payload fields, behind match_packet,
-/// decode_packet and the JIT's in-place loads. The bytes the fields lie in
+/// decode_matched and the JIT's in-place loads. The bytes the fields lie in
 /// are the payload, or, for a header-only plan on a TCP or UDP packet, the
 /// transport header serialized in front of it (built on first use). A blob
 /// that starts the bytes aliases their buffer; a later one copies the rest.
@@ -115,14 +115,17 @@ class PayloadReader {
   Blob serialized_;
 };
 
-/// Decodes `p` as a value of the plan's packet type. Returns nullopt when the
-/// packet does not match (match_packet). `reuse` (optional) supplies tuple
-/// storage that is refilled in place when uniquely owned — the interpreter's
-/// steady-state zero-allocation path; when the previous packet's tuple is
-/// still alive (e.g. stored into channel state) fresh pooled storage is used
-/// instead.
-std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& plan,
-                                   TupleRep* reuse = nullptr);
+/// Decodes `p`, which must match `plan` (match_packet), as a value of the
+/// plan's packet type; the engines decode only packets the runtime has
+/// matched. `reuse` (optional) supplies tuple storage that is refilled in
+/// place when uniquely owned — the interpreter's steady-state
+/// zero-allocation path; when the previous packet's tuple is still alive
+/// (e.g. stored into channel state) fresh pooled storage is used instead.
+Value decode_matched(const asp::net::Packet& p, const DecodePlan& plan,
+                     TupleRep* reuse = nullptr);
+
+/// match_packet, then decode_matched: nullopt when `p` does not match.
+std::optional<Value> decode_packet(const asp::net::Packet& p, const DecodePlan& plan);
 
 /// Builds a packet from a packet value's fields, in order: the IP header,
 /// an optional transport header, then the payload fields. The single rule
@@ -152,7 +155,7 @@ class PacketBuilder {
 /// distinguished `network` channel and deliver() use).
 asp::net::Packet encode_packet(const Value& v, std::uint32_t chan_tag);
 
-/// What encode_packet(*decode_packet(p, plan), 0) builds, for a packet that
+/// What encode_packet(decode_matched(p, plan), 0) builds, for a packet that
 /// matches `plan`: the JIT's send of its unmodified packet. The common shapes
 /// copy the headers and alias the payload; the rest take the round trip.
 asp::net::Packet reemit_packet(const asp::net::Packet& p, const DecodePlan& plan);

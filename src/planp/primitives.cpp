@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "planp/cache.hpp"
+#include "planp/interp.hpp"
 
 namespace asp::planp {
 
@@ -248,7 +249,7 @@ char chr(EnvApi&, std::int64_t v) {
   if (v < 0 || v > 255) raise("InvalidChar");
   return static_cast<char>(v);
 }
-std::int64_t abs_int(EnvApi&, std::int64_t v) { return v < 0 ? -v : v; }
+std::int64_t abs_int(EnvApi&, std::int64_t v) { return int_abs(v); }
 std::int64_t min_int(EnvApi&, std::int64_t a, std::int64_t b) { return std::min(a, b); }
 std::int64_t max_int(EnvApi&, std::int64_t a, std::int64_t b) { return std::max(a, b); }
 

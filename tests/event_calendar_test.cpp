@@ -1,5 +1,6 @@
 // Calendar-queue internals (DESIGN.md §6h): canonical ordering across the
-// wheel levels, the far band and the incursion heap.
+// wheel levels, the far band and the incursion heap, and key storage that
+// follows the pending events.
 #include <algorithm>
 #include <numeric>
 #include <vector>
@@ -66,6 +67,46 @@ TEST(EventCalendar, IncursionSchedulingStaysOrdered) {
   q.schedule_at(600'000, [&] { order.push_back(-1); });
   q.run();
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
+}
+
+// Keys live in fixed-size blocks that a wheel cell gives back to the
+// queue's free list when it seals or cascades, so key storage follows the
+// pending events, not the load every cell has ever held. Each timer re-arms
+// 2^30 ns (about 1.07 s) ahead, so every key starts in a level-2 cell, and
+// each run spans more than the level-2 ring (256 x 2^26 ns, about 17.2 s),
+// so the keys sweep every level-2 cell. The period is a whole number of
+// level-2 buckets, so the wheel's per-cell load repeats every period and a
+// second sweep needs no block the first did not.
+TEST(EventCalendar, KeyStorageFollowsPendingEvents) {
+  constexpr std::size_t kTimers = 16'384;
+  constexpr SimTime kPeriod = SimTime{1} << 30;
+  constexpr SimTime kSweep = (SimTime{1} << 34) + kPeriod;
+  constexpr std::size_t kSlack =  // one partly filled block per wheel cell
+      EventQueue::kBlockKeys * EventQueue::kLevels * EventQueue::kBuckets;
+
+  struct Timers {
+    EventQueue q;
+    std::size_t peak = 0;
+    void fire() {
+      q.schedule_in(kPeriod, [this] { fire(); });
+      if (q.pending() > peak) peak = q.pending();
+    }
+  } t;
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    t.q.schedule_at(kPeriod + rng % kPeriod, [&t] { t.fire(); });
+  }
+
+  t.q.run_until(kSweep);
+  ASSERT_EQ(t.peak, kTimers);
+  const std::size_t first = t.q.key_capacity();
+  EXPECT_LE(first, 2 * t.peak + kSlack);
+
+  t.q.run_until(2 * kSweep);
+  EXPECT_EQ(t.q.key_capacity(), first) << "the second sweep grew key storage";
 }
 
 }  // namespace

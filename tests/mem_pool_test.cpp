@@ -53,17 +53,19 @@ TEST(BufferPool, RecyclingReusesStorageAndCapacity) {
   mem::reset_for_test();  // deterministic stats baseline (DESIGN.md §6e)
   const PoolStats& st = mem::buffer_pool().stats();
 
-  auto first = mem::buffer_pool().acquire(1000);
-  first->assign(1000, 0x11);
+  // A 1,400-byte frame takes the 1,536-byte class (four classes per
+  // doubling: 6 quarters of 1,024), not a 2,048-byte buffer.
+  auto first = mem::buffer_pool().acquire(1400);
+  first->assign(1400, 0x11);
   const std::uint8_t* storage = first->data();
-  const std::size_t cap = first->capacity();
+  EXPECT_EQ(first->capacity(), 1536u);
   first.reset();  // recycles: capacity-classed freelist, not the allocator
 
   std::uint64_t hits_before = st.hits;
-  auto second = mem::buffer_pool().acquire(1000);
+  auto second = mem::buffer_pool().acquire(1400);
   EXPECT_EQ(st.hits, hits_before + 1) << "same-class acquire missed the freelist";
   EXPECT_EQ(second->data(), storage) << "freelist did not hand back the node";
-  EXPECT_GE(second->capacity(), cap);
+  EXPECT_EQ(second->capacity(), 1536u);
   EXPECT_TRUE(second->empty()) << "recycled buffer not cleared";
 }
 

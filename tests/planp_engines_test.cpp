@@ -269,6 +269,38 @@ channel c(ps : int, ss : int, p : ip*blob) initstate 0 is
   EXPECT_EQ(out.ss.as_int(), 0);
 }
 
+TEST_P(EngineSuite, IntArithmeticWrapsAtTheRange) {
+  // `+`, `-`, `*`, unary `-` and `abs` wrap in two's complement in both
+  // engines, where the signed operation would be undefined. The operands
+  // come from the packet, so nothing is folded when the channel is lowered;
+  // `mx + 1` and `mx + (z + 1)` take the fused immediate and the register
+  // form of `+` in the JIT, and likewise for `-`.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  struct Case {
+    std::string expr;
+    std::int64_t value;
+  };
+  const Case cases[] = {
+      {"mx + 1", kMin},       {"mx + (z + 1)", kMin}, {"mn - 1", kMax},
+      {"mn - (z + 1)", kMax}, {"mn * (z - 1)", kMin}, {"-mn", kMin},
+      {"abs(mn)", kMin},
+  };
+  const asp::net::Packet pkt =
+      asp::net::Packet::make_raw({}, {}, std::vector<std::uint8_t>(64, 7));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expr);
+    Loaded l = load("channel c(ps : int, ss : unit, p : ip*blob) is\n"
+                    "  let val z : int = blobLen(#2 p) - 64\n"
+                    "      val mx : int = 9223372036854775807 + z\n"
+                    "      val mn : int = 0 - 9223372036854775807 - 1 + z\n"
+                    "  in (deliver(p); (" + c.expr + ", ss)) end",
+                    GetParam());
+    const States out = l.engine->run_channel(0, Value::of_int(0), Value::unit(), pkt);
+    EXPECT_EQ(out.ps.as_int(), c.value);
+  }
+}
+
 TEST_P(EngineSuite, OperandsNearTheIntRangeStayInBounds) {
   // Offsets, lengths and sizes a gate-accepted program can pass. Each of
   // these once overflowed a bounds check, escaped a library exception or
