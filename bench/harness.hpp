@@ -60,12 +60,16 @@ inline bool passthrough_flag(const char* a,
   return false;
 }
 
-[[noreturn]] inline void reject_flag(const char* a) {
+/// Exits 2 naming `a` and every flag the driver knows: the shared ones and
+/// the driver's own `extra_prefixes`.
+[[noreturn]] inline void reject_flag(const char* a,
+                                     std::initializer_list<const char*> extra_prefixes) {
   std::fprintf(stderr,
                "error: unknown flag '%s'\n"
-               "known flags: --shards=N --seed=N --duration=SECS "
-               "(plus --benchmark_* / --help / --version)\n",
+               "known flags: --shards=N --seed=N --duration=SECS",
                a);
+  for (const char* p : extra_prefixes) std::fprintf(stderr, " %s", p);
+  std::fprintf(stderr, " (plus --benchmark_* / --help / --version)\n");
   std::exit(2);
 }
 
@@ -88,7 +92,7 @@ inline Options parse_options(int argc, char** argv, Options defaults = {},
     const char* a = argv[i];
     if (detail::apply_flag(a, o)) continue;
     if (std::strncmp(a, "--", 2) != 0) continue;  // positional: not ours
-    if (!detail::passthrough_flag(a, extra_prefixes)) detail::reject_flag(a);
+    if (!detail::passthrough_flag(a, extra_prefixes)) detail::reject_flag(a, extra_prefixes);
   }
   return detail::clamp(o);
 }
@@ -108,7 +112,7 @@ inline Options parse_and_strip_options(
     if (detail::apply_flag(a, o)) continue;
     if (std::strncmp(a, "--", 2) == 0 &&
         !detail::passthrough_flag(a, extra_prefixes)) {
-      detail::reject_flag(a);
+      detail::reject_flag(a, extra_prefixes);
     }
     argv[kept++] = argv[i];
   }

@@ -3,6 +3,7 @@
 //
 //   scenario_run --scenario=scenarios/fat_tree_1k.scn            # as configured
 //   scenario_run --scenario=... --shards=16 --duration=0.05      # overrides
+//   scenario_run --scenario=... --seed=7    # workload and impairment seed
 //   scenario_run --scenario=... --smoke                          # CI gate
 //   scenario_run --scenario=... --json=BENCH_scenario.json
 //
@@ -29,17 +30,19 @@ int main(int argc, char** argv) {
   std::string path;
   std::string json_path;
   bool smoke = false;
+  bool seed_given = false;  // without --seed the .scn file's seeds stand
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--scenario=", 11) == 0) path = a + 11;
     else if (std::strncmp(a, "--json=", 7) == 0) json_path = a + 7;
     else if (std::strcmp(a, "--smoke") == 0) smoke = true;
     else if (std::strncmp(a, "--shards=", 9) == 0) opts.shards = std::atoi(a + 9);
+    else if (std::strncmp(a, "--seed=", 7) == 0) seed_given = true;
   }
   if (path.empty()) {
     std::fprintf(stderr,
-                 "usage: scenario_run --scenario=FILE.scn "
-                 "[--shards=N] [--duration=SECS] [--smoke] [--json=OUT]\n");
+                 "usage: scenario_run --scenario=FILE.scn [--shards=N] "
+                 "[--seed=N] [--duration=SECS] [--smoke] [--json=OUT]\n");
     return 2;
   }
 
@@ -51,6 +54,10 @@ int main(int argc, char** argv) {
   }
   if (opts.duration_s > 0) {
     cfg.run.duration = static_cast<net::SimTime>(opts.duration_s * 1e9);
+  }
+  if (seed_given) {  // replaces both seeds, as bench_e2e's --seed does
+    cfg.workload.seed = opts.seed;
+    cfg.impairments.seed = opts.seed;
   }
 
   scenario::Scenario sc(cfg);

@@ -117,7 +117,7 @@ void CacheClientPool::issue(std::size_t proc) {
 
 NativeCacheProxy::NativeCacheProxy(asp::net::Node& router, asp::net::Ipv4Addr origin,
                                    std::size_t entries, std::int64_t ttl_ms)
-    : node_(router), origin_(origin), store_("cache/" + router.name()) {
+    : node_(router), origin_(origin) {
   store_.configure(entries, ttl_ms);
   node_.set_ip_hook([this](Packet& p, asp::net::Interface&) { return on_packet(p); });
 }

@@ -26,26 +26,11 @@ Medium::Medium(EventQueue& events, std::string name, double bits_per_sec,
       bandwidth_bps_(bits_per_sec),
       delay_(delay),
       queue_capacity_(queue_capacity_bytes) {
-  obs::MetricsRegistry& reg = obs::registry();
-  // Coarse mode (scenario-scale topologies): one aggregate instrument set —
-  // see obs::instance_metrics_enabled().
-  const std::string prefix = obs::instance_metrics_enabled()
-                                 ? "medium/" + name_ + "/"
-                                 : "medium/_agg/";
-  m_delivered_ = &reg.counter(prefix + "delivered_packets");
-  m_drop_queue_ = &reg.counter(prefix + "dropped_queue");
-  m_drop_loss_ = &reg.counter(prefix + "dropped_loss");
-  m_drop_down_ = &reg.counter(prefix + "dropped_down");
-  m_drop_unaddressed_ = &reg.counter(prefix + "dropped_unaddressed");
-  m_duplicated_ = &reg.counter(prefix + "duplicated");
-  m_corrupted_ = &reg.counter(prefix + "corrupted");
-  m_link_up_ = &reg.gauge(prefix + "link_up");
-  m_link_up_->set(1);
-}
-
-void Medium::set_link_up(bool up) {
-  link_up_.store(up, std::memory_order_relaxed);
-  m_link_up_->set(up ? 1 : 0);
+  // Coarse mode (scenario-scale topologies) folds every medium into one
+  // aggregate counter — see obs::instance_metrics_enabled().
+  m_delivered_ = &obs::registry().counter(obs::instance_metrics_enabled()
+                                              ? "medium/" + name_ + "/delivered_packets"
+                                              : "medium/_agg/delivered_packets");
 }
 
 Medium::FramePlan Medium::plan_frame() {
@@ -69,7 +54,6 @@ void Medium::apply_corruption(Packet& p) {
   std::vector<std::uint8_t>& bytes = p.mutable_payload();
   bytes[r % bytes.size()] ^= static_cast<std::uint8_t>((r >> 8) % 255 + 1);
   ++stats_.corrupted;
-  m_corrupted_->inc();
 }
 
 double PointToPointLink::utilization() {
@@ -83,7 +67,7 @@ double PointToPointLink::utilization() {
 
 void PointToPointLink::deliver_arrival(int end, PacketBox&& p) {
   if (!link_up()) {  // partition started while the frame was in flight
-    count_drop_down();
+    ++stats_.dropped_down;
     return;
   }
   note_delivered(*p);
@@ -124,7 +108,7 @@ void PointToPointLink::transmit(Interface& from, PacketBox p) {
   // shard, and events_ belongs to only one of them.
   SimTime now = from.node()->events().now();
   if (!link_up()) {
-    count_drop_down();
+    ++stats_.dropped_down;
     return;
   }
   const std::size_t bytes = p->wire_size();
@@ -133,22 +117,21 @@ void PointToPointLink::transmit(Interface& from, PacketBox p) {
   // Backlog check: how much queueing (in time) would this packet see?
   SimTime backlog_limit = tx_time(queue_capacity_, bandwidth_bps_);
   if (start - now > backlog_limit) {
-    count_drop_queue();
+    ++stats_.dropped_queue;
     return;
   }
   busy_until_[dir] = start + serialize;
-  from.node()->note_tx(bytes);
   if (dir_meter_[dir]) dir_meter_[dir]->record(now, bytes);
   // A lost frame still occupied the wire and counted toward the tx meters:
   // the sender offered the load whether or not it arrived.
   FramePlan plan = plan_frame();
   if (plan.lost) {
-    count_drop_loss();
+    ++stats_.dropped_loss;
     return;
   }
   if (plan.corrupt) apply_corruption(*p);
   if (plan.copies > 1) {
-    count_duplicated();
+    ++stats_.duplicated;
     post_arrival(1 - dir, packet_boxes().box(*p),
                  busy_until_[dir] + delay_ + plan.extra[1]);
   }
@@ -162,7 +145,7 @@ void EthernetSegment::schedule_arrival(const Interface& from, PacketBox&& p,
   events_->schedule_at(arrival, [this, slot = from.medium_slot(),
                                  box = std::move(p)]() mutable {
     if (!link_up()) {  // partition started while the frame was in flight
-      count_drop_down();
+      ++stats_.dropped_down;
       return;
     }
     deliver(*ifaces_[slot], std::move(box));
@@ -173,7 +156,7 @@ void EthernetSegment::transmit(Interface& from, PacketBox p) {
   // Segments are never cut: events_ is always the sender's shard queue.
   SimTime now = events_->now();
   if (!link_up()) {
-    count_drop_down();
+    ++stats_.dropped_down;
     return;
   }
   const std::size_t bytes = p->wire_size();
@@ -181,20 +164,19 @@ void EthernetSegment::transmit(Interface& from, PacketBox p) {
   SimTime start = busy_until_ > now ? busy_until_ : now;
   SimTime backlog_limit = tx_time(queue_capacity_, bandwidth_bps_);
   if (start - now > backlog_limit) {
-    count_drop_queue();
+    ++stats_.dropped_queue;
     return;
   }
   busy_until_ = start + serialize;
-  from.node()->note_tx(bytes);
   meter_.record(now, bytes);
   FramePlan plan = plan_frame();
   if (plan.lost) {
-    count_drop_loss();
+    ++stats_.dropped_loss;
     return;
   }
   if (plan.corrupt) apply_corruption(*p);
   if (plan.copies > 1) {
-    count_duplicated();
+    ++stats_.duplicated;
     schedule_arrival(from, packet_boxes().box(*p), busy_until_ + delay_ + plan.extra[1]);
   }
   schedule_arrival(from, std::move(p), busy_until_ + delay_ + plan.extra[0]);
@@ -247,7 +229,7 @@ void EthernetSegment::deliver(const Interface& from, PacketBox&& p) {
   if (target != nullptr) {
     hand_last(target);
   } else {
-    count_drop_unaddressed();
+    ++stats_.dropped_unaddressed;
   }
 }
 

@@ -135,7 +135,7 @@ class Medium {
   /// still in flight when it goes down (their arrival finds the link down).
   /// Atomic: both endpoint shards of a cut link read it on their fast paths.
   bool link_up() const { return link_up_.load(std::memory_order_relaxed); }
-  void set_link_up(bool up);
+  void set_link_up(bool up) { link_up_.store(up, std::memory_order_relaxed); }
   /// Schedules a link-state flip at absolute time `at` (on the owning
   /// shard's queue; the new state is visible to the peer shard from its next
   /// window).
@@ -192,14 +192,6 @@ class Medium {
     return static_cast<double>(next_rng() % 1'000'000) < rate * 1e6;
   }
 
-  void count_drop_queue() { ++stats_.dropped_queue; m_drop_queue_->inc(); }
-  void count_drop_loss() { ++stats_.dropped_loss; m_drop_loss_->inc(); }
-  void count_drop_down() { ++stats_.dropped_down; m_drop_down_->inc(); }
-  void count_drop_unaddressed() {
-    ++stats_.dropped_unaddressed;
-    m_drop_unaddressed_->inc();
-  }
-  void count_duplicated() { ++stats_.duplicated; m_duplicated_->inc(); }
   void note_delivered(const Packet& p) {
     ++delivered_packets_;
     delivered_bytes_ += p.wire_size();
@@ -218,15 +210,9 @@ class Medium {
   std::atomic<bool> link_up_{true};
   std::uint64_t rng_ = 0x9E3779B97F4A7C15ull;  // shard-confined (never cut)
 
-  // Cached instruments in the global registry (medium/<name>/...).
+  // The delivered count's second copy, in the global registry
+  // (medium/<name>/delivered_packets), for readers that sum the registry.
   obs::Counter* m_delivered_ = nullptr;
-  obs::Counter* m_drop_queue_ = nullptr;
-  obs::Counter* m_drop_loss_ = nullptr;
-  obs::Counter* m_drop_down_ = nullptr;
-  obs::Counter* m_drop_unaddressed_ = nullptr;
-  obs::Counter* m_duplicated_ = nullptr;
-  obs::Counter* m_corrupted_ = nullptr;
-  obs::Gauge* m_link_up_ = nullptr;
 };
 
 /// Full-duplex point-to-point link between exactly two interfaces.

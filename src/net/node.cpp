@@ -43,18 +43,11 @@ void UdpSocket::send_to(Ipv4Addr dst, std::uint16_t dport, Payload payload) {
 Node::Node(EventQueue& events, std::string name)
     : events_(&events), name_(std::move(name)), tcp_(std::make_unique<TcpStack>(*this)) {
   ifaces_.reserve(2);  // hosts and leaf routers never relocate
-  obs::MetricsRegistry& reg = obs::registry();
   // Coarse mode (scenario-scale topologies) folds every node into one shared
-  // aggregate instrument set — see obs::instance_metrics_enabled().
-  const std::string prefix = obs::instance_metrics_enabled()
-                                 ? "node/" + name_ + "/net/"
-                                 : "node/_agg/net/";
-  m_rx_packets_ = &reg.counter(prefix + "rx_packets");
-  m_rx_bytes_ = &reg.counter(prefix + "rx_bytes");
-  m_tx_packets_ = &reg.counter(prefix + "tx_packets");
-  m_tx_bytes_ = &reg.counter(prefix + "tx_bytes");
-  m_delivered_ = &reg.counter(prefix + "delivered_packets");
-  m_dropped_ = &reg.counter(prefix + "dropped_packets");
+  // aggregate counter — see obs::instance_metrics_enabled().
+  m_rx_packets_ = &obs::registry().counter(obs::instance_metrics_enabled()
+                                               ? "node/" + name_ + "/net/rx_packets"
+                                               : "node/_agg/net/rx_packets");
 }
 
 Node::~Node() = default;
@@ -123,7 +116,6 @@ Ipv4Addr Node::addr() const { return ifaces_.empty() ? Ipv4Addr{} : ifaces_[0].a
 
 void Node::receive(PacketBox p, Interface& in) {
   m_rx_packets_->inc();
-  m_rx_bytes_->inc(p->wire_size());
   for (const RxTap& tap : rx_taps_) tap(*p, in);
   // The PLAN-P layer sees the packet before the standard IP behaviour.
   if (ip_hook_ && ip_hook_(*p, in)) return;
@@ -157,7 +149,6 @@ void Node::standard_ip(PacketBox p, Interface& in) {
 
   if (p->ip.ttl <= 1) {
     ++dropped_ttl_;
-    m_dropped_->inc();
     return;
   }
   --p->ip.ttl;
@@ -171,7 +162,6 @@ void Node::forward(PacketBox p) {
     const std::vector<int>& outs = found != nullptr ? *found : kDefaultOut;  // hosts: iface 0
     if (ifaces_.empty()) {
       ++dropped_no_route_;
-      m_dropped_->inc();
       return;
     }
     for (int out : outs) {
@@ -184,7 +174,6 @@ void Node::forward(PacketBox p) {
   const Route* r = routes_.lookup(p->ip.dst);
   if (r == nullptr) {
     ++dropped_no_route_;
-    m_dropped_->inc();
     return;
   }
   p->l2_next_hop = r->next_hop;
@@ -204,25 +193,19 @@ void Node::send_ip(Packet p) {
 }
 
 void Node::deliver_local(const Packet& p) {
-  m_delivered_->inc();
   if (p.ip.proto == IpProto::kUdp && p.udp) {
     if (UdpSocket* sock = udp_lookup(p.udp->dport)) {
       sock->handle(p);
       return;
     }
     ++dropped_no_listener_;
-    m_dropped_->inc();
     return;
   }
   if (p.ip.proto == IpProto::kTcp && p.tcp) {
-    if (!tcp_->on_packet(p)) {
-      ++dropped_no_listener_;
-      m_dropped_->inc();
-    }
+    if (!tcp_->on_packet(p)) ++dropped_no_listener_;
     return;
   }
   ++dropped_no_listener_;
-  m_dropped_->inc();
 }
 
 }  // namespace asp::net

@@ -207,14 +207,6 @@ class Node {
   /// Fresh packet id (node-scoped uniqueness is enough for tracing).
   std::uint64_t next_packet_id() { return ++packet_seq_; }
 
-  /// Egress accounting hook, called by a medium for each frame it accepts
-  /// from one of this node's interfaces (bytes handed to the medium,
-  /// pre-drop).
-  void note_tx(std::size_t bytes) {
-    m_tx_packets_->inc();
-    m_tx_bytes_->inc(bytes);
-  }
-
  private:
   friend class UdpSocket;
 
@@ -245,14 +237,10 @@ class Node {
   std::vector<std::pair<std::uint16_t, UdpSocket*>> udp_ports_;  // sorted by port
   std::unique_ptr<TcpStack> tcp_;
 
-  // Cached instruments in the global registry (node/<name>/net/...), the
-  // one count of each fact; they accumulate process-wide.
+  // Received packets, counted only in the global registry
+  // (node/<name>/net/rx_packets, accumulating process-wide); the drop causes
+  // below are counted only here.
   obs::Counter* m_rx_packets_ = nullptr;
-  obs::Counter* m_rx_bytes_ = nullptr;
-  obs::Counter* m_tx_packets_ = nullptr;
-  obs::Counter* m_tx_bytes_ = nullptr;
-  obs::Counter* m_delivered_ = nullptr;
-  obs::Counter* m_dropped_ = nullptr;
 
   std::uint64_t dropped_no_route_ = 0;
   std::uint64_t dropped_ttl_ = 0;

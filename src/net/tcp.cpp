@@ -15,14 +15,7 @@ bool seq_le(std::uint32_t a, std::uint32_t b) { return a == b || seq_lt(a, b); }
 
 TcpConnection::TcpConnection(TcpStack& stack, Ipv4Addr local, std::uint16_t lport,
                              Ipv4Addr remote, std::uint16_t rport)
-    : stack_(stack), local_(local), remote_(remote), lport_(lport), rport_(rport) {
-  obs::MetricsRegistry& reg = obs::registry();
-  const std::string prefix = "node/" + stack_.node().name() + "/tcp/";
-  m_tx_bytes_ = &reg.counter(prefix + "tx_bytes");
-  m_rx_bytes_ = &reg.counter(prefix + "rx_bytes");
-  m_retransmits_ = &reg.counter(prefix + "retransmits");
-  reg.counter(prefix + "connections").inc();
-}
+    : stack_(stack), local_(local), remote_(remote), lport_(lport), rport_(rport) {}
 
 TcpConnection::~TcpConnection() = default;
 
@@ -89,7 +82,6 @@ void TcpConnection::pump() {
     emit(tcpflag::kPsh, snd_nxt_, std::move(data));
     snd_nxt_ += chunk;
     bytes_sent_ += chunk;
-    m_tx_bytes_->inc(chunk);
     inflight = snd_nxt_ - snd_una_;
   }
   // FIN once all data is sent.
@@ -130,7 +122,6 @@ void TcpConnection::on_timeout() {
   }
 
   ++retransmissions_;
-  m_retransmits_->inc();
   // Multiplicative decrease, then go-back-N from snd_una_.
   ssthresh_ = std::max(cwnd_ / 2, 2 * kMss);
   cwnd_ = 2 * kMss;
@@ -222,7 +213,6 @@ void TcpConnection::handle(const Packet& p) {
     if (h.seq == rcv_nxt_) {
       rcv_nxt_ += static_cast<std::uint32_t>(p.payload.size());
       bytes_received_ += p.payload.size();
-      m_rx_bytes_->inc(p.payload.size());
       emit(tcpflag::kAck, snd_nxt_, {});
       if (data_cb_) data_cb_(p.payload.bytes());
     } else {

@@ -124,11 +124,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
   std::uint64_t retransmissions_ = 0;
-
-  // Cached instruments in the global registry (node/<name>/tcp/...).
-  obs::Counter* m_tx_bytes_ = nullptr;
-  obs::Counter* m_rx_bytes_ = nullptr;
-  obs::Counter* m_retransmits_ = nullptr;
 };
 
 /// Per-node TCP demultiplexer.

@@ -92,12 +92,6 @@ void set_instance_metrics_enabled(bool on) {
   g_instance_metrics.store(on, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
-}
-
 namespace {
 
 void append_escaped(std::string& out, const std::string& s) {

@@ -33,7 +33,7 @@
 // can mint instruments while other shards keep incrementing theirs.
 // Histograms are NOT atomic: each histogram must be observed from a single
 // shard (all of ours are per-node, and a node lives on exactly one shard).
-// Whole-registry snapshots (to_json, counters(), reset) are barrier-only:
+// Whole-registry snapshots (to_json, counters()) are barrier-only:
 // call them when no shard is mid-window (before run, after run, or from the
 // coordinator at a window barrier).
 #pragma once
@@ -55,25 +55,17 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_.load(); }
-  void reset() { value_ = 0; }
 
  private:
   RelaxedU64 value_;
 };
 
 /// Last-written instantaneous value. Thread-safe (relaxed atomic): set() is a
-/// plain store, add() a CAS loop; last writer wins across shards.
+/// plain store; last writer wins across shards.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double d) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-    }
-  }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { set(0); }
 
  private:
   std::atomic<double> value_{0};
@@ -105,8 +97,6 @@ class Histogram {
   /// Inclusive upper bound of bucket i (1, 2, 4, ... as doubles).
   static double bucket_upper_bound(int i);
 
-  void reset() { *this = Histogram{}; }
-
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;
@@ -121,8 +111,8 @@ class Histogram {
 ///
 /// Thread-safety: creation lookups lock `mu_` (cold path — callers cache the
 /// returned pointer/reference and then increment lock-free). The map
-/// accessors counters()/gauges()/histograms(), to_json and reset() read the
-/// maps unlocked and are barrier-only under the parallel executor.
+/// accessors counters()/gauges()/histograms() and to_json read the maps
+/// unlocked and are barrier-only under the parallel executor.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name) {
@@ -146,9 +136,6 @@ class MetricsRegistry {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
 
-  /// Zeroes every instrument without invalidating cached references.
-  void reset();
-
  private:
   std::mutex mu_;  // guards map mutation only; instruments are lock-free
   std::map<std::string, Counter> counters_;
@@ -159,16 +146,17 @@ class MetricsRegistry {
 /// The process-wide default registry every layer reports into.
 MetricsRegistry& registry();
 
-/// Per-instance instrument mode. When ON (the default) every Node/Medium
-/// registers its own node/<name>/... and medium/<name>/... instruments. The
-/// scenario generators (src/scenario) turn it OFF around construction of
-/// internet-scale topologies: 10^4 nodes x ~14 instruments would put ~10^5
-/// entries in the registry and megabytes in every BENCH_*.json, so instead
-/// all instances constructed while the mode is off share one aggregate set
-/// (node/_agg/net/*, medium/_agg/*). Aggregate counters stay deterministic
-/// under the sharded executor (atomic adds commute); per-instance statistics
-/// remain available on the objects themselves. Setup-time only: flip it
-/// before constructing a topology, never while a simulation runs.
+/// Per-instance instrument mode. When ON (the default) every Node registers
+/// its own node/<name>/net/rx_packets counter and every Medium its own
+/// medium/<name>/delivered_packets. The scenario generators (src/scenario)
+/// turn it OFF around construction of internet-scale topologies, whose
+/// 10^4 nodes and 3x10^4 media would otherwise each mint a registry entry
+/// (and a line in every BENCH_*.json); all instances constructed while the
+/// mode is off share node/_agg/net/rx_packets and
+/// medium/_agg/delivered_packets. Aggregate counters stay deterministic
+/// under the sharded executor (atomic adds commute); every other statistic
+/// lives on the objects themselves. Setup-time only: flip it before
+/// constructing a topology, never while a simulation runs.
 bool instance_metrics_enabled();
 void set_instance_metrics_enabled(bool on);
 

@@ -7,17 +7,6 @@
 
 namespace asp::planp {
 
-CacheStore::CacheStore(std::string metric_prefix) {
-  if (!metric_prefix.empty()) {
-    obs::MetricsRegistry& reg = obs::registry();
-    m_hits_ = &reg.counter(metric_prefix + "/hits");
-    m_misses_ = &reg.counter(metric_prefix + "/misses");
-    m_fills_ = &reg.counter(metric_prefix + "/fills");
-    m_evictions_ = &reg.counter(metric_prefix + "/evictions");
-    m_expired_ = &reg.counter(metric_prefix + "/expired");
-  }
-}
-
 void CacheStore::configure(std::size_t max_entries, std::int64_t ttl_ms) {
   capacity_ = std::clamp<std::size_t>(max_entries, 1, kMaxEntries);
   ttl_ms_ = ttl_ms;
@@ -170,19 +159,16 @@ const net::Buffer* CacheStore::lookup(std::uint64_t key, std::int64_t now_ms) {
   std::uint32_t slot = find_slot(key);
   if (slot == kNil) {
     ++stats_.misses;
-    if (m_misses_ != nullptr) m_misses_->inc();
     return nullptr;
   }
   if (!fresh(slots_[slot], now_ms)) {
     evict_slot(slot);
     ++stats_.expired;
-    if (m_expired_ != nullptr) m_expired_->inc();
     return nullptr;
   }
   lru_unlink(slot);
   lru_push_front(slot);
   ++stats_.hits;
-  if (m_hits_ != nullptr) m_hits_->inc();
   return &slots_[slot].body;
 }
 
@@ -202,10 +188,8 @@ void CacheStore::store(std::uint64_t key, net::Buffer body, std::int64_t now_ms)
       evict_slot(lru_tail_);
       if (stale) {
         ++stats_.expired;
-        if (m_expired_ != nullptr) m_expired_->inc();
       } else {
         ++stats_.evictions;
-        if (m_evictions_ != nullptr) m_evictions_->inc();
       }
     }
     if (free_.empty()) {
@@ -220,7 +204,6 @@ void CacheStore::store(std::uint64_t key, net::Buffer body, std::int64_t now_ms)
     ++live_;
   }
   ++stats_.fills;
-  if (m_fills_ != nullptr) m_fills_->inc();
 }
 
 bool CacheStore::contains(std::uint64_t key, std::int64_t now_ms) const {
@@ -228,14 +211,14 @@ bool CacheStore::contains(std::uint64_t key, std::int64_t now_ms) const {
   return slot != kNil && fresh(slots_[slot], now_ms);
 }
 
-// Default EnvApi store, created on first cache-primitive use. Defined here
-// (with the destructor) so primitives.hpp only needs the forward declaration.
+// EnvApi's store, created on first cache-primitive use. Defined here (with
+// the destructor) so primitives.hpp only needs the forward declaration.
 EnvApi::EnvApi() = default;
 EnvApi::~EnvApi() = default;
 
 CacheStore& EnvApi::cache() {
-  if (default_cache_ == nullptr) default_cache_ = std::make_unique<CacheStore>();
-  return *default_cache_;
+  if (cache_ == nullptr) cache_ = std::make_unique<CacheStore>();
+  return *cache_;
 }
 
 }  // namespace asp::planp

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "obs/metrics.hpp"
 
 namespace asp::planp {
 
@@ -37,10 +36,9 @@ class CacheStore {
     std::uint64_t expired = 0;    // TTL lapses observed by lookup/store
   };
 
-  /// `metric_prefix` names the obs mirror ("cache/<node>"); empty = counters
-  /// kept locally only (tests, NullEnv). The store starts configured for
-  /// kDefaultEntries entries that never expire; no table is built yet.
-  explicit CacheStore(std::string metric_prefix = "");
+  // A new store is configured for kDefaultEntries entries that never expire;
+  // no table is built yet. stats() is the one count of its hits, misses,
+  // fills, evictions and expiries.
 
   /// Sets the store's limits: at most `max_entries` resident objects, each
   /// fresh for `ttl_ms` after its fill (ttl_ms <= 0: never expires).
@@ -127,13 +125,6 @@ class CacheStore {
   std::int64_t ttl_ms_ = 0;  // <=0: never expires
 
   Stats stats_;
-  // obs mirrors (<prefix>/{hits,misses,fills,evictions,expired}), cached at
-  // construction like AspRuntime's; null when metric_prefix was empty.
-  obs::Counter* m_hits_ = nullptr;
-  obs::Counter* m_misses_ = nullptr;
-  obs::Counter* m_fills_ = nullptr;
-  obs::Counter* m_evictions_ = nullptr;
-  obs::Counter* m_expired_ = nullptr;
 };
 
 }  // namespace asp::planp

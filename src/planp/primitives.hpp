@@ -32,7 +32,7 @@ class CacheStore;  // planp/cache.hpp
 /// by the ASP runtime (src/runtime); tests use lightweight fakes.
 class EnvApi {
  public:
-  // Constructor/destructor live in cache.cpp: default_cache_ is a
+  // Constructor/destructor live in cache.cpp: cache_ is a
   // unique_ptr to the forward-declared CacheStore, so both members that
   // could destroy it must be out of line.
   EnvApi();
@@ -67,13 +67,13 @@ class EnvApi {
   virtual void drop() = 0;
 
   /// The node's object cache, backing the cache* primitives (planp/cache.hpp,
-  /// DESIGN.md §6i). The default is a lazily created private store with no
-  /// obs mirror — enough for tests and NullEnv; AspRuntime overrides it with
-  /// the node's store so counters land under cache/<node>/*.
-  virtual CacheStore& cache();
+  /// DESIGN.md §6i). Created on first cache-primitive use, so an environment
+  /// whose ASPs never cache pays nothing; an AspRuntime's store survives
+  /// reinstalls. Its stats() are the one count of the node's cache traffic.
+  CacheStore& cache();
 
  private:
-  std::unique_ptr<CacheStore> default_cache_;  // backs the default cache()
+  std::unique_ptr<CacheStore> cache_;  // lazy; backs cache()
 };
 
 /// EnvApi that ignores sends and collects prints; for tests and pure bench.

@@ -45,13 +45,6 @@ bool parse_unsigned(std::string_view field, T& out, int base) {
 
 DeployServer::DeployServer(AspRuntime& runtime, std::uint16_t port)
     : runtime_(runtime) {
-  obs::MetricsRegistry& reg = obs::registry();
-  const std::string prefix = "node/" + runtime_.node().name() + "/deploy/";
-  m_deployments_ = &reg.counter(prefix + "deployments");
-  m_rejections_ = &reg.counter(prefix + "rejections");
-  m_dedups_ = &reg.counter(prefix + "dedups");
-  m_rx_bytes_ = &reg.counter(prefix + "rx_bytes");
-
   runtime_.node().tcp().listen(port, [this](std::shared_ptr<TcpConnection> conn) {
     auto session = std::make_shared<Session>();
     // The connection owns this callback, so capturing it strongly here would
@@ -62,7 +55,6 @@ DeployServer::DeployServer(AspRuntime& runtime, std::uint16_t port)
       auto c = weak.lock();
       if (!c) return;
       session->buffer.append(d.begin(), d.end());
-      m_rx_bytes_->inc(d.size());
       on_data(std::move(c), session);
     });
   });
@@ -71,7 +63,6 @@ DeployServer::DeployServer(AspRuntime& runtime, std::uint16_t port)
 void DeployServer::reject(std::shared_ptr<TcpConnection> conn,
                           const std::string& reason) {
   ++rejections_;
-  m_rejections_->inc();
   conn->send("ERR " + reason + "\n");
   conn->close();
 }
@@ -159,7 +150,6 @@ void DeployServer::finish(std::shared_ptr<TcpConnection> conn, const Session& s)
     // Idempotent retry: the previous attempt installed this exact program but
     // its OK reply was lost. Replay the reply; do not install twice.
     ++dedups_;
-    m_dedups_->inc();
     conn->send(cached_reply_);
     conn->close();
     return;
@@ -170,7 +160,6 @@ void DeployServer::finish(std::shared_ptr<TcpConnection> conn, const Session& s)
   try {
     const planp::Protocol& proto = runtime_.install(body, opts);
     ++deployments_;
-    m_deployments_->inc();
     double codegen_us = 0;
     if (const planp::CodegenStats* cs = proto.codegen_stats()) {
       codegen_us = cs->generation_ms * 1000.0;
@@ -228,10 +217,6 @@ struct DeployJob {
   bool settled = false;
   int attempts = 0;
   std::shared_ptr<TcpConnection> conn;  // current attempt's connection
-  obs::Counter* m_attempts = nullptr;
-  obs::Counter* m_retries = nullptr;
-  obs::Counter* m_successes = nullptr;
-  obs::Counter* m_failures = nullptr;
 };
 
 /// Failures worth retrying. Only a "reject:"-prefixed verdict is terminal:
@@ -252,7 +237,6 @@ void settle(const std::shared_ptr<DeployJob>& job, DeployResult r) {
   job->settled = true;
   job->conn.reset();
   r.attempts = job->attempts;
-  (r.ok ? job->m_successes : job->m_failures)->inc();
   if (job->cb) job->cb(r);
 }
 
@@ -270,7 +254,6 @@ void retry_or_fail(const std::shared_ptr<DeployJob>& job, const std::string& err
     settle(job, r);
     return;
   }
-  job->m_retries->inc();
   asp::net::SimTime backoff = job->opts.initial_backoff
                               << (job->attempts > 0 ? job->attempts - 1 : 0);
   job->node->events().schedule_in(backoff, [job] {
@@ -280,7 +263,6 @@ void retry_or_fail(const std::shared_ptr<DeployJob>& job, const std::string& err
 
 void start_attempt(const std::shared_ptr<DeployJob>& job) {
   ++job->attempts;
-  job->m_attempts->inc();
   auto conn = job->node->tcp().connect(job->target, job->opts.port);
   job->conn = conn;
   // `live` scopes the callbacks and the timeout to THIS attempt: once the
@@ -340,12 +322,6 @@ void Deployer::deploy(asp::net::Ipv4Addr target, const std::string& source,
                  (opts.authenticated ? "1" : "0") + " " +
                  std::to_string(source.size()) + " " +
                  checksum_hex(deploy_checksum(source)) + "\n" + source;
-  obs::MetricsRegistry& reg = obs::registry();
-  const std::string prefix = "node/" + node_.name() + "/deployer/";
-  job->m_attempts = &reg.counter(prefix + "attempts");
-  job->m_retries = &reg.counter(prefix + "retries");
-  job->m_successes = &reg.counter(prefix + "successes");
-  job->m_failures = &reg.counter(prefix + "failures");
   start_attempt(job);
 }
 

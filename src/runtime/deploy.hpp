@@ -102,11 +102,6 @@ class DeployServer {
   // drew, for idempotent retries.
   std::uint64_t installed_key_ = 0;
   std::string cached_reply_;
-  // Instruments in the global registry (node/<name>/deploy/*).
-  obs::Counter* m_deployments_ = nullptr;
-  obs::Counter* m_rejections_ = nullptr;
-  obs::Counter* m_dedups_ = nullptr;
-  obs::Counter* m_rx_bytes_ = nullptr;
 };
 
 /// Structured outcome of one deployment attempt, parsed from the wire reply.

@@ -98,14 +98,6 @@ class AspRuntime : public planp::EnvApi {
   void on_neighbor(std::uint32_t chan_tag, asp::net::Packet packet) override;
   void deliver(asp::net::Packet packet) override;
   void drop() override { m_dropped_->inc(); }
-  /// The node's object cache, created on first cache-primitive use so nodes
-  /// without caching ASPs pay nothing. Counters land under cache/<node>/*.
-  planp::CacheStore& cache() override {
-    if (cache_ == nullptr) {
-      cache_ = std::make_unique<planp::CacheStore>("cache/" + node_.name());
-    }
-    return *cache_;
-  }
 
  private:
   static planp::Protocol::Options make_default_options() {
@@ -150,7 +142,6 @@ class AspRuntime : public planp::EnvApi {
   asp::net::Medium* monitored_ = nullptr;
   asp::net::Interface* current_in_ = nullptr;  // arrival interface during dispatch
   std::uint32_t network_tag_ = 0;  // interned "network" (untagged sends)
-  std::unique_ptr<planp::CacheStore> cache_;  // lazy; survives reinstalls
 
   // Instruments in the global registry (node/<name>/asp/*), cached at
   // construction; stats() subtracts base_ so snapshots are per-instance even

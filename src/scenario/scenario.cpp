@@ -41,7 +41,6 @@ class EdgeCache {
  public:
   EdgeCache(net::Node& router, std::size_t entries, std::int64_t ttl_ms)
       : node_(router),
-        store_("cache/" + router.name()),
         hit_tag_(net::ChannelTags::intern("hit")) {
     store_.configure(entries, ttl_ms);
     node_.set_ip_hook(
@@ -100,8 +99,8 @@ class EdgeCache {
 };
 
 Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
-  // Coarse metrics: one aggregate instrument set instead of ~14 per
-  // node/medium — see obs::instance_metrics_enabled().
+  // Coarse metrics: one aggregate counter for all nodes and one for all
+  // media, not one each — see obs::instance_metrics_enabled().
   obs::ScopedCoarseMetrics coarse;
   topo_ = build_topology(net_, cfg_.topology);
   workload_ = std::make_unique<Workload>(topo_.hosts, cfg_.workload);

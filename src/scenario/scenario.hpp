@@ -61,8 +61,9 @@ struct ScenarioMetrics {
 };
 
 /// One instantiated scenario. Construction builds the topology (under
-/// obs::ScopedCoarseMetrics — a 10^4-node build must not mint 10^5 registry
-/// instruments), the workload apps and the monitor ASPs; run() executes it.
+/// obs::ScopedCoarseMetrics — a 10^4-node build must not mint a registry
+/// counter per node and per medium), the workload apps and the monitor ASPs;
+/// run() executes it.
 class Scenario {
  public:
   explicit Scenario(const ScenarioConfig& cfg);

@@ -92,6 +92,24 @@ TEST(BenchHarnessDeath, ExtraPrefixOnlyCoversDeclaredDriver) {
       testing::ExitedWithCode(2), "unknown flag");
 }
 
+TEST(BenchHarnessDeath, RejectionListsTheDriversOwnFlags) {
+  // The error names every flag the driver accepts, its own included, from
+  // both parsers.
+  EXPECT_EXIT(
+      {
+        Argv a({"--bogus"});
+        parse_options(a.argc(), a.argv(), {}, {"--scenario=", "--smoke"});
+      },
+      testing::ExitedWithCode(2), "known flags: .*--scenario= --smoke");
+  EXPECT_EXIT(
+      {
+        Argv a({"--bogus"});
+        int argc = a.argc();
+        parse_and_strip_options(argc, a.argv(), {}, {"--scenario="});
+      },
+      testing::ExitedWithCode(2), "known flags: .*--scenario=");
+}
+
 TEST(BenchHarness, StripRemovesOursKeepsTheirs) {
   Argv a({"--shards=2", "--benchmark_filter=abc", "positional", "--seed=7"});
   int argc = a.argc();

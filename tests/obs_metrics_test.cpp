@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
+
+#include "net/network.hpp"
+#include "net/tcp.hpp"
+#include "planp/cache.hpp"
 
 namespace asp::obs {
 namespace {
@@ -107,15 +112,14 @@ TEST(Counter, CountsAndResets) {
   c.inc();
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Gauge, SetAndAdd) {
   Gauge g;
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
   g.set(3.5);
   EXPECT_DOUBLE_EQ(g.value(), 3.5);
-  g.add(-1.0);
+  g.set(2.5);  // last write wins
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
 }
 
@@ -203,19 +207,6 @@ TEST(Registry, SameNameSameInstrument) {
   EXPECT_EQ(reg.counter("x/y").value(), 1u);
 }
 
-TEST(Registry, ResetZeroesWithoutInvalidating) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("c");
-  Histogram& h = reg.histogram("h");
-  c.inc(5);
-  h.observe(3);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  c.inc();
-  EXPECT_EQ(reg.counter("c").value(), 1u);
-}
-
 TEST(Json, ExportIsValidAndComplete) {
   MetricsRegistry reg;
   reg.counter("node/r/asp/packets_handled").inc(12);
@@ -267,6 +258,46 @@ TEST(Registry, DefaultRegistryIsProcessWide) {
   std::uint64_t before = c.value();
   registry().counter("obs_test/self").inc();
   EXPECT_EQ(c.value(), before + 1);
+}
+
+// Each count has one copy. In instance mode a node registers only its
+// received-packet counter and a medium only its delivered counter; TCP
+// connections and cache stores register nothing, because their accessors
+// are the only copy of their counts.
+TEST(Registry, SimulatedObjectsRegisterOneCounterEach) {
+  ASSERT_TRUE(instance_metrics_enabled());
+  const MetricsRegistry& reg = registry();
+  const std::size_t counters0 = reg.counters().size();
+  const std::size_t gauges0 = reg.gauges().size();
+
+  net::Network network;
+  net::Node& a = network.add_node("one_copy_a");
+  net::Node& b = network.add_node("one_copy_b");
+  network.link(a, net::ip("10.77.0.1"), b, net::ip("10.77.0.2"), 10e6);
+  EXPECT_EQ(reg.counters().size(), counters0 + 3);
+  EXPECT_EQ(reg.gauges().size(), gauges0);
+  EXPECT_EQ(reg.counters().count("node/one_copy_a/net/rx_packets"), 1u);
+  EXPECT_EQ(reg.counters().count("node/one_copy_b/net/rx_packets"), 1u);
+  EXPECT_EQ(reg.counters().count("medium/one_copy_a-one_copy_b/delivered_packets"), 1u);
+
+  std::shared_ptr<net::TcpConnection> accepted;
+  b.tcp().listen(80, [&](std::shared_ptr<net::TcpConnection> c) { accepted = c; });
+  std::shared_ptr<net::TcpConnection> conn = a.tcp().connect(b.addr(), 80);
+  conn->send("hello");
+  network.run();
+  ASSERT_NE(accepted, nullptr);
+  EXPECT_EQ(conn->bytes_sent(), 5u);
+  EXPECT_EQ(accepted->bytes_received(), 5u);
+
+  planp::CacheStore store;
+  store.store(1, net::make_buffer({1, 2, 3}), 0);
+  EXPECT_NE(store.lookup(1, 0), nullptr);
+  EXPECT_EQ(store.lookup(2, 0), nullptr);
+  EXPECT_EQ(store.stats().hits, 1u);
+
+  EXPECT_EQ(reg.counters().size(), counters0 + 3);
+  EXPECT_EQ(reg.gauges().size(), gauges0);
+  EXPECT_GT(reg.counters().at("node/one_copy_b/net/rx_packets").value(), 0u);
 }
 
 TEST(Registry, StabilizedGaugeRecordsMedianAfterWarmup) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
-#include "obs/metrics.hpp"
 
 namespace asp::runtime {
 namespace {
@@ -257,14 +256,22 @@ TEST(Deploy, ChecksumIsStandardFnv1a64) {
   EXPECT_EQ(deploy_checksum("foobar"), 0x85944171f73967e8ull);
 }
 
-TEST(Deploy, ServerMetricsReachRegistry) {
-  // The daemon reports into node/<name>/deploy/*; deltas across one
-  // deployment must line up with the scalar accessors.
-  obs::Counter& dep = obs::registry().counter("node/router/deploy/deployments");
-  std::uint64_t before = dep.value();
+TEST(Deploy, ServerCountsEachOutcomeOnce) {
+  // The daemon's accessors are the one count of its outcomes: an install,
+  // a retry of the installed program (answered from the dedup cache) and a
+  // rejection each move exactly one of them.
   DeployRig rig;
+  DeployResult first = rig.deploy(kGoodAsp);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(first.attempts, 1);
+  EXPECT_EQ(rig.server->deployments(), 1);
   ASSERT_TRUE(rig.deploy(kGoodAsp).ok);
-  EXPECT_EQ(dep.value(), before + 1);
+  EXPECT_EQ(rig.server->deployments(), 1);
+  EXPECT_EQ(rig.server->dedups(), 1);
+  EXPECT_FALSE(rig.deploy("channel network(").ok);
+  EXPECT_EQ(rig.server->rejections(), 1);
+  EXPECT_EQ(rig.server->deployments(), 1);
+  EXPECT_EQ(rig.server->dedups(), 1);
 }
 
 }  // namespace

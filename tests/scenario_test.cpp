@@ -328,9 +328,7 @@ TEST(ScenarioDeterminism, RegistryCountersMatchSerialOn1kFatTree) {
   const ScenarioConfig cfg = fat_tree_1k(net::millis(40));
   const auto serial = counter_deltas([&] { Scenario(cfg).run(1); });
   const auto sharded = counter_deltas([&] { Scenario(cfg).run(4); });
-  for (const char* name : {"node/_agg/net/rx_packets", "node/_agg/net/tx_bytes",
-                           "medium/_agg/delivered_packets",
-                           "node/_agg/net/tx_packets"}) {
+  for (const char* name : {"node/_agg/net/rx_packets", "medium/_agg/delivered_packets"}) {
     EXPECT_GT(serial.at(name), 0u) << name;
     EXPECT_EQ(sharded.at(name), serial.at(name)) << name;
   }
