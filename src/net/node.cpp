@@ -41,7 +41,7 @@ void UdpSocket::send_to(Ipv4Addr dst, std::uint16_t dport, Payload payload) {
 }
 
 Node::Node(EventQueue& events, std::string name)
-    : events_(&events), name_(std::move(name)), tcp_(std::make_unique<TcpStack>(*this)) {
+    : events_(&events), name_(std::move(name)) {
   ifaces_.reserve(2);  // hosts and leaf routers never relocate
   // Coarse mode (scenario-scale topologies) folds every node into one shared
   // aggregate counter — see obs::instance_metrics_enabled().
@@ -51,6 +51,11 @@ Node::Node(EventQueue& events, std::string name)
 }
 
 Node::~Node() = default;
+
+TcpStack& Node::tcp() {
+  if (!tcp_) tcp_ = std::make_unique<TcpStack>(*this);
+  return *tcp_;
+}
 
 Interface& Node::add_interface(Ipv4Addr addr, int prefix_len) {
   if (ifaces_.size() == ifaces_.capacity()) {
@@ -202,7 +207,7 @@ void Node::deliver_local(const Packet& p) {
     return;
   }
   if (p.ip.proto == IpProto::kTcp && p.tcp) {
-    if (!tcp_->on_packet(p)) ++dropped_no_listener_;
+    if (!tcp().on_packet(p)) ++dropped_no_listener_;
     return;
   }
   ++dropped_no_listener_;

@@ -193,7 +193,10 @@ class Node {
   void forward(PacketBox p);
   void forward(Packet&& p) { forward(packet_boxes().box(std::move(p))); }
 
-  TcpStack& tcp() { return *tcp_; }
+  /// The node's TCP demultiplexer, created on the first call: a node that
+  /// never uses TCP carries none. deliver_local() calls this too, so a
+  /// segment to a node without listeners still draws the stack's RST.
+  TcpStack& tcp();
 
   /// Hands a packet straight to the local transport layer (UDP/TCP demux),
   /// bypassing routing and the PLAN-P hook. Used by the runtime's deliver().
@@ -235,7 +238,7 @@ class Node {
   IpHook ip_hook_;
   std::vector<RxTap> rx_taps_;
   std::vector<std::pair<std::uint16_t, UdpSocket*>> udp_ports_;  // sorted by port
-  std::unique_ptr<TcpStack> tcp_;
+  std::unique_ptr<TcpStack> tcp_;  // null until the first tcp()
 
   // Received packets, counted only in the global registry
   // (node/<name>/net/rx_packets, accumulating process-wide); the drop causes

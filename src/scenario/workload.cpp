@@ -128,13 +128,17 @@ class ClientBundle {
   ClientBundle(Node& node, std::uint64_t users, const WorkloadParams& p,
                const std::vector<Ipv4Addr>* servers,
                const std::vector<double>* zipf_cdf, std::uint64_t rng_seed)
-      : node_(node),
-        params_(p),
+      : latency_hist(static_cast<std::size_t>(std::bit_width(p.timeout | 1)) + 1),
+        node_(node),
         servers_(servers),
         zipf_cdf_(zipf_cdf),
         thinking_(users),
         rng_(rng_seed != 0 ? rng_seed : 1),
         think_mean_ns_(p.think_mean_ms * 1e6),
+        timeout_(p.timeout),
+        request_bytes_(p.request_bytes),
+        frames_per_response_(p.frames_per_response),
+        frame_bytes_(p.frame_bytes),
         sock_(node, kClientPort, [this](const Packet& pk) { on_frame(pk); }) {}
 
   void start() { schedule_next(); }
@@ -146,7 +150,10 @@ class ClientBundle {
   std::uint64_t frames_rx = 0;
   std::uint64_t latency_sum_ns = 0;
   std::uint64_t latency_max_ns = 0;
-  std::array<std::uint64_t, 65> latency_hist{};
+  /// WorkloadStats::latency_hist's buckets up to the timeout's: a request
+  /// still in flight at its deadline expires then, so no completed latency
+  /// exceeds the timeout (32 buckets for 2 s, not 65).
+  std::vector<std::uint64_t> latency_hist;
 
  private:
   struct Pending {
@@ -194,20 +201,49 @@ class ClientBundle {
       if (obj > zipf_cdf_->size()) obj = zipf_cdf_->size();
     }
     const std::size_t size = std::max<std::size_t>(
-        params_.request_bytes, obj != 0 ? kReqObjOffset + 8 : kReqHeader);
+        request_bytes_, obj != 0 ? kReqObjOffset + 8 : kReqHeader);
     net::Buffer frame = net::acquire_buffer(size);
     auto& payload = const_cast<std::vector<std::uint8_t>&>(*frame);
     payload.resize(size);
     put_u64(payload, 0, seq);
-    put_u32(payload, 8, params_.frames_per_response);
-    put_u32(payload, 12, params_.frame_bytes);
+    put_u32(payload, 8, frames_per_response_);
+    put_u32(payload, 12, frame_bytes_);
     if (obj != 0) put_u64(payload, kReqObjOffset, obj);
     sock_.send_to(server, kServerPort, std::move(frame));
     inflight_.push_back(Pending{seq, now});
     --thinking_;
     ++requests;
-    node_.events().schedule_in(params_.timeout, [this, seq] { on_timeout(seq); });
+    arm_expiry();
     schedule_next();
+  }
+
+  /// Schedules the bundle's one expiry event at the oldest in-flight
+  /// request's deadline, unless one is pending already. The key
+  /// (sent + timeout, sent, UINT32_MAX) is the one schedule_in(timeout)
+  /// gives at send time, so an expiry keeps the canonical place of a
+  /// per-request timer among same-time events. A pending expiry never lies
+  /// after the oldest deadline: requests join inflight_ only at the back.
+  void arm_expiry() {
+    if (expiry_armed_ || inflight_.empty()) return;
+    expiry_armed_ = true;
+    const SimTime sent = inflight_.front().sent;
+    node_.events().schedule_ranked(sent + timeout_, sent, UINT32_MAX,
+                                   [this] { expire(); });
+  }
+
+  /// Times out every request whose deadline has passed, then re-arms for
+  /// the oldest one left. An expiry whose request completed meanwhile
+  /// times out nothing and only re-arms.
+  void expire() {
+    expiry_armed_ = false;
+    const SimTime now = node_.events().now();
+    while (!inflight_.empty() && inflight_.front().sent + timeout_ <= now) {
+      inflight_.erase(inflight_.begin());
+      ++timeouts;
+      ++thinking_;
+      schedule_next();
+    }
+    arm_expiry();
   }
 
   void on_frame(const Packet& p) {
@@ -230,19 +266,7 @@ class ClientBundle {
     // No match: the request already timed out — a late response, dropped.
   }
 
-  void on_timeout(std::uint64_t seq) {
-    for (std::size_t i = 0; i < inflight_.size(); ++i) {
-      if (inflight_[i].seq != seq) continue;
-      inflight_.erase(inflight_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++timeouts;
-      ++thinking_;
-      schedule_next();
-      return;
-    }
-  }
-
   Node& node_;
-  const WorkloadParams params_;
   const std::vector<Ipv4Addr>* servers_;
   const std::vector<double>* zipf_cdf_;
   std::uint64_t thinking_;
@@ -250,6 +274,12 @@ class ClientBundle {
   double think_mean_ns_;
   std::uint64_t gen_ = 0;
   std::uint64_t seq_ = 0;
+  // The four WorkloadParams fields a bundle reads after construction.
+  SimTime timeout_;
+  std::uint32_t request_bytes_;
+  std::uint32_t frames_per_response_;
+  std::uint32_t frame_bytes_;
+  bool expiry_armed_ = false;  // an expire() event is pending
   std::vector<Pending> inflight_;  // FIFO by sent time; linear scan is fine
                                    // (|inflight| <= users per bundle, tens)
   UdpSocket sock_;

@@ -22,6 +22,16 @@
 // returns its user to thinking and counts a timeout (the retransmission-free
 // analogue of an aborted page load).
 //
+// Timeouts take one more event per bundle, whatever its U: at most one
+// expiry is pending. It fires at the oldest in-flight request's deadline,
+// times out every request whose deadline has passed, and re-arms for the
+// oldest one left. It is scheduled with the (time, sched, rank) key a
+// per-request timer set at send time would have had, so the canonical event
+// order is that of one timer per request. Besides its counters and
+// in-flight FIFO, a bundle holds only the four parameters it reads (timeout,
+// request and frame shape) and a latency histogram cut at the timeout's
+// bucket, since no completed latency exceeds the timeout.
+//
 // Determinism: every bundle draw happens in deterministic event order on the
 // bundle's host (shard-confined), and all cross-host interaction is packets,
 // which the parallel executor merges canonically — so the aggregate counters

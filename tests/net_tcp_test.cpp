@@ -46,6 +46,18 @@ TEST(Tcp, ConnectToClosedPortNeverEstablishes) {
   EXPECT_FALSE(est);
 }
 
+// A node creates its TCP stack on first use. One that never called tcp()
+// must still refuse a SYN with an RST, so the connect fails fast.
+TEST(Tcp, SynToANodeThatNeverUsedTcpDrawsReset) {
+  Pair p;
+  bool closed = false;
+  auto c = p.a->tcp().connect(p.b->addr(), 81);
+  c->on_closed([&] { closed = true; });
+  p.net.run_until(millis(10));
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(p.b->dropped_no_listener(), 1u);
+}
+
 TEST(Tcp, TransfersSmallMessageBothWays) {
   Pair p;
   std::string at_server, at_client;

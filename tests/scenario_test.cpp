@@ -1,7 +1,8 @@
 // Tier-1 coverage for the scenario layer (DESIGN.md §6g): generator
 // determinism, island structure, the .scn parser's reject-typos policy, the
-// serial-vs-sharded determinism gate on the checked-in 1k-node scenario, and
-// the tx_time rounding regression that the 10^5-user workloads exposed.
+// serial-vs-sharded determinism gate on the checked-in 1k-node scenario, the
+// client bundles' pending events and timeout counts, and the tx_time
+// rounding regression that the 10^5-user workloads exposed.
 #include <algorithm>
 #include <functional>
 #include <map>
@@ -364,6 +365,35 @@ TEST(ScenarioDeterminism, SlicedShardedRunMatchesOneSerialCallOn1kFatTree) {
   EXPECT_EQ(slices, 40);
   EXPECT_EQ(sliced_json, serial_json);
   EXPECT_EQ(sliced, serial);
+}
+
+// A client bundle keeps one live think timer and at most one pending expiry,
+// not a timer per request waiting out its timeout. After 3 s of the 1k
+// fat-tree (1.5 s timeout) the queue holds fewer than four events per host;
+// a timer per request would leave about ten.
+TEST(ScenarioWorkload, PendingEventsStayBelowFourPerHost) {
+  Scenario sc(fat_tree_1k(net::seconds(3)));
+  const ScenarioMetrics m = sc.run(1);
+  EXPECT_GT(m.workload.completed, 0u);
+  EXPECT_LT(sc.network().events().pending(), 4 * m.hosts);
+}
+
+// Enough loss for timeouts to fire: the counts stay those of one timer per
+// request, and the metrics stay byte-identical at 1 and 4 shards.
+TEST(ScenarioWorkload, TimeoutsAreUnchangedAndShardIndependent) {
+  ScenarioConfig cfg = fat_tree_1k(net::seconds(4));
+  cfg.impairments.loss_rate = 0.02;
+  cfg.impairments.seed = 1;
+  cfg.workload.seed = 1;
+  std::string serial;
+  {
+    const ScenarioMetrics m = Scenario(cfg).run(1);
+    EXPECT_EQ(m.workload.requests, 19144u);
+    EXPECT_EQ(m.workload.completed, 17636u);
+    EXPECT_EQ(m.workload.timeouts, 986u);
+    serial = m.to_json();
+  }
+  EXPECT_EQ(Scenario(cfg).run(4).to_json(), serial);
 }
 
 // Same config, two fresh instantiations, same seed => identical metrics:
